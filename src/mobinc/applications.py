@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     DegenerateInputError,
@@ -18,7 +18,7 @@ from .errors import (
     UnbalancedInputError,
 )
 from .field import INFINITY, FieldContext, MoebiusMap, same_context
-from .incidence import PointSet, richness, transforms_defined_by
+from .incidence import PointSet, SortedSet, richness, transforms_defined_by
 
 SHIFT_INVERT = "shift-invert"
 RATIONAL = "rational"
@@ -28,31 +28,15 @@ EXPANDER_KINDS = (SHIFT_INVERT, RATIONAL)
 _EXPANDER_EXPONENT = {SHIFT_INVERT: 6 / 5, RATIONAL: 4 / 3}
 
 
-class ScalarSet:
-    """Deduplicated set of field elements with sorted iteration order."""
+class ScalarSet(SortedSet):
+    """Field elements, reduced mod p and iterated in increasing order."""
 
-    __slots__ = ("ctx", "values", "_set")
+    __slots__ = ()
+    values = SortedSet._items
 
     def __init__(self, values: Iterable[int], ctx: FieldContext):
         p = ctx.p
-        uniq = frozenset(v % p for v in values)
-        self.ctx = ctx
-        self.values = tuple(sorted(uniq))
-        self._set = uniq
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-    def __contains__(self, v):
-        return v in self._set
-
-    def __eq__(self, other):
-        if not isinstance(other, ScalarSet):
-            return NotImplemented
-        return self.ctx.p == other.ctx.p and self._set == other._set
+        super().__init__(frozenset(v % p for v in values), ctx)
 
     def __repr__(self):
         return f"ScalarSet({list(self.values)}; p={self.ctx.p})"

@@ -13,7 +13,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import io as mio
 from .applications import (
@@ -73,8 +72,7 @@ def _cmd_rich_enum(args) -> int:
         start = time.perf_counter()
         results["brute"] = rich_transforms_brute(points, args.k)
         timings["brute"] = (time.perf_counter() - start) * 1000.0
-    shown = results.get("pivot") or results["brute"]
-    for f in shown:
+    for f in results["brute" if args.method == "brute" else "pivot"]:
         print(mio.format_transform(f))
     for method, ms in sorted(timings.items()):
         print(f"timing {method}_ms={ms:.3f}", file=sys.stderr)
@@ -147,50 +145,24 @@ def _cmd_equiv_count(args) -> int:
     return 0
 
 
-def _reduction_chunk(args):
-    p, pivots = args
-    report = check_reduction(FieldContext(p), pivots)
-    return (
-        report.transforms,
-        report.triples,
-        report.violations,
-        report.line_collisions,
-        report.det_mismatches,
-    )
-
-
 def _cmd_verify_reduction(args) -> int:
     ctx = FieldContext(args.prime)
     p = ctx.p
-    if args.exhaustive:
-        pivots = [(q1, q2) for q1 in range(p) for q2 in range(p)]
-    else:
+    pivots = None
+    if not args.exhaustive:
         rng = random.Random(args.seed)
         count = min(args.samples, p * p)
         pivots = sorted(
             (v // p, v % p) for v in rng.sample(range(p * p), count)
         )
-    jobs = min(args.jobs, len(pivots))
-    if jobs > 1:
-        chunks = [(p, pivots[i::jobs]) for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_reduction_chunk, chunks))
-        transforms, triples, violations, collisions, mismatches = (
-            tuple(sum(part[i] for part in parts) for i in range(5))
-        )
-    else:
-        report = check_reduction(ctx, pivots)
-        transforms = report.transforms
-        triples = report.triples
-        violations = report.violations
-        collisions = report.line_collisions
-        mismatches = report.det_mismatches
+    report = check_reduction(ctx, pivots, jobs=args.jobs)
     print(
-        f"p={p} pivots={len(pivots)} transforms={transforms} "
-        f"triples={triples} violations={violations} "
-        f"line-collisions={collisions} det-mismatches={mismatches}"
+        f"p={p} pivots={report.pivots} transforms={report.transforms} "
+        f"triples={report.triples} violations={report.violations} "
+        f"line-collisions={report.line_collisions} "
+        f"det-mismatches={report.det_mismatches}"
     )
-    if violations or collisions or mismatches:
+    if not report.ok:
         print("REDUCTION CHECK FAILED", file=sys.stderr)
         return 1
     print("OK")

@@ -12,7 +12,9 @@ the modulus and a precomputed inverse table so division is a lookup.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+import os
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import (
     DegenerateTripleError,
@@ -97,12 +99,6 @@ class FieldContext:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
         return self._inv[x]
 
-    def reduce(self, x: int) -> int:
-        return x % self.p
-
-    def elements(self) -> range:
-        return range(self.p)
-
     def projective_points(self) -> list[ProjectivePoint]:
         return [*range(self.p), INFINITY]
 
@@ -122,6 +118,24 @@ def same_context(a: FieldContext, b: FieldContext) -> FieldContext:
     return a
 
 
+def worker_count(jobs: int, units: int) -> int:
+    """Processes for `units` tasks: 1 to min(jobs, CPU count, units)."""
+    return max(1, min(jobs, os.cpu_count() or 1, units))
+
+
+def parallel_map(fn: Callable, units: Sequence, jobs: int = 1) -> list:
+    """[fn(u) for u in units], over worker_count(jobs, len(units)) processes.
+
+    The one worker pool of the package.  fn must be a module-level function
+    so workers can import it; a single worker runs fn in this process.
+    """
+    workers = worker_count(jobs, len(units))
+    if workers == 1:
+        return [fn(u) for u in units]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, units))
+
+
 class MoebiusMap:
     """An element of PGL(2, p): the class of the matrix (a, b, c, d).
 
@@ -133,7 +147,7 @@ class MoebiusMap:
 
     __slots__ = ("a", "b", "c", "d", "ctx")
 
-    def __init__(self, a: int, b: int, c: int, d: int, ctx: FieldContext):
+    def __new__(cls, a: int, b: int, c: int, d: int, ctx: FieldContext):
         p = ctx.p
         a %= p
         b %= p
@@ -143,22 +157,19 @@ class MoebiusMap:
             raise SingularMatrixError(
                 f"({a},{b},{c},{d}) has zero determinant mod {p}"
             )
+        return cls._canonical(a, b, c, d, ctx)
+
+    @classmethod
+    def _canonical(cls, a, b, c, d, ctx):
+        # Internal: entries already reduced mod p with nonzero determinant.
         # A nonsingular matrix with a = 0 has b != 0, so the lead is a or b.
         s = ctx._inv[a if a else b]
         if s != 1:
+            p = ctx.p
             a = a * s % p
             b = b * s % p
             c = c * s % p
             d = d * s % p
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
-        self.ctx = ctx
-
-    @classmethod
-    def _raw(cls, a, b, c, d, ctx):
-        # Internal: trusted already-canonical entries, skip validation.
         m = object.__new__(cls)
         m.a = a
         m.b = b
@@ -167,9 +178,13 @@ class MoebiusMap:
         m.ctx = ctx
         return m
 
+    def __getnewargs__(self):
+        """Let pickle and copy rebuild the map through __new__."""
+        return (self.a, self.b, self.c, self.d, self.ctx)
+
     @classmethod
     def identity(cls, ctx: FieldContext) -> "MoebiusMap":
-        return cls._raw(1, 0, 0, 1, ctx)
+        return cls._canonical(1, 0, 0, 1, ctx)
 
     @classmethod
     def affine(cls, slope: int, intercept: int, ctx: FieldContext) -> "MoebiusMap":
@@ -199,26 +214,14 @@ class MoebiusMap:
         b = (self.a * other.b + self.b * other.d) % p
         c = (self.c * other.a + self.d * other.c) % p
         d = (self.c * other.b + self.d * other.d) % p
-        s = ctx._inv[a if a else b]
-        if s != 1:
-            a = a * s % p
-            b = b * s % p
-            c = c * s % p
-            d = d * s % p
-        return MoebiusMap._raw(a, b, c, d, ctx)
+        return MoebiusMap._canonical(a, b, c, d, ctx)
 
     def inverse(self) -> "MoebiusMap":
         """Group inverse (the adjugate matrix, canonicalized)."""
-        ctx = self.ctx
-        p = ctx.p
-        a, b, c, d = self.d, (-self.b) % p, (-self.c) % p, self.a
-        s = ctx._inv[a if a else b]
-        if s != 1:
-            a = a * s % p
-            b = b * s % p
-            c = c * s % p
-            d = d * s % p
-        return MoebiusMap._raw(a, b, c, d, ctx)
+        p = self.ctx.p
+        return MoebiusMap._canonical(
+            self.d, (-self.b) % p, (-self.c) % p, self.a, self.ctx
+        )
 
     def det(self) -> int:
         return (self.a * self.d - self.b * self.c) % self.ctx.p
@@ -334,7 +337,7 @@ def group_tuples(ctx: FieldContext) -> Iterable[tuple[int, int, int, int]]:
 def enumerate_group(ctx: FieldContext) -> Iterator[MoebiusMap]:
     """Every element of PGL(2, p) exactly once, in a fixed order."""
     for a, b, c, d in group_tuples(ctx):
-        yield MoebiusMap._raw(a, b, c, d, ctx)
+        yield MoebiusMap._canonical(a, b, c, d, ctx)
 
 
 def class_from_index(i: int, ctx: FieldContext) -> MoebiusMap:
@@ -352,7 +355,7 @@ def class_from_index(i: int, ctx: FieldContext) -> MoebiusMap:
         c, j = divmod(r, p - 1)
         bc = b * c % p
         d = j if j < bc else j + 1
-        return MoebiusMap._raw(1, b, c, d, ctx)
+        return MoebiusMap._canonical(1, b, c, d, ctx)
     i -= block
     c, d = divmod(i, p)
-    return MoebiusMap._raw(0, 1, c + 1, d, ctx)
+    return MoebiusMap._canonical(0, 1, c + 1, d, ctx)

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .applications import ScalarSet, cartesian_points
 from .energy import HyperbolaTranslate
-from .errors import InfeasibleSizeError
+from .errors import ConfigError, InfeasibleSizeError
 from .field import FieldContext, class_from_index, group_order
 from .incidence import PointSet, TransformSet, transforms_defined_by
 
@@ -64,11 +64,32 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
 
 
-def _need(params: dict, key: str, default=None):
+def _as_int(key: str, value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"generator parameter {key!r} must be an integer, got {value!r}")
+
+
+def _int(params: dict, key: str, default=None) -> Optional[int]:
     value = params.get(key, default)
+    return None if value is None else _as_int(key, value)
+
+
+def _need(params: dict, key: str, default=None) -> int:
+    value = _int(params, key, default)
     if value is None:
         raise InfeasibleSizeError(f"generator parameter {key!r} is required")
-    return int(value)
+    return value
+
+
+def _scalars(rng, params, key, size_key, size_default, ctx) -> ScalarSet:
+    """The scalars listed under key (a single value is a list of one), or a
+    seeded sample of params[size_key] (default size_default) of them."""
+    value = params.get(key)
+    if value is None:
+        return _sample_scalars(rng, _need(params, size_key, size_default), ctx)
+    values = value if isinstance(value, (list, tuple)) else [value]
+    return ScalarSet([_as_int(key, v) for v in values], ctx)
 
 
 def _sample_scalars(rng: random.Random, n: int, ctx: FieldContext) -> ScalarSet:
@@ -136,20 +157,10 @@ def _sample_hyperbolas(rng, n, ctx) -> tuple[HyperbolaTranslate, ...]:
 
 
 def _grid_hyperbolas(rng, params, ctx) -> tuple[HyperbolaTranslate, ...]:
-    p = ctx.p
-    na = _need(params, "na", params.get("n", 3))
-    nb = _need(params, "nb", na)
-    eps = int(params.get("eps", 1))
-    a_values = params.get("a")
-    b_values = params.get("b")
-    a_set = (
-        ScalarSet(a_values, ctx) if a_values is not None
-        else _sample_scalars(rng, na, ctx)
-    )
-    b_set = (
-        ScalarSet(b_values, ctx) if b_values is not None
-        else _sample_scalars(rng, nb, ctx)
-    )
+    na = params.get("na", params.get("n", 3))
+    a_set = _scalars(rng, params, "a", "na", na, ctx)
+    b_set = _scalars(rng, params, "b", "nb", na, ctx)
+    eps = _int(params, "eps", 1)
     return tuple(
         sorted(HyperbolaTranslate(a, b, eps) for a in a_set for b in b_set)
     )
@@ -166,34 +177,30 @@ def generate_instance(
     elif kind == RANDOM_SCALARS:
         inst.a = _sample_scalars(rng, _need(params, "na", params.get("n")), ctx)
         if "nb" in params:
-            inst.b = _sample_scalars(rng, int(params["nb"]), ctx)
+            inst.b = _sample_scalars(rng, _need(params, "nb"), ctx)
     elif kind == AP:
         na = _need(params, "na", params.get("n"))
-        inst.a = _ap_scalars(rng, na, ctx, params.get("start"), params.get("step"))
-        nb = params.get("nb")
+        inst.a = _ap_scalars(
+            rng, na, ctx, _int(params, "start"), _int(params, "step")
+        )
+        nb = _int(params, "nb")
         if nb is not None:
             inst.b = _ap_scalars(
-                rng, int(nb), ctx, params.get("b_start"), params.get("b_step")
+                rng, nb, ctx, _int(params, "b_start"), _int(params, "b_step")
             )
     elif kind == GP:
         na = _need(params, "na", params.get("n"))
-        inst.a = _gp_scalars(rng, na, ctx, params.get("start"), params.get("ratio"))
-        nb = params.get("nb")
+        inst.a = _gp_scalars(
+            rng, na, ctx, _int(params, "start"), _int(params, "ratio")
+        )
+        nb = _int(params, "nb")
         if nb is not None:
             inst.b = _gp_scalars(
-                rng, int(nb), ctx, params.get("b_start"), params.get("b_ratio")
+                rng, nb, ctx, _int(params, "b_start"), _int(params, "b_ratio")
             )
     elif kind == CARTESIAN:
-        a_values = params.get("a")
-        b_values = params.get("b")
-        inst.a = (
-            ScalarSet(a_values, ctx) if a_values is not None
-            else _sample_scalars(rng, _need(params, "na", params.get("n")), ctx)
-        )
-        inst.b = (
-            ScalarSet(b_values, ctx) if b_values is not None
-            else _sample_scalars(rng, _need(params, "nb", len(inst.a)), ctx)
-        )
+        inst.a = _scalars(rng, params, "a", "na", params.get("n"), ctx)
+        inst.b = _scalars(rng, params, "b", "nb", len(inst.a), ctx)
         inst.points = cartesian_points(inst.a, inst.b)
     elif kind == RANDOM_TRANSFORMS:
         inst.transforms = _sample_transforms(

@@ -17,44 +17,54 @@ FULL_GROUP = "full-group"
 TRIPLES = "triples"
 
 
-class PointSet:
-    """Deduplicated set of affine points with deterministic iteration order.
+class SortedSet:
+    """Deduplicated members over one field, iterated in a fixed sorted order.
 
-    Points are pairs of ints, reduced mod p on construction and iterated in
-    lexicographic order so downstream enumeration output is reproducible.
+    The fixed order keeps downstream enumeration output reproducible.
+    Subclasses expose the sorted tuple under their own public name.
     """
 
-    __slots__ = ("ctx", "points", "_set")
+    __slots__ = ("ctx", "_items", "_set")
 
-    def __init__(self, points: Iterable[tuple[int, int]], ctx: FieldContext):
-        p = ctx.p
-        uniq = frozenset((x % p, y % p) for x, y in points)
+    def __init__(self, members: frozenset, ctx: FieldContext, key=None):
         self.ctx = ctx
-        self.points = tuple(sorted(uniq))
-        self._set = uniq
+        self._items = tuple(sorted(members, key=key))
+        self._set = members
 
     def __len__(self):
-        return len(self.points)
+        return len(self._items)
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.points)
+    def __iter__(self) -> Iterator:
+        return iter(self._items)
 
-    def __contains__(self, point):
-        return point in self._set
+    def __contains__(self, member):
+        return member in self._set
 
     def __eq__(self, other):
-        if not isinstance(other, PointSet):
+        if type(other) is not type(self):
             return NotImplemented
         return self.ctx.p == other.ctx.p and self._set == other._set
 
+
+class PointSet(SortedSet):
+    """Affine points, reduced mod p and iterated in lexicographic order."""
+
+    __slots__ = ()
+    points = SortedSet._items
+
+    def __init__(self, points: Iterable[tuple[int, int]], ctx: FieldContext):
+        p = ctx.p
+        super().__init__(frozenset((x % p, y % p) for x, y in points), ctx)
+
     def __repr__(self):
-        return f"PointSet({len(self.points)} points; p={self.ctx.p})"
+        return f"PointSet({len(self)} points; p={self.ctx.p})"
 
 
-class TransformSet:
-    """Deduplicated set of Moebius maps, iterated by canonical tuple order."""
+class TransformSet(SortedSet):
+    """Moebius maps, iterated by canonical tuple order."""
 
-    __slots__ = ("ctx", "maps", "_set")
+    __slots__ = ()
+    maps = SortedSet._items
 
     def __init__(self, maps: Iterable[MoebiusMap], ctx: FieldContext):
         uniq = frozenset(maps)
@@ -63,26 +73,10 @@ class TransformSet:
                 raise ModulusMismatchError(
                     f"map over F_{f.ctx.p} in a set over F_{ctx.p}"
                 )
-        self.ctx = ctx
-        self.maps = tuple(sorted(uniq, key=MoebiusMap.as_tuple))
-        self._set = uniq
-
-    def __len__(self):
-        return len(self.maps)
-
-    def __iter__(self) -> Iterator[MoebiusMap]:
-        return iter(self.maps)
-
-    def __contains__(self, f):
-        return f in self._set
-
-    def __eq__(self, other):
-        if not isinstance(other, TransformSet):
-            return NotImplemented
-        return self.ctx.p == other.ctx.p and self._set == other._set
+        super().__init__(uniq, ctx, key=MoebiusMap.as_tuple)
 
     def __repr__(self):
-        return f"TransformSet({len(self.maps)} maps; p={self.ctx.p})"
+        return f"TransformSet({len(self)} maps; p={self.ctx.p})"
 
 
 def lies_on(s: tuple[int, int], f: MoebiusMap) -> bool:
@@ -93,16 +87,23 @@ def lies_on(s: tuple[int, int], f: MoebiusMap) -> bool:
     return den != 0 and (y * den - f.a * x - f.b) % p == 0
 
 
-def richness(f: MoebiusMap, P: PointSet) -> int:
-    """Number of points of P lying on f."""
-    p = P.ctx.p
-    a, b, c, d = f.a, f.b, f.c, f.d
+def incidences_of(a: int, b: int, c: int, d: int, points, p: int) -> int:
+    """Number of points (x, y) with y = (ax + b)/(cx + d) mod p, x not a pole.
+
+    The one incidence loop: richness, count_incidences, the brute group scan
+    and the pivot re-check all count through it.
+    """
     n = 0
-    for x, y in P.points:
+    for x, y in points:
         den = (c * x + d) % p
         if den and (y * den - a * x - b) % p == 0:
             n += 1
     return n
+
+
+def richness(f: MoebiusMap, P: PointSet) -> int:
+    """Number of points of P lying on f."""
+    return incidences_of(f.a, f.b, f.c, f.d, P.points, P.ctx.p)
 
 
 def count_incidences(P: PointSet, T: TransformSet) -> int:
@@ -110,14 +111,7 @@ def count_incidences(P: PointSet, T: TransformSet) -> int:
     same_context(P.ctx, T.ctx)
     p = P.ctx.p
     pts = P.points
-    total = 0
-    for f in T.maps:
-        a, b, c, d = f.a, f.b, f.c, f.d
-        for x, y in pts:
-            den = (c * x + d) % p
-            if den and (y * den - a * x - b) % p == 0:
-                total += 1
-    return total
+    return sum(incidences_of(f.a, f.b, f.c, f.d, pts, p) for f in T.maps)
 
 
 def rich_transforms_brute(P: PointSet, k: int, mode: str = FULL_GROUP) -> TransformSet:
@@ -137,13 +131,8 @@ def rich_transforms_brute(P: PointSet, k: int, mode: str = FULL_GROUP) -> Transf
         pts = P.points
         out = []
         for a, b, c, d in group_tuples(ctx):
-            n = 0
-            for x, y in pts:
-                den = (c * x + d) % p
-                if den and (y * den - a * x - b) % p == 0:
-                    n += 1
-            if n >= k:
-                out.append(MoebiusMap._raw(a, b, c, d, ctx))
+            if incidences_of(a, b, c, d, pts, p) >= k:
+                out.append(MoebiusMap._canonical(a, b, c, d, ctx))
         return TransformSet(out, ctx)
     if mode == TRIPLES:
         if k < 3:

@@ -19,11 +19,12 @@ slope-bucketing the other points of P against q.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple, Optional, Union
 
 from .errors import PivotMismatchError, ThresholdError, WrongBranchError
-from .field import FieldContext, MoebiusMap
-from .incidence import PointSet, TransformSet, richness
+from .field import FieldContext, MoebiusMap, parallel_map, worker_count
+from .incidence import PointSet, TransformSet, incidences_of
 
 
 class NonVertical(NamedTuple):
@@ -189,8 +190,12 @@ def line_preimage(
     return MoebiusMap(a, b, 1, d, ctx)
 
 
-def _pivot_candidates(P: PointSet, k: int) -> dict[MoebiusMap, int]:
-    """Candidate k-rich maps with, per map, the number of pivots yielding it."""
+def pivot_multiplicities(P: PointSet, k: int) -> dict[MoebiusMap, int]:
+    """For each k-rich map, how many pivots independently produced it.
+
+    Every k-rich transformation passes through >= k points of P, and each of
+    those points recovers it, so every multiplicity is at least k.
+    """
     if k < 3:
         raise ThresholdError(f"pivot enumeration needs k >= 3, got {k}")
     ctx = P.ctx
@@ -206,7 +211,7 @@ def _pivot_candidates(P: PointSet, k: int) -> dict[MoebiusMap, int]:
         if len(transplanted) >= k - 1:
             for line in rich_lines(transplanted, k - 1):
                 f = line_preimage(line, q, ctx)
-                if f is not None and richness(f, P) >= k:
+                if f is not None and incidences_of(f.a, f.b, f.c, f.d, pts, p) >= k:
                     produced.add(f)
         # Affine branch: slope-bucket the other points against the pivot.
         slope_count: dict[int, int] = {}
@@ -219,20 +224,11 @@ def _pivot_candidates(P: PointSet, k: int) -> dict[MoebiusMap, int]:
             # is always nonsingular.
             if cnt >= k - 1:
                 f = MoebiusMap(m, (q2 - m * q1) % p, 0, 1, ctx)
-                if richness(f, P) >= k:
+                if incidences_of(f.a, f.b, f.c, f.d, pts, p) >= k:
                     produced.add(f)
         for f in produced:
             multiplicity[f] = multiplicity.get(f, 0) + 1
     return multiplicity
-
-
-def pivot_multiplicities(P: PointSet, k: int) -> dict[MoebiusMap, int]:
-    """For each k-rich map, how many pivots independently produced it.
-
-    Every k-rich transformation passes through >= k points of P, and each of
-    those points recovers it, so every multiplicity is at least k.
-    """
-    return _pivot_candidates(P, k)
 
 
 def rich_transforms_pivot(P: PointSet, k: int) -> TransformSet:
@@ -240,7 +236,7 @@ def rich_transforms_pivot(P: PointSet, k: int) -> TransformSet:
 
     Agrees exactly with the full-group brute scan.
     """
-    return TransformSet(_pivot_candidates(P, k).keys(), P.ctx)
+    return TransformSet(pivot_multiplicities(P, k).keys(), P.ctx)
 
 
 def dyadic_threshold(n_points: int, n_transforms: int) -> float:
@@ -308,9 +304,15 @@ def _check_one_pivot(ctx: FieldContext, q1: int, q2: int) -> tuple[int, int, int
     return transforms, triples, violations, collisions, det_mismatches
 
 
+def _check_pivots(p: int, pivots: list[tuple[int, int]]) -> list[tuple]:
+    ctx = FieldContext(p)
+    return [_check_one_pivot(ctx, q1 % p, q2 % p) for q1, q2 in pivots]
+
+
 def check_reduction(
     ctx: FieldContext,
     pivots: Optional[list[tuple[int, int]]] = None,
+    jobs: int = 1,
 ) -> ReductionReport:
     """Verify the incidence-preserving reduction over a set of pivots.
 
@@ -318,18 +320,14 @@ def check_reduction(
     curved transformation through q, every admissible point.  Also checks
     injectivity of the conjugation (no two maps share a line) and that the
     conjugate matrix determinant matches the c = 1 determinant of the map.
+    The pivots are dealt out in strides, one chunk per worker process.
     """
     p = ctx.p
     if pivots is None:
         pivots = [(q1, q2) for q1 in range(p) for q2 in range(p)]
-    transforms = triples = violations = collisions = det_mismatches = 0
-    for q1, q2 in pivots:
-        t, tr, v, col, dm = _check_one_pivot(ctx, q1 % p, q2 % p)
-        transforms += t
-        triples += tr
-        violations += v
-        collisions += col
-        det_mismatches += dm
-    return ReductionReport(
-        p, len(pivots), transforms, triples, violations, collisions, det_mismatches
-    )
+    n = worker_count(jobs, len(pivots))
+    chunks = [pivots[i::n] for i in range(n)]
+    parts = parallel_map(partial(_check_pivots, p), chunks, n)
+    counts = [row for part in parts for row in part]
+    totals = (sum(row[i] for row in counts) for i in range(5))
+    return ReductionReport(p, len(pivots), *totals)

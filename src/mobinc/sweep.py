@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -34,7 +33,7 @@ from .bounds import (
 )
 from .energy import encode_family, energy, translate_multiplicity
 from .errors import ConfigError
-from .field import FieldContext, group_order, is_prime
+from .field import FieldContext, group_order, is_prime, parallel_map
 from .generators import (
     INSTANCE_KINDS,
     RANDOM_HYPERBOLAS,
@@ -373,11 +372,7 @@ def sweep(config: SweepConfig, jobs: int = 1) -> list[dict]:
         for size in sizes
         for rep in range(config.reps)
     ]
-    if jobs > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
-            chunks = list(pool.map(_sweep_unit, units))
-    else:
-        chunks = [_sweep_unit(unit) for unit in units]
+    chunks = parallel_map(_sweep_unit, units, jobs)
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r["bound"], r["p"], r["size"] or 0, r["rep"]))
     return rows

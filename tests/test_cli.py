@@ -1,10 +1,11 @@
 """End-to-end CLI behaviour: wiring, formats, exit codes."""
 
 import json
+import os
 
 import pytest
 
-from mobinc import cli
+from mobinc import cli, field
 
 CONFIG = """
 primes = 7,11
@@ -59,6 +60,14 @@ def test_rich_enum_single_method(files, capsys):
     assert code == 0
     assert out.strip() == "1,0,0,1"
     assert "MATCH" not in out
+
+
+def test_rich_enum_pivot_with_no_rich_maps(files, capsys):
+    points = files("p.txt", "1,2\n2,1\n")
+    code, out, _ = run(capsys, "rich-enum", "--points", points,
+                       "-p", "7", "-k", "3", "--method", "pivot")
+    assert code == 0
+    assert out == ""
 
 
 def test_rich_enum_mismatch_exits_1(files, capsys, monkeypatch):
@@ -182,6 +191,24 @@ def test_verify_reduction_parallel_matches(capsys):
     assert out1 == out2
 
 
+def test_jobs_capped_at_cpu_count(files, capsys, monkeypatch):
+    # With one CPU no pool may start, whatever --jobs asks for.
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(field, "ProcessPoolExecutor", NoPool)
+    config = files("sweep.cfg", CONFIG)
+    for argv in (["sweep", "--config", config],
+                 ["verify-reduction", "-p", "5", "--exhaustive"]):
+        code, serial, _ = run(capsys, *argv, "--jobs", "1")
+        assert code == 0
+        code, capped, _ = run(capsys, *argv, "--jobs", "64")
+        assert code == 0
+        assert capped == serial
+
+
 def test_sweep_formats_and_determinism(files, capsys):
     config = files("sweep.cfg", CONFIG)
     code, out1, _ = run(capsys, "sweep", "--config", config, "--jobs", "1")
@@ -236,6 +263,22 @@ def test_bad_inputs_exit_2(files, capsys):
     config = files("bad.cfg", "primes = 7\nbounds = nope\ngenerator = ap\nseed = 1\n")
     code, _, err = run(capsys, "sweep", "--config", config)
     assert code == 2 and "unknown bound" in err
+
+
+@pytest.mark.parametrize("generator, extra, expected_code", [
+    ("cartesian", "a = 3", 0),  # a single value is a list of one
+    ("cartesian", "a = 1,x", 2),
+    ("ap", "step = x", 2),
+])
+def test_sweep_generator_values(files, capsys, generator, extra, expected_code):
+    config = files("gen.cfg", "primes = 7\nbounds = thm2-incidence\n"
+                   f"generator = {generator}\nseed = 1\n{extra}\n")
+    code, out, err = run(capsys, "sweep", "--config", config, "--jobs", "1")
+    assert code == expected_code
+    if expected_code == 0:
+        assert json.loads(out.splitlines()[0])["n_a"] == 1
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,6 +1,8 @@
 """Field context, canonical forms, evaluation, composition, interpolation."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -235,4 +237,5 @@ def test_map_hash_and_repr():
     g = MoebiusMap(6, 0, 2, 8, CTX7)
     assert f == g and hash(f) == hash(g)
     assert "p=7" in repr(f)
+    assert copy.copy(f) == f and pickle.loads(pickle.dumps(f)) == f
     assert repr(INFINITY) == "INFINITY"

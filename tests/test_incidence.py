@@ -84,6 +84,12 @@ def test_richness_sums_to_incidences():
         T = TransformSet(rng.sample(members, 15), CTX7)
         assert sum(richness(f, P) for f in T) == count_incidences(P, T)
         assert count_incidences(P, T) <= min(len(P) * len(T), 7 * len(T))
+    # The shared kernel against the independent per-point predicate, on a
+    # set that meets every pole abscissa, over every map (affine ones too).
+    grid = PointSet(product(range(5), repeat=2), CTX5)
+    for P in (grid, random_points(CTX5, 9, 0)):
+        for f in enumerate_group(CTX5):
+            assert richness(f, P) == sum(lies_on(s, f) for s in P)
 
 
 def test_rich_transforms_brute_examples():
