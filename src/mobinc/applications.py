@@ -8,6 +8,7 @@ a product space; growth exponents only ever appear as reported ratios.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import permutations
 from typing import Iterable
@@ -100,8 +101,10 @@ def beck_statistics(P: PointSet, constant: float = 1.0) -> dict:
 
     Reports how many maps P defines (maps through three of its points), the
     largest point count on any of them, and the window endpoints
-    constant*n^(3/7) and n/constant^(7/4) for the supplied constant.
+    constant*n^(3/7) and n/constant^(7/4) for a positive finite constant.
     """
+    if not 0 < constant < math.inf:
+        raise ValueError(f"the constant must be positive and finite, got {constant}")
     n = len(P)
     if n < 3:
         raise DegenerateInputError(f"need at least 3 points, got {n}")

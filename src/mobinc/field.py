@@ -79,10 +79,13 @@ class FieldContext:
     __slots__ = ("p", "_inv", "_group_tuples")
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+        if not isinstance(p, int) or isinstance(p, bool):
             raise ValueError(f"modulus {p!r} is not a prime")
+        # Bound first: trial division of a huge modulus would not finish.
         if p >= MAX_MODULUS:
             raise ValueError(f"modulus {p} exceeds the desk-scale limit {MAX_MODULUS}")
+        if not is_prime(p):
+            raise ValueError(f"modulus {p!r} is not a prime")
         self.p = p
         inv = [0] * p
         if p > 1:

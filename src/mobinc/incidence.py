@@ -90,8 +90,8 @@ def lies_on(s: tuple[int, int], f: MoebiusMap) -> bool:
 def incidences_of(a: int, b: int, c: int, d: int, points, p: int) -> int:
     """Number of points (x, y) with y = (ax + b)/(cx + d) mod p, x not a pole.
 
-    The one incidence loop: richness, count_incidences, the brute group scan
-    and the pivot re-check all count through it.
+    The one incidence loop: richness, count_incidences and the brute group
+    scan all count through it.
     """
     n = 0
     for x, y in points:

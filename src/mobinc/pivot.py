@@ -10,11 +10,12 @@ two unit-determinant maps x -> 1/(q2 - x) (outside) and x -> q1 - 1/x
 i.e. the line y = ((q1 + d)x - 1)/(a - q2).  Transplanting each point
 (s1, s2) with s1 != q1, s2 != q2 to (1/(q1 - s1), 1/(q2 - s2)) preserves
 incidences exactly, and the only incidence lost to the two excluded rows is
-the pivot itself.  A map with >= k points of P on it therefore shows up as a
-line with >= k-1 transplanted points, once per pivot it passes through, so
-harvesting rich lines over all pivots enumerates every k-rich transformation
-at least k times.  Affine maps (c = 0) through q are picked up separately by
-slope-bucketing the other points of P against q.
+the pivot itself.  Affine maps (c = 0) through q land on the lines through
+the origin, so the maps through q correspond one-to-one to the lines that
+are neither vertical nor horizontal.  A map with m points of P on it
+therefore shows up as a line with m-1 transplanted points, once per pivot
+it passes through, so harvesting rich lines over all pivots enumerates
+every k-rich transformation exactly as many times as its richness.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple, Optional, Union
 
 from .errors import PivotMismatchError, ThresholdError, WrongBranchError
 from .field import FieldContext, MoebiusMap, parallel_map, worker_count
-from .incidence import PointSet, TransformSet, incidences_of
+from .incidence import PointSet, TransformSet
 
 
 class NonVertical(NamedTuple):
@@ -142,8 +143,8 @@ def point_on_line(s: tuple[int, int], line: AffineLine, ctx: FieldContext) -> bo
 def rich_lines(P: PointSet, j: int) -> tuple[AffineLine, ...]:
     """All lines carrying at least j >= 2 points of P, sorted canonically.
 
-    Found exactly, by bucketing every point pair under the line through it
-    and thresholding the per-line point counts.
+    Found exactly, by counting every point pair under the line through it:
+    a line through m points carries m(m-1)/2 pairs.
     """
     if j < 2:
         raise ThresholdError(f"rich lines need a threshold >= 2, got {j}")
@@ -151,7 +152,7 @@ def rich_lines(P: PointSet, j: int) -> tuple[AffineLine, ...]:
     p = ctx.p
     inv = ctx._inv
     pts = P.points
-    buckets: dict[AffineLine, set[tuple[int, int]]] = {}
+    pairs: dict[AffineLine, int] = {}
     for i, (x1, y1) in enumerate(pts):
         for x2, y2 in pts[i + 1 :]:
             if x1 == x2:
@@ -159,13 +160,9 @@ def rich_lines(P: PointSet, j: int) -> tuple[AffineLine, ...]:
             else:
                 m = (y2 - y1) * inv[(x2 - x1) % p] % p
                 key = NonVertical(m, (y1 - m * x1) % p)
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = {(x1, y1), (x2, y2)}
-            else:
-                bucket.add((x1, y1))
-                bucket.add((x2, y2))
-    out = [line for line, members in buckets.items() if len(members) >= j]
+            pairs[key] = pairs.get(key, 0) + 1
+    least = j * (j - 1) // 2
+    out = [line for line, count in pairs.items() if count >= least]
     out.sort(key=_line_sort_key)
     return tuple(out)
 
@@ -173,61 +170,34 @@ def rich_lines(P: PointSet, j: int) -> tuple[AffineLine, ...]:
 def line_preimage(
     line: AffineLine, q: tuple[int, int], ctx: FieldContext
 ) -> Optional[MoebiusMap]:
-    """Invert line_image at pivot q, or None if the line is not in its range.
+    """The map through q whose transplanted graph is the line, or None.
 
-    Vertical lines, lines through the origin (intercept 0) and horizontal
-    lines (slope 0) are outside the range: the first two by construction,
-    the last because its preimage matrix would be singular.
+    The line t2 = s*t1 + i pulls back to a map of determinant s, curved when
+    i != 0 (the inverse of line_image) and affine of slope 1/s when i = 0.
+    Vertical and horizontal lines are the only ones with no preimage.
     """
-    if isinstance(line, Vertical) or line.intercept == 0 or line.slope == 0:
+    if isinstance(line, Vertical) or line.slope == 0:
         return None
-    p = ctx.p
-    q1, q2 = q[0] % p, q[1] % p
-    u = (-ctx._inv[line.intercept]) % p  # u = a - q2
-    a = (q2 + u) % p
-    d = (line.slope * u - q1) % p
-    b = (q2 * (q1 + d) - a * q1) % p
-    return MoebiusMap(a, b, 1, d, ctx)
+    q1, q2 = q
+    s, i = line
+    return MoebiusMap(1 - i * q2, q2 * s + i * q1 * q2 - q1, -i, s + i * q1, ctx)
 
 
 def pivot_multiplicities(P: PointSet, k: int) -> dict[MoebiusMap, int]:
     """For each k-rich map, how many pivots independently produced it.
 
-    Every k-rich transformation passes through >= k points of P, and each of
-    those points recovers it, so every multiplicity is at least k.
+    Each point of P on a map recovers it exactly once, from the line through
+    the other points on it, so every multiplicity equals the map's richness.
     """
     if k < 3:
         raise ThresholdError(f"pivot enumeration needs k >= 3, got {k}")
     ctx = P.ctx
-    p = ctx.p
-    inv = ctx._inv
-    pts = P.points
     multiplicity: dict[MoebiusMap, int] = {}
-    for q in pts:
-        q1, q2 = q
-        produced = set()
-        # Curved branch: harvest (k-1)-rich lines of the transplanted set.
-        transplanted, _ = transplant_points(P, q)
-        if len(transplanted) >= k - 1:
-            for line in rich_lines(transplanted, k - 1):
-                f = line_preimage(line, q, ctx)
-                if f is not None and incidences_of(f.a, f.b, f.c, f.d, pts, p) >= k:
-                    produced.add(f)
-        # Affine branch: slope-bucket the other points against the pivot.
-        slope_count: dict[int, int] = {}
-        for x, y in pts:
-            if x != q1 and y != q2:
-                m = (y - q2) * inv[(x - q1) % p] % p
-                slope_count[m] = slope_count.get(m, 0) + 1
-        for m, cnt in slope_count.items():
-            # y != q2 makes every bucketed slope nonzero, so the matrix below
-            # is always nonsingular.
-            if cnt >= k - 1:
-                f = MoebiusMap(m, (q2 - m * q1) % p, 0, 1, ctx)
-                if incidences_of(f.a, f.b, f.c, f.d, pts, p) >= k:
-                    produced.add(f)
-        for f in produced:
-            multiplicity[f] = multiplicity.get(f, 0) + 1
+    for q in P.points:
+        for line in rich_lines(transplant_points(P, q)[0], k - 1):
+            f = line_preimage(line, q, ctx)
+            if f is not None:
+                multiplicity[f] = multiplicity.get(f, 0) + 1
     return multiplicity
 
 

@@ -33,7 +33,7 @@ from .bounds import (
 )
 from .energy import encode_family, energy, translate_multiplicity
 from .errors import ConfigError
-from .field import FieldContext, group_order, is_prime, parallel_map
+from .field import MAX_MODULUS, FieldContext, group_order, is_prime, parallel_map
 from .generators import (
     INSTANCE_KINDS,
     RANDOM_HYPERBOLAS,
@@ -104,6 +104,9 @@ class SweepConfig:
     def __post_init__(self):
         # an empty prime list is legal and yields an empty row stream
         for p in self.primes:
+            # Bound first: trial division of a huge modulus would not finish.
+            if p >= MAX_MODULUS:
+                raise ConfigError(f"sweep prime {p} exceeds the limit {MAX_MODULUS}")
             if not is_prime(p) or p < 5:
                 raise ConfigError(f"sweep primes must be primes >= 5, got {p}")
         for bound in self.bounds:

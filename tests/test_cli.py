@@ -138,6 +138,16 @@ def test_beck_subcommand(files, capsys):
     assert record["defined_count"] == 1 and record["max_richness"] == 5
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+@pytest.mark.parametrize("constant", ["0", "-1", "nan"])
+def test_beck_rejects_nonpositive_constant(files, capsys, constant, json_flag):
+    points = files("p.txt", "\n".join(f"{x},{x}" for x in range(5)) + "\n")
+    code, out, err = run(capsys, "beck", "-p", "5", "--points", points,
+                         "--constant", constant, *json_flag)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_expander_subcommands(files, capsys):
     a = files("a.txt", "1\n2\n")
     code, out, _ = run(capsys, "expander", "shift-invert", "-p", "7",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobinc import field
 from mobinc.errors import (
     DegenerateTripleError,
     ModulusMismatchError,
@@ -35,12 +36,19 @@ def test_is_prime_small():
     assert not any(is_prime(n) for n in composites)
 
 
-def test_context_rejects_bad_moduli():
+def test_context_rejects_bad_moduli(monkeypatch):
     for bad in (0, 1, 4, 15, -7):
         with pytest.raises(ValueError):
             FieldContext(bad)
-    with pytest.raises(ValueError):
-        FieldContext((1 << 20) + 7)  # beyond the desk-scale guard
+
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) called on an oversized modulus")
+
+    # The bound is tested before primality, which would not finish for 2^61-1.
+    monkeypatch.setattr(field, "is_prime", no_trial_division)
+    for huge in ((1 << 20) + 7, (1 << 61) - 1):
+        with pytest.raises(ValueError, match="desk-scale limit"):
+            FieldContext(huge)
 
 
 def test_context_accepts_degenerate_small_fields():

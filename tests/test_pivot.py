@@ -10,7 +10,7 @@ from mobinc.errors import (
     ThresholdError,
     WrongBranchError,
 )
-from mobinc.field import FieldContext, MoebiusMap, enumerate_group
+from mobinc.field import INFINITY, FieldContext, MoebiusMap, enumerate_group
 from mobinc.incidence import (
     PointSet,
     TransformSet,
@@ -172,6 +172,7 @@ def test_line_through_and_rich_lines():
 
     collinear = PointSet([(0, 0), (1, 1), (2, 2)], CTX7)
     assert rich_lines(collinear, 3) == (NonVertical(1, 0),)
+    assert rich_lines(collinear, 4) == ()  # 3 pairs, but 4 points need 6
     grid = PointSet(product(range(5), repeat=2), CTX5)
     lines = rich_lines(grid, 5)
     assert len(lines) == 30  # 25 non-vertical plus 5 vertical
@@ -183,16 +184,35 @@ def test_line_through_and_rich_lines():
 def test_line_preimage_examples():
     f = line_preimage(NonVertical(5, 6), (1, 2), CTX7)
     assert f is not None and f.as_tuple() == (1, 0, 5, 6)  # class of 3x/(x+4)
-    assert line_preimage(NonVertical(2, 0), (1, 2), CTX7) is None
+    # a line through the origin pulls back to the affine map x -> (x+3)/2
+    f = line_preimage(NonVertical(2, 0), (1, 2), CTX7)
+    assert f is not None and f.as_tuple() == (1, 3, 0, 2)
     assert line_preimage(Vertical(3), (1, 2), CTX7) is None
     assert line_preimage(NonVertical(0, 3), (1, 2), CTX7) is None
 
 
 def test_line_preimage_roundtrip():
-    for q in ((0, 0), (1, 2), (4, 6)):
-        for f in curved_through(CTX7, q):
-            line = line_image(f, q)
-            assert line_preimage(line, q, CTX7) == f
+    # every map through q, affine ones included; the line is found from two
+    # transplanted graph points, independently of line_image
+    for ctx in (CTX5, CTX7, FieldContext(11)):
+        p = ctx.p
+        for q1, q2 in ((0, 0), (1, 2), (4, 3)):
+            through = [f for f in enumerate_group(ctx) if f(q1) == q2]
+            assert len(through) == p * (p - 1)
+            lines = set()
+            for f in through:
+                graph = [
+                    (ctx.inv(q1 - x), ctx.inv(q2 - f(x)))
+                    for x in range(p)
+                    if x != q1 and f(x) is not INFINITY
+                ]
+                line = line_through(graph[0], graph[1], ctx)
+                assert all(point_on_line(s, line, ctx) for s in graph)
+                if f.c != 0:
+                    assert line == line_image(f, (q1, q2))
+                assert line_preimage(line, (q1, q2), ctx) == f
+                lines.add(line)
+            assert len(lines) == len(through)
 
 
 def test_rich_transforms_pivot_examples():
@@ -219,6 +239,9 @@ def test_pivot_multiplicities_at_least_k():
             multiplicity = pivot_multiplicities(P, k)
             assert set(multiplicity) == set(rich_transforms_brute(P, k))
             assert all(count >= k for count in multiplicity.values())
+            assert all(
+                count == richness(f, P) for f, count in multiplicity.items()
+            )
 
 
 def test_dyadic_threshold():

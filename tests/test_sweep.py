@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mobinc import sweep as sweep_module
 from mobinc.errors import ConfigError
 from mobinc.io import parse_config_text
 from mobinc.sweep import (
@@ -39,7 +40,7 @@ def test_config_parsing():
     assert config.params == {"n": 12}
 
 
-def test_config_validation_errors():
+def test_config_validation_errors(monkeypatch):
     with pytest.raises(ConfigError):
         config_from("primes = 4\nbounds = thm1-rich\ngenerator = random-points\nseed = 1")
     with pytest.raises(ConfigError):
@@ -53,6 +54,17 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         config_from(
             "primes = 7\nbounds = thm1-rich\ngenerator = random-points\nseed = 1\nk = 2"
+        )
+
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) called on an oversized prime")
+
+    # The bound is tested before primality, which would not finish for 2^61-1.
+    monkeypatch.setattr(sweep_module, "is_prime", no_trial_division)
+    with pytest.raises(ConfigError, match="exceeds the limit"):
+        config_from(
+            "primes = 2305843009213693951\nbounds = thm1-rich\n"
+            "generator = random-points\nseed = 1"
         )
 
 
