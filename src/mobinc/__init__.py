@@ -53,7 +53,6 @@ from .incidence import (
     lies_on,
     rich_transforms_brute,
     richness,
-    transforms_defined_by,
 )
 from .pivot import (
     NonVertical,

@@ -19,7 +19,8 @@ from .errors import (
     UnbalancedInputError,
 )
 from .field import INFINITY, FieldContext, MoebiusMap, same_context
-from .incidence import PointSet, SortedSet, richness, transforms_defined_by
+from .incidence import PointSet, SortedSet
+from .pivot import pivot_multiplicities
 
 SHIFT_INVERT = "shift-invert"
 RATIONAL = "rational"
@@ -99,21 +100,21 @@ def representation_report(A: ScalarSet, B: ScalarSet) -> dict:
 def beck_statistics(P: PointSet, constant: float = 1.0) -> dict:
     """Either-many-points-on-one-map-or-many-maps dichotomy statistics.
 
-    Reports how many maps P defines (maps through three of its points), the
-    largest point count on any of them, and the window endpoints
-    constant*n^(3/7) and n/constant^(7/4) for a positive finite constant.
+    Reports how many maps P defines (maps through three of its points: the
+    3-rich set of the pivot enumeration), the largest point count on any of
+    them (its pivot multiplicity), and the window endpoints constant*n^(3/7)
+    and n/constant^(7/4) for a positive finite constant.
     """
     if not 0 < constant < math.inf:
         raise ValueError(f"the constant must be positive and finite, got {constant}")
     n = len(P)
     if n < 3:
         raise DegenerateInputError(f"need at least 3 points, got {n}")
-    defined = transforms_defined_by(P)
-    max_richness = max((richness(f, P) for f in defined), default=0)
+    richness_of = pivot_multiplicities(P, 3)
     return {
         "n": n,
-        "max_richness": max_richness,
-        "defined_count": len(defined),
+        "max_richness": max(richness_of.values(), default=0),
+        "defined_count": len(richness_of),
         "rich_threshold_lo": constant * n ** (3 / 7),
         "rich_threshold_hi": n / constant ** (7 / 4),
         "constant": constant,

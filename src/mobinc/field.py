@@ -26,9 +26,6 @@ from .errors import (
 # table small; this library targets desk-scale moduli.
 MAX_MODULUS = 1 << 20
 
-# Cache the full list of group elements only below this order.
-_GROUP_CACHE_LIMIT = 200_000
-
 
 class _Infinity:
     """The point at infinity on the projective line (a singleton)."""
@@ -76,7 +73,7 @@ class FieldContext:
     builds the inverse table inv[x] for x in 1..p-1.
     """
 
-    __slots__ = ("p", "_inv", "_group_tuples")
+    __slots__ = ("p", "_inv")
 
     def __init__(self, p: int):
         if not isinstance(p, int) or isinstance(p, bool):
@@ -93,7 +90,6 @@ class FieldContext:
         for x in range(2, p):
             inv[x] = (-(p // x) * inv[p % x]) % p
         self._inv = inv
-        self._group_tuples = None
 
     def inv(self, x: int) -> int:
         """Multiplicative inverse of x mod p; raises on zero."""
@@ -310,9 +306,14 @@ def group_order(p: int) -> int:
     return p * (p - 1) * (p + 1)
 
 
-def _iter_group_tuples(p: int) -> Iterator[tuple[int, int, int, int]]:
-    # Canonical forms with a = 1 (b, c free, d != bc), then a = 0, b = 1
-    # (c nonzero, d free).  Lexicographic within each block.
+def group_tuples(ctx: FieldContext) -> Iterator[tuple[int, int, int, int]]:
+    """All canonical (a, b, c, d) tuples of PGL(2, p), streamed in a fixed order.
+
+    Canonical forms with a = 1 (b, c free, d != bc), then a = 0, b = 1
+    (c nonzero, d free), lexicographic within each block.  Nothing is kept:
+    each scan regenerates the tuples.
+    """
+    p = ctx.p
     for b in range(p):
         for c in range(p):
             bc = b * c % p
@@ -322,19 +323,6 @@ def _iter_group_tuples(p: int) -> Iterator[tuple[int, int, int, int]]:
     for c in range(1, p):
         for d in range(p):
             yield (0, 1, c, d)
-
-
-def group_tuples(ctx: FieldContext) -> Iterable[tuple[int, int, int, int]]:
-    """All canonical (a, b, c, d) tuples of PGL(2, p), in a fixed order.
-
-    Cached on the context for small groups; larger groups stream.
-    """
-    if ctx._group_tuples is not None:
-        return ctx._group_tuples
-    if group_order(ctx.p) <= _GROUP_CACHE_LIMIT:
-        ctx._group_tuples = tuple(_iter_group_tuples(ctx.p))
-        return ctx._group_tuples
-    return _iter_group_tuples(ctx.p)
 
 
 def enumerate_group(ctx: FieldContext) -> Iterator[MoebiusMap]:

@@ -19,7 +19,8 @@ from .applications import ScalarSet, cartesian_points
 from .energy import HyperbolaTranslate
 from .errors import ConfigError, InfeasibleSizeError
 from .field import FieldContext, class_from_index, group_order
-from .incidence import PointSet, TransformSet, transforms_defined_by
+from .incidence import PointSet, TransformSet
+from .pivot import rich_transforms_pivot
 
 RANDOM_POINTS = "random-points"
 RANDOM_SCALARS = "random-scalars"
@@ -208,7 +209,7 @@ def generate_instance(
         )
     elif kind == DEFINED_BY:
         inst.points = _sample_points(rng, _need(params, "n"), ctx)
-        inst.transforms = transforms_defined_by(inst.points)
+        inst.transforms = rich_transforms_pivot(inst.points, 3)
     elif kind == HYPERBOLA_GRID:
         inst.hyperbolas = _grid_hyperbolas(rng, params, ctx)
     elif kind == RANDOM_HYPERBOLAS:

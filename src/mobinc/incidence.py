@@ -7,14 +7,10 @@ affine point, so it can never contribute an incidence.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import ModulusMismatchError, ThresholdError
 from .field import FieldContext, MoebiusMap, group_tuples, same_context
-
-FULL_GROUP = "full-group"
-TRIPLES = "triples"
 
 
 class SortedSet:
@@ -114,41 +110,19 @@ def count_incidences(P: PointSet, T: TransformSet) -> int:
     return sum(incidences_of(f.a, f.b, f.c, f.d, pts, p) for f in T.maps)
 
 
-def rich_transforms_brute(P: PointSet, k: int, mode: str = FULL_GROUP) -> TransformSet:
-    """All maps with at least k points of P on them, by brute enumeration.
+def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:
+    """All maps with at least k points of P on them, by scanning PGL(2, p).
 
-    mode=full-group scans every class of PGL(2, p).  mode=triples builds the
-    map through each point triple with pairwise-distinct abscissae and
-    ordinates, then filters by richness; it needs k >= 3.  For k >= 3 the two
-    modes agree: a map through three graph points has distinct x's, and being
-    a bijection, distinct y's.
+    The oracle for the pivot enumeration: it counts every class of the group
+    through incidences_of and shares no code with the pivot reduction.
     """
+    if k < 1:
+        raise ThresholdError(f"the full-group scan needs k >= 1, got {k}")
     ctx = P.ctx
-    if mode == FULL_GROUP:
-        if k < 1:
-            raise ThresholdError(f"full-group mode needs k >= 1, got {k}")
-        p = ctx.p
-        pts = P.points
-        out = []
-        for a, b, c, d in group_tuples(ctx):
-            if incidences_of(a, b, c, d, pts, p) >= k:
-                out.append(MoebiusMap._canonical(a, b, c, d, ctx))
-        return TransformSet(out, ctx)
-    if mode == TRIPLES:
-        if k < 3:
-            raise ThresholdError(f"triples mode needs k >= 3, got {k}")
-        found = set()
-        for s1, s2, s3 in combinations(P.points, 3):
-            if len({s1[0], s2[0], s3[0]}) != 3 or len({s1[1], s2[1], s3[1]}) != 3:
-                continue
-            f = MoebiusMap.through(
-                (s1[0], s2[0], s3[0]), (s1[1], s2[1], s3[1]), ctx
-            )
-            found.add(f)
-        return TransformSet((f for f in found if richness(f, P) >= k), ctx)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def transforms_defined_by(P: PointSet) -> TransformSet:
-    """Maps passing through at least three points of P."""
-    return rich_transforms_brute(P, 3, mode=TRIPLES)
+    p = ctx.p
+    pts = P.points
+    out = []
+    for a, b, c, d in group_tuples(ctx):
+        if incidences_of(a, b, c, d, pts, p) >= k:
+            out.append(MoebiusMap._canonical(a, b, c, d, ctx))
+    return TransformSet(out, ctx)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -118,6 +119,8 @@ class SweepConfig:
             raise ConfigError("reps must be at least 1")
         if self.k < 2:
             raise ConfigError("k must be at least 2")
+        if not 0 < self.constant < math.inf:
+            raise ConfigError(f"constant must be positive and finite, got {self.constant}")
         if self.k < 3 and any(
             b in (THM1_RICH, THM2_RICH) for b in self.bounds
         ):

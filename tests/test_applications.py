@@ -1,6 +1,7 @@
 """Representation counts, dichotomy statistics, expanders, equivalence."""
 
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -110,19 +111,21 @@ def test_beck_statistics_examples():
 
 
 def test_beck_statistics_cross_checked_seeded():
-    ctx = FieldContext(11)
-    rng = random.Random(8)
-    P = PointSet(
-        [(v // 11, v % 11) for v in rng.sample(range(121), 10)], ctx
-    )
-    stats = beck_statistics(P, constant=2.0)
-    oracle = rich_transforms_brute(P, 3, mode="full-group")
-    assert stats["defined_count"] == len(oracle)
-    assert stats["max_richness"] == max(richness(f, P) for f in oracle)
-    assert stats["max_richness"] <= len(P)
-    assert stats["rich_threshold_lo"] == pytest.approx(2.0 * 10 ** (3 / 7))
-    assert stats["rich_threshold_hi"] == pytest.approx(10 / 2.0 ** (7 / 4))
-    assert stats["constant"] == 2.0
+    for p, seed in product((7, 11, 13), (8, 9, 10)):
+        ctx = FieldContext(p)
+        rng = random.Random(seed)
+        n = rng.randint(3, 20)
+        P = PointSet([(v // p, v % p) for v in rng.sample(range(p * p), n)], ctx)
+        stats = beck_statistics(P, constant=2.0)
+        oracle = rich_transforms_brute(P, 3)
+        assert stats["defined_count"] == len(oracle)
+        assert stats["max_richness"] == max(
+            (richness(f, P) for f in oracle), default=0
+        )
+        assert stats["max_richness"] <= n
+        assert stats["rich_threshold_lo"] == pytest.approx(2.0 * n ** (3 / 7))
+        assert stats["rich_threshold_hi"] == pytest.approx(n / 2.0 ** (7 / 4))
+        assert stats["constant"] == 2.0
 
 
 def test_expander_shift_invert_examples():

@@ -1,11 +1,19 @@
 """End-to-end CLI behaviour: wiring, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobinc import cli, field
+from mobinc.bounds import BOUND_IDS
+from mobinc.generators import INSTANCE_KINDS
 
 CONFIG = """
 primes = 7,11
@@ -201,12 +209,15 @@ def test_verify_reduction_parallel_matches(capsys):
     assert out1 == out2
 
 
+class NoPool:
+    """Stands in for the process pool in tests that must start no process."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+
 def test_jobs_capped_at_cpu_count(files, capsys, monkeypatch):
     # With one CPU no pool may start, whatever --jobs asks for.
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setattr(field, "ProcessPoolExecutor", NoPool)
     config = files("sweep.cfg", CONFIG)
@@ -295,3 +306,131 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# Non-primes, negatives, the smallest primes, 13, and 2^61 - 1.
+FUZZ_PRIMES = ("-7", "-1", "0", "1", "4", "9", "2", "3", "5", "7", "13",
+               str(2**61 - 1))
+
+_cell = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.sampled_from(("", "x", " 4 ", "1.5", "+2", "nan", "1e3", str(10**30))),
+)
+_line = st.one_of(
+    st.lists(_cell, max_size=5).map(",".join).map(str.encode),
+    st.sampled_from((b"# comment", b"1,2 # note", b"\t", b"=", b"\r")),
+    st.binary(max_size=6),
+)
+
+
+def _rows(arity):
+    row = st.lists(st.integers(-30, 30), min_size=arity, max_size=arity)
+    return st.lists(row.map(lambda r: ",".join(map(str, r)).encode()), max_size=12)
+
+
+def _contents(arity):
+    """Rows of the expected arity, of another arity, or malformed lines."""
+    other = st.integers(1, 4).flatmap(_rows)
+    return st.one_of(_rows(arity), other, st.lists(_line, max_size=12)).map(b"\n".join)
+
+
+_small = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(("x", "", "1.5")))
+
+
+def _listed(values, size):
+    return st.lists(values, max_size=size).map(",".join)
+
+
+_config_values = {
+    "primes": _listed(st.sampled_from(FUZZ_PRIMES + ("x",)), 2),
+    "bounds": _listed(st.sampled_from(BOUND_IDS + ("bogus",)), 2),
+    "generator": st.sampled_from(INSTANCE_KINDS + ("bogus",)),
+    "seed": _small,
+    "constant": st.sampled_from(("1", "0.5", "0", "-1", "nan", "inf", "x")),
+    "sizes": _listed(_small, 2),
+    "a": _listed(_small, 3),
+    "b": _listed(_small, 3),
+    **{key: _small for key in ("reps", "k", "n", "na", "nb", "nt", "nh", "eps",
+                               "start", "step", "ratio", "b_start")},
+}
+_required = ("primes", "bounds", "generator", "seed")
+_config = st.one_of(
+    st.fixed_dictionaries(
+        {key: _config_values[key] for key in _required},
+        optional={key: v for key, v in _config_values.items() if key not in _required},
+    ).map(lambda config: [f"{key} = {v}".encode() for key, v in config.items()]),
+    st.lists(st.one_of(_line, st.sampled_from(sorted(_config_values)).flatmap(
+        lambda key: _config_values[key].map(lambda v: f"{key} = {v}".encode())
+    )), max_size=10),
+).map(b"\n".join)
+
+
+@st.composite
+def _invocation(draw):
+    """A subcommand's argv with two file slots, and the bytes of both files."""
+    # weighted toward real primes, so that valid runs are common too
+    prime = draw(st.sampled_from(FUZZ_PRIMES + ("2", "3", "5", "7", "13") * 2))
+    json_flag = draw(st.sampled_from(((), ("--json",))))
+    command = draw(st.sampled_from((
+        "incidence", "rich-enum", "energy", "repr", "beck", "expander",
+        "equiv-count", "verify-reduction", "sweep",
+    )))
+    arity = (1, 1)  # values per line expected in each file
+    if command == "incidence":
+        argv, arity = ["--points", "{0}", "--transforms", "{1}"], (2, 4)
+    elif command == "rich-enum":
+        argv, arity = ["--points", "{0}", "-k", draw(st.sampled_from("-1 0 2 3 4".split())),
+                       "--method", draw(st.sampled_from(("pivot", "brute", "both")))], (2, 2)
+    elif command == "energy":
+        argv, arity = draw(st.sampled_from((
+            (["--transforms", "{0}"], (4, 4)), (["--hyperbolas", "{0}"], (3, 3)),
+            (["--transforms", "{0}", "--hyperbolas", "{1}"], (4, 3)), ([], (1, 1)),
+        )))
+        argv = argv + list(json_flag)
+    elif command == "repr":
+        argv = ["--a", "{0}", "--b", "{1}", *draw(st.sampled_from(
+            ((), ("--table",), ("--strict",), ("--strict", "--json"))))]
+    elif command == "beck":
+        argv, arity = ["--points", "{0}", "--constant",
+                       draw(st.sampled_from(("1", "2.5", "0", "-1", "nan", "inf"))),
+                       *json_flag], (2, 2)
+    elif command == "expander":
+        argv = [draw(st.sampled_from(("shift-invert", "rational"))),
+                "--a", "{0}", *json_flag]
+    elif command == "equiv-count":
+        argv = ["--a", "{0}", "--s", "{1}", *json_flag]
+    elif command == "verify-reduction":
+        # an exhaustive check at p = 13 alone would take about a second
+        exhaustive = prime != "13" and draw(st.booleans())
+        argv = ["--samples", draw(st.sampled_from(("-1", "0", "1", "2"))),
+                "--seed", draw(st.sampled_from(("0", "-5"))), "--jobs", "1",
+                *(("--exhaustive",) if exhaustive else ())]
+    else:
+        argv = ["--config", "{0}", "--jobs", "1", *draw(st.sampled_from(
+            ((), ("--format", "csv"), ("--strict",), ("--seed", "3"))))]
+    if command != "sweep":
+        argv += ["-p", prime]
+    first = _config if command == "sweep" else _contents(arity[0])
+    return [command, *argv], (draw(first), draw(_contents(arity[1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_invocation(), st.sampled_from((False,) * 7 + (True,)))
+def test_cli_contract_under_fuzzed_files(invocation, missing_file):
+    # Any input: exit 0, 1 or 2; a failure writes exactly one stderr line.
+    argv, contents = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(field, "ProcessPoolExecutor", NoPool):
+        paths = [os.path.join(tmp, f"in{i}.txt") for i in range(2)]
+        for path, data in zip(paths, contents):
+            if not (missing_file and path == paths[1]):
+                with open(path, "wb") as handle:
+                    handle.write(data)
+        argv = [arg.format(*paths) for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        text = err.getvalue()
+        assert text.endswith("\n") and text.count("\n") == 1, (argv, text)

@@ -5,7 +5,7 @@ import pytest
 from mobinc.errors import InfeasibleSizeError
 from mobinc.field import FieldContext, group_order
 from mobinc.generators import Instance, derive_seed, generate_instance
-from mobinc.incidence import richness
+from mobinc.incidence import rich_transforms_brute
 
 CTX11 = FieldContext(11)
 CTX101 = FieldContext(101)
@@ -67,7 +67,7 @@ def test_random_transforms_example():
 
 def test_transforms_defined_by_consistency():
     inst = generate_instance("transforms-defined-by", {"n": 10}, 2, CTX11)
-    assert all(richness(f, inst.points) >= 3 for f in inst.transforms)
+    assert inst.transforms == rich_transforms_brute(inst.points, 3)
 
 
 def test_hyperbola_grid_and_random():

@@ -1,4 +1,4 @@
-"""Incidence counting, richness, and the brute-force enumerations."""
+"""Incidence counting, richness, and the full-group scan."""
 
 import random
 from itertools import product
@@ -14,8 +14,8 @@ from mobinc.incidence import (
     lies_on,
     rich_transforms_brute,
     richness,
-    transforms_defined_by,
 )
+from mobinc.pivot import rich_transforms_pivot
 
 CTX5 = FieldContext(5)
 CTX7 = FieldContext(7)
@@ -101,16 +101,6 @@ def test_rich_transforms_brute_examples():
     assert [f.as_tuple() for f in out] == [(1, 0, 5, 6)]
 
 
-def test_rich_transforms_modes_agree():
-    for p, seed in ((5, 1), (7, 2), (11, 3), (13, 4)):
-        ctx = FieldContext(p)
-        P = random_points(ctx, min(12, p * p // 2), seed)
-        for k in (3, 4):
-            full = rich_transforms_brute(P, k, mode="full-group")
-            triples = rich_transforms_brute(P, k, mode="triples")
-            assert full == triples
-
-
 def test_rich_transforms_monotone_in_k():
     P = random_points(CTX7, 14, 9)
     sets = {k: set(rich_transforms_brute(P, k)) for k in (1, 2, 3, 4, 5)}
@@ -118,25 +108,22 @@ def test_rich_transforms_monotone_in_k():
         assert sets[k + 1] <= sets[k]
 
 
-def test_triples_mode_threshold_error():
+def test_full_group_threshold_error():
     with pytest.raises(ThresholdError):
-        rich_transforms_brute(diagonal(CTX5), 2, mode="triples")
-    with pytest.raises(ThresholdError):
-        rich_transforms_brute(diagonal(CTX5), 0, mode="full-group")
-    with pytest.raises(ValueError):
-        rich_transforms_brute(diagonal(CTX5), 3, mode="nonsense")
+        rich_transforms_brute(diagonal(CTX5), 0)
 
 
 def test_transforms_defined_by_examples():
-    assert len(transforms_defined_by(PointSet([(0, 0), (1, 1)], CTX5))) == 0
-    assert [f.as_tuple() for f in transforms_defined_by(diagonal(CTX5))] == [(1, 0, 0, 1)]
+    # the maps defined by P (through three of its points) are its 3-rich maps
+    assert len(rich_transforms_pivot(PointSet([(0, 0), (1, 1)], CTX5), 3)) == 0
+    assert [f.as_tuple() for f in rich_transforms_pivot(diagonal(CTX5), 3)] == [(1, 0, 0, 1)]
     P = PointSet([(0, 0), (1, 1), (2, 2), (3, 5)], CTX7)
-    defined = transforms_defined_by(P)
+    defined = rich_transforms_pivot(P, 3)
     # frozen from an independent full-group scan over the 336 classes
     assert [f.as_tuple() for f in defined] == [
         (1, 0, 0, 1), (1, 0, 1, 6), (1, 0, 4, 4), (1, 2, 6, 4),
     ]
-    assert defined == rich_transforms_brute(P, 3, mode="full-group")
+    assert defined == rich_transforms_brute(P, 3)
 
 
 def test_conjugation_covariance():

@@ -55,6 +55,12 @@ def test_config_validation_errors(monkeypatch):
         config_from(
             "primes = 7\nbounds = thm1-rich\ngenerator = random-points\nseed = 1\nk = 2"
         )
+    for constant in ("nan", "0", "-1", "inf"):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            config_from(
+                "primes = 7\nbounds = thm1-rich\ngenerator = random-points\n"
+                f"seed = 1\nconstant = {constant}"
+            )
 
     def no_trial_division(n):
         raise AssertionError(f"is_prime({n}) called on an oversized prime")
