@@ -145,9 +145,21 @@ def _cmd_equiv_count(args) -> int:
     return 0
 
 
+# The exhaustive check at p = 53: the largest run the CLI starts.
+MAX_REDUCTION_WORK = 53**5
+
+
 def _cmd_verify_reduction(args) -> int:
     ctx = FieldContext(args.prime)
     p = ctx.p
+    # Each pivot costs about p^3 steps.
+    pivot_count = p * p if args.exhaustive else min(args.samples, p * p)
+    if pivot_count * p**3 > MAX_REDUCTION_WORK:
+        raise Error(
+            f"{pivot_count} pivots at p={p} need about {pivot_count * p**3:.2g} "
+            f"steps, over the limit 53^5 = {MAX_REDUCTION_WORK}; check at most "
+            f"{MAX_REDUCTION_WORK // p**3} pivots at this p with --samples"
+        )
     pivots = None
     if not args.exhaustive:
         rng = random.Random(args.seed)
@@ -187,8 +199,15 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line on stderr, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mobinc",
         description="Exact Moebius-transformation incidence toolkit over F_p.",
     )

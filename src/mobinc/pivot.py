@@ -235,42 +235,55 @@ def _check_one_pivot(ctx: FieldContext, q1: int, q2: int) -> tuple[int, int, int
 
     Returns (transforms, triples, violations, line_collisions,
     det_mismatches).  Curved maps through q are parametrized directly:
-    c = 1, b forced, (a, d) ranging over a != q2, d != -q1.
+    c = 1, b forced, (a, d) ranging over a != q2, d != -q1.  A triple is a
+    map and one of the (p-1)^2 admissible points (s1 != q1, s2 != q2).
+
+    Each side of the reduction puts at most one admissible point on each
+    abscissa s1, so each side is a graph built from p-1 evaluations: the
+    curve's {(s1, f(s1))}, and the line t2 = m*t1 + i pulled back through
+    the transplant (t1, t2) = (1/(q1 - s1), 1/(q2 - s2)).  A point violates
+    the reduction when it lies on one side only, so the violations are the
+    size of the symmetric difference of the two graphs.  The two sides are
+    computed independently, from (a, b, d) and from (m, i), with nothing
+    from the enumeration path; a pivot costs O(p^3), an exhaustive check
+    O(p^5).
     """
     p = ctx.p
     inv = ctx._inv
-    points = [
-        (s1, s2, inv[(q1 - s1) % p], inv[(q2 - s2) % p])
-        for s1 in range(p)
-        if s1 != q1
-        for s2 in range(p)
-        if s2 != q2
-    ]
-    transforms = triples = violations = det_mismatches = 0
+    # A point (s1, s2) is keyed as s1*p + s2.
+    xs = [s1 for s1 in range(p) if s1 != q1]
+    rows = [(s1 * p, inv[(q1 - s1) % p]) for s1 in xs]
+    transforms = violations = det_mismatches = 0
     lines_seen = set()
     for a in range(p):
         if a == q2:
             continue
         u = (a - q2) % p
         inv_u = inv[u]
+        i = (-inv_u) % p
         for d in range(p):
             if (d + q1) % p == 0:
                 continue
             b = (q2 * (q1 + d) - a * q1) % p
             transforms += 1
             m = (q1 + d) * inv_u % p
-            i = (-inv_u) % p
             if ((q1 + d) * u - (a * d - b)) % p != 0:
                 det_mismatches += 1
             lines_seen.add((m, i))
-            for s1, s2, t1, t2 in points:
-                den = (s1 + d) % p
-                on_curve = den != 0 and (s2 * den - a * s1 - b) % p == 0
-                on_line = (t2 - m * t1 - i) % p == 0
-                if on_curve != on_line:
-                    violations += 1
-                triples += 1
+            curve = {
+                s1 * p + s2
+                for s1 in xs
+                if (den := (s1 + d) % p)
+                and (s2 := (a * s1 + b) * inv[den] % p) != q2
+            }
+            line = {
+                row + (q2 - inv[t2]) % p
+                for row, t1 in rows
+                if (t2 := (m * t1 + i) % p)
+            }
+            violations += len(curve ^ line)
     collisions = transforms - len(lines_seen)
+    triples = transforms * (p - 1) ** 2
     return transforms, triples, violations, collisions, det_mismatches
 
 
@@ -287,10 +300,12 @@ def check_reduction(
     """Verify the incidence-preserving reduction over a set of pivots.
 
     With pivots=None the check is exhaustive: every pivot q in F_p^2, every
-    curved transformation through q, every admissible point.  Also checks
-    injectivity of the conjugation (no two maps share a line) and that the
-    conjugate matrix determinant matches the c = 1 determinant of the map.
-    The pivots are dealt out in strides, one chunk per worker process.
+    curved transformation through q, every admissible point.  Each map's
+    curve graph is compared with its line's pulled-back graph, so a pivot
+    costs O(p^3) and the exhaustive check O(p^5).  Also checks injectivity
+    of the conjugation (no two maps share a line) and that the conjugate
+    matrix determinant matches the c = 1 determinant of the map.  The
+    pivots are dealt out in strides, one chunk per worker process.
     """
     p = ctx.p
     if pivots is None:

@@ -209,6 +209,30 @@ def test_verify_reduction_parallel_matches(capsys):
     assert out1 == out2
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("check_reduction was called")
+
+
+@pytest.mark.parametrize("argv", [
+    ("-p", "59", "--exhaustive"),
+    ("-p", "1048573", "--exhaustive"),
+    ("-p", "1009", "--samples", "8"),
+])
+def test_verify_reduction_refuses_unbounded_work(capsys, monkeypatch, argv):
+    # Refused before any pivot is listed or sampled, let alone checked.
+    monkeypatch.setattr(cli, "check_reduction", _unreachable)
+    code, out, err = run(capsys, "verify-reduction", *argv, "--jobs", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--samples" in err
+
+
+def test_verify_reduction_admits_sampled_p53(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_reduction", _unreachable)
+    with pytest.raises(AssertionError, match="check_reduction"):
+        run(capsys, "verify-reduction", "-p", "53", "--samples", "8", "--jobs", "1")
+
+
 class NoPool:
     """Stands in for the process pool in tests that must start no process."""
 
@@ -367,7 +391,8 @@ _config = st.one_of(
 
 @st.composite
 def _invocation(draw):
-    """A subcommand's argv with two file slots, and the bytes of both files."""
+    """A subcommand's argv with two file slots, the bytes of both files, and
+    the usage error planted in argv, if any."""
     # weighted toward real primes, so that valid runs are common too
     prime = draw(st.sampled_from(FUZZ_PRIMES + ("2", "3", "5", "7", "13") * 2))
     json_flag = draw(st.sampled_from(((), ("--json",))))
@@ -400,25 +425,41 @@ def _invocation(draw):
     elif command == "equiv-count":
         argv = ["--a", "{0}", "--s", "{1}", *json_flag]
     elif command == "verify-reduction":
-        # an exhaustive check at p = 13 alone would take about a second
-        exhaustive = prime != "13" and draw(st.booleans())
         argv = ["--samples", draw(st.sampled_from(("-1", "0", "1", "2"))),
                 "--seed", draw(st.sampled_from(("0", "-5"))), "--jobs", "1",
-                *(("--exhaustive",) if exhaustive else ())]
+                *draw(st.sampled_from(((), ("--exhaustive",))))]
     else:
         argv = ["--config", "{0}", "--jobs", "1", *draw(st.sampled_from(
             ((), ("--format", "csv"), ("--strict",), ("--seed", "3"))))]
     if command != "sweep":
         argv += ["-p", prime]
+    # Usage errors that argparse itself rejects.
+    flaw = draw(st.sampled_from((None,) * 6 + ("missing", "unknown", "int", "choice")))
+    if flaw == "missing":
+        at = argv.index("--config" if command == "sweep" else "-p")
+        del argv[at:at + 2]
+    elif flaw == "unknown":
+        argv.append("--no-such-flag")
+    elif flaw == "int":
+        argv += ["--jobs" if command == "sweep" else "-p", "x"]
+    elif flaw == "choice":
+        if command == "rich-enum":
+            argv += ["--method", "bogus"]
+        elif command == "expander":
+            argv[0] = "bogus"
+        elif command == "sweep":
+            argv += ["--format", "bogus"]
+        else:
+            command = "bogus"
     first = _config if command == "sweep" else _contents(arity[0])
-    return [command, *argv], (draw(first), draw(_contents(arity[1])))
+    return [command, *argv], (draw(first), draw(_contents(arity[1]))), flaw
 
 
 @settings(max_examples=200, deadline=None)
 @given(_invocation(), st.sampled_from((False,) * 7 + (True,)))
 def test_cli_contract_under_fuzzed_files(invocation, missing_file):
     # Any input: exit 0, 1 or 2; a failure writes exactly one stderr line.
-    argv, contents = invocation
+    argv, contents, flaw = invocation
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(field, "ProcessPoolExecutor", NoPool):
@@ -429,8 +470,13 @@ def test_cli_contract_under_fuzzed_files(invocation, missing_file):
                     handle.write(data)
         argv = [arg.format(*paths) for arg in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # how argparse reports a usage error
+                code = exc.code
     assert code in (0, 1, 2)
+    if flaw:
+        assert code == 2, (argv, flaw)
     if code:
         text = err.getvalue()
         assert text.endswith("\n") and text.count("\n") == 1, (argv, text)

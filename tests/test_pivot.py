@@ -21,6 +21,7 @@ from mobinc.incidence import (
 from mobinc.pivot import (
     NonVertical,
     Vertical,
+    _check_one_pivot,
     check_reduction,
     conjugate_through_pivot,
     dyadic_threshold,
@@ -280,3 +281,49 @@ def test_check_reduction_parametrization_matches_group_filter():
                 b = (q[1] * (q[0] + d) - a * q[0]) % p
                 parametrized.add(MoebiusMap(a, b, 1, d, CTX5).as_tuple())
         assert parametrized == expected
+
+
+def _check_one_pivot_pointwise(ctx, q1, q2):
+    """Reference for _check_one_pivot: every map tested at every admissible point."""
+    p = ctx.p
+    inv = ctx._inv
+    points = [
+        (s1, s2, inv[(q1 - s1) % p], inv[(q2 - s2) % p])
+        for s1 in range(p)
+        if s1 != q1
+        for s2 in range(p)
+        if s2 != q2
+    ]
+    transforms = triples = violations = det_mismatches = 0
+    lines_seen = set()
+    for a in range(p):
+        if a == q2:
+            continue
+        u = (a - q2) % p
+        inv_u = inv[u]
+        for d in range(p):
+            if (d + q1) % p == 0:
+                continue
+            b = (q2 * (q1 + d) - a * q1) % p
+            transforms += 1
+            m = (q1 + d) * inv_u % p
+            i = (-inv_u) % p
+            if ((q1 + d) * u - (a * d - b)) % p != 0:
+                det_mismatches += 1
+            lines_seen.add((m, i))
+            for s1, s2, t1, t2 in points:
+                den = (s1 + d) % p
+                on_curve = den != 0 and (s2 * den - a * s1 - b) % p == 0
+                on_line = (t2 - m * t1 - i) % p == 0
+                if on_curve != on_line:
+                    violations += 1
+                triples += 1
+    collisions = transforms - len(lines_seen)
+    return transforms, triples, violations, collisions, det_mismatches
+
+
+def test_check_one_pivot_matches_pointwise_reference():
+    for p in (5, 7, 11):
+        ctx = FieldContext(p)
+        for q in product(range(p), repeat=2):
+            assert _check_one_pivot(ctx, *q) == _check_one_pivot_pointwise(ctx, *q), (p, q)
