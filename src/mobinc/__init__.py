@@ -28,7 +28,7 @@ from .applications import (
     representation_report,
     sumset,
 )
-from .bounds import BOUND_IDS, BoundSpec, bound_rhs, hypothesis_check
+from .bounds import BOUND_IDS, BoundSpec, bound_rhs, dyadic_threshold, hypothesis_check
 from .energy import (
     HyperbolaTranslate,
     encode_family,
@@ -58,7 +58,6 @@ from .pivot import (
     NonVertical,
     Vertical,
     check_reduction,
-    dyadic_threshold,
     line_image,
     line_preimage,
     line_through,

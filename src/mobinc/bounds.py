@@ -150,3 +150,10 @@ def hypothesis_check(
     elif ident in (THM3_ENERGY, THM4_HYPERBOLA):
         flags["b_le_sqrt_p"] = g("B") <= p**0.5
     return HypothesisReport(flags, tuple(soft))
+
+
+def dyadic_threshold(n_points: int, n_transforms: int) -> float:
+    """The scale split max(3, |P|^(15/19) / |T|^(4/19)) used diagnostically."""
+    if n_points < 1 or n_transforms < 1:
+        raise ValueError("both set sizes must be at least 1")
+    return max(3.0, n_points ** (15 / 19) / n_transforms ** (4 / 19))

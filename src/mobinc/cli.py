@@ -62,6 +62,12 @@ def _cmd_incidence(args) -> int:
 def _cmd_rich_enum(args) -> int:
     ctx = FieldContext(args.prime)
     points = mio.load_points(args.points, ctx)
+    # The group scan tries each of the ~p^3 maps on every point.
+    if args.method != "pivot" and ctx.p**3 * len(points) > MAX_BRUTE_WORK:
+        raise Error(
+            f"the group scan of {len(points)} points at p={ctx.p} needs over "
+            f"61^3*120 = {MAX_BRUTE_WORK} steps; enumerate with --method pivot"
+        )
     results = {}
     timings = {}
     if args.method in ("pivot", "both"):
@@ -145,6 +151,8 @@ def _cmd_equiv_count(args) -> int:
     return 0
 
 
+# The group scan of 120 points at p = 61: the largest one the CLI starts.
+MAX_BRUTE_WORK = 61**3 * 120
 # The exhaustive check at p = 53: the largest run the CLI starts.
 MAX_REDUCTION_WORK = 53**5
 

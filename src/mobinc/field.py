@@ -222,9 +222,6 @@ class MoebiusMap:
             self.d, (-self.b) % p, (-self.c) % p, self.a, self.ctx
         )
 
-    def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.ctx.p
-
     @property
     def is_affine(self) -> bool:
         return self.c == 0

@@ -209,13 +209,6 @@ def rich_transforms_pivot(P: PointSet, k: int) -> TransformSet:
     return TransformSet(pivot_multiplicities(P, k).keys(), P.ctx)
 
 
-def dyadic_threshold(n_points: int, n_transforms: int) -> float:
-    """The scale split max(3, |P|^(15/19) / |T|^(4/19)) used diagnostically."""
-    if n_points < 1 or n_transforms < 1:
-        raise ValueError("both set sizes must be at least 1")
-    return max(3.0, n_points ** (15 / 19) / n_transforms ** (4 / 19))
-
-
 class ReductionReport(NamedTuple):
     p: int
     pivots: int

@@ -30,6 +30,7 @@ from .bounds import (
     THM3_ENERGY,
     THM4_HYPERBOLA,
     bound_rhs,
+    dyadic_threshold,
     hypothesis_check,
 )
 from .energy import encode_family, energy, translate_multiplicity
@@ -45,7 +46,7 @@ from .generators import (
     generate_instance,
 )
 from .incidence import count_incidences
-from .pivot import dyadic_threshold, rich_lines, rich_transforms_pivot
+from .pivot import pivot_multiplicities, rich_lines
 
 ROW_FIELDS = (
     "bound",
@@ -203,17 +204,27 @@ def _resolved_sizes(config: SweepConfig, size: Optional[int]) -> dict:
     return params
 
 
+# need, Instance attribute, diagnostic name, random fill-in and its size key
+_COMPONENTS = (
+    ("points", "points", "point set", RANDOM_POINTS, "n"),
+    ("scalars", "a", "scalar set A", None, None),
+    ("scalars", "b", "scalar set B", None, None),
+    ("transforms", "transforms", "transform set", RANDOM_TRANSFORMS, "nt"),
+    ("hyperbolas", "hyperbolas", "hyperbola family", RANDOM_HYPERBOLAS, "nh"),
+)
+
+
 def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
-    """One fully-populated instance for this sweep cell.
+    """One fully-populated instance for this sweep cell, and its grid.
 
     The configured generator runs first; any component a requested bound
     still needs is filled in by the matching seeded random generator, each
-    component under its own derived seed.
+    component under its own derived seed.  The grid A x B is built once,
+    when there are scalars, and is the points when the generator gave none.
+    A needed component that came out empty is a ConfigError naming the cell.
     """
     params = _resolved_sizes(config, size)
-    needed = set()
-    for bound in config.bounds:
-        needed.update(_NEEDS[bound])
+    needed = {need for bound in config.bounds for need in _NEEDS[bound]}
     base_seed = derive_seed(config.seed, ctx.p, size, rep)
     inst = generate_instance(config.generator, params, base_seed, ctx)
     if "scalars" in needed and inst.a is None:
@@ -231,112 +242,88 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
             derive_seed(base_seed, "scalars-b"),
             ctx,
         ).a
-    if "points" in needed and inst.points is None:
-        if inst.a is not None and inst.b is not None:
-            inst.points = cartesian_points(inst.a, inst.b)
-        else:
-            inst.points = generate_instance(
-                RANDOM_POINTS,
-                {"n": params["n"]},
-                derive_seed(base_seed, "points"),
-                ctx,
-            ).points
-    if "transforms" in needed and inst.transforms is None:
-        inst.transforms = generate_instance(
-            RANDOM_TRANSFORMS,
-            {"nt": params["nt"]},
-            derive_seed(base_seed, "transforms"),
-            ctx,
-        ).transforms
-    if "hyperbolas" in needed and inst.hyperbolas is None:
-        inst.hyperbolas = generate_instance(
-            RANDOM_HYPERBOLAS,
-            {"nh": params["nh"]},
-            derive_seed(base_seed, "hyperbolas"),
-            ctx,
-        ).hyperbolas
-    return inst
+    grid = None if inst.a is None else cartesian_points(inst.a, inst.b)
+    if inst.points is None:
+        inst.points = grid
+    for need, attr, label, kind, key in _COMPONENTS:
+        if need not in needed:
+            continue
+        # Only points, transforms and hyperbolas can still be missing here.
+        if getattr(inst, attr) is None:
+            extra = generate_instance(
+                kind, {key: params[key]}, derive_seed(base_seed, attr), ctx
+            )
+            setattr(inst, attr, getattr(extra, attr))
+        if len(getattr(inst, attr)) == 0:
+            raise ConfigError(
+                f"sweep cell p={ctx.p} size={size} rep={rep} under generator "
+                f"{config.generator}: the {label} is empty"
+            )
+    return inst, grid
 
 
 def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _compute_row(bound, inst, config, ctx, size, rep):
+def _compute_row(bound, inst, grid, rich, config, ctx, size, rep):
+    """One row of a cell: the bound's exact left-hand side against its RHS.
+
+    The point side is P, or the grid for the bounds over scalars.  The
+    left-hand side is the k-rich map count, shared through the cell's dict
+    rich keyed by the point tuple; the k-rich line count; or one incidence
+    count, beside the energy or the multiplicity.
+    """
     start = time.perf_counter()
     k = config.k
     row = dict.fromkeys(ROW_FIELDS)
-    row.update(
-        bound=bound,
-        p=ctx.p,
-        size=size,
-        rep=rep,
-        seed=config.seed,
-        generator=config.generator,
-    )
-    grid = None
+    row.update(bound=bound, p=ctx.p, size=size, rep=rep, seed=config.seed,
+               generator=config.generator)
     if "scalars" in _NEEDS[bound]:
-        grid = cartesian_points(inst.a, inst.b)
-        row["n_a"] = len(inst.a)
-        row["n_b"] = len(inst.b)
-        row["n_points"] = len(grid)
-    params: dict = {}
-    if bound == THM1_INCIDENCE:
-        P, T = inst.points, inst.transforms
+        P = grid
+        params = {"A": len(inst.a), "B": len(inst.b)}
+        row.update(n_a=len(inst.a), n_b=len(inst.b))
+    else:
+        P = inst.points
+        params = {"P": len(P)}
+    row["n_points"] = len(P)
+    if bound in (THM1_RICH, THM2_RICH):
+        if P.points not in rich:
+            rich[P.points] = len(pivot_multiplicities(P, k))
+        lhs = rich[P.points]
+        _guard_rich(lhs, ctx.p)
+        params["k"] = row["k"] = k
+    elif bound == COR_KRICH_LINES:
+        lhs = len(rich_lines(P, k))
+        params["k"] = row["k"] = k
+    else:
+        if bound == THM4_HYPERBOLA:
+            H = inst.hyperbolas
+            T = encode_family(H, ctx)
+            m = translate_multiplicity(H)
+            params.update(H=len(H), M=m)
+            row.update(n_hyperbolas=len(H), m_stat=m)
+        else:
+            T = inst.transforms
+            params["T"] = row["n_transforms"] = len(T)
         lhs = count_incidences(P, T)
         _guard_incidence(lhs, len(P), len(T), ctx.p)
-        params = {"P": len(P), "T": len(T)}
-        row.update(n_points=len(P), n_transforms=len(T), lhs=lhs)
-        row["delta"] = _round12(dyadic_threshold(len(P), len(T)))
-    elif bound == THM1_RICH:
-        P = inst.points
-        lhs = len(rich_transforms_pivot(P, k))
-        _guard_rich(lhs, ctx.p)
-        params = {"P": len(P), "k": k}
-        row.update(n_points=len(P), k=k, lhs=lhs)
-        row["delta"] = _round12(dyadic_threshold(len(P), max(1, lhs)))
-    elif bound == THM2_INCIDENCE:
-        T = inst.transforms
-        lhs = count_incidences(grid, T)
-        _guard_incidence(lhs, len(grid), len(T), ctx.p)
-        params = {"A": len(inst.a), "B": len(inst.b), "T": len(T)}
-        row.update(n_transforms=len(T), lhs=lhs)
-    elif bound == THM2_RICH:
-        lhs = len(rich_transforms_pivot(grid, k))
-        _guard_rich(lhs, ctx.p)
-        params = {"A": len(inst.a), "B": len(inst.b), "k": k}
-        row.update(k=k, lhs=lhs)
-    elif bound == THM3_ENERGY:
-        T = inst.transforms
-        lhs = count_incidences(grid, T)
-        _guard_incidence(lhs, len(grid), len(T), ctx.p)
-        e = energy(T)
-        if not len(T) ** 2 <= e <= len(T) ** 3:
-            raise RuntimeError(f"energy {e} escaped [|T|^2, |T|^3]")
-        params = {"A": len(inst.a), "B": len(inst.b), "T": len(T), "E": e}
-        row.update(n_transforms=len(T), energy=e, lhs=lhs)
-    elif bound == THM4_HYPERBOLA:
-        H = inst.hyperbolas
-        maps = encode_family(H, ctx)
-        lhs = count_incidences(grid, maps)
-        _guard_incidence(lhs, len(grid), len(maps), ctx.p)
-        m = translate_multiplicity(H)
-        params = {"A": len(inst.a), "B": len(inst.b), "H": len(H), "M": m}
-        row.update(n_hyperbolas=len(H), m_stat=m, lhs=lhs)
-    elif bound == COR_KRICH_LINES:
-        P = inst.points
-        lhs = len(rich_lines(P, k))
-        params = {"P": len(P), "k": k}
-        row.update(n_points=len(P), k=k, lhs=lhs)
-    else:
-        raise ConfigError(f"unknown bound identifier {bound!r}")
+        if bound == THM3_ENERGY:
+            e = energy(T)
+            if not len(T) ** 2 <= e <= len(T) ** 3:
+                raise RuntimeError(f"energy {e} escaped [|T|^2, |T|^3]")
+            params["E"] = row["energy"] = e
+    row["lhs"] = lhs
+    if bound in (THM1_INCIDENCE, THM1_RICH):
+        # The incidence row splits at |T|, the rich row at its own count.
+        row["delta"] = _round12(
+            dyadic_threshold(len(P), params.get("T", max(1, lhs)))
+        )
     spec = BoundSpec(bound, params)
     rhs = bound_rhs(spec)
     hyp = hypothesis_check(spec, ctx.p, config.constant)
-    terms = list(rhs.terms) + [None] * (3 - len(rhs.terms))
-    row["rhs_term1"] = _round12(terms[0])
-    row["rhs_term2"] = _round12(terms[1]) if terms[1] is not None else None
-    row["rhs_term3"] = _round12(terms[2]) if terms[2] is not None else None
+    for i, term in enumerate(rhs.terms, 1):
+        row[f"rhs_term{i}"] = _round12(term)
     row["rhs_max"] = _round12(rhs.max_term)
     row["rhs_sum"] = _round12(rhs.total)
     row["ratio"] = _round12(row["lhs"] / rhs.max_term)
@@ -360,11 +347,18 @@ def _guard_rich(lhs, p):
 
 
 def _sweep_unit(args):
+    """The rows of one (p, size, rep) cell, in the config's bound order.
+
+    The instance and grid are built once, and each distinct point set is
+    enumerated for k-rich maps once; a shared quantity is timed in the first
+    row that needs it.  Nothing outlives the cell.
+    """
     config, p, size, rep = args
     ctx = FieldContext(p)
-    inst = _build_instance(config, ctx, size, rep)
+    inst, grid = _build_instance(config, ctx, size, rep)
+    rich: dict = {}
     return [
-        _compute_row(bound, inst, config, ctx, size, rep)
+        _compute_row(bound, inst, grid, rich, config, ctx, size, rep)
         for bound in config.bounds
     ]
 

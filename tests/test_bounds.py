@@ -6,6 +6,7 @@ from mobinc.bounds import (
     BOUND_IDS,
     BoundSpec,
     bound_rhs,
+    dyadic_threshold,
     hypothesis_check,
 )
 from mobinc.errors import MissingParameterError
@@ -111,3 +112,14 @@ def test_hypothesis_check_remaining_ids():
     assert hypothesis_check(
         BoundSpec("cor-krich-lines", {"P": 30, "k": 2}), 7
     ).flags == {"points_le_p_15_13": 30 <= 7 ** (15 / 13)}
+
+
+def test_dyadic_threshold():
+    assert dyadic_threshold(1, 1) == 3.0
+    assert dyadic_threshold(10**4, 10**2) == pytest.approx(
+        545.559478116852, rel=1e-12
+    )
+    # once |T| >= |P|^{15/4} the max clamps at 3
+    assert dyadic_threshold(10, 10**5) == 3.0
+    with pytest.raises(ValueError):
+        dyadic_threshold(0, 5)

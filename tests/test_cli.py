@@ -93,6 +93,46 @@ def test_rich_enum_mismatch_exits_1(files, capsys, monkeypatch):
     assert "brute-only=1" in err
 
 
+def _scan_unreachable(*args, **kwargs):
+    raise AssertionError("rich_transforms_brute was called")
+
+
+def _grid_file(files, p, n):
+    """n distinct points mod p, one per line."""
+    return files("grid.txt", "".join(f"{i % p},{i // p}\n" for i in range(n)))
+
+
+@pytest.mark.parametrize("p, n, method", [
+    (67, 120, None),
+    (1009, 3, "brute"),
+])
+def test_rich_enum_refuses_unbounded_scan(files, capsys, monkeypatch, p, n, method):
+    # Refused once the points are loaded, before either enumerator runs.
+    monkeypatch.setattr(cli, "rich_transforms_brute", _scan_unreachable)
+    monkeypatch.setattr(cli, "rich_transforms_pivot", _scan_unreachable)
+    argv = ["rich-enum", "--points", _grid_file(files, p, n), "-p", str(p), "-k", "3"]
+    if method:
+        argv += ["--method", method]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--method pivot" in err
+
+
+def test_rich_enum_pivot_is_not_limited_by_the_scan(files, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "rich_transforms_brute", _scan_unreachable)
+    code, out, _ = run(capsys, "rich-enum", "--points", _grid_file(files, 1009, 3),
+                       "-p", "1009", "-k", "3", "--method", "pivot")
+    assert code == 0 and out == ""
+
+
+def test_rich_enum_admits_scan_at_p61(files, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "rich_transforms_brute", _scan_unreachable)
+    with pytest.raises(AssertionError, match="rich_transforms_brute"):
+        run(capsys, "rich-enum", "--points", _grid_file(files, 61, 120),
+            "-p", "61", "-k", "3", "--method", "brute")
+
+
 def test_energy_subcommand(files, capsys):
     hyper = files("h.txt", "0,0,1\n0,1,1\n1,0,1\n1,1,1\n")
     code, out, _ = run(capsys, "energy", "-p", "7", "--hyperbolas", hyper, "--json")

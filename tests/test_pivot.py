@@ -24,7 +24,6 @@ from mobinc.pivot import (
     _check_one_pivot,
     check_reduction,
     conjugate_through_pivot,
-    dyadic_threshold,
     line_image,
     line_preimage,
     line_through,
@@ -243,17 +242,6 @@ def test_pivot_multiplicities_at_least_k():
             assert all(
                 count == richness(f, P) for f, count in multiplicity.items()
             )
-
-
-def test_dyadic_threshold():
-    assert dyadic_threshold(1, 1) == 3.0
-    assert dyadic_threshold(10**4, 10**2) == pytest.approx(
-        545.559478116852, rel=1e-12
-    )
-    # once |T| >= |P|^{15/4} the max clamps at 3
-    assert dyadic_threshold(10, 10**5) == 3.0
-    with pytest.raises(ValueError):
-        dyadic_threshold(0, 5)
 
 
 def test_check_reduction_counts():

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from mobinc import cli
 from mobinc import sweep as sweep_module
+from mobinc.bounds import dyadic_threshold
 from mobinc.errors import ConfigError
 from mobinc.io import parse_config_text
 from mobinc.sweep import (
@@ -115,7 +117,14 @@ def test_sweep_all_bounds_once():
     assert [row["bound"] for row in rows] == sorted(config.bounds)
     by_bound = {row["bound"]: row for row in rows}
     assert by_bound["thm1-incidence"]["n_transforms"] == 6
-    assert by_bound["thm1-incidence"]["delta"] is not None
+    # delta splits the incidence row at |T| and the rich row at its count
+    assert by_bound["thm1-incidence"]["delta"] == pytest.approx(
+        dyadic_threshold(10, 6), rel=1e-11
+    )
+    rich_count = max(1, by_bound["thm1-rich"]["lhs"])
+    assert by_bound["thm1-rich"]["delta"] == pytest.approx(
+        dyadic_threshold(10, rich_count), rel=1e-11
+    )
     assert by_bound["thm2-rich"]["n_points"] == 9  # 3 x 3 grid
     assert by_bound["thm3-energy"]["energy"] >= 36  # >= |T|^2
     assert by_bound["thm4-hyperbola"]["m_stat"] >= 1
@@ -173,3 +182,53 @@ def test_empty_prime_list_yields_empty_stream():
     assert rows == []
     assert rows_to_jsonl(rows) == ""
     assert rows_to_csv(rows) == ",".join(ROW_FIELDS) + "\n"
+
+
+@pytest.mark.parametrize("text, component", [
+    ("bounds = thm1-rich\ngenerator = random-points\nn = 0", "point set"),
+    ("bounds = thm2-incidence\ngenerator = ap\nna = 0", "scalar set A"),
+    ("bounds = thm4-hyperbola\ngenerator = random-points\nnh = 0",
+     "hyperbola family"),
+    # rep 0 draws three points with no map through them (two share a row
+    # or a column), so it has no 3-rich transform
+    ("bounds = thm1-incidence\ngenerator = transforms-defined-by\nn = 3\n"
+     "reps = 4", "transform set"),
+])
+def test_empty_component_names_its_cell(tmp_path, capsys, text, component):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"primes = 11\nseed = 1\n{text}\n", encoding="utf-8")
+    code = cli.main(["sweep", "--config", str(path), "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "p=11" in captured.err and "rep=" in captured.err
+    assert component in captured.err
+
+
+def test_one_rich_enumeration_per_point_set(monkeypatch):
+    calls = []
+    original = sweep_module.pivot_multiplicities
+
+    def counted(P, k):
+        calls.append(P.points)
+        return original(P, k)
+
+    monkeypatch.setattr(sweep_module, "pivot_multiplicities", counted)
+    text = "primes = 11,13\nsizes = 3,4\nreps = 2\nk = 3\nseed = 3\n"
+    cells = 2 * 2 * 2
+    both = "bounds = thm1-rich,thm2-rich\n"
+
+    # Under ap both rich rows count the grid: one enumeration per cell.
+    ap = text + "generator = ap\n"
+    rows = sweep(config_from(ap + both))
+    assert len(calls) == cells
+    for bound in ("thm1-rich", "thm2-rich"):
+        alone = sweep(config_from(ap + f"bounds = {bound}\n"))
+        assert [r["lhs"] for r in rows if r["bound"] == bound] == [
+            r["lhs"] for r in alone
+        ]
+
+    # Under random-points the two rows count different sets.
+    calls.clear()
+    sweep(config_from(text + "generator = random-points\n" + both))
+    assert len(calls) == 2 * cells
