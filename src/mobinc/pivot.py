@@ -12,14 +12,15 @@ i.e. the line y = ((q1 + d)x - 1)/(a - q2).  Transplanting each point
 incidences exactly, and the only incidence lost to the two excluded rows is
 the pivot itself.  Affine maps (c = 0) through q land on the lines through
 the origin, so the maps through q correspond one-to-one to the lines that
-are neither vertical nor horizontal.  A map with m points of P on it
-therefore shows up as a line with m-1 transplanted points, once per pivot
-it passes through, so harvesting rich lines over all pivots enumerates
-every k-rich transformation exactly as many times as its richness.
+are neither vertical nor horizontal.  A map with r points of P on it
+therefore shows up, at each of them, as a line with r-1 transplanted
+points.  The enumeration takes each map once, at its least point, the only
+pivot that sees all the others when pivots transplant only later points.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import NamedTuple, Optional, Union
 
@@ -38,12 +39,6 @@ class Vertical(NamedTuple):
 
 
 AffineLine = Union[NonVertical, Vertical]
-
-
-def _line_sort_key(line: AffineLine):
-    if isinstance(line, Vertical):
-        return (1, line.x, 0)
-    return (0, line.slope, line.intercept)
 
 
 def transforms_through_pivot(
@@ -104,18 +99,13 @@ def transplant_points(P: PointSet, q: tuple[int, int]) -> tuple[PointSet, int]:
     points is returned alongside.  On the kept domain the move is injective
     (each coordinate is separately invertible).
     """
-    ctx = P.ctx
-    p = ctx.p
-    inv = ctx._inv
-    q1, q2 = q[0] % p, q[1] % p
-    kept = []
-    excluded = 0
-    for x, y in P.points:
-        if x == q1 or y == q2:
-            excluded += 1
-        else:
-            kept.append((inv[(q1 - x) % p], inv[(q2 - y) % p]))
-    return PointSet(kept, ctx), excluded
+    kept = _transplant(P.points, *(c % P.ctx.p for c in q), P.ctx)
+    return PointSet(kept, P.ctx), len(P) - len(kept)
+
+
+def _transplant(points, q1: int, q2: int, ctx: FieldContext) -> list[tuple[int, int]]:
+    p, inv = ctx.p, ctx._inv
+    return [(inv[(q1 - x) % p], inv[(q2 - y) % p]) for x, y in points if x != q1 and y != q2]
 
 
 def line_through(
@@ -140,31 +130,36 @@ def point_on_line(s: tuple[int, int], line: AffineLine, ctx: FieldContext) -> bo
     return (s[1] - line.slope * s[0] - line.intercept) % p == 0
 
 
-def rich_lines(P: PointSet, j: int) -> tuple[AffineLine, ...]:
-    """All lines carrying at least j >= 2 points of P, sorted canonically.
+def _line_pairs(points, ctx: FieldContext, axes: bool) -> dict[int, int]:
+    """Point pairs per line: m(m-1)/2 on a line through m of the points.
 
-    Found exactly, by counting every point pair under the line through it:
-    a line through m points carries m(m-1)/2 pairs.
+    y = sx + i is keyed s*p + i.  With axes, x = c is keyed p*p + c, after
+    all others; without, vertical and horizontal pairs are skipped.
     """
+    p, inv = ctx.p, ctx._inv
+    pairs: dict[int, int] = {}
+    for i, (x1, y1) in enumerate(points):
+        for x2, y2 in points[i + 1 :]:
+            if x1 != x2 and (axes or y1 != y2):
+                m = (y2 - y1) * inv[(x2 - x1) % p] % p
+                key = m * p + (y1 - m * x1) % p
+            elif axes:
+                key = p * p + x1
+            else:
+                continue
+            pairs[key] = pairs.get(key, 0) + 1
+    return pairs
+
+
+def rich_lines(P: PointSet, j: int) -> tuple[AffineLine, ...]:
+    """Lines with at least j >= 2 points of P, by (slope, intercept), verticals last."""
     if j < 2:
         raise ThresholdError(f"rich lines need a threshold >= 2, got {j}")
-    ctx = P.ctx
-    p = ctx.p
-    inv = ctx._inv
-    pts = P.points
-    pairs: dict[AffineLine, int] = {}
-    for i, (x1, y1) in enumerate(pts):
-        for x2, y2 in pts[i + 1 :]:
-            if x1 == x2:
-                key: AffineLine = Vertical(x1)
-            else:
-                m = (y2 - y1) * inv[(x2 - x1) % p] % p
-                key = NonVertical(m, (y1 - m * x1) % p)
-            pairs[key] = pairs.get(key, 0) + 1
-    least = j * (j - 1) // 2
-    out = [line for line, count in pairs.items() if count >= least]
-    out.sort(key=_line_sort_key)
-    return tuple(out)
+    p, least = P.ctx.p, j * (j - 1) // 2
+    keys = sorted(key for key, c in _line_pairs(P.points, P.ctx, True).items() if c >= least)
+    return tuple(
+        NonVertical(*divmod(key, p)) if key < p * p else Vertical(key - p * p) for key in keys
+    )
 
 
 def line_preimage(
@@ -184,21 +179,26 @@ def line_preimage(
 
 
 def pivot_multiplicities(P: PointSet, k: int) -> dict[MoebiusMap, int]:
-    """For each k-rich map, how many pivots independently produced it.
+    """Each k-rich map with its richness, the number of points of P on it.
 
-    Each point of P on a map recovers it exactly once, from the line through
-    the other points on it, so every multiplicity equals the map's richness.
+    Pivot i transplants only the points after it.  A map is recorded the
+    first time a pivot produces it, at its least point, where the line
+    carries all m = richness - 1 other points in m(m-1)/2 pairs, so
+    isqrt(1 + 8*pairs) = 2m - 1.
     """
     if k < 3:
         raise ThresholdError(f"pivot enumeration needs k >= 3, got {k}")
-    ctx = P.ctx
-    multiplicity: dict[MoebiusMap, int] = {}
-    for q in P.points:
-        for line in rich_lines(transplant_points(P, q)[0], k - 1):
-            f = line_preimage(line, q, ctx)
-            if f is not None:
-                multiplicity[f] = multiplicity.get(f, 0) + 1
-    return multiplicity
+    ctx, p, pts = P.ctx, P.ctx.p, P.points
+    least = (k - 1) * (k - 2) // 2
+    richness: dict[MoebiusMap, int] = {}
+    for i, q in enumerate(pts):
+        moved = _transplant(pts[i + 1 :], *q, ctx)
+        for key, pairs in _line_pairs(moved, ctx, False).items():
+            if pairs >= least:
+                f = line_preimage(NonVertical(*divmod(key, p)), q, ctx)
+                if f not in richness:
+                    richness[f] = (math.isqrt(1 + 8 * pairs) + 3) // 2
+    return richness
 
 
 def rich_transforms_pivot(P: PointSet, k: int) -> TransformSet:

@@ -133,6 +133,36 @@ def test_rich_enum_admits_scan_at_p61(files, capsys, monkeypatch):
             "-p", "61", "-k", "3", "--method", "brute")
 
 
+def _pivot_unreachable(*args, **kwargs):
+    raise AssertionError("the pivot enumeration was called")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rich-enum", "-k", "3", "--method", "pivot"],
+    ["rich-enum", "-k", "3", "--method", "both"],
+    ["beck", "--json"],
+])
+def test_pivot_work_is_refused(files, capsys, monkeypatch, argv):
+    # At p=17 the group scan of 201 points is admitted; n^3 is over 200^3.
+    for name in ("rich_transforms_brute", "rich_transforms_pivot", "beck_statistics"):
+        monkeypatch.setattr(cli, name, _pivot_unreachable)
+    code, out, err = run(capsys, *argv, "-p", "17", "--points", _grid_file(files, 17, 201))
+    assert cli.MAX_PIVOT_WORK == 200**3
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "201 points" in err and "200^3" in err
+
+
+@pytest.mark.parametrize("argv, stub", [
+    (["rich-enum", "-k", "3", "--method", "pivot"], "rich_transforms_pivot"),
+    (["beck"], "beck_statistics"),
+])
+def test_pivot_work_admits_200_points(files, capsys, monkeypatch, argv, stub):
+    monkeypatch.setattr(cli, stub, _pivot_unreachable)
+    with pytest.raises(AssertionError, match="pivot enumeration was called"):
+        run(capsys, *argv, "-p", "17", "--points", _grid_file(files, 17, 200))
+
+
 def test_energy_subcommand(files, capsys):
     hyper = files("h.txt", "0,0,1\n0,1,1\n1,0,1\n1,1,1\n")
     code, out, _ = run(capsys, "energy", "-p", "7", "--hyperbolas", hyper, "--json")

@@ -244,6 +244,52 @@ def test_pivot_multiplicities_at_least_k():
             )
 
 
+def _pivot_multiplicities_every_pivot(P, k):
+    """Reference for pivot_multiplicities: every pivot transplants all of P,
+    and every production of a map counts once towards its multiplicity."""
+    multiplicity = {}
+    for q in P.points:
+        for line in rich_lines(transplant_points(P, q)[0], k - 1):
+            f = line_preimage(line, q, P.ctx)
+            if f is not None:
+                multiplicity[f] = multiplicity.get(f, 0) + 1
+    return multiplicity
+
+
+def _rich_lines_pairwise(P, j):
+    """Reference for rich_lines: every pair counted under its AffineLine."""
+    pairs = {}
+    for i, s in enumerate(P.points):
+        for t in P.points[i + 1 :]:
+            line = line_through(s, t, P.ctx)
+            pairs[line] = pairs.get(line, 0) + 1
+    rich = [line for line, count in pairs.items() if count >= j * (j - 1) // 2]
+    return tuple(sorted(rich, key=lambda line: (isinstance(line, Vertical), *line)))
+
+
+def axis_lines_and_random(ctx, n, seed):
+    """n random points plus the full row y = 1 and the full column x = 2."""
+    p = ctx.p
+    full = [(x, 1) for x in range(p)] + [(2, y) for y in range(p)]
+    return PointSet([*random_points(ctx, n, seed).points, *full], ctx)
+
+
+@pytest.mark.parametrize("p, n", [(7, 16), (11, 30), (13, 40), (31, 60)])
+def test_pivot_multiplicities_equal_every_pivot_reference(p, n):
+    ctx = FieldContext(p)
+    for P in (random_points(ctx, n, p), axis_lines_and_random(ctx, n // 2, p)):
+        for k in (3, 4, 5):
+            assert pivot_multiplicities(P, k) == _pivot_multiplicities_every_pivot(P, k)
+
+
+@pytest.mark.parametrize("p, n", [(7, 16), (11, 30), (13, 40), (31, 60)])
+def test_rich_lines_equal_pairwise_reference(p, n):
+    ctx = FieldContext(p)
+    for P in (random_points(ctx, n, p), axis_lines_and_random(ctx, n // 2, p)):
+        for j in (2, 3, 4):
+            assert rich_lines(P, j) == _rich_lines_pairwise(P, j)
+
+
 def test_check_reduction_counts():
     report = check_reduction(CTX5)
     assert report.ok
