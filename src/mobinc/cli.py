@@ -27,7 +27,7 @@ from .energy import energy, energy_report
 from .errors import Error
 from .field import FieldContext
 from .incidence import count_incidences, rich_transforms_brute
-from .pivot import check_reduction, rich_transforms_pivot
+from .pivot import MAX_PIVOT_WORK, check_reduction, refuse_pivot_work, rich_transforms_pivot
 from .sweep import SweepConfig, rows_to_csv, rows_to_jsonl, sweep
 
 
@@ -69,7 +69,7 @@ def _cmd_rich_enum(args) -> int:
             f"61^3*120 = {MAX_BRUTE_WORK} steps; enumerate with --method pivot"
         )
     if args.method != "brute":
-        _refuse_pivot_work(len(points))
+        refuse_pivot_work(len(points))
     results = {}
     timings = {}
     if args.method in ("pivot", "both"):
@@ -134,7 +134,7 @@ def _cmd_repr(args) -> int:
 def _cmd_beck(args) -> int:
     ctx = FieldContext(args.prime)
     points = mio.load_points(args.points, ctx)
-    _refuse_pivot_work(len(points))
+    refuse_pivot_work(len(points))
     _emit_record(beck_statistics(points, args.constant), args.json)
     return 0
 
@@ -158,18 +158,6 @@ def _cmd_equiv_count(args) -> int:
 MAX_BRUTE_WORK = 61**3 * 120
 # The exhaustive check at p = 53: the largest run the CLI starts.
 MAX_REDUCTION_WORK = 53**5
-# The pivot enumeration of 200 points: its work grows as n^3 whatever p and
-# k.  At k = 3 and p = 9973 it yields 1.3 million maps; beck then takes 9 s
-# and 280 MB, and the sorted rich-enum listing 21 s and 470 MB.
-MAX_PIVOT_WORK = 200**3
-
-
-def _refuse_pivot_work(n: int) -> None:
-    if n**3 > MAX_PIVOT_WORK:
-        raise Error(
-            f"the pivot enumeration of {n} points needs about {n}^3 = {n**3} "
-            f"steps, over the limit 200^3 = {MAX_PIVOT_WORK}; give at most 200 points"
-        )
 
 
 def _cmd_verify_reduction(args) -> int:

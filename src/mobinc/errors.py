@@ -53,6 +53,10 @@ class MissingParameterError(Error):
     """A bound identifier was given without one of its required parameters."""
 
 
+class WorkLimitError(Error):
+    """The requested work exceeds a limit set where that work is done."""
+
+
 class InfeasibleSizeError(Error):
     """A generator was asked for more distinct values than the field holds."""
 

@@ -20,7 +20,7 @@ from .energy import HyperbolaTranslate
 from .errors import ConfigError, InfeasibleSizeError
 from .field import FieldContext, class_from_index, group_order
 from .incidence import PointSet, TransformSet
-from .pivot import rich_transforms_pivot
+from .pivot import refuse_pivot_work, rich_transforms_pivot
 
 RANDOM_POINTS = "random-points"
 RANDOM_SCALARS = "random-scalars"
@@ -179,26 +179,13 @@ def generate_instance(
         inst.a = _sample_scalars(rng, _need(params, "na", params.get("n")), ctx)
         if "nb" in params:
             inst.b = _sample_scalars(rng, _need(params, "nb"), ctx)
-    elif kind == AP:
+    elif kind in (AP, GP):
+        draw, third = (_ap_scalars, "step") if kind == AP else (_gp_scalars, "ratio")
         na = _need(params, "na", params.get("n"))
-        inst.a = _ap_scalars(
-            rng, na, ctx, _int(params, "start"), _int(params, "step")
-        )
+        inst.a = draw(rng, na, ctx, _int(params, "start"), _int(params, third))
         nb = _int(params, "nb")
         if nb is not None:
-            inst.b = _ap_scalars(
-                rng, nb, ctx, _int(params, "b_start"), _int(params, "b_step")
-            )
-    elif kind == GP:
-        na = _need(params, "na", params.get("n"))
-        inst.a = _gp_scalars(
-            rng, na, ctx, _int(params, "start"), _int(params, "ratio")
-        )
-        nb = _int(params, "nb")
-        if nb is not None:
-            inst.b = _gp_scalars(
-                rng, nb, ctx, _int(params, "b_start"), _int(params, "b_ratio")
-            )
+            inst.b = draw(rng, nb, ctx, _int(params, "b_start"), _int(params, "b_" + third))
     elif kind == CARTESIAN:
         inst.a = _scalars(rng, params, "a", "na", params.get("n"), ctx)
         inst.b = _scalars(rng, params, "b", "nb", len(inst.a), ctx)
@@ -208,7 +195,9 @@ def generate_instance(
             rng, _need(params, "nt", params.get("n")), ctx
         )
     elif kind == DEFINED_BY:
-        inst.points = _sample_points(rng, _need(params, "n"), ctx)
+        n = _need(params, "n")
+        refuse_pivot_work(n)
+        inst.points = _sample_points(rng, n, ctx)
         inst.transforms = rich_transforms_pivot(inst.points, 3)
     elif kind == HYPERBOLA_GRID:
         inst.hyperbolas = _grid_hyperbolas(rng, params, ctx)

@@ -24,7 +24,7 @@ import math
 from functools import partial
 from typing import NamedTuple, Optional, Union
 
-from .errors import PivotMismatchError, ThresholdError, WrongBranchError
+from .errors import PivotMismatchError, ThresholdError, WorkLimitError, WrongBranchError
 from .field import FieldContext, MoebiusMap, parallel_map, worker_count
 from .incidence import PointSet, TransformSet
 
@@ -176,6 +176,21 @@ def line_preimage(
     q1, q2 = q
     s, i = line
     return MoebiusMap(1 - i * q2, q2 * s + i * q1 * q2 - q1, -i, s + i * q1, ctx)
+
+
+# The pivot enumeration of 200 points: its work grows as n^3 whatever p and
+# k.  At k = 3 and p = 9973 it yields 1.3 million maps; beck then takes 9 s
+# and 280 MB, and the sorted rich-enum listing 21 s and 470 MB.
+MAX_PIVOT_WORK = 200**3
+
+
+def refuse_pivot_work(n: int) -> None:
+    """Refuse, before it starts, a pivot enumeration of n points over the limit."""
+    if n**3 > MAX_PIVOT_WORK:
+        raise WorkLimitError(
+            f"the pivot enumeration of {n} points needs about {n}^3 = {n**3} "
+            f"steps, over the limit 200^3 = {MAX_PIVOT_WORK}; give at most 200 points"
+        )
 
 
 def pivot_multiplicities(P: PointSet, k: int) -> dict[MoebiusMap, int]:

@@ -34,7 +34,7 @@ from .bounds import (
     hypothesis_check,
 )
 from .energy import encode_family, energy, translate_multiplicity
-from .errors import ConfigError
+from .errors import ConfigError, WorkLimitError
 from .field import MAX_MODULUS, FieldContext, group_order, is_prime, parallel_map
 from .generators import (
     INSTANCE_KINDS,
@@ -46,7 +46,7 @@ from .generators import (
     generate_instance,
 )
 from .incidence import count_incidences
-from .pivot import pivot_multiplicities, rich_lines
+from .pivot import pivot_multiplicities, refuse_pivot_work, rich_lines
 
 ROW_FIELDS = (
     "bound",
@@ -129,27 +129,8 @@ class SweepConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "SweepConfig":
-        known = {}
-        params = {}
-        for key, value in raw.items():
-            if key == "primes":
-                known["primes"] = tuple(_as_int_list(value))
-            elif key == "bounds":
-                known["bounds"] = tuple(_as_str_list(value))
-            elif key == "generator":
-                known["generator"] = str(value)
-            elif key == "seed":
-                known["seed"] = int(value)
-            elif key == "reps":
-                known["reps"] = int(value)
-            elif key == "sizes":
-                known["sizes"] = tuple(_as_int_list(value))
-            elif key == "k":
-                known["k"] = int(value)
-            elif key == "constant":
-                known["constant"] = float(value)
-            else:
-                params[key] = _parse_value(value)
+        known = {k: _TYPED_KEYS[k](v) for k, v in raw.items() if k in _TYPED_KEYS}
+        params = {k: _parse_value(v) for k, v in raw.items() if k not in _TYPED_KEYS}
         missing = {"primes", "bounds", "generator", "seed"} - known.keys()
         if missing:
             raise ConfigError(f"config is missing keys: {sorted(missing)}")
@@ -172,35 +153,38 @@ def _parse_value(value):
         return text
 
 
-def _as_int_list(value):
-    if isinstance(value, str):
-        value = [part for part in value.split(",") if part.strip()]
-    out = []
-    for item in value if isinstance(value, (list, tuple)) else [value]:
-        out.append(int(item))
-    return out
+def _comma_list(convert):
+    """A parser of a comma list, or of a list or single value, into a tuple."""
+    def parse(value):
+        if isinstance(value, str):
+            value = [part.strip() for part in value.split(",") if part.strip()]
+        return tuple(map(convert, value if isinstance(value, (list, tuple)) else [value]))
+    return parse
 
 
-def _as_str_list(value):
-    if isinstance(value, str):
-        return [part.strip() for part in value.split(",") if part.strip()]
-    return [str(item) for item in value]
+# The typed config keys and their parsers; every other key is a generator
+# parameter.
+_TYPED_KEYS = {
+    "primes": _comma_list(int),
+    "bounds": _comma_list(str),
+    "generator": str,
+    "seed": int,
+    "reps": int,
+    "sizes": _comma_list(int),
+    "k": int,
+    "constant": float,
+}
 
 
 def _resolved_sizes(config: SweepConfig, size: Optional[int]) -> dict:
+    """A cell's generator parameters: n, na, nt and nh not given are the size
+    (their defaults n 12, na 4, nt 8, nh 8 with no sizes), nb not given is na."""
     params = dict(config.params)
-
-    def fallback(name, default):
-        if name not in params or params[name] is None:
-            params[name] = size if size is not None else default
-        return params[name]
-
-    fallback("n", 12)
-    fallback("na", 4)
+    for name, default in (("n", 12), ("na", 4), ("nt", 8), ("nh", 8)):
+        if params.get(name) is None:
+            params[name] = default if size is None else size
     if params.get("nb") is None:
         params["nb"] = params["na"]
-    fallback("nt", 8)
-    fallback("nh", 8)
     return params
 
 
@@ -219,29 +203,20 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
 
     The configured generator runs first; any component a requested bound
     still needs is filled in by the matching seeded random generator, each
-    component under its own derived seed.  The grid A x B is built once,
-    when there are scalars, and is the points when the generator gave none.
-    A needed component that came out empty is a ConfigError naming the cell.
+    component under its own derived seed.  Every generator that gives A
+    also gives B, because nb is always resolved, so the scalars are filled
+    in as a pair.  The grid A x B is built once, when there are scalars, and
+    is the points when the generator gave none.  A needed component that
+    came out empty is a ConfigError naming the cell.
     """
     params = _resolved_sizes(config, size)
     needed = {need for bound in config.bounds for need in _NEEDS[bound]}
     base_seed = derive_seed(config.seed, ctx.p, size, rep)
     inst = generate_instance(config.generator, params, base_seed, ctx)
     if "scalars" in needed and inst.a is None:
-        extra = generate_instance(
-            RANDOM_SCALARS,
-            {"na": params["na"], "nb": params["nb"]},
-            derive_seed(base_seed, "scalars"),
-            ctx,
-        )
+        seed = derive_seed(base_seed, "scalars")
+        extra = generate_instance(RANDOM_SCALARS, params, seed, ctx)
         inst.a, inst.b = extra.a, extra.b
-    if inst.a is not None and inst.b is None:
-        inst.b = generate_instance(
-            RANDOM_SCALARS,
-            {"na": params["nb"]},
-            derive_seed(base_seed, "scalars-b"),
-            ctx,
-        ).a
     grid = None if inst.a is None else cartesian_points(inst.a, inst.b)
     if inst.points is None:
         inst.points = grid
@@ -255,11 +230,12 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
             )
             setattr(inst, attr, getattr(extra, attr))
         if len(getattr(inst, attr)) == 0:
-            raise ConfigError(
-                f"sweep cell p={ctx.p} size={size} rep={rep} under generator "
-                f"{config.generator}: the {label} is empty"
-            )
+            raise ConfigError(f"{_cell(config, ctx.p, size, rep)}: the {label} is empty")
     return inst, grid
+
+
+def _cell(config: SweepConfig, p, size, rep) -> str:
+    return f"sweep cell p={p} size={size} rep={rep} under generator {config.generator}"
 
 
 def _round12(x: float) -> float:
@@ -289,6 +265,7 @@ def _compute_row(bound, inst, grid, rich, config, ctx, size, rep):
     row["n_points"] = len(P)
     if bound in (THM1_RICH, THM2_RICH):
         if P.points not in rich:
+            refuse_pivot_work(len(P))
             rich[P.points] = len(pivot_multiplicities(P, k))
         lhs = rich[P.points]
         _guard_rich(lhs, ctx.p)
@@ -351,16 +328,18 @@ def _sweep_unit(args):
 
     The instance and grid are built once, and each distinct point set is
     enumerated for k-rich maps once; a shared quantity is timed in the first
-    row that needs it.  Nothing outlives the cell.
+    row that needs it.  Nothing outlives the cell.  A pivot enumeration over
+    the work limit is refused as a ConfigError naming the cell.
     """
     config, p, size, rep = args
     ctx = FieldContext(p)
-    inst, grid = _build_instance(config, ctx, size, rep)
     rich: dict = {}
-    return [
-        _compute_row(bound, inst, grid, rich, config, ctx, size, rep)
-        for bound in config.bounds
-    ]
+    try:
+        inst, grid = _build_instance(config, ctx, size, rep)
+        return [_compute_row(bound, inst, grid, rich, config, ctx, size, rep)
+                for bound in config.bounds]
+    except WorkLimitError as exc:
+        raise ConfigError(f"{_cell(config, p, size, rep)}: {exc}") from None
 
 
 def sweep(config: SweepConfig, jobs: int = 1) -> list[dict]:

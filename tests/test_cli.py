@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobinc import cli, field
+from mobinc import sweep as sweep_module
 from mobinc.bounds import BOUND_IDS
 from mobinc.generators import INSTANCE_KINDS
+from mobinc.pivot import ReductionReport
 
 CONFIG = """
 primes = 7,11
@@ -301,6 +303,26 @@ def test_verify_reduction_admits_sampled_p53(capsys, monkeypatch):
     monkeypatch.setattr(cli, "check_reduction", _unreachable)
     with pytest.raises(AssertionError, match="check_reduction"):
         run(capsys, "verify-reduction", "-p", "53", "--samples", "8", "--jobs", "1")
+
+
+def test_verify_reduction_failure_exits_1(capsys, monkeypatch):
+    report = ReductionReport(7, 1, 42, 1512, 1, 0, 0)
+    monkeypatch.setattr(cli, "check_reduction", lambda *args, **kwargs: report)
+    code, out, err = run(capsys, "verify-reduction", "-p", "7", "--samples", "1",
+                         "--jobs", "1")
+    assert code == 1
+    assert out == ("p=7 pivots=1 transforms=42 triples=1512 violations=1 "
+                   "line-collisions=0 det-mismatches=0\n")
+    assert err == "REDUCTION CHECK FAILED\n"
+
+
+def test_tripped_guard_exits_1(files, capsys, monkeypatch):
+    monkeypatch.setattr(sweep_module, "energy", lambda T: 0)
+    config = files("sweep.cfg", "primes = 7\nbounds = thm3-energy\n"
+                                "generator = random-transforms\nseed = 1\n")
+    code, out, err = run(capsys, "sweep", "--config", config, "--jobs", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("internal error:") and err.count("\n") == 1
 
 
 class NoPool:

@@ -37,7 +37,7 @@ def test_is_prime_small():
 
 
 def test_context_rejects_bad_moduli(monkeypatch):
-    for bad in (0, 1, 4, 15, -7):
+    for bad in (0, 1, 4, 15, -7, 7.0, True):
         with pytest.raises(ValueError):
             FieldContext(bad)
 

@@ -36,6 +36,10 @@ def test_gp_distinct():
     assert inst.a.values == (2, 4, 8, 16)
     seeded = generate_instance("gp", {"na": 5}, 3, CTX11)
     assert len(seeded.a) == 5
+    both = generate_instance(
+        "gp", {"na": 2, "ratio": 2, "nb": 4, "b_start": 3, "b_ratio": 3}, 0, CTX101
+    )
+    assert len(both.a) == 2 and both.b.values == (3, 9, 27, 81)
 
 
 def test_cartesian_explicit_example():
@@ -88,6 +92,8 @@ def test_scalar_infeasible():
         generate_instance("random-scalars", {"na": 12}, 0, CTX11)
     with pytest.raises(InfeasibleSizeError):
         generate_instance("ap", {"na": 12}, 0, CTX11)
+    with pytest.raises(InfeasibleSizeError, match="zero step"):
+        generate_instance("ap", {"na": 3, "step": 11}, 0, CTX11)
 
 
 def test_unknown_kind():

@@ -1,13 +1,15 @@
 """Sweep configs, row computation, formats, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
-from mobinc import cli
+from mobinc import cli, generators
 from mobinc import sweep as sweep_module
-from mobinc.bounds import dyadic_threshold
+from mobinc.bounds import BOUND_IDS, dyadic_threshold
 from mobinc.errors import ConfigError
+from mobinc.generators import INSTANCE_KINDS
 from mobinc.io import parse_config_text
 from mobinc.sweep import (
     ROW_FIELDS,
@@ -53,10 +55,11 @@ def test_config_validation_errors(monkeypatch):
         config_from("primes = 7\nbounds = thm1-rich\ngenerator = bogus\nseed = 1")
     with pytest.raises(ConfigError):
         config_from("primes = 7\nbounds = thm1-rich\ngenerator = random-points")
-    with pytest.raises(ConfigError):
-        config_from(
-            "primes = 7\nbounds = thm1-rich\ngenerator = random-points\nseed = 1\nk = 2"
-        )
+    for extra in ("k = 2", "k = 1", "reps = 0"):
+        with pytest.raises(ConfigError):
+            config_from(
+                f"primes = 7\nbounds = thm1-rich\ngenerator = random-points\nseed = 1\n{extra}"
+            )
     for constant in ("nan", "0", "-1", "inf"):
         with pytest.raises(ConfigError, match="positive and finite"):
             config_from(
@@ -205,6 +208,34 @@ def test_empty_component_names_its_cell(tmp_path, capsys, text, component):
     assert component in captured.err
 
 
+def _pivot_unreachable(*args, **kwargs):
+    raise AssertionError("the pivot enumeration was called")
+
+
+@pytest.mark.parametrize("text, refused, admitted", [
+    ("bounds = thm1-rich\ngenerator = random-points", "n = 201", "n = 200"),
+    ("bounds = thm1-incidence\ngenerator = transforms-defined-by", "n = 201",
+     "n = 200"),
+    ("bounds = thm2-rich\ngenerator = ap", "na = 67\nnb = 3", "na = 50\nnb = 4"),
+], ids=["thm1-rich", "defined-by", "thm2-rich"])
+def test_pivot_work_is_refused_per_cell(tmp_path, capsys, monkeypatch, text,
+                                        refused, admitted):
+    monkeypatch.setattr(sweep_module, "pivot_multiplicities", _pivot_unreachable)
+    monkeypatch.setattr(generators, "rich_transforms_pivot", _pivot_unreachable)
+    path = tmp_path / "sweep.cfg"
+    argv = ["sweep", "--config", str(path), "--jobs", "1"]
+    path.write_text(f"primes = 67\nseed = 1\n{text}\n{refused}\n", encoding="utf-8")
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "p=67" in captured.err and "rep=0" in captured.err
+    assert "201 points" in captured.err and "200^3" in captured.err
+    path.write_text(f"primes = 67\nseed = 1\n{text}\n{admitted}\n", encoding="utf-8")
+    with pytest.raises(AssertionError, match="pivot enumeration was called"):
+        cli.main(argv)
+
+
 def test_one_rich_enumeration_per_point_set(monkeypatch):
     calls = []
     original = sweep_module.pivot_multiplicities
@@ -232,3 +263,64 @@ def test_one_rich_enumeration_per_point_set(monkeypatch):
     calls.clear()
     sweep(config_from(text + "generator = random-points\n" + both))
     assert len(calls) == 2 * cells
+
+
+# Every bound under every generator, plus progressions with unequal sides and
+# b_ parameters; each config's JSONL and CSV bytes are pinned by their
+# sha256, or by the ConfigError text of a config that fails.
+PINNED_BASE = (
+    f"primes = 11,13\nbounds = {','.join(BOUND_IDS)}\nsizes = 3,4,6\n"
+    "reps = 2\nk = 3\n"
+)
+PINNED_CONFIGS = {kind: f"generator = {kind}\n" for kind in INSTANCE_KINDS}
+PINNED_CONFIGS.update({
+    "ap-unequal": "generator = ap\nna = 3\nnb = 5\nstart = 2\nstep = 3\n"
+                  "b_start = 1\nb_step = 4\n",
+    "defined-by-n8": "generator = transforms-defined-by\nn = 8\n",
+    "gp-unequal": "generator = gp\nna = 3\nnb = 4\nratio = 2\nb_start = 3\n"
+                  "b_ratio = 6\n",
+})
+PINNED = {
+    ('random-points', 1): '9ae7dffe06aa0e5ccecd4b0624f942335d092f7af5a7bfae36f892b27e62ebe6',
+    ('random-points', 7): '7799da9554ab53c40d274b4e1b90fb9c5be7d5383e0d2112659d39718f230331',
+    ('random-scalars', 1): 'a454c9ee0df243fafa27066b9d0335ddadba7202cf2ccd6b03ef898e8f31f2a5',
+    ('random-scalars', 7): 'a4739d98cc838a53ea274eb2a36feaf3d781777f2164910da359ce61f7b4a5d2',
+    ('ap', 1): '5d39842aaaf8f0fe8f0579e9576af93af3fc04b48c367df5718bcc4be8c79074',
+    ('ap', 7): '01ff4dc6c5a42e2434c0cbae8bd079087ccae984d9c37804382753d10d52c787',
+    ('gp', 1): '01c927c55221a89aabe74ab92416fd8bdb3f12c3e087403a27e37b3f6e9f1445',
+    ('gp', 7): 'bb349dae5a917012ef70ef40c5813c7a725b20b430ba1fc0f21626b62dc2bc1b',
+    ('cartesian', 1): '74b0ed3790ab7056f06b7cf366df968e7442511d41d92a93b6c98ddff2bd1298',
+    ('cartesian', 7): '4431ff6dd3b68827c7035e1133b9074dc2115c262977b91dae1309ba26418303',
+    ('random-transforms', 1): '501378a513b516bf2e2bfb0ba00acb432c3d75a4d5cbb20cf1b7fe85f4fd1d32',
+    ('random-transforms', 7): 'c8b243bda46c0b14646abd848e76d25267e3a875cd190f2f2eeb0c645bd174be',
+    ('transforms-defined-by', 1): 'ConfigError: sweep cell p=11 size=3 rep=1 under generator transforms-defined-by: the transform set is empty',
+    ('transforms-defined-by', 7): 'ConfigError: sweep cell p=11 size=3 rep=0 under generator transforms-defined-by: the transform set is empty',
+    ('hyperbola-grid', 1): '7b12d1a6f1c74fc072ed4784a803bbc942870ed773df6ca536ab5e3777c342bd',
+    ('hyperbola-grid', 7): '64e77cf403e90817650c05c702ff08de11e5c63e1ef6986ed9bb3c3b29cd45e5',
+    ('random-hyperbolas', 1): '9c3df42439363f9527030b62d2b1204012b82c70cba54b161cec928d59ce0023',
+    ('random-hyperbolas', 7): 'faebc7b44ce71436e54861c2348e4a09f1aa40e1e6e7f5897a845e6513023b45',
+    ('ap-unequal', 1): '40bb243b3d89ad47f1b3175eae0b1a82a01150870e36f34d8847b111beda8828',
+    ('ap-unequal', 7): '2d4107a45193a212eb57ff9d2b7bcf944c966ce0e5b296b592f1224a5c204a8f',
+    ('defined-by-n8', 1): 'f156fdaa02824e14f150535ef5c1ea7ab46aa1f785d3817ed0656041ddd3d71f',
+    ('defined-by-n8', 7): '3291c26b6aa0800c8bbe41d43ffd42c53bd1ee24936625742041d570ae8765cb',
+    ('gp-unequal', 1): 'e7a66be8c6116ebe9d0caf4a48fdfa648bf975f16129b2bd113cb500dd262588',
+    ('gp-unequal', 7): '2e48356301533c3be5608c51b2f1f114de5674a8d35c4c7c0a53a5ff93aab2a1',
+}
+
+
+def _pinned_digest(text):
+    try:
+        rows = sweep(config_from(text))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+    data = (rows_to_jsonl(rows) + rows_to_csv(rows)).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_sweep_bytes_are_pinned():
+    observed = {
+        (name, seed): _pinned_digest(PINNED_BASE + extra + f"seed = {seed}\n")
+        for name, extra in PINNED_CONFIGS.items()
+        for seed in (1, 7)
+    }
+    assert observed == PINNED
