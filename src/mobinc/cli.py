@@ -3,12 +3,14 @@
 Exit codes: 0 success, 2 bad input or failed validation (one-line diagnostic
 on stderr), 1 internal consistency failure (enumeration mismatch, reduction
 violation, or a tripped trivial-bound guard).
+
+Every subcommand has one shape: `main` builds the field and loads the files,
+the handler prints its record, and `main` prints any failure as one line.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -28,20 +30,23 @@ from .errors import Error
 from .field import FieldContext
 from .incidence import count_incidences, rich_transforms_brute
 from .pivot import MAX_PIVOT_WORK, check_reduction, refuse_pivot_work, rich_transforms_pivot
-from .sweep import SweepConfig, rows_to_csv, rows_to_jsonl, sweep
+from .sweep import SweepConfig, json_line, rows_to_csv, rows_to_jsonl, sweep
+
+# The group scan of 120 points at p = 61: the largest one the CLI starts.
+MAX_BRUTE_WORK = 61**3 * 120
+# The exhaustive check at p = 53: the largest run the CLI starts.
+MAX_REDUCTION_WORK = 53**5
+
+# Each file flag and its loader in io, in load order.  The loader is looked
+# up on io when it runs, so a wrapped loader is the one called.
+_LOADERS = (("points", "load_points"), ("transforms", "load_transforms"),
+            ("hyperbolas", "load_hyperbolas"), ("a", "load_scalars"),
+            ("b", "load_scalars"), ("s", "load_scalars"))
 
 
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
-def _emit_record(record: dict, as_json: bool) -> None:
+def _emit_record(record: dict, as_json: bool = False) -> None:
     if as_json:
-        rounded = {
-            key: float(f"{value:.12g}") if isinstance(value, float) else value
-            for key, value in record.items()
-        }
-        print(json.dumps(rounded, separators=(",", ":")))
+        print(json_line(record))
     else:
         parts = []
         for key, value in record.items():
@@ -52,34 +57,28 @@ def _emit_record(record: dict, as_json: bool) -> None:
 
 
 def _cmd_incidence(args) -> int:
-    ctx = FieldContext(args.prime)
-    points = mio.load_points(args.points, ctx)
-    transforms = mio.load_transforms(args.transforms, ctx)
-    print(count_incidences(points, transforms))
+    print(count_incidences(args.points, args.transforms))
     return 0
 
 
 def _cmd_rich_enum(args) -> int:
-    ctx = FieldContext(args.prime)
-    points = mio.load_points(args.points, ctx)
     # The group scan tries each of the ~p^3 maps on every point.
-    if args.method != "pivot" and ctx.p**3 * len(points) > MAX_BRUTE_WORK:
+    if args.method != "pivot" and args.ctx.p**3 * len(args.points) > MAX_BRUTE_WORK:
         raise Error(
-            f"the group scan of {len(points)} points at p={ctx.p} needs over "
+            f"the group scan of {len(args.points)} points at p={args.ctx.p} needs over "
             f"61^3*120 = {MAX_BRUTE_WORK} steps; enumerate with --method pivot"
         )
     if args.method != "brute":
-        refuse_pivot_work(len(points))
+        refuse_pivot_work(len(args.points))
     results = {}
     timings = {}
-    if args.method in ("pivot", "both"):
-        start = time.perf_counter()
-        results["pivot"] = rich_transforms_pivot(points, args.k)
-        timings["pivot"] = (time.perf_counter() - start) * 1000.0
-    if args.method in ("brute", "both"):
-        start = time.perf_counter()
-        results["brute"] = rich_transforms_brute(points, args.k)
-        timings["brute"] = (time.perf_counter() - start) * 1000.0
+    # The pivot runs first.
+    for method, enumerate_rich in (("pivot", rich_transforms_pivot),
+                                   ("brute", rich_transforms_brute)):
+        if args.method in (method, "both"):
+            start = time.perf_counter()
+            results[method] = enumerate_rich(args.points, args.k)
+            timings[method] = (time.perf_counter() - start) * 1000.0
     for f in results["brute" if args.method == "brute" else "pivot"]:
         print(mio.format_transform(f))
     for method, ms in sorted(timings.items()):
@@ -101,68 +100,47 @@ def _cmd_rich_enum(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    ctx = FieldContext(args.prime)
     if (args.transforms is None) == (args.hyperbolas is None):
         raise Error("give exactly one of --transforms or --hyperbolas")
     if args.hyperbolas is not None:
-        family = mio.load_hyperbolas(args.hyperbolas, ctx)
-        record = energy_report(family, ctx)
+        record = energy_report(args.hyperbolas, args.ctx)
     else:
-        maps = mio.load_transforms(args.transforms, ctx)
-        record = {"size": len(maps), "energy": energy(maps)}
+        record = {"size": len(args.transforms), "energy": energy(args.transforms)}
     _emit_record(record, args.json)
     return 0
 
 
 def _cmd_repr(args) -> int:
-    ctx = FieldContext(args.prime)
-    A = mio.load_scalars(args.a, ctx)
-    B = mio.load_scalars(args.b, ctx)
     if args.table:
-        table = representation_counts(A, B)
+        table = representation_counts(args.a, args.b)
         for lam in sorted(table):
             print(f"{lam},{table[lam]}")
         return 0
-    record = representation_report(A, B)
+    record = representation_report(args.a, args.b)
     _emit_record(record, args.json)
     if args.strict and not record["hypothesis_ok"]:
-        print("error: hypothesis |A+B| <= sqrt(p) fails", file=sys.stderr)
-        return 2
+        raise Error("hypothesis |A+B| <= sqrt(p) fails")
     return 0
 
 
 def _cmd_beck(args) -> int:
-    ctx = FieldContext(args.prime)
-    points = mio.load_points(args.points, ctx)
-    refuse_pivot_work(len(points))
-    _emit_record(beck_statistics(points, args.constant), args.json)
+    refuse_pivot_work(len(args.points))
+    _emit_record(beck_statistics(args.points, args.constant), args.json)
     return 0
 
 
 def _cmd_expander(args) -> int:
-    ctx = FieldContext(args.prime)
-    A = mio.load_scalars(args.a, ctx)
-    _emit_record(expander_report(A, args.kind), args.json)
+    _emit_record(expander_report(args.a, args.kind), args.json)
     return 0
 
 
 def _cmd_equiv_count(args) -> int:
-    ctx = FieldContext(args.prime)
-    ground = mio.load_scalars(args.a, ctx)
-    pattern = mio.load_scalars(args.s, ctx)
-    _emit_record(projective_equivalence_count(ground, pattern), args.json)
+    _emit_record(projective_equivalence_count(args.a, args.s), args.json)
     return 0
 
 
-# The group scan of 120 points at p = 61: the largest one the CLI starts.
-MAX_BRUTE_WORK = 61**3 * 120
-# The exhaustive check at p = 53: the largest run the CLI starts.
-MAX_REDUCTION_WORK = 53**5
-
-
 def _cmd_verify_reduction(args) -> int:
-    ctx = FieldContext(args.prime)
-    p = ctx.p
+    p = args.ctx.p
     # Each pivot costs about p^3 steps.
     pivot_count = p * p if args.exhaustive else min(args.samples, p * p)
     if pivot_count * p**3 > MAX_REDUCTION_WORK:
@@ -174,17 +152,12 @@ def _cmd_verify_reduction(args) -> int:
     pivots = None
     if not args.exhaustive:
         rng = random.Random(args.seed)
-        count = min(args.samples, p * p)
         pivots = sorted(
-            (v // p, v % p) for v in rng.sample(range(p * p), count)
+            (v // p, v % p) for v in rng.sample(range(p * p), pivot_count)
         )
-    report = check_reduction(ctx, pivots, jobs=args.jobs)
-    print(
-        f"p={p} pivots={report.pivots} transforms={report.transforms} "
-        f"triples={report.triples} violations={report.violations} "
-        f"line-collisions={report.line_collisions} "
-        f"det-mismatches={report.det_mismatches}"
-    )
+    report = check_reduction(args.ctx, pivots, jobs=args.jobs)
+    _emit_record({name.replace("_", "-"): value
+                  for name, value in report._asdict().items()})
     if not report.ok:
         print("REDUCTION CHECK FAILED", file=sys.stderr)
         return 1
@@ -198,15 +171,11 @@ def _cmd_sweep(args) -> int:
         raw["seed"] = str(args.seed)
     config = SweepConfig.from_mapping(raw)
     rows = sweep(config, jobs=args.jobs)
-    if args.format == "csv":
-        sys.stdout.write(rows_to_csv(rows, timing=args.timing))
-    else:
-        sys.stdout.write(rows_to_jsonl(rows, timing=args.timing))
-    if args.strict:
-        bad = sum(1 for row in rows if not row["hyp_ok"])
-        if bad:
-            print(f"error: {bad} rows violate their hypotheses", file=sys.stderr)
-            return 2
+    write_rows = rows_to_csv if args.format == "csv" else rows_to_jsonl
+    sys.stdout.write(write_rows(rows, timing=args.timing))
+    bad = sum(1 for row in rows if not row["hyp_ok"])
+    if args.strict and bad:
+        raise Error(f"{bad} rows violate their hypotheses")
     return 0
 
 
@@ -282,12 +251,12 @@ def _parser() -> argparse.ArgumentParser:
     cmd.add_argument("--samples", type=int, default=8,
                      help="number of sampled pivots when not exhaustive")
     cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--jobs", type=int, default=_default_jobs())
+    cmd.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     cmd = sub.add_parser("sweep", help="run a configured bounds sweep")
     cmd.add_argument("--config", required=True)
     cmd.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    cmd.add_argument("--jobs", type=int, default=_default_jobs())
+    cmd.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     cmd.add_argument("--seed", type=int, default=None,
                      help="override the seed in the config file")
     cmd.add_argument("--timing", action="store_true",
@@ -301,6 +270,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if "prime" in args:
+            args.ctx = FieldContext(args.prime)
+            for flag, loader in _LOADERS:
+                if getattr(args, flag, None) is not None:
+                    setattr(args, flag, getattr(mio, loader)(getattr(args, flag), args.ctx))
         return args.handler(args)
     except (Error, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -129,7 +129,16 @@ class SweepConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "SweepConfig":
-        known = {k: _TYPED_KEYS[k](v) for k, v in raw.items() if k in _TYPED_KEYS}
+        known = {}
+        for key, value in raw.items():
+            if key in _TYPED_KEYS:
+                parse, expected = _TYPED_KEYS[key]
+                try:
+                    known[key] = parse(value)
+                except ValueError:
+                    raise ConfigError(
+                        f"config key {key!r} must be {expected}, got {value!r}"
+                    ) from None
         params = {k: _parse_value(v) for k, v in raw.items() if k not in _TYPED_KEYS}
         missing = {"primes", "bounds", "generator", "seed"} - known.keys()
         if missing:
@@ -162,17 +171,17 @@ def _comma_list(convert):
     return parse
 
 
-# The typed config keys and their parsers; every other key is a generator
-# parameter.
+# The typed config keys, their parsers and what a parser that can fail
+# expects; every other key is a generator parameter.
 _TYPED_KEYS = {
-    "primes": _comma_list(int),
-    "bounds": _comma_list(str),
-    "generator": str,
-    "seed": int,
-    "reps": int,
-    "sizes": _comma_list(int),
-    "k": int,
-    "constant": float,
+    "primes": (_comma_list(int), "a comma list of integers"),
+    "bounds": (_comma_list(str), None),
+    "generator": (str, None),
+    "seed": (int, "an integer"),
+    "reps": (int, "an integer"),
+    "sizes": (_comma_list(int), "a comma list of integers"),
+    "k": (int, "an integer"),
+    "constant": (float, "a number"),
 }
 
 
@@ -367,19 +376,16 @@ def _emit_value(value):
     return str(value)
 
 
+def json_line(record: dict) -> str:
+    """One compact JSON object, its floats rounded to 12 significant digits."""
+    rounded = {k: _round12(v) if isinstance(v, float) else v for k, v in record.items()}
+    return json.dumps(rounded, separators=(",", ":"))
+
+
 def rows_to_jsonl(rows: Iterable[dict], timing: bool = False) -> str:
     """One JSON object per row with a fixed key order."""
     fields = ROW_FIELDS + ((TIMING_FIELD,) if timing else ())
-    lines = []
-    for row in rows:
-        out = {}
-        for name in fields:
-            value = row.get(name)
-            if isinstance(value, float):
-                value = _round12(value)
-            out[name] = value
-        lines.append(json.dumps(out, separators=(",", ":")))
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(json_line({name: row.get(name) for name in fields}) + "\n" for row in rows)
 
 
 def rows_to_csv(rows: Iterable[dict], timing: bool = False) -> str:

@@ -1,9 +1,11 @@
 """End-to-end CLI behaviour: wiring, formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 from unittest import mock
 
@@ -182,6 +184,12 @@ def test_energy_subcommand(files, capsys):
 def test_energy_requires_exactly_one_input(files, capsys):
     code, _, err = run(capsys, "energy", "-p", "7")
     assert code == 2 and "error:" in err
+    empty = files("h.txt", "# no translates\n")
+    transforms = files("t.txt", "1,0,0,1\n")
+    for argv in (["--hyperbolas", empty], ["--transforms", transforms, "--hyperbolas", empty]):
+        code, out, err = run(capsys, "energy", "-p", "7", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_repr_report_and_table(files, capsys):
@@ -416,6 +424,91 @@ def test_sweep_generator_values(files, capsys, generator, extra, expected_code):
         assert json.loads(out.splitlines()[0])["n_a"] == 1
     else:
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _pinned_files(files):
+    """Seeded input files for the pinned CLI cases, by name."""
+    rng = random.Random(9)
+    lines = lambda rows: "".join(",".join(map(str, row)) + "\n" for row in rows)  # noqa: E731
+    maps = []
+    while len(maps) < 12:
+        a, b, c, d = (rng.randrange(13) for _ in range(4))
+        if (a * d - b * c) % 13:
+            maps.append((a, b, c, d))
+    return {
+        "P13": files("p13.txt", lines((v // 13, v % 13) for v in rng.sample(range(169), 20))),
+        "T13": files("t13.txt", lines(maps)),
+        "P11": files("p11.txt", lines((v // 11, v % 11) for v in rng.sample(range(121), 14))),
+        "H13": files("h13.txt", lines((a, b, 1) for a in (0, 2, 5) for b in (1, 3, 4))),
+        "A101": files("a101.txt", lines([v] for v in (1, 2, 3, 4))),
+        "A7": files("a7.txt", lines([v] for v in (1, 2, 3))),
+        "A31": files("a31.txt", lines([v] for v in rng.sample(range(31), 8))),
+        "S31": files("s31.txt", lines([v] for v in (0, 1, 5))),
+    }
+
+
+# The first 16 hex digits of the sha256 of (exit code, stdout, stderr without
+# its timing lines) for each case of the test below.
+PINNED_CLI = {
+    "incidence": "3951eec0e1967016",
+    "rich-enum-pivot": "29bbc587ffc06e85",
+    "rich-enum-brute": "29bbc587ffc06e85",
+    "rich-enum-both": "2cb661667aeb0cf6",
+    "energy-maps": "cb3ed1223638d691",
+    "energy-hyperbolas": "3f11c95bf3a60abc",
+    "repr": "5312c57fbf4aed1b",
+    "repr-table": "17d95514c4a59531",
+    "repr-strict": "d2b3cb59f12da804",
+    "beck": "b05e5998e48641d4",
+    "beck-constant": "85b6b53d071c92c8",
+    "expander-shift-invert": "f080ee975f0a975d",
+    "expander-rational": "b04fde23fe5f4937",
+    "equiv-count": "e89d4f5aa0b417cf",
+    "verify-reduction-exhaustive": "e35eb67d384739ea",
+    "verify-reduction-sampled": "3fbb0d018d2f89ec",
+    "energy-maps-json": "f1a350a640149e20",
+    "energy-hyperbolas-json": "d3f8023c37c4a619",
+    "repr-json": "db364cde8358eda8",
+    "repr-table-json": "17d95514c4a59531",
+    "repr-strict-json": "5d15ab4e6e207042",
+    "beck-json": "63f7c320e1194d3a",
+    "beck-constant-json": "f847b4e371670fc3",
+    "expander-shift-invert-json": "a627192db6de291f",
+    "expander-rational-json": "c2ba0db1a543d64e",
+    "equiv-count-json": "7ae918c4dabcacb6",
+}
+
+
+def test_cli_bytes_are_pinned(files, capsys):
+    f = _pinned_files(files)
+    cases = {
+        "incidence": ["incidence", "-p", "13", "--points", f["P13"], "--transforms", f["T13"]],
+        **{f"rich-enum-{method}": ["rich-enum", "-p", "11", "-k", "3", "--points", f["P11"],
+                                   "--method", method] for method in ("pivot", "brute", "both")},
+        "energy-maps": ["energy", "-p", "13", "--transforms", f["T13"]],
+        "energy-hyperbolas": ["energy", "-p", "13", "--hyperbolas", f["H13"]],
+        "repr": ["repr", "-p", "101", "--a", f["A101"], "--b", f["A101"]],
+        "repr-table": ["repr", "-p", "101", "--a", f["A101"], "--b", f["A101"], "--table"],
+        "repr-strict": ["repr", "-p", "7", "--a", f["A7"], "--b", f["A7"], "--strict"],
+        "beck": ["beck", "-p", "13", "--points", f["P13"]],
+        "beck-constant": ["beck", "-p", "13", "--points", f["P13"], "--constant", "2.5"],
+        "expander-shift-invert": ["expander", "shift-invert", "-p", "31", "--a", f["A31"]],
+        "expander-rational": ["expander", "rational", "-p", "31", "--a", f["A31"]],
+        "equiv-count": ["equiv-count", "-p", "31", "--a", f["A31"], "--s", f["S31"]],
+        "verify-reduction-exhaustive": ["verify-reduction", "-p", "7", "--exhaustive",
+                                        "--jobs", "1"],
+        "verify-reduction-sampled": ["verify-reduction", "-p", "13", "--samples", "5",
+                                     "--seed", "4", "--jobs", "1"],
+    }
+    cases.update({f"{name}-json": [*argv, "--json"] for name, argv in cases.items()
+                  if name.split("-")[0] in ("energy", "repr", "beck", "expander", "equiv")})
+    digests = {}
+    for name, argv in cases.items():
+        code, out, err = run(capsys, *argv)
+        err = "".join(line for line in err.splitlines(keepends=True)
+                      if not line.startswith("timing "))
+        digests[name] = hashlib.sha256(repr((code, out, err)).encode()).hexdigest()[:16]
+    assert digests == PINNED_CLI
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -60,6 +60,15 @@ def test_config_validation_errors(monkeypatch):
             config_from(
                 f"primes = 7\nbounds = thm1-rich\ngenerator = random-points\nseed = 1\n{extra}"
             )
+    # A malformed typed value names its key.
+    for extra, message in (("primes = x", "'primes' must be a comma list of integers"),
+                           ("k = 2.5", "'k' must be an integer, got '2.5'"),
+                           ("constant = abc", "'constant' must be a number"),
+                           ("sizes = 3,y", "'sizes' must be a comma list of integers")):
+        with pytest.raises(ConfigError, match=message):
+            config_from(
+                f"primes = 7\nbounds = thm1-rich\ngenerator = random-points\nseed = 1\n{extra}"
+            )
     for constant in ("nan", "0", "-1", "inf"):
         with pytest.raises(ConfigError, match="positive and finite"):
             config_from(
