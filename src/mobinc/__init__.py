@@ -61,7 +61,7 @@ from .pivot import (
     line_image,
     line_preimage,
     line_through,
-    pivot_multiplicities,
+    rich_counts,
     rich_lines,
     rich_transforms_pivot,
     transforms_through_pivot,

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .field import INFINITY, FieldContext, MoebiusMap, same_context
 from .incidence import PointSet, SortedSet
-from .pivot import pivot_multiplicities
+from .pivot import rich_counts
 
 SHIFT_INVERT = "shift-invert"
 RATIONAL = "rational"
@@ -100,21 +100,20 @@ def representation_report(A: ScalarSet, B: ScalarSet) -> dict:
 def beck_statistics(P: PointSet, constant: float = 1.0) -> dict:
     """Either-many-points-on-one-map-or-many-maps dichotomy statistics.
 
-    Reports how many maps P defines (maps through three of its points: the
-    3-rich set of the pivot enumeration), the largest point count on any of
-    them (its pivot multiplicity), and the window endpoints constant*n^(3/7)
-    and n/constant^(7/4) for a positive finite constant.
+    Counts the maps through three points of P and the most points on one,
+    from the pivot richness tallies, and gives the window endpoints
+    constant*n^(3/7) and n/constant^(7/4) for a positive finite constant.
     """
     if not 0 < constant < math.inf:
         raise ValueError(f"the constant must be positive and finite, got {constant}")
     n = len(P)
     if n < 3:
         raise DegenerateInputError(f"need at least 3 points, got {n}")
-    richness_of = pivot_multiplicities(P, 3)
+    counts = rich_counts(P, 3)
     return {
         "n": n,
-        "max_richness": max(richness_of.values(), default=0),
-        "defined_count": len(richness_of),
+        "max_richness": max(counts, default=0),
+        "defined_count": counts.get(3, 0),
         "rich_threshold_lo": constant * n ** (3 / 7),
         "rich_threshold_hi": n / constant ** (7 / 4),
         "constant": constant,

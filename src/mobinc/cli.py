@@ -141,6 +141,8 @@ def _cmd_equiv_count(args) -> int:
 
 def _cmd_verify_reduction(args) -> int:
     p = args.ctx.p
+    if args.samples < 1:
+        raise Error(f"--samples must be at least 1, got {args.samples}")
     # Each pivot costs about p^3 steps.
     pivot_count = p * p if args.exhaustive else min(args.samples, p * p)
     if pivot_count * p**3 > MAX_REDUCTION_WORK:

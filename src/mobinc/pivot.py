@@ -12,15 +12,16 @@ i.e. the line y = ((q1 + d)x - 1)/(a - q2).  Transplanting each point
 incidences exactly, and the only incidence lost to the two excluded rows is
 the pivot itself.  Affine maps (c = 0) through q land on the lines through
 the origin, so the maps through q correspond one-to-one to the lines that
-are neither vertical nor horizontal.  A map with r points of P on it
-therefore shows up, at each of them, as a line with r-1 transplanted
-points.  The enumeration takes each map once, at its least point, the only
-pivot that sees all the others when pivots transplant only later points.
+are neither vertical nor horizontal.  When pivots transplant only later
+points, a map with r points of P shows up at its t-th point as a line
+through exactly r - t of them, so each map with at least j points has
+exactly one production whose line carries exactly j - 1 later points.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import partial
 from typing import NamedTuple, Optional, Union
 
@@ -130,23 +131,21 @@ def point_on_line(s: tuple[int, int], line: AffineLine, ctx: FieldContext) -> bo
     return (s[1] - line.slope * s[0] - line.intercept) % p == 0
 
 
-def _line_pairs(points, ctx: FieldContext, axes: bool) -> dict[int, int]:
+def _line_pairs(points, ctx: FieldContext) -> dict[int, int]:
     """Point pairs per line: m(m-1)/2 on a line through m of the points.
 
-    y = sx + i is keyed s*p + i.  With axes, x = c is keyed p*p + c, after
-    all others; without, vertical and horizontal pairs are skipped.
+    y = sx + i is keyed s*p + i, so horizontal lines fall below p; x = c is
+    keyed p*p + c, after all others.
     """
     p, inv = ctx.p, ctx._inv
     pairs: dict[int, int] = {}
     for i, (x1, y1) in enumerate(points):
         for x2, y2 in points[i + 1 :]:
-            if x1 != x2 and (axes or y1 != y2):
+            if x1 != x2:
                 m = (y2 - y1) * inv[(x2 - x1) % p] % p
                 key = m * p + (y1 - m * x1) % p
-            elif axes:
-                key = p * p + x1
             else:
-                continue
+                key = p * p + x1
             pairs[key] = pairs.get(key, 0) + 1
     return pairs
 
@@ -156,7 +155,7 @@ def rich_lines(P: PointSet, j: int) -> tuple[AffineLine, ...]:
     if j < 2:
         raise ThresholdError(f"rich lines need a threshold >= 2, got {j}")
     p, least = P.ctx.p, j * (j - 1) // 2
-    keys = sorted(key for key, c in _line_pairs(P.points, P.ctx, True).items() if c >= least)
+    keys = sorted(key for key, c in _line_pairs(P.points, P.ctx).items() if c >= least)
     return tuple(
         NonVertical(*divmod(key, p)) if key < p * p else Vertical(key - p * p) for key in keys
     )
@@ -179,8 +178,8 @@ def line_preimage(
 
 
 # The pivot enumeration of 200 points: its work grows as n^3 whatever p and
-# k.  At k = 3 and p = 9973 it yields 1.3 million maps; beck then takes 9 s
-# and 280 MB, and the sorted rich-enum listing 21 s and 470 MB.
+# k.  At k = 3 and p = 9973 it yields 1.3 million maps; beck counts them in
+# 2 s and 24 MB, and the sorted rich-enum listing takes 18 s and 430 MB.
 MAX_PIVOT_WORK = 200**3
 
 
@@ -193,35 +192,37 @@ def refuse_pivot_work(n: int) -> None:
         )
 
 
-def pivot_multiplicities(P: PointSet, k: int) -> dict[MoebiusMap, int]:
-    """Each k-rich map with its richness, the number of points of P on it.
-
-    Pivot i transplants only the points after it.  A map is recorded the
-    first time a pivot produces it, at its least point, where the line
-    carries all m = richness - 1 other points in m(m-1)/2 pairs, so
-    isqrt(1 + 8*pairs) = 2m - 1.
-    """
+def _later_lines(P: PointSet, k: int):
+    """(pivot, key, pairs) per non-axis line through k-1 or more later points."""
     if k < 3:
         raise ThresholdError(f"pivot enumeration needs k >= 3, got {k}")
     ctx, p, pts = P.ctx, P.ctx.p, P.points
     least = (k - 1) * (k - 2) // 2
-    richness: dict[MoebiusMap, int] = {}
     for i, q in enumerate(pts):
-        moved = _transplant(pts[i + 1 :], *q, ctx)
-        for key, pairs in _line_pairs(moved, ctx, False).items():
-            if pairs >= least:
-                f = line_preimage(NonVertical(*divmod(key, p)), q, ctx)
-                if f not in richness:
-                    richness[f] = (math.isqrt(1 + 8 * pairs) + 3) // 2
-    return richness
+        for key, pairs in _line_pairs(_transplant(pts[i + 1 :], *q, ctx), ctx).items():
+            if pairs >= least and p <= key < p * p:
+                yield q, key, pairs
+
+
+def rich_counts(P: PointSet, k: int) -> dict[int, int]:
+    """For each r >= k, the number of maps with at least r points of P.
+
+    These are the lines through exactly m = r - 1 later points, whose
+    m(m-1)/2 pairs give isqrt(1 + 8*pairs) = 2m - 1.  No map is built.
+    """
+    tally = Counter(pairs for _, _, pairs in _later_lines(P, k))
+    return {(math.isqrt(1 + 8 * pairs) + 3) // 2: n for pairs, n in tally.items()}
 
 
 def rich_transforms_pivot(P: PointSet, k: int) -> TransformSet:
     """All k-rich maps (k >= 3), enumerated through the pivot reduction.
 
-    Agrees exactly with the full-group brute scan.
+    Each map is built once, from its line through exactly k - 1 later
+    points.  Agrees exactly with the full-group brute scan.
     """
-    return TransformSet(pivot_multiplicities(P, k).keys(), P.ctx)
+    ctx, exact = P.ctx, (k - 1) * (k - 2) // 2
+    return TransformSet((line_preimage(NonVertical(*divmod(key, ctx.p)), q, ctx)
+                         for q, key, pairs in _later_lines(P, k) if pairs == exact), ctx)
 
 
 class ReductionReport(NamedTuple):

@@ -46,7 +46,7 @@ from .generators import (
     generate_instance,
 )
 from .incidence import count_incidences
-from .pivot import pivot_multiplicities, refuse_pivot_work, rich_lines
+from .pivot import refuse_pivot_work, rich_counts, rich_lines
 
 ROW_FIELDS = (
     "bound",
@@ -216,15 +216,21 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
     also gives B, because nb is always resolved, so the scalars are filled
     in as a pair.  The grid A x B is built once, when there are scalars, and
     is the points when the generator gave none.  A needed component that
-    came out empty is a ConfigError naming the cell.
+    came out empty is a ConfigError naming the cell.  Random points under a
+    thm1-rich row are refused on their size n before they are drawn.
     """
     params = _resolved_sizes(config, size)
     needed = {need for bound in config.bounds for need in _NEEDS[bound]}
     base_seed = derive_seed(config.seed, ctx.p, size, rep)
-    inst = generate_instance(config.generator, params, base_seed, ctx)
+
+    def draw(kind, kind_params, seed):
+        if kind == RANDOM_POINTS and THM1_RICH in config.bounds:
+            refuse_pivot_work(params["n"])
+        return generate_instance(kind, kind_params, seed, ctx)
+
+    inst = draw(config.generator, params, base_seed)
     if "scalars" in needed and inst.a is None:
-        seed = derive_seed(base_seed, "scalars")
-        extra = generate_instance(RANDOM_SCALARS, params, seed, ctx)
+        extra = draw(RANDOM_SCALARS, params, derive_seed(base_seed, "scalars"))
         inst.a, inst.b = extra.a, extra.b
     grid = None if inst.a is None else cartesian_points(inst.a, inst.b)
     if inst.points is None:
@@ -234,9 +240,7 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
             continue
         # Only points, transforms and hyperbolas can still be missing here.
         if getattr(inst, attr) is None:
-            extra = generate_instance(
-                kind, {key: params[key]}, derive_seed(base_seed, attr), ctx
-            )
+            extra = draw(kind, {key: params[key]}, derive_seed(base_seed, attr))
             setattr(inst, attr, getattr(extra, attr))
         if len(getattr(inst, attr)) == 0:
             raise ConfigError(f"{_cell(config, ctx.p, size, rep)}: the {label} is empty")
@@ -275,7 +279,7 @@ def _compute_row(bound, inst, grid, rich, config, ctx, size, rep):
     if bound in (THM1_RICH, THM2_RICH):
         if P.points not in rich:
             refuse_pivot_work(len(P))
-            rich[P.points] = len(pivot_multiplicities(P, k))
+            rich[P.points] = rich_counts(P, k).get(k, 0)
         lhs = rich[P.points]
         _guard_rich(lhs, ctx.p)
         params["k"] = row["k"] = k

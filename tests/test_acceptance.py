@@ -28,9 +28,15 @@ from mobinc.energy import (
     hyperbola_to_moebius,
 )
 from mobinc.field import FieldContext, MoebiusMap, enumerate_group, group_order
-from mobinc.incidence import PointSet, TransformSet, lies_on, rich_transforms_brute
+from mobinc.incidence import (
+    PointSet,
+    TransformSet,
+    lies_on,
+    rich_transforms_brute,
+    richness,
+)
 from mobinc.io import load_config, load_hyperbolas
-from mobinc.pivot import check_reduction, pivot_multiplicities
+from mobinc.pivot import check_reduction, rich_counts, rich_transforms_pivot
 from mobinc.sweep import SweepConfig, rows_to_csv, rows_to_jsonl, sweep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,26 +99,27 @@ def test_criterion_3_enumeration_oracle_equivalence():
     contexts = {p: FieldContext(p) for p in (7, 11, 13)}
     start = time.perf_counter()
     mismatches = 0
-    low_multiplicity = 0
+    count_mismatches = 0
     for _ in range(200):
         p = rng.choice((7, 11, 13))
         ctx = contexts[p]
         n = rng.randint(5, 30)
         k = rng.choice((3, 4, 5))
         P = _random_points(ctx, n, rng)
-        multiplicity = pivot_multiplicities(P, k)
         brute = rich_transforms_brute(P, k)
-        if set(multiplicity) != set(brute):
+        if rich_transforms_pivot(P, k) != brute:
             mismatches += 1
-        if any(count < k for count in multiplicity.values()):
-            low_multiplicity += 1
+        counts = [richness(f, P) for f in brute]
+        tails = {r: sum(c >= r for c in counts) for r in range(k, max(counts, default=0) + 1)}
+        if rich_counts(P, k) != tails:
+            count_mismatches += 1
     elapsed = time.perf_counter() - start
     _criterion(
         3,
-        "pivot enumeration equals brute scan on 200 seeded instances",
-        mismatches == 0 and low_multiplicity == 0 and elapsed < 60.0,
-        f"{mismatches} set mismatches, {low_multiplicity} multiplicity "
-        f"failures, {elapsed:.1f}s",
+        "pivot enumeration and counts equal brute scan on 200 seeded instances",
+        mismatches == 0 and count_mismatches == 0 and elapsed < 60.0,
+        f"{mismatches} set mismatches, {count_mismatches} count "
+        f"mismatches, {elapsed:.1f}s",
     )
 
 

@@ -297,6 +297,8 @@ def _unreachable(*args, **kwargs):
     ("-p", "59", "--exhaustive"),
     ("-p", "1048573", "--exhaustive"),
     ("-p", "1009", "--samples", "8"),
+    ("-p", "13", "--samples", "0"),
+    ("-p", "13", "--samples", "-1"),
 ])
 def test_verify_reduction_refuses_unbounded_work(capsys, monkeypatch, argv):
     # Refused before any pivot is listed or sampled, let alone checked.

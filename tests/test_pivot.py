@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import mobinc.pivot as pivot_module
 from mobinc.errors import (
     PivotMismatchError,
     ThresholdError,
@@ -27,8 +28,8 @@ from mobinc.pivot import (
     line_image,
     line_preimage,
     line_through,
-    pivot_multiplicities,
     point_on_line,
+    rich_counts,
     rich_lines,
     rich_transforms_pivot,
     transforms_through_pivot,
@@ -231,22 +232,46 @@ def test_pivot_equals_brute(p, seed):
         assert rich_transforms_pivot(P, k) == rich_transforms_brute(P, k)
 
 
-def test_pivot_multiplicities_at_least_k():
+def richness_tails(richnesses, k):
+    """For each r >= k, how many of the richnesses are at least r."""
+    richnesses = list(richnesses)
+    return {
+        r: sum(count >= r for count in richnesses)
+        for r in range(k, max(richnesses, default=0) + 1)
+    }
+
+
+def test_rich_counts_equal_brute_richness_tails():
     for p, seed in ((7, 5), (11, 6)):
         ctx = FieldContext(p)
         P = random_points(ctx, 14, seed)
         for k in (3, 4):
-            multiplicity = pivot_multiplicities(P, k)
-            assert set(multiplicity) == set(rich_transforms_brute(P, k))
-            assert all(count >= k for count in multiplicity.values())
-            assert all(
-                count == richness(f, P) for f, count in multiplicity.items()
-            )
+            brute = rich_transforms_brute(P, k)
+            assert rich_counts(P, k) == richness_tails((richness(f, P) for f in brute), k)
+    with pytest.raises(ThresholdError):
+        rich_counts(P, 2)
+
+
+def test_rich_transforms_pivot_builds_each_map_once(monkeypatch):
+    built = []
+
+    def counted(line, q, ctx):
+        built.append(line_preimage(line, q, ctx))
+        return built[-1]
+
+    monkeypatch.setattr(pivot_module, "line_preimage", counted)
+    for p, n in ((11, 30), (31, 60)):
+        ctx = FieldContext(p)
+        for P in (random_points(ctx, n, p), axis_lines_and_random(ctx, n // 2, p)):
+            for k in (3, 4):
+                built.clear()
+                found = rich_transforms_pivot(P, k)
+                assert len(built) == len(found) and set(built) == set(found)
 
 
 def _pivot_multiplicities_every_pivot(P, k):
-    """Reference for pivot_multiplicities: every pivot transplants all of P,
-    and every production of a map counts once towards its multiplicity."""
+    """Every pivot transplants all of P, and every production of a map counts
+    once towards its multiplicity, which is then the map's richness."""
     multiplicity = {}
     for q in P.points:
         for line in rich_lines(transplant_points(P, q)[0], k - 1):
@@ -275,11 +300,12 @@ def axis_lines_and_random(ctx, n, seed):
 
 
 @pytest.mark.parametrize("p, n", [(7, 16), (11, 30), (13, 40), (31, 60)])
-def test_pivot_multiplicities_equal_every_pivot_reference(p, n):
+def test_rich_counts_equal_every_pivot_reference(p, n):
     ctx = FieldContext(p)
     for P in (random_points(ctx, n, p), axis_lines_and_random(ctx, n // 2, p)):
         for k in (3, 4, 5):
-            assert pivot_multiplicities(P, k) == _pivot_multiplicities_every_pivot(P, k)
+            reference = _pivot_multiplicities_every_pivot(P, k)
+            assert rich_counts(P, k) == richness_tails(reference.values(), k)
 
 
 @pytest.mark.parametrize("p, n", [(7, 16), (11, 30), (13, 40), (31, 60)])

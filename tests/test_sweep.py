@@ -229,7 +229,7 @@ def _pivot_unreachable(*args, **kwargs):
 ], ids=["thm1-rich", "defined-by", "thm2-rich"])
 def test_pivot_work_is_refused_per_cell(tmp_path, capsys, monkeypatch, text,
                                         refused, admitted):
-    monkeypatch.setattr(sweep_module, "pivot_multiplicities", _pivot_unreachable)
+    monkeypatch.setattr(sweep_module, "rich_counts", _pivot_unreachable)
     monkeypatch.setattr(generators, "rich_transforms_pivot", _pivot_unreachable)
     path = tmp_path / "sweep.cfg"
     argv = ["sweep", "--config", str(path), "--jobs", "1"]
@@ -245,15 +245,34 @@ def test_pivot_work_is_refused_per_cell(tmp_path, capsys, monkeypatch, text,
         cli.main(argv)
 
 
+def _draw_unreachable(*args, **kwargs):
+    raise AssertionError("the points were drawn")
+
+
+@pytest.mark.parametrize("generator", ["random-points", "random-transforms"])
+def test_rich_points_are_refused_before_the_draw(tmp_path, capsys, monkeypatch,
+                                                 generator):
+    monkeypatch.setattr(generators, "_sample_points", _draw_unreachable)
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"primes = 9973\nseed = 1\nbounds = thm1-rich\n"
+                    f"generator = {generator}\nn = 1000000\n", encoding="utf-8")
+    code = cli.main(["sweep", "--config", str(path), "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "p=9973" in captured.err and "rep=0" in captured.err
+    assert "1000000 points" in captured.err and "200^3" in captured.err
+
+
 def test_one_rich_enumeration_per_point_set(monkeypatch):
     calls = []
-    original = sweep_module.pivot_multiplicities
+    original = sweep_module.rich_counts
 
     def counted(P, k):
         calls.append(P.points)
         return original(P, k)
 
-    monkeypatch.setattr(sweep_module, "pivot_multiplicities", counted)
+    monkeypatch.setattr(sweep_module, "rich_counts", counted)
     text = "primes = 11,13\nsizes = 3,4\nreps = 2\nk = 3\nseed = 3\n"
     cells = 2 * 2 * 2
     both = "bounds = thm1-rich,thm2-rich\n"
