@@ -24,10 +24,6 @@ from .pivot import rich_counts
 
 SHIFT_INVERT = "shift-invert"
 RATIONAL = "rational"
-EXPANDER_KINDS = (SHIFT_INVERT, RATIONAL)
-
-# claimed growth exponents, used only to normalize reported ratios
-_EXPANDER_EXPONENT = {SHIFT_INVERT: 6 / 5, RATIONAL: 4 / 3}
 
 
 class ScalarSet(SortedSet):
@@ -147,15 +143,20 @@ def expander_rational(A: ScalarSet) -> ScalarSet:
     return ScalarSet(out, ctx)
 
 
+# kind: (value-set function, claimed growth exponent, only for reported ratios)
+_EXPANDERS = {
+    SHIFT_INVERT: (expander_shift_invert, 6 / 5),
+    RATIONAL: (expander_rational, 4 / 3),
+}
+EXPANDER_KINDS = tuple(_EXPANDERS)
+
+
 def expander_report(A: ScalarSet, kind: str) -> dict:
     """Value-set size next to the claimed growth exponent for that kind."""
-    if kind == SHIFT_INVERT:
-        out = expander_shift_invert(A)
-    elif kind == RATIONAL:
-        out = expander_rational(A)
-    else:
+    if kind not in _EXPANDERS:
         raise ValueError(f"unknown expander kind {kind!r}")
-    exponent = _EXPANDER_EXPONENT[kind]
+    value_set, exponent = _EXPANDERS[kind]
+    out = value_set(A)
     n = len(A)
     size = len(out)
     return {

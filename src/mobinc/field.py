@@ -117,22 +117,18 @@ def same_context(a: FieldContext, b: FieldContext) -> FieldContext:
     return a
 
 
-def worker_count(jobs: int, units: int) -> int:
-    """Processes for `units` tasks: 1 to min(jobs, CPU count, units)."""
-    return max(1, min(jobs, os.cpu_count() or 1, units))
-
-
 def parallel_map(fn: Callable, units: Sequence, jobs: int = 1) -> list:
-    """[fn(u) for u in units], over worker_count(jobs, len(units)) processes.
+    """[fn(u) for u in units] over min(jobs, CPU count, len(units)) processes.
 
-    The one worker pool of the package.  fn must be a module-level function
-    so workers can import it; a single worker runs fn in this process.
+    The package's one worker pool and its only split of units over workers:
+    about four contiguous batches per worker, results in unit order.  fn
+    must pickle; a single worker runs fn in this process.
     """
-    workers = worker_count(jobs, len(units))
+    workers = max(1, min(jobs, os.cpu_count() or 1, len(units)))
     if workers == 1:
         return [fn(u) for u in units]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, units))
+        return list(pool.map(fn, units, chunksize=-(-len(units) // (4 * workers))))
 
 
 class MoebiusMap:
@@ -185,11 +181,6 @@ class MoebiusMap:
     def identity(cls, ctx: FieldContext) -> "MoebiusMap":
         return cls._canonical(1, 0, 0, 1, ctx)
 
-    @classmethod
-    def affine(cls, slope: int, intercept: int, ctx: FieldContext) -> "MoebiusMap":
-        """The map x -> slope*x + intercept (slope must be nonzero)."""
-        return cls(slope, intercept, 0, 1, ctx)
-
     def __call__(self, x: ProjectivePoint) -> ProjectivePoint:
         p = self.ctx.p
         if x is INFINITY:
@@ -221,10 +212,6 @@ class MoebiusMap:
         return MoebiusMap._canonical(
             self.d, (-self.b) % p, (-self.c) % p, self.a, self.ctx
         )
-
-    @property
-    def is_affine(self) -> bool:
-        return self.c == 0
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)

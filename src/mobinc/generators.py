@@ -49,9 +49,6 @@ INSTANCE_KINDS = (
 class Instance:
     """Whatever one generator call produced; unused components stay None."""
 
-    kind: str
-    p: int
-    seed: int
     points: Optional[PointSet] = None
     a: Optional[ScalarSet] = None
     b: Optional[ScalarSet] = None
@@ -172,7 +169,7 @@ def generate_instance(
 ) -> Instance:
     """Build one instance of the requested kind, deterministically."""
     rng = random.Random(seed)
-    inst = Instance(kind=kind, p=ctx.p, seed=seed)
+    inst = Instance()
     if kind == RANDOM_POINTS:
         inst.points = _sample_points(rng, _need(params, "n"), ctx)
     elif kind == RANDOM_SCALARS:

@@ -77,17 +77,14 @@ class TransformSet(SortedSet):
 
 def lies_on(s: tuple[int, int], f: MoebiusMap) -> bool:
     """True iff the affine point s = (x, y) satisfies y = f(x), x not a pole."""
-    x, y = s
-    p = f.ctx.p
-    den = (f.c * x + f.d) % p
-    return den != 0 and (y * den - f.a * x - f.b) % p == 0
+    return incidences_of(f.a, f.b, f.c, f.d, (s,), f.ctx.p) == 1
 
 
 def incidences_of(a: int, b: int, c: int, d: int, points, p: int) -> int:
     """Number of points (x, y) with y = (ax + b)/(cx + d) mod p, x not a pole.
 
-    The one incidence loop: richness, count_incidences and the brute group
-    scan all count through it.
+    The one incidence loop and the one incidence test: lies_on, richness,
+    count_incidences and the brute group scan all count through it.
     """
     n = 0
     for x, y in points:

@@ -26,7 +26,7 @@ from functools import partial
 from typing import NamedTuple, Optional, Union
 
 from .errors import PivotMismatchError, ThresholdError, WorkLimitError, WrongBranchError
-from .field import FieldContext, MoebiusMap, parallel_map, worker_count
+from .field import FieldContext, MoebiusMap, parallel_map
 from .incidence import PointSet, TransformSet
 
 
@@ -239,8 +239,8 @@ class ReductionReport(NamedTuple):
         return self.violations == 0 and self.line_collisions == 0 and self.det_mismatches == 0
 
 
-def _check_one_pivot(ctx: FieldContext, q1: int, q2: int) -> tuple[int, int, int, int, int]:
-    """Exhaustively check the reduction at one pivot.
+def _check_one_pivot(ctx: FieldContext, q: tuple[int, int]) -> tuple[int, int, int, int, int]:
+    """Exhaustively check the reduction at one pivot q, reduced mod p here.
 
     Returns (transforms, triples, violations, line_collisions,
     det_mismatches).  Curved maps through q are parametrized directly:
@@ -259,6 +259,7 @@ def _check_one_pivot(ctx: FieldContext, q1: int, q2: int) -> tuple[int, int, int
     """
     p = ctx.p
     inv = ctx._inv
+    q1, q2 = q[0] % p, q[1] % p
     # A point (s1, s2) is keyed as s1*p + s2.
     xs = [s1 for s1 in range(p) if s1 != q1]
     rows = [(s1 * p, inv[(q1 - s1) % p]) for s1 in xs]
@@ -296,11 +297,6 @@ def _check_one_pivot(ctx: FieldContext, q1: int, q2: int) -> tuple[int, int, int
     return transforms, triples, violations, collisions, det_mismatches
 
 
-def _check_pivots(p: int, pivots: list[tuple[int, int]]) -> list[tuple]:
-    ctx = FieldContext(p)
-    return [_check_one_pivot(ctx, q1 % p, q2 % p) for q1, q2 in pivots]
-
-
 def check_reduction(
     ctx: FieldContext,
     pivots: Optional[list[tuple[int, int]]] = None,
@@ -313,15 +309,13 @@ def check_reduction(
     curve graph is compared with its line's pulled-back graph, so a pivot
     costs O(p^3) and the exhaustive check O(p^5).  Also checks injectivity
     of the conjugation (no two maps share a line) and that the conjugate
-    matrix determinant matches the c = 1 determinant of the map.  The
-    pivots are dealt out in strides, one chunk per worker process.
+    matrix determinant matches the c = 1 determinant of the map.  Each
+    pivot is one unit of parallel_map, which spreads them over up to jobs
+    processes; the per-pivot counts are summed.
     """
     p = ctx.p
     if pivots is None:
         pivots = [(q1, q2) for q1 in range(p) for q2 in range(p)]
-    n = worker_count(jobs, len(pivots))
-    chunks = [pivots[i::n] for i in range(n)]
-    parts = parallel_map(partial(_check_pivots, p), chunks, n)
-    counts = [row for part in parts for row in part]
+    counts = parallel_map(partial(_check_one_pivot, ctx), pivots, jobs)
     totals = (sum(row[i] for row in counts) for i in range(5))
     return ReductionReport(p, len(pivots), *totals)

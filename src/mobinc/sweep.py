@@ -37,11 +37,16 @@ from .energy import encode_family, energy, translate_multiplicity
 from .errors import ConfigError, WorkLimitError
 from .field import MAX_MODULUS, FieldContext, group_order, is_prime, parallel_map
 from .generators import (
+    AP,
+    CARTESIAN,
+    DEFINED_BY,
+    GP,
     INSTANCE_KINDS,
     RANDOM_HYPERBOLAS,
     RANDOM_POINTS,
     RANDOM_SCALARS,
     RANDOM_TRANSFORMS,
+    _as_int,
     derive_seed,
     generate_instance,
 )
@@ -129,37 +134,19 @@ class SweepConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "SweepConfig":
-        known = {}
+        known, params = {}, {}
         for key, value in raw.items():
-            if key in _TYPED_KEYS:
-                parse, expected = _TYPED_KEYS[key]
-                try:
-                    known[key] = parse(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"config key {key!r} must be {expected}, got {value!r}"
-                    ) from None
-        params = {k: _parse_value(v) for k, v in raw.items() if k not in _TYPED_KEYS}
+            parse, expected = _TYPED_KEYS.get(key, _PARAMETER)
+            try:
+                (known if key in _TYPED_KEYS else params)[key] = parse(value)
+            except ValueError:
+                raise ConfigError(
+                    f"config key {key!r} must be {expected}, got {value!r}"
+                ) from None
         missing = {"primes", "bounds", "generator", "seed"} - known.keys()
         if missing:
             raise ConfigError(f"config is missing keys: {sorted(missing)}")
         return cls(params=params, **known)
-
-
-def _parse_value(value):
-    if not isinstance(value, str):
-        return value
-    text = value.strip()
-    if "," in text:
-        return [_parse_value(part) for part in text.split(",")]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
 
 
 def _comma_list(convert):
@@ -171,8 +158,17 @@ def _comma_list(convert):
     return parse
 
 
+def _integers(value):
+    """A generator parameter: one integer, or a list of two or more."""
+    values = _comma_list(int)(value)
+    if not values:
+        raise ValueError("no integer")
+    return values[0] if len(values) == 1 else list(values)
+
+
 # The typed config keys, their parsers and what a parser that can fail
 # expects; every other key is a generator parameter.
+_PARAMETER = (_integers, "an integer or a comma list of integers")
 _TYPED_KEYS = {
     "primes": (_comma_list(int), "a comma list of integers"),
     "bounds": (_comma_list(str), None),
@@ -217,15 +213,22 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
     in as a pair.  The grid A x B is built once, when there are scalars, and
     is the points when the generator gave none.  A needed component that
     came out empty is a ConfigError naming the cell.  Random points under a
-    thm1-rich row are refused on their size n before they are drawn.
+    thm1-rich row are refused on their size n before they are drawn, and a
+    grid that a rich row counts is refused on |A|*|B| before it is built.
     """
     params = _resolved_sizes(config, size)
     needed = {need for bound in config.bounds for need in _NEEDS[bound]}
     base_seed = derive_seed(config.seed, ctx.p, size, rep)
+    # thm2-rich counts the grid, and so does thm1-rich unless the generator
+    # gives points of its own.
+    rich_grid = THM2_RICH in config.bounds or (
+        THM1_RICH in config.bounds and config.generator not in (RANDOM_POINTS, DEFINED_BY))
 
     def draw(kind, kind_params, seed):
         if kind == RANDOM_POINTS and THM1_RICH in config.bounds:
-            refuse_pivot_work(params["n"])
+            refuse_pivot_work(_as_int("n", params["n"]))
+        if kind in (RANDOM_SCALARS, AP, GP, CARTESIAN) and rich_grid:
+            refuse_pivot_work(_grid_size(kind, params, ctx.p))
         return generate_instance(kind, kind_params, seed, ctx)
 
     inst = draw(config.generator, params, base_seed)
@@ -245,6 +248,20 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
         if len(getattr(inst, attr)) == 0:
             raise ConfigError(f"{_cell(config, ctx.p, size, rep)}: the {label} is empty")
     return inst, grid
+
+
+def _grid_size(kind, params, p) -> int:
+    """|A|*|B| for the scalars a generator of this kind draws: na by nb, or
+    under cartesian the distinct values listed under a or b instead."""
+    size = 1
+    for side in ("a", "b"):
+        listed = params.get(side) if kind == CARTESIAN else None
+        if listed is None:
+            size *= _as_int("n" + side, params["n" + side])
+        else:
+            values = listed if isinstance(listed, (list, tuple)) else [listed]
+            size *= len({_as_int(side, v) % p for v in values})
+    return size
 
 
 def _cell(config: SweepConfig, p, size, rep) -> str:

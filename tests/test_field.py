@@ -232,10 +232,10 @@ def test_through_degenerate_triples():
 def test_affine_constructor(slope, intercept):
     if slope % 7 == 0:
         with pytest.raises(SingularMatrixError):
-            MoebiusMap.affine(slope, intercept, CTX7)
+            MoebiusMap(slope, intercept, 0, 1, CTX7)
         return
-    f = MoebiusMap.affine(slope, intercept, CTX7)
-    assert f.is_affine
+    f = MoebiusMap(slope, intercept, 0, 1, CTX7)
+    assert f.c == 0
     for x in range(7):
         assert f(x) == (slope * x + intercept) % 7
 
@@ -247,3 +247,10 @@ def test_map_hash_and_repr():
     assert "p=7" in repr(f)
     assert copy.copy(f) == f and pickle.loads(pickle.dumps(f)) == f
     assert repr(INFINITY) == "INFINITY"
+
+
+def test_parallel_map_keeps_unit_order():
+    # 80 units over two workers go in several batches; results stay in order
+    units = list(range(-40, 40))
+    assert field.parallel_map(abs, units, 2) == [abs(u) for u in units]
+    assert field.parallel_map(abs, [], 2) == []

@@ -102,5 +102,5 @@ def test_unknown_kind():
 
 
 def test_instance_dataclass_defaults():
-    inst = Instance(kind="random-points", p=11, seed=3)
+    inst = Instance()
     assert inst.points is None and inst.hyperbolas is None

@@ -326,6 +326,14 @@ def test_check_reduction_counts():
     assert partial.ok and partial.pivots == 2
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_check_reduction_reduces_its_pivots(jobs):
+    # each pivot is reduced mod p where it is checked, in or out of a worker
+    reduced = check_reduction(CTX5, pivots=[(2, 4), (2, 3)], jobs=1)
+    assert check_reduction(CTX5, pivots=[(7, -1), (12, 3)], jobs=jobs) == reduced
+    assert reduced.ok and reduced.transforms == 2 * 16
+
+
 def test_check_reduction_parametrization_matches_group_filter():
     # the (a, d) parametrization hits exactly the curved classes through q
     for q in ((1, 2), (0, 4)):
@@ -386,4 +394,4 @@ def test_check_one_pivot_matches_pointwise_reference():
     for p in (5, 7, 11):
         ctx = FieldContext(p)
         for q in product(range(p), repeat=2):
-            assert _check_one_pivot(ctx, *q) == _check_one_pivot_pointwise(ctx, *q), (p, q)
+            assert _check_one_pivot(ctx, q) == _check_one_pivot_pointwise(ctx, *q), (p, q)

@@ -264,6 +264,74 @@ def test_rich_points_are_refused_before_the_draw(tmp_path, capsys, monkeypatch,
     assert "1000000 points" in captured.err and "200^3" in captured.err
 
 
+def _grid_unreachable(*args, **kwargs):
+    raise AssertionError("the grid was built")
+
+
+@pytest.mark.parametrize("generator, bounds", [
+    ("ap", "thm2-rich"),
+    ("cartesian", "thm2-rich"),
+    ("ap", "thm1-rich"),
+    ("cartesian", "thm1-rich"),
+    # random scalars fill in, and their grid is the points
+    ("random-transforms", "thm1-rich,thm2-incidence"),
+])
+def test_rich_grid_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch,
+                                                 generator, bounds):
+    monkeypatch.setattr(sweep_module, "cartesian_points", _grid_unreachable)
+    monkeypatch.setattr(generators, "cartesian_points", _grid_unreachable)
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"primes = 9973\nseed = 1\nbounds = {bounds}\n"
+                    f"generator = {generator}\nna = 700\nnb = 700\n", encoding="utf-8")
+    code = cli.main(["sweep", "--config", str(path), "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "p=9973" in captured.err and "rep=0" in captured.err
+    assert "490000 points" in captured.err and "200^3" in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    # thm1-rich counts the random points, not the 15 x 15 grid
+    "bounds = thm1-rich,thm2-incidence\ngenerator = random-points\nna = 15",
+    # 1 and 68 are one scalar mod 67: the grid holds 2 x 67, not 3 x 67 = 201
+    "bounds = thm2-rich\ngenerator = cartesian\na = 1,68,2\nnb = 67",
+], ids=["points-generator", "listed-duplicates"])
+def test_grid_no_rich_row_counts_is_admitted(tmp_path, capsys, monkeypatch, text):
+    monkeypatch.setattr(sweep_module, "rich_counts", lambda P, k: {})
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"primes = 67\nseed = 1\n{text}\n", encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(path), "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+_NOT_INTEGERS = "must be an integer or a comma list of integers, got "
+
+
+@pytest.mark.parametrize("text, error", [
+    ("generator = ap\nstep = 2.5", f"config key 'step' {_NOT_INTEGERS}'2.5'"),
+    ("generator = ap\nstart = x", f"config key 'start' {_NOT_INTEGERS}'x'"),
+    ("generator = ap\na = 1,x", f"config key 'a' {_NOT_INTEGERS}'1,x'"),
+    ("generator = ap\nna =", f"config key 'na' {_NOT_INTEGERS}''"),
+    ("generator = ap\ncolour = blue", f"config key 'colour' {_NOT_INTEGERS}'blue'"),
+    # the work refusals read these sizes before the generator does
+    ("generator = random-points\nn = 3,4",
+     "generator parameter 'n' must be an integer, got [3, 4]"),
+    ("generator = ap\nna = 3,4",
+     "generator parameter 'na' must be an integer, got [3, 4]"),
+    ("generator = cartesian\nnb = 3,4",
+     "generator parameter 'nb' must be an integer, got [3, 4]"),
+])
+def test_generator_parameter_errors_name_the_key(tmp_path, capsys, text, error):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"primes = 13\nseed = 1\nbounds = thm1-rich,thm2-rich\n{text}\n",
+                    encoding="utf-8")
+    code = cli.main(["sweep", "--config", str(path), "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_one_rich_enumeration_per_point_set(monkeypatch):
     calls = []
     original = sweep_module.rich_counts
