@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -121,14 +122,25 @@ def parallel_map(fn: Callable, units: Sequence, jobs: int = 1) -> list:
     """[fn(u) for u in units] over min(jobs, CPU count, len(units)) processes.
 
     The package's one worker pool and its only split of units over workers:
-    about four contiguous batches per worker, results in unit order.  fn
-    must pickle; a single worker runs fn in this process.
+    n = min(len(units), 4 * workers) batches, batch i holding every n-th
+    unit from the i-th, so that units listed by rising cost spread evenly
+    over the batches; the results come back in unit order.  fn must pickle;
+    a single worker runs fn in this process.
     """
     workers = max(1, min(jobs, os.cpu_count() or 1, len(units)))
     if workers == 1:
         return [fn(u) for u in units]
+    n = min(len(units), 4 * workers)
+    results = [None] * len(units)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, units, chunksize=-(-len(units) // (4 * workers))))
+        batches = pool.map(partial(_run_batch, fn), [units[i::n] for i in range(n)])
+        for i, batch in enumerate(batches):
+            results[i::n] = batch
+    return results
+
+
+def _run_batch(fn: Callable, batch: Sequence) -> list:
+    return [fn(u) for u in batch]
 
 
 class MoebiusMap:

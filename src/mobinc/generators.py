@@ -2,10 +2,10 @@
 
 Every generator is a pure function of (kind, params, seed, field): the same
 inputs always rebuild the same instance, byte for byte.  Kinds cover the
-extremal shapes the bounds care about: random point sets, Cartesian grids,
-arithmetic and geometric progressions (small sumset), hyperbola-translate
-grids, random transformation sets, and the transformations defined by a
-random point set.
+extremal shapes the bounds care about: random point sets, the two sides
+of Cartesian grids, arithmetic and geometric progressions (small sumset),
+hyperbola-translate grids, random transformation sets, and the
+transformations defined by a random point set.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .applications import ScalarSet, cartesian_points
+from .applications import ScalarSet
 from .energy import HyperbolaTranslate
 from .errors import ConfigError, InfeasibleSizeError
 from .field import FieldContext, class_from_index, group_order
@@ -186,7 +186,6 @@ def generate_instance(
     elif kind == CARTESIAN:
         inst.a = _scalars(rng, params, "a", "na", params.get("n"), ctx)
         inst.b = _scalars(rng, params, "b", "nb", len(inst.a), ctx)
-        inst.points = cartesian_points(inst.a, inst.b)
     elif kind == RANDOM_TRANSFORMS:
         inst.transforms = _sample_transforms(
             rng, _need(params, "nt", params.get("n")), ctx

@@ -37,10 +37,6 @@ from .energy import encode_family, energy, translate_multiplicity
 from .errors import ConfigError, WorkLimitError
 from .field import MAX_MODULUS, FieldContext, group_order, is_prime, parallel_map
 from .generators import (
-    AP,
-    CARTESIAN,
-    DEFINED_BY,
-    GP,
     INSTANCE_KINDS,
     RANDOM_HYPERBOLAS,
     RANDOM_POINTS,
@@ -158,25 +154,30 @@ def _comma_list(convert):
     return parse
 
 
+def _integer(value) -> int:
+    """An int, or a string int() parses; 2.5 and True become text it refuses."""
+    return int(str(value))
+
+
 def _integers(value):
     """A generator parameter: one integer, or a list of two or more."""
-    values = _comma_list(int)(value)
+    values = list(_comma_list(_integer)(value))
     if not values:
-        raise ValueError("no integer")
-    return values[0] if len(values) == 1 else list(values)
+        raise ValueError(value)
+    return values[0] if len(values) == 1 else values
 
 
 # The typed config keys, their parsers and what a parser that can fail
 # expects; every other key is a generator parameter.
 _PARAMETER = (_integers, "an integer or a comma list of integers")
 _TYPED_KEYS = {
-    "primes": (_comma_list(int), "a comma list of integers"),
+    "primes": (_comma_list(_integer), "a comma list of integers"),
     "bounds": (_comma_list(str), None),
     "generator": (str, None),
-    "seed": (int, "an integer"),
-    "reps": (int, "an integer"),
-    "sizes": (_comma_list(int), "a comma list of integers"),
-    "k": (int, "an integer"),
+    "seed": (_integer, "an integer"),
+    "reps": (_integer, "an integer"),
+    "sizes": (_comma_list(_integer), "a comma list of integers"),
+    "k": (_integer, "an integer"),
     "constant": (float, "a number"),
 }
 
@@ -219,23 +220,22 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
     params = _resolved_sizes(config, size)
     needed = {need for bound in config.bounds for need in _NEEDS[bound]}
     base_seed = derive_seed(config.seed, ctx.p, size, rep)
-    # thm2-rich counts the grid, and so does thm1-rich unless the generator
-    # gives points of its own.
-    rich_grid = THM2_RICH in config.bounds or (
-        THM1_RICH in config.bounds and config.generator not in (RANDOM_POINTS, DEFINED_BY))
 
     def draw(kind, kind_params, seed):
         if kind == RANDOM_POINTS and THM1_RICH in config.bounds:
             refuse_pivot_work(_as_int("n", params["n"]))
-        if kind in (RANDOM_SCALARS, AP, GP, CARTESIAN) and rich_grid:
-            refuse_pivot_work(_grid_size(kind, params, ctx.p))
         return generate_instance(kind, kind_params, seed, ctx)
 
     inst = draw(config.generator, params, base_seed)
     if "scalars" in needed and inst.a is None:
         extra = draw(RANDOM_SCALARS, params, derive_seed(base_seed, "scalars"))
         inst.a, inst.b = extra.a, extra.b
-    grid = None if inst.a is None else cartesian_points(inst.a, inst.b)
+    grid = None
+    if inst.a is not None:
+        # thm2-rich counts the grid, and so does thm1-rich when it is the points.
+        if THM2_RICH in config.bounds or (THM1_RICH in config.bounds and inst.points is None):
+            refuse_pivot_work(len(inst.a) * len(inst.b))
+        grid = cartesian_points(inst.a, inst.b)
     if inst.points is None:
         inst.points = grid
     for need, attr, label, kind, key in _COMPONENTS:
@@ -248,20 +248,6 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
         if len(getattr(inst, attr)) == 0:
             raise ConfigError(f"{_cell(config, ctx.p, size, rep)}: the {label} is empty")
     return inst, grid
-
-
-def _grid_size(kind, params, p) -> int:
-    """|A|*|B| for the scalars a generator of this kind draws: na by nb, or
-    under cartesian the distinct values listed under a or b instead."""
-    size = 1
-    for side in ("a", "b"):
-        listed = params.get(side) if kind == CARTESIAN else None
-        if listed is None:
-            size *= _as_int("n" + side, params["n" + side])
-        else:
-            values = listed if isinstance(listed, (list, tuple)) else [listed]
-            size *= len({_as_int(side, v) % p for v in values})
-    return size
 
 
 def _cell(config: SweepConfig, p, size, rep) -> str:

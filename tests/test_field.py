@@ -250,7 +250,8 @@ def test_map_hash_and_repr():
 
 
 def test_parallel_map_keeps_unit_order():
-    # 80 units over two workers go in several batches; results stay in order
-    units = list(range(-40, 40))
+    # 83 units over two workers go in eight strided batches of 11 or 10
+    # units; the results stay in unit order
+    units = list(range(-40, 43))
     assert field.parallel_map(abs, units, 2) == [abs(u) for u in units]
     assert field.parallel_map(abs, [], 2) == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mobinc.applications import cartesian_points
 from mobinc.errors import InfeasibleSizeError
 from mobinc.field import FieldContext, group_order
 from mobinc.generators import Instance, derive_seed, generate_instance
@@ -45,8 +46,9 @@ def test_gp_distinct():
 def test_cartesian_explicit_example():
     ctx = FieldContext(5)
     inst = generate_instance("cartesian", {"a": [0, 1], "b": [0, 2]}, 0, ctx)
-    assert len(inst.points) == 4
-    assert inst.points.points == ((0, 0), (0, 2), (1, 0), (1, 2))
+    points = cartesian_points(inst.a, inst.b)
+    assert inst.points is None and len(points) == 4
+    assert points.points == ((0, 0), (0, 2), (1, 0), (1, 2))
 
 
 def test_random_points_distinct_and_feasible():

@@ -84,12 +84,17 @@ def test_richness_sums_to_incidences():
         T = TransformSet(rng.sample(members, 15), CTX7)
         assert sum(richness(f, P) for f in T) == count_incidences(P, T)
         assert count_incidences(P, T) <= min(len(P) * len(T), 7 * len(T))
-    # The shared kernel against the independent per-point predicate, on a
+    # The shared kernel against an independent per-point predicate, on a
     # set that meets every pole abscissa, over every map (affine ones too).
+    def on_graph(x, y, f):
+        den = (f.c * x + f.d) % 5
+        return den != 0 and (y * den - f.a * x - f.b) % 5 == 0
+
     grid = PointSet(product(range(5), repeat=2), CTX5)
     for P in (grid, random_points(CTX5, 9, 0)):
         for f in enumerate_group(CTX5):
-            assert richness(f, P) == sum(lies_on(s, f) for s in P)
+            assert richness(f, P) == sum(on_graph(x, y, f) for x, y in P)
+            assert all(lies_on(s, f) == on_graph(*s, f) for s in P)
 
 
 def test_rich_transforms_brute_examples():

@@ -279,7 +279,6 @@ def _grid_unreachable(*args, **kwargs):
 def test_rich_grid_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch,
                                                  generator, bounds):
     monkeypatch.setattr(sweep_module, "cartesian_points", _grid_unreachable)
-    monkeypatch.setattr(generators, "cartesian_points", _grid_unreachable)
     path = tmp_path / "sweep.cfg"
     path.write_text(f"primes = 9973\nseed = 1\nbounds = {bounds}\n"
                     f"generator = {generator}\nna = 700\nnb = 700\n", encoding="utf-8")
@@ -330,6 +329,23 @@ def test_generator_parameter_errors_name_the_key(tmp_path, capsys, text, error):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("step", 2.5, _NOT_INTEGERS),
+    ("step", True, _NOT_INTEGERS),
+    ("step", [1, 2.5], _NOT_INTEGERS),
+    ("step", "2.5", _NOT_INTEGERS),
+    ("seed", 2.5, "must be an integer, got "),
+    ("primes", [13.0], "must be a comma list of integers, got "),
+])
+def test_library_values_must_be_integers(key, value, expected):
+    # a mapping from a library caller holds values, not text: a float or a
+    # bool is refused, not truncated to an integer
+    raw = {"primes": "13", "seed": 1, "bounds": "thm1-rich", "generator": "ap", "step": 2}
+    assert SweepConfig.from_mapping(raw).params == {"step": 2}
+    with pytest.raises(ConfigError, match=f"config key '{key}' {expected}"):
+        SweepConfig.from_mapping({**raw, key: value})
 
 
 def test_one_rich_enumeration_per_point_set(monkeypatch):
