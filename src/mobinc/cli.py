@@ -32,8 +32,8 @@ from .incidence import count_incidences, rich_transforms_brute
 from .pivot import MAX_PIVOT_WORK, check_reduction, refuse_pivot_work, rich_transforms_pivot
 from .sweep import SweepConfig, json_line, rows_to_csv, rows_to_jsonl, sweep
 
-# The group scan of 120 points at p = 61: the largest one the CLI starts.
-MAX_BRUTE_WORK = 61**3 * 120
+# The group scan of 60 points at p = 1009: the largest one the CLI starts.
+MAX_BRUTE_WORK = 1009**2 * 60
 # The exhaustive check at p = 53: the largest run the CLI starts.
 MAX_REDUCTION_WORK = 53**5
 
@@ -62,11 +62,11 @@ def _cmd_incidence(args) -> int:
 
 
 def _cmd_rich_enum(args) -> int:
-    # The group scan tries each of the ~p^3 maps on every point.
-    if args.method != "pivot" and args.ctx.p**3 * len(args.points) > MAX_BRUTE_WORK:
+    # The group scan solves every point's equation in each of the ~p^2 rows.
+    if args.method != "pivot" and args.ctx.p**2 * len(args.points) > MAX_BRUTE_WORK:
         raise Error(
             f"the group scan of {len(args.points)} points at p={args.ctx.p} needs over "
-            f"61^3*120 = {MAX_BRUTE_WORK} steps; enumerate with --method pivot"
+            f"1009^2*60 = {MAX_BRUTE_WORK} steps; enumerate with --method pivot"
         )
     if args.method != "brute":
         refuse_pivot_work(len(args.points))

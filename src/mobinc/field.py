@@ -302,12 +302,12 @@ def group_order(p: int) -> int:
     return p * (p - 1) * (p + 1)
 
 
-def group_tuples(ctx: FieldContext) -> Iterator[tuple[int, int, int, int]]:
-    """All canonical (a, b, c, d) tuples of PGL(2, p), streamed in a fixed order.
+def enumerate_group(ctx: FieldContext) -> Iterator[MoebiusMap]:
+    """Every element of PGL(2, p) exactly once, streamed in a fixed order.
 
     Canonical forms with a = 1 (b, c free, d != bc), then a = 0, b = 1
     (c nonzero, d free), lexicographic within each block.  Nothing is kept:
-    each scan regenerates the tuples.
+    each call regenerates the maps.
     """
     p = ctx.p
     for b in range(p):
@@ -315,16 +315,10 @@ def group_tuples(ctx: FieldContext) -> Iterator[tuple[int, int, int, int]]:
             bc = b * c % p
             for d in range(p):
                 if d != bc:
-                    yield (1, b, c, d)
+                    yield MoebiusMap._canonical(1, b, c, d, ctx)
     for c in range(1, p):
         for d in range(p):
-            yield (0, 1, c, d)
-
-
-def enumerate_group(ctx: FieldContext) -> Iterator[MoebiusMap]:
-    """Every element of PGL(2, p) exactly once, in a fixed order."""
-    for a, b, c, d in group_tuples(ctx):
-        yield MoebiusMap._canonical(a, b, c, d, ctx)
+            yield MoebiusMap._canonical(0, 1, c, d, ctx)
 
 
 def class_from_index(i: int, ctx: FieldContext) -> MoebiusMap:

@@ -7,10 +7,11 @@ affine point, so it can never contribute an incidence.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator
 
 from .errors import ModulusMismatchError, ThresholdError
-from .field import FieldContext, MoebiusMap, group_tuples, same_context
+from .field import FieldContext, MoebiusMap, same_context
 
 
 class SortedSet:
@@ -83,8 +84,8 @@ def lies_on(s: tuple[int, int], f: MoebiusMap) -> bool:
 def incidences_of(a: int, b: int, c: int, d: int, points, p: int) -> int:
     """Number of points (x, y) with y = (ax + b)/(cx + d) mod p, x not a pole.
 
-    The one incidence loop and the one incidence test: lies_on, richness,
-    count_incidences and the brute group scan all count through it.
+    The one incidence loop and the one incidence test: lies_on, richness
+    and count_incidences all count through it.
     """
     n = 0
     for x, y in points:
@@ -110,16 +111,37 @@ def count_incidences(P: PointSet, T: TransformSet) -> int:
 def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:
     """All maps with at least k points of P on them, by scanning PGL(2, p).
 
-    The oracle for the pivot enumeration: it counts every class of the group
-    through incidences_of and shares no code with the pivot reduction.
+    The oracle for the pivot enumeration; it shares no code with the pivot
+    reduction.  It walks the whole group one row (a, b, c, *) at a time.  In
+    a row each point's equation y(cx + d) = ax + b has at most one solution
+    d, so a Counter of these votes gives the richness of every map in the
+    row, in O(p^2 * |P|) steps for the whole group.
     """
     if k < 1:
         raise ThresholdError(f"the full-group scan needs k >= 1, got {k}")
     ctx = P.ctx
     p = ctx.p
-    pts = P.points
+    inv = ctx._inv
+    off_axis = [(x, inv[y]) for x, y in P.points if y]
+    on_axis = {x for x, y in P.points if not y}
     out = []
-    for a, b, c, d in group_tuples(ctx):
-        if incidences_of(a, b, c, d, pts, p) >= k:
-            out.append(MoebiusMap._canonical(a, b, c, d, ctx))
+    for b in range(p):
+        # Row (1, b, c, *): d = (x + b)/y - cx.  At x = -b this is the
+        # singular d = bc, so that point lies on no map of the row.
+        base = [((x + b) * iy % p, x) for x, iy in off_axis]
+        # (-b, 0) lies on every nonsingular map of the row.
+        need = k - ((-b) % p in on_axis)
+        for c in range(p):
+            if need < 1:
+                ds = range(p)
+            else:
+                votes = Counter([(u - c * x) % p for u, x in base])
+                ds = [d for d, m in votes.items() if m >= need]
+            bc = b * c % p
+            out.extend(MoebiusMap._canonical(1, b, c, d, ctx) for d in ds if d != bc)
+    # Block (0, 1, c, *), c != 0: d = 1/y - cx; no point with y = 0 is on it.
+    for c in range(1, p):
+        votes = Counter([(iy - c * x) % p for x, iy in off_axis])
+        out.extend(MoebiusMap._canonical(0, 1, c, d, ctx)
+                   for d, m in votes.items() if m >= k)
     return TransformSet(out, ctx)

@@ -107,8 +107,8 @@ def _grid_file(files, p, n):
 
 
 @pytest.mark.parametrize("p, n, method", [
-    (67, 120, None),
-    (1009, 3, "brute"),
+    (1009, 61, None),
+    (9973, 3, "brute"),
 ])
 def test_rich_enum_refuses_unbounded_scan(files, capsys, monkeypatch, p, n, method):
     # Refused once the points are loaded, before either enumerator runs.
@@ -130,11 +130,11 @@ def test_rich_enum_pivot_is_not_limited_by_the_scan(files, capsys, monkeypatch):
     assert code == 0 and out == ""
 
 
-def test_rich_enum_admits_scan_at_p61(files, capsys, monkeypatch):
+def test_rich_enum_admits_scan_at_p1009(files, capsys, monkeypatch):
     monkeypatch.setattr(cli, "rich_transforms_brute", _scan_unreachable)
     with pytest.raises(AssertionError, match="rich_transforms_brute"):
-        run(capsys, "rich-enum", "--points", _grid_file(files, 61, 120),
-            "-p", "61", "-k", "3", "--method", "brute")
+        run(capsys, "rich-enum", "--points", _grid_file(files, 1009, 60),
+            "-p", "1009", "-k", "3", "--method", "brute")
 
 
 def _pivot_unreachable(*args, **kwargs):

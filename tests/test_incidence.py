@@ -11,6 +11,7 @@ from mobinc.incidence import (
     PointSet,
     TransformSet,
     count_incidences,
+    incidences_of,
     lies_on,
     rich_transforms_brute,
     richness,
@@ -104,6 +105,35 @@ def test_rich_transforms_brute_examples():
     P = PointSet([(1, 2), (2, 1), (0, 0)], CTX7)
     out = rich_transforms_brute(P, 3)
     assert [f.as_tuple() for f in out] == [(1, 0, 5, 6)]
+
+
+def _scan_reference(P):
+    """The literal group scan: every class of PGL(2, p) tried on every point
+    through incidences_of, giving each map's richness."""
+    p = P.ctx.p
+    return {f: incidences_of(f.a, f.b, f.c, f.d, P.points, p)
+            for f in enumerate_group(P.ctx)}
+
+
+@pytest.mark.parametrize("p, n", [(5, 8), (7, 14), (11, 22), (13, 26), (31, 30)])
+def test_rich_transforms_brute_equals_literal_scan(p, n):
+    ctx = FieldContext(p)
+    axis_lines = [(x, 1) for x in range(p)] + [(2, y) for y in range(p)]
+    # Half the axis y = 0: some rows (1, b, c, *) hold the point (-b, 0) that
+    # lies on all of their maps, and some do not.
+    on_axis = [(x, 0) for x in range(0, p, 2)]
+    sets = (
+        random_points(ctx, n, p),
+        random_points(ctx, n, p + 1),
+        PointSet([*random_points(ctx, n // 2, p).points, *axis_lines], ctx),
+        PointSet([*random_points(ctx, n // 2, p + 2).points, *on_axis], ctx),
+    )
+    for P in sets:
+        reference = _scan_reference(P)
+        for k in (1, 2, 3, 4):
+            found = rich_transforms_brute(P, k)
+            expected = TransformSet([f for f, r in reference.items() if r >= k], ctx)
+            assert found == expected
 
 
 def test_rich_transforms_monotone_in_k():

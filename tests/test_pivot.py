@@ -78,6 +78,8 @@ def test_transforms_through_pivot_partitions():
         assert not set(lines_part) & set(curved_part)
         assert all(f.c == 0 for f in lines_part)
         assert len(curved_part) == (CTX5.p - 1) ** 2
+    # A pivot given outside [0, p) is reduced first.
+    assert transforms_through_pivot(T, (7, -1)) == transforms_through_pivot(T, (2, 4))
 
 
 def test_line_image_examples():
