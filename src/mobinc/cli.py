@@ -25,7 +25,7 @@ from .applications import (
     representation_counts,
     representation_report,
 )
-from .energy import energy, energy_report
+from .energy import energy, energy_report, refuse_energy_work
 from .errors import Error
 from .field import FieldContext
 from .incidence import count_incidences, rich_transforms_brute
@@ -102,6 +102,8 @@ def _cmd_rich_enum(args) -> int:
 def _cmd_energy(args) -> int:
     if (args.transforms is None) == (args.hyperbolas is None):
         raise Error("give exactly one of --transforms or --hyperbolas")
+    family = args.transforms if args.hyperbolas is None else args.hyperbolas
+    refuse_energy_work(len(family))
     if args.hyperbolas is not None:
         record = energy_report(args.hyperbolas, args.ctx)
     else:

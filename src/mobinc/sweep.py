@@ -33,7 +33,7 @@ from .bounds import (
     dyadic_threshold,
     hypothesis_check,
 )
-from .energy import encode_family, energy, translate_multiplicity
+from .energy import encode_family, energy, refuse_energy_work, translate_multiplicity
 from .errors import ConfigError, WorkLimitError
 from .field import MAX_MODULUS, FieldContext, group_order, is_prime, parallel_map
 from .generators import (
@@ -214,8 +214,9 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
     in as a pair.  The grid A x B is built once, when there are scalars, and
     is the points when the generator gave none.  A needed component that
     came out empty is a ConfigError naming the cell.  Random points under a
-    thm1-rich row are refused on their size n before they are drawn, and a
-    grid that a rich row counts is refused on |A|*|B| before it is built.
+    thm1-rich row are refused on their size n before they are drawn, random
+    transforms under a thm3-energy row on their size nt, and a grid that a
+    rich row counts is refused on |A|*|B| before it is built.
     """
     params = _resolved_sizes(config, size)
     needed = {need for bound in config.bounds for need in _NEEDS[bound]}
@@ -224,6 +225,8 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
     def draw(kind, kind_params, seed):
         if kind == RANDOM_POINTS and THM1_RICH in config.bounds:
             refuse_pivot_work(_as_int("n", params["n"]))
+        if kind == RANDOM_TRANSFORMS and THM3_ENERGY in config.bounds:
+            refuse_energy_work(_as_int("nt", params["nt"]))
         return generate_instance(kind, kind_params, seed, ctx)
 
     inst = draw(config.generator, params, base_seed)
@@ -299,6 +302,9 @@ def _compute_row(bound, inst, grid, rich, config, ctx, size, rep):
         else:
             T = inst.transforms
             params["T"] = row["n_transforms"] = len(T)
+            if bound == THM3_ENERGY:
+                # Refused before the incidence count, which is |P|*|T| steps.
+                refuse_energy_work(len(T))
         lhs = count_incidences(P, T)
         _guard_incidence(lhs, len(P), len(T), ctx.p)
         if bound == THM3_ENERGY:
@@ -344,8 +350,9 @@ def _sweep_unit(args):
 
     The instance and grid are built once, and each distinct point set is
     enumerated for k-rich maps once; a shared quantity is timed in the first
-    row that needs it.  Nothing outlives the cell.  A pivot enumeration over
-    the work limit is refused as a ConfigError naming the cell.
+    row that needs it.  Nothing outlives the cell.  A pivot enumeration or an
+    energy table over its work limit is refused as a ConfigError naming the
+    cell.
     """
     config, p, size, rep = args
     ctx = FieldContext(p)

@@ -17,6 +17,7 @@ from mobinc import cli, field
 from mobinc import sweep as sweep_module
 from mobinc.bounds import BOUND_IDS
 from mobinc.generators import INSTANCE_KINDS
+from mobinc.io import format_transform
 from mobinc.pivot import ReductionReport
 
 CONFIG = """
@@ -190,6 +191,34 @@ def test_energy_requires_exactly_one_input(files, capsys):
         code, out, err = run(capsys, "energy", "-p", "7", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _energy_unreachable(*args, **kwargs):
+    raise AssertionError("the energy was computed")
+
+
+def _energy_family_file(files, flag, n):
+    """n distinct maps mod 17, or n distinct hyperbola translates mod 23."""
+    if flag == "--transforms":
+        ctx = field.FieldContext(17)
+        lines = (format_transform(field.class_from_index(i, ctx)) for i in range(n))
+    else:
+        lines = (f"{i // 23 % 23},{i % 23},{1 if i < 529 else -1}" for i in range(n))
+    return files("family.txt", "".join(line + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("flag, p", [("--transforms", "17"), ("--hyperbolas", "23")])
+def test_energy_work_is_refused(files, capsys, monkeypatch, flag, p):
+    # Refused once the family is loaded, before any quotient is formed.
+    monkeypatch.setattr(cli, "energy", _energy_unreachable)
+    monkeypatch.setattr(cli, "energy_report", _energy_unreachable)
+    code, out, err = run(capsys, "energy", "-p", p, flag,
+                         _energy_family_file(files, flag, 1001))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "1001 maps" in err and "1000^2" in err
+    with pytest.raises(AssertionError, match="energy was computed"):
+        run(capsys, "energy", "-p", p, flag, _energy_family_file(files, flag, 1000))
 
 
 def test_repr_report_and_table(files, capsys):

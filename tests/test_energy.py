@@ -1,6 +1,7 @@
 """Energy, the quadruple oracle, and hyperbola-translate families."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -8,16 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobinc.energy import (
+    MAX_ENERGY_WORK,
     HyperbolaTranslate,
     encode_family,
     energy,
     energy_brute,
     energy_report,
     hyperbola_to_moebius,
+    refuse_energy_work,
     translate_multiplicity,
 )
-from mobinc.errors import EmptyFamilyError, OracleSizeError
-from mobinc.field import FieldContext, MoebiusMap, enumerate_group
+from mobinc.errors import EmptyFamilyError, OracleSizeError, WorkLimitError
+from mobinc.field import (
+    FieldContext,
+    MoebiusMap,
+    class_from_index,
+    enumerate_group,
+    group_order,
+)
 from mobinc.incidence import TransformSet, lies_on
 
 CTX5 = FieldContext(5)
@@ -26,8 +35,15 @@ CTX7 = FieldContext(7)
 
 def random_transform_set(ctx, n, seed):
     rng = random.Random(seed)
-    members = list(enumerate_group(ctx))
-    return TransformSet(rng.sample(members, n), ctx)
+    indices = rng.sample(range(group_order(ctx.p)), n)
+    return TransformSet((class_from_index(i, ctx) for i in indices), ctx)
+
+
+def _quotient_reference(T):
+    """The former kernel: one canonical quotient map f * g^{-1} per pair."""
+    inverses = [g.inverse() for g in T.maps]
+    counts = Counter((f * g).as_tuple() for f in T.maps for g in inverses)
+    return sum(m * m for m in counts.values())
 
 
 def test_energy_examples():
@@ -69,6 +85,71 @@ def test_energy_equals_brute_seeded(p, n, seed):
     e = energy(T)
     assert e == energy_brute(T)
     assert n * n <= e <= n**3
+
+
+@pytest.mark.parametrize("p,n,seed", [
+    (5, 30, 1), (5, 120, 2), (13, 80, 3), (13, 300, 4), (101, 150, 5),
+    (101, 300, 6), (1009, 40, 7), (1009, 300, 8),
+])
+def test_energy_equals_quotient_reference(p, n, seed):
+    T = random_transform_set(FieldContext(p), n, seed)
+    assert energy(T) == _quotient_reference(T)
+
+
+@pytest.mark.parametrize("p, side", [(7, 4), (13, 6), (101, 10)])
+def test_energy_of_hyperbola_grids_equals_quotient_reference(p, side):
+    ctx = FieldContext(p)
+    grids = [[HyperbolaTranslate(a, b, eps) for a in range(side) for b in range(side)]
+             for eps in (1, -1)]
+    for family in grids + [grids[0] + grids[1]]:
+        T = encode_family(family, ctx)
+        assert len(T) == len(family)
+        assert energy(T) == _quotient_reference(T)
+
+
+@pytest.mark.parametrize("p, affine, size", [
+    (5, False, 120), (7, False, 336), (11, True, 110),
+], ids=["PGL(2,5)", "PGL(2,7)", "AGL(1,11)"])
+def test_energy_of_a_subgroup_is_its_order_cubed(p, affine, size):
+    # Every quotient of a subgroup H lies in H, and each of its |H| elements
+    # is the quotient of exactly |H| ordered pairs.  The affine maps (c = 0)
+    # all send infinity to infinity.
+    ctx = FieldContext(p)
+    H = TransformSet((f for f in enumerate_group(ctx) if not affine or f.c == 0), ctx)
+    assert len(H) == size
+    assert energy(H) == size**3
+
+
+def test_energy_with_poles_at_zero_one_and_infinity():
+    # Maps with d = 0, c + d = 0 or c = 0 send 0, 1 or infinity to infinity,
+    # so both the preimages and the images in the key take the value p.
+    ctx = FieldContext(13)
+    poles = [f for f in enumerate_group(ctx)
+             if f.d == 0 or (f.c + f.d) % 13 == 0 or f.c == 0]
+    T = TransformSet(random.Random(13).sample(poles, 90), ctx)
+    assert {f.d == 0 for f in T} == {f.c == 0 for f in T} == {True, False}
+    assert energy(T) == _quotient_reference(T)
+    small = TransformSet(T.maps[::9], ctx)
+    assert energy(small) == energy_brute(small)
+
+
+def test_energy_builds_no_quotient_map(monkeypatch):
+    T = random_transform_set(FieldContext(31), 60, 9)
+    expected = _quotient_reference(T)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a Moebius map was built or combined")
+
+    for name in ("__mul__", "inverse", "_canonical"):
+        monkeypatch.setattr(MoebiusMap, name, unreachable)
+    assert energy(T) == expected
+
+
+def test_energy_work_limit():
+    assert MAX_ENERGY_WORK == 1000**2
+    refuse_energy_work(1000)
+    with pytest.raises(WorkLimitError, match="1001 maps"):
+        refuse_energy_work(1001)
 
 
 def test_energy_right_translation_invariant():

@@ -264,6 +264,54 @@ def test_rich_points_are_refused_before_the_draw(tmp_path, capsys, monkeypatch,
     assert "1000000 points" in captured.err and "200^3" in captured.err
 
 
+def _transforms_unreachable(*args, **kwargs):
+    raise AssertionError("the transforms were drawn")
+
+
+@pytest.mark.parametrize("generator", ["random-transforms", "random-points"])
+def test_energy_transforms_are_refused_before_the_draw(tmp_path, capsys, monkeypatch,
+                                                        generator):
+    # random-points leaves the transforms to the random fill-in.
+    monkeypatch.setattr(generators, "_sample_transforms", _transforms_unreachable)
+    path = tmp_path / "sweep.cfg"
+    argv = ["sweep", "--config", str(path), "--jobs", "1"]
+    text = f"primes = 67\nseed = 1\nbounds = thm3-energy\ngenerator = {generator}\n"
+    path.write_text(text + "nt = 1001\n", encoding="utf-8")
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "p=67" in captured.err and "rep=0" in captured.err
+    assert "1001 maps" in captured.err and "1000^2" in captured.err
+    path.write_text(text + "nt = 1000\n", encoding="utf-8")
+    with pytest.raises(AssertionError, match="transforms were drawn"):
+        cli.main(argv)
+
+
+def _energy_unreachable(*args, **kwargs):
+    raise AssertionError("the energy row was computed")
+
+
+def test_energy_of_generated_transforms_is_refused(tmp_path, capsys, monkeypatch):
+    # 22 points at p = 101 define over 1000 maps through three of them; 20
+    # points define fewer.  The row is refused before its incidence count.
+    monkeypatch.setattr(sweep_module, "energy", _energy_unreachable)
+    monkeypatch.setattr(sweep_module, "count_incidences", _energy_unreachable)
+    path = tmp_path / "sweep.cfg"
+    argv = ["sweep", "--config", str(path), "--jobs", "1"]
+    text = "primes = 101\nseed = 1\nbounds = thm3-energy\ngenerator = transforms-defined-by\n"
+    path.write_text(text + "n = 22\n", encoding="utf-8")
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "p=101" in captured.err and "maps needs" in captured.err
+    assert "1000^2" in captured.err
+    path.write_text(text + "n = 20\n", encoding="utf-8")
+    with pytest.raises(AssertionError, match="energy row was computed"):
+        cli.main(argv)
+
+
 def _grid_unreachable(*args, **kwargs):
     raise AssertionError("the grid was built")
 
