@@ -175,7 +175,9 @@ def projective_equivalence_count(A: ScalarSet, S: ScalarSet) -> dict:
     distinct elements of A is tried as its target; the map is then unique,
     and it is kept when all of S lands inside A (never at infinity).
     map_count counts the kept classes, subset_count the distinct image sets
-    f(S), which are the subsets of A projectively equivalent to S.
+    f(S), which are the subsets of A projectively equivalent to S.  Since
+    f(ref) = target, distinct targets give distinct maps, so map_count is
+    the number of kept targets.
     """
     same_context(A.ctx, S.ctx)
     if len(S) < 3:
@@ -185,7 +187,7 @@ def projective_equivalence_count(A: ScalarSet, S: ScalarSet) -> dict:
     ctx = A.ctx
     ref = S.values[:3]
     members = A._set
-    maps = set()
+    map_count = 0
     images = set()
     for target in permutations(A.values, 3):
         f = MoebiusMap.through(ref, target, ctx)
@@ -196,6 +198,6 @@ def projective_equivalence_count(A: ScalarSet, S: ScalarSet) -> dict:
                 break
             image.append(v)
         else:
-            maps.add(f)
+            map_count += 1
             images.add(frozenset(image))
-    return {"map_count": len(maps), "subset_count": len(images)}
+    return {"map_count": map_count, "subset_count": len(images)}

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 import time
 
@@ -28,13 +27,15 @@ from .applications import (
 from .energy import energy, energy_report, refuse_energy_work
 from .errors import Error
 from .field import FieldContext
+from .generators import RANDOM_POINTS, generate_instance
 from .incidence import count_incidences, rich_transforms_brute
-from .pivot import MAX_PIVOT_WORK, check_reduction, refuse_pivot_work, rich_transforms_pivot
+from .pivot import check_reduction, refuse_pivot_work, rich_transforms_pivot
 from .sweep import SweepConfig, json_line, rows_to_csv, rows_to_jsonl, sweep
 
 # The group scan of 60 points at p = 1009: the largest one the CLI starts.
 MAX_BRUTE_WORK = 1009**2 * 60
-# The exhaustive check at p = 53: the largest run the CLI starts.
+# The exhaustive check at p = 53: the largest run the CLI starts.  743 is
+# the largest prime p with p^3 <= 53^5, so one pivot fits up to p = 743.
 MAX_REDUCTION_WORK = 53**5
 
 # Each file flag and its loader in io, in load order.  The loader is looked
@@ -148,17 +149,18 @@ def _cmd_verify_reduction(args) -> int:
     # Each pivot costs about p^3 steps.
     pivot_count = p * p if args.exhaustive else min(args.samples, p * p)
     if pivot_count * p**3 > MAX_REDUCTION_WORK:
+        most = MAX_REDUCTION_WORK // p**3
+        hint = (f"check at most {most} pivots at this p with --samples" if most
+                else "one pivot at this p is already over the limit; --samples "
+                     "checks run up to p = 743")
         raise Error(
             f"{pivot_count} pivots at p={p} need about {pivot_count * p**3:.2g} "
-            f"steps, over the limit 53^5 = {MAX_REDUCTION_WORK}; check at most "
-            f"{MAX_REDUCTION_WORK // p**3} pivots at this p with --samples"
+            f"steps, over the limit 53^5 = {MAX_REDUCTION_WORK}; {hint}"
         )
     pivots = None
     if not args.exhaustive:
-        rng = random.Random(args.seed)
-        pivots = sorted(
-            (v // p, v % p) for v in rng.sample(range(p * p), pivot_count)
-        )
+        draw = generate_instance(RANDOM_POINTS, {"n": pivot_count}, args.seed, args.ctx)
+        pivots = list(draw.points)
     report = check_reduction(args.ctx, pivots, jobs=args.jobs)
     _emit_record({name.replace("_", "-"): value
                   for name, value in report._asdict().items()})

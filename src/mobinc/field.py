@@ -208,9 +208,7 @@ class MoebiusMap:
         """Composition: (f * g)(x) = f(g(x)), i.e. the matrix product."""
         if not isinstance(other, MoebiusMap):
             return NotImplemented
-        ctx = self.ctx
-        if ctx.p != other.ctx.p:
-            raise ModulusMismatchError(f"mixed moduli {ctx.p} and {other.ctx.p}")
+        ctx = same_context(self.ctx, other.ctx)
         p = ctx.p
         a = (self.a * other.a + self.b * other.c) % p
         b = (self.a * other.b + self.b * other.d) % p
@@ -303,28 +301,17 @@ def group_order(p: int) -> int:
 
 
 def enumerate_group(ctx: FieldContext) -> Iterator[MoebiusMap]:
-    """Every element of PGL(2, p) exactly once, streamed in a fixed order.
-
-    Canonical forms with a = 1 (b, c free, d != bc), then a = 0, b = 1
-    (c nonzero, d free), lexicographic within each block.  Nothing is kept:
-    each call regenerates the maps.
-    """
-    p = ctx.p
-    for b in range(p):
-        for c in range(p):
-            bc = b * c % p
-            for d in range(p):
-                if d != bc:
-                    yield MoebiusMap._canonical(1, b, c, d, ctx)
-    for c in range(1, p):
-        for d in range(p):
-            yield MoebiusMap._canonical(0, 1, c, d, ctx)
+    """Every element of PGL(2, p) exactly once, streamed in class_from_index
+    order.  Nothing is kept: each call regenerates the maps."""
+    return (class_from_index(i, ctx) for i in range(group_order(ctx.p)))
 
 
 def class_from_index(i: int, ctx: FieldContext) -> MoebiusMap:
-    """The i-th element of the enumerate_group order, without enumerating.
+    """The i-th element of PGL(2, p) in the package's one fixed order.
 
-    Used for seeded sampling without replacement from the whole group.
+    Canonical forms with a = 1 (b, c free, d != bc), then a = 0, b = 1
+    (c nonzero, d free), lexicographic within each block.  Used for seeded
+    sampling without replacement from the whole group and by enumerate_group.
     """
     p = ctx.p
     order = group_order(p)

@@ -1,7 +1,7 @@
 """Representation counts, dichotomy statistics, expanders, equivalence."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -224,13 +224,38 @@ def test_equivalence_invariant_under_pattern_motion():
     assert projective_equivalence_count(ground, moved) == base
 
 
+def _equivalence_by_map_set(A, S):
+    """The count as it was: kept maps and images gathered into sets."""
+    ref = S.values[:3]
+    maps, images = set(), set()
+    for target in permutations(A.values, 3):
+        f = MoebiusMap.through(ref, target, A.ctx)
+        image = [f(s) for s in S.values]
+        if all(v is not INFINITY and v in A for v in image):
+            maps.add(f)
+            images.add(frozenset(image))
+    return {"map_count": len(maps), "subset_count": len(images)}
+
+
+def test_equivalence_map_count_is_the_kept_target_count():
+    rng = random.Random(14)
+    kept = 0
+    for p, n in ((11, 9), (13, 10), (101, 20)):
+        ctx = FieldContext(p)
+        ground = S(rng.sample(range(p), n), ctx)
+        for size in (3, 4, 5):
+            pattern = S(rng.sample(range(p), size), ctx)
+            result = projective_equivalence_count(ground, pattern)
+            assert result == _equivalence_by_map_set(ground, pattern)
+            kept += result["map_count"]
+    assert kept > 0
+
+
 def test_equivalence_kept_maps_are_pattern_rich():
     # each kept map is |S|-rich for the graph point set {(s, f(s))}
     ctx = FieldContext(11)
     ground = S([0, 1, 2, 5], ctx)
     pattern = S([0, 1, 5], ctx)
-    from itertools import permutations
-
     ref = pattern.values[:3]
     for target in permutations(ground.values, 3):
         f = MoebiusMap.through(ref, target, ctx)

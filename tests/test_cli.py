@@ -18,7 +18,7 @@ from mobinc import sweep as sweep_module
 from mobinc.bounds import BOUND_IDS
 from mobinc.generators import INSTANCE_KINDS
 from mobinc.io import format_transform
-from mobinc.pivot import ReductionReport
+from mobinc.pivot import MAX_PIVOT_WORK, ReductionReport
 
 CONFIG = """
 primes = 7,11
@@ -152,7 +152,7 @@ def test_pivot_work_is_refused(files, capsys, monkeypatch, argv):
     for name in ("rich_transforms_brute", "rich_transforms_pivot", "beck_statistics"):
         monkeypatch.setattr(cli, name, _pivot_unreachable)
     code, out, err = run(capsys, *argv, "-p", "17", "--points", _grid_file(files, 17, 201))
-    assert cli.MAX_PIVOT_WORK == 200**3
+    assert MAX_PIVOT_WORK == 200**3
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "201 points" in err and "200^3" in err
@@ -326,6 +326,7 @@ def _unreachable(*args, **kwargs):
     ("-p", "59", "--exhaustive"),
     ("-p", "1048573", "--exhaustive"),
     ("-p", "1009", "--samples", "8"),
+    ("-p", "751", "--samples", "1"),
     ("-p", "13", "--samples", "0"),
     ("-p", "13", "--samples", "-1"),
 ])
@@ -336,12 +337,40 @@ def test_verify_reduction_refuses_unbounded_work(capsys, monkeypatch, argv):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "--samples" in err
+    assert "at most 0" not in err
 
 
 def test_verify_reduction_admits_sampled_p53(capsys, monkeypatch):
     monkeypatch.setattr(cli, "check_reduction", _unreachable)
     with pytest.raises(AssertionError, match="check_reduction"):
         run(capsys, "verify-reduction", "-p", "53", "--samples", "8", "--jobs", "1")
+
+
+def test_verify_reduction_admits_one_sample_at_p743(capsys, monkeypatch):
+    # 751^3 > 53^5 >= 743^3: the refusal at p = 751 points here.
+    monkeypatch.setattr(cli, "check_reduction", _unreachable)
+    with pytest.raises(AssertionError, match="check_reduction"):
+        run(capsys, "verify-reduction", "-p", "743", "--samples", "1", "--jobs", "1")
+
+
+@pytest.mark.parametrize("p", [5, 23])
+def test_verify_reduction_samples_the_same_pivots(capsys, monkeypatch, p):
+    # Reference: a seeded sample of the p^2 cells, decoded and sorted.
+    drawn = []
+
+    def record(ctx, pivots, jobs):
+        drawn.append(pivots)
+        return ReductionReport(p, len(pivots), 0, 0, 0, 0, 0)
+
+    monkeypatch.setattr(cli, "check_reduction", record)
+    for n in (1, 8, p * p):
+        for seed in (0, 1, 17, -1):
+            code, _, _ = run(capsys, "verify-reduction", "-p", str(p), "--samples",
+                             str(n), "--seed", str(seed), "--jobs", "1")
+            assert code == 0
+            expected = sorted((v // p, v % p)
+                              for v in random.Random(seed).sample(range(p * p), n))
+            assert drawn.pop() == expected
 
 
 def test_verify_reduction_failure_exits_1(capsys, monkeypatch):

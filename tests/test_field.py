@@ -115,14 +115,29 @@ def test_enumerate_group_sizes():
         assert len(set(members)) == len(members)
 
 
-def test_class_from_index_matches_enumeration():
-    for p in (3, 5, 7):
+def _group_by_nested_loops(ctx):
+    """The group order as nested loops over canonical forms: the reference
+    for class_from_index, which enumerate_group streams."""
+    p = ctx.p
+    for b in range(p):
+        for c in range(p):
+            bc = b * c % p
+            for d in range(p):
+                if d != bc:
+                    yield MoebiusMap._canonical(1, b, c, d, ctx)
+    for c in range(1, p):
+        for d in range(p):
+            yield MoebiusMap._canonical(0, 1, c, d, ctx)
+
+
+def test_group_order_matches_nested_loops():
+    for p in (2, 3, 5, 7, 11):
         ctx = FieldContext(p)
-        listed = list(enumerate_group(ctx))
-        indexed = [class_from_index(i, ctx) for i in range(group_order(p))]
-        assert listed == indexed
-    with pytest.raises(IndexError):
-        class_from_index(group_order(5), FieldContext(5))
+        reference = [f.as_tuple() for f in _group_by_nested_loops(ctx)]
+        assert [f.as_tuple() for f in enumerate_group(ctx)] == reference
+        for i in (-1, group_order(p)):
+            with pytest.raises(IndexError):
+                class_from_index(i, ctx)
 
 
 def test_eval_examples():
