@@ -13,11 +13,6 @@ from collections import Counter
 from itertools import permutations
 from typing import Iterable
 
-from .errors import (
-    DegenerateInputError,
-    DegeneratePatternError,
-    UnbalancedInputError,
-)
 from .field import INFINITY, FieldContext, MoebiusMap, same_context
 from .incidence import PointSet, SortedSet
 from .pivot import rich_counts
@@ -72,12 +67,12 @@ def representation_report(A: ScalarSet, B: ScalarSet) -> dict:
     """
     same_context(A.ctx, B.ctx)
     if len(A) != len(B):
-        raise UnbalancedInputError(
+        raise ValueError(
             f"report needs |A| = |B|, got {len(A)} and {len(B)}"
         )
     n = len(A)
     if n == 0:
-        raise DegenerateInputError("report of empty sets")
+        raise ValueError("report of empty sets")
     sum_size = len(sumset(A, B))
     k = sum_size / n
     table = representation_counts(A, B)
@@ -104,7 +99,7 @@ def beck_statistics(P: PointSet, constant: float = 1.0) -> dict:
         raise ValueError(f"the constant must be positive and finite, got {constant}")
     n = len(P)
     if n < 3:
-        raise DegenerateInputError(f"need at least 3 points, got {n}")
+        raise ValueError(f"need at least 3 points, got {n}")
     counts = rich_counts(P, 3)
     return {
         "n": n,
@@ -181,7 +176,7 @@ def projective_equivalence_count(A: ScalarSet, S: ScalarSet) -> dict:
     """
     same_context(A.ctx, S.ctx)
     if len(S) < 3:
-        raise DegeneratePatternError(f"pattern needs >= 3 elements, got {len(S)}")
+        raise ValueError(f"pattern needs >= 3 elements, got {len(S)}")
     if len(S) > len(A):
         return {"map_count": 0, "subset_count": 0}
     ctx = A.ctx

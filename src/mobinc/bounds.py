@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import MissingParameterError
 
 F = Fraction
 
@@ -101,7 +100,7 @@ def bound_rhs(spec: BoundSpec) -> RhsValue:
     values = {}
     for name in spec.required_params():
         if name not in spec.params:
-            raise MissingParameterError(
+            raise ValueError(
                 f"{spec.identifier} needs parameter {name!r}"
             )
         v = spec.params[name]

@@ -11,6 +11,7 @@ the handler prints its record, and `main` prints any failure as one line.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -25,8 +26,7 @@ from .applications import (
     representation_report,
 )
 from .energy import energy, energy_report, refuse_energy_work
-from .errors import Error
-from .field import FieldContext
+from .field import FieldContext, group_order
 from .generators import RANDOM_POINTS, generate_instance
 from .incidence import count_incidences, rich_transforms_brute
 from .pivot import check_reduction, refuse_pivot_work, rich_transforms_pivot
@@ -34,6 +34,8 @@ from .sweep import SweepConfig, json_line, rows_to_csv, rows_to_jsonl, sweep
 
 # The group scan of 60 points at p = 1009: the largest one the CLI starts.
 MAX_BRUTE_WORK = 1009**2 * 60
+# The most maps the pivot limit lets rich-enum list: C(200, 3) = 1313400.
+MAX_BRUTE_LISTING = math.comb(200, 3)
 # The exhaustive check at p = 53: the largest run the CLI starts.  743 is
 # the largest prime p with p^3 <= 53^5, so one pivot fits up to p = 743.
 MAX_REDUCTION_WORK = 53**5
@@ -63,14 +65,27 @@ def _cmd_incidence(args) -> int:
 
 
 def _cmd_rich_enum(args) -> int:
-    # The group scan solves every point's equation in each of the ~p^2 rows.
-    if args.method != "pivot" and args.ctx.p**2 * len(args.points) > MAX_BRUTE_WORK:
-        raise Error(
-            f"the group scan of {len(args.points)} points at p={args.ctx.p} needs over "
-            f"1009^2*60 = {MAX_BRUTE_WORK} steps; enumerate with --method pivot"
-        )
+    n, p, k = len(args.points), args.ctx.p, args.k
+    if args.method != "pivot":
+        # The group scan solves every point's equation in each of the ~p^2 rows.
+        if p**2 * n > MAX_BRUTE_WORK:
+            raise ValueError(
+                f"the group scan of {n} points at p={p} needs over "
+                f"1009^2*60 = {MAX_BRUTE_WORK} steps; enumerate with --method pivot"
+            )
+        # It keeps every map through k points: p(p-1) maps pass through one
+        # point, p-1 through two and at most one through three.  It refuses
+        # k < 1 itself.
+        through = (n * p * (p - 1) if k == 1 else
+                   math.comb(n, 2) * (p - 1) if k == 2 else math.comb(n, 3))
+        listing = min(group_order(p), through)
+        if k >= 1 and listing > MAX_BRUTE_LISTING:
+            raise ValueError(
+                f"the group scan of {n} points at p={p} and k={k} may list {listing} "
+                f"maps, over the limit C(200,3) = {MAX_BRUTE_LISTING}; give fewer points"
+            )
     if args.method != "brute":
-        refuse_pivot_work(len(args.points))
+        refuse_pivot_work(n)
     results = {}
     timings = {}
     # The pivot runs first.
@@ -102,7 +117,7 @@ def _cmd_rich_enum(args) -> int:
 
 def _cmd_energy(args) -> int:
     if (args.transforms is None) == (args.hyperbolas is None):
-        raise Error("give exactly one of --transforms or --hyperbolas")
+        raise ValueError("give exactly one of --transforms or --hyperbolas")
     family = args.transforms if args.hyperbolas is None else args.hyperbolas
     refuse_energy_work(len(family))
     if args.hyperbolas is not None:
@@ -122,7 +137,7 @@ def _cmd_repr(args) -> int:
     record = representation_report(args.a, args.b)
     _emit_record(record, args.json)
     if args.strict and not record["hypothesis_ok"]:
-        raise Error("hypothesis |A+B| <= sqrt(p) fails")
+        raise ValueError("hypothesis |A+B| <= sqrt(p) fails")
     return 0
 
 
@@ -145,7 +160,7 @@ def _cmd_equiv_count(args) -> int:
 def _cmd_verify_reduction(args) -> int:
     p = args.ctx.p
     if args.samples < 1:
-        raise Error(f"--samples must be at least 1, got {args.samples}")
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     # Each pivot costs about p^3 steps.
     pivot_count = p * p if args.exhaustive else min(args.samples, p * p)
     if pivot_count * p**3 > MAX_REDUCTION_WORK:
@@ -153,7 +168,7 @@ def _cmd_verify_reduction(args) -> int:
         hint = (f"check at most {most} pivots at this p with --samples" if most
                 else "one pivot at this p is already over the limit; --samples "
                      "checks run up to p = 743")
-        raise Error(
+        raise ValueError(
             f"{pivot_count} pivots at p={p} need about {pivot_count * p**3:.2g} "
             f"steps, over the limit 53^5 = {MAX_REDUCTION_WORK}; {hint}"
         )
@@ -181,7 +196,7 @@ def _cmd_sweep(args) -> int:
     sys.stdout.write(write_rows(rows, timing=args.timing))
     bad = sum(1 for row in rows if not row["hyp_ok"])
     if args.strict and bad:
-        raise Error(f"{bad} rows violate their hypotheses")
+        raise ValueError(f"{bad} rows violate their hypotheses")
     return 0
 
 
@@ -282,7 +297,7 @@ def main(argv=None) -> int:
                 if getattr(args, flag, None) is not None:
                     setattr(args, flag, getattr(mio, loader)(getattr(args, flag), args.ctx))
         return args.handler(args)
-    except (Error, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

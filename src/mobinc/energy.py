@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import EmptyFamilyError, OracleSizeError, WorkLimitError
+from .errors import WorkLimitError
 from .field import FieldContext, MoebiusMap
 from .incidence import TransformSet
 
@@ -49,7 +49,7 @@ def energy(T: TransformSet) -> int:
     to, and its row of keys is counted at once.
     """
     if len(T) == 0:
-        raise EmptyFamilyError("energy of an empty set")
+        raise ValueError("energy of an empty set")
     p, inv = T.ctx.p, T.ctx._inv
     q = p + 1
     mats = [f.as_tuple() for f in T.maps]
@@ -95,9 +95,9 @@ def energy_brute(T: TransformSet, cap: int = ORACLE_CAP) -> int:
     """
     n = len(T)
     if n == 0:
-        raise EmptyFamilyError("energy of an empty set")
+        raise ValueError("energy of an empty set")
     if n > cap:
-        raise OracleSizeError(f"|T| = {n} exceeds the oracle cap {cap}")
+        raise WorkLimitError(f"|T| = {n} exceeds the oracle cap {cap}")
     p = T.ctx.p
     mats = [f.as_tuple() for f in T.maps]
     quotients = []
@@ -152,7 +152,7 @@ def translate_multiplicity(H: Iterable[HyperbolaTranslate]) -> int:
     """Maximum number of translates sharing one x-translate or y-translate."""
     H = list(H)
     if not H:
-        raise EmptyFamilyError("multiplicity of an empty family")
+        raise ValueError("multiplicity of an empty family")
     by_a = Counter(h.a for h in H)
     by_b = Counter(h.b for h in H)
     return max(max(by_a.values()), max(by_b.values()))
@@ -167,7 +167,7 @@ def energy_report(H: Iterable[HyperbolaTranslate], ctx: FieldContext) -> dict:
     """
     H = sorted(set(H))
     if not H:
-        raise EmptyFamilyError("report of an empty family")
+        raise ValueError("report of an empty family")
     maps = encode_family(H, ctx)
     e = energy(maps)
     m = translate_multiplicity(H)

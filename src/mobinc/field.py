@@ -17,11 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .errors import (
-    DegenerateTripleError,
-    ModulusMismatchError,
-    SingularMatrixError,
-)
 
 # Keep p*p products comfortably inside machine-word range and the inverse
 # table small; this library targets desk-scale moduli.
@@ -114,7 +109,7 @@ class FieldContext:
 
 def same_context(a: FieldContext, b: FieldContext) -> FieldContext:
     if a.p != b.p:
-        raise ModulusMismatchError(f"mixed moduli {a.p} and {b.p}")
+        raise ValueError(f"mixed moduli {a.p} and {b.p}")
     return a
 
 
@@ -161,7 +156,7 @@ class MoebiusMap:
         c %= p
         d %= p
         if (a * d - b * c) % p == 0:
-            raise SingularMatrixError(
+            raise ValueError(
                 f"({a},{b},{c},{d}) has zero determinant mod {p}"
             )
         return cls._canonical(a, b, c, d, ctx)
@@ -273,7 +268,7 @@ class MoebiusMap:
 def _normalize_triple(points, ctx):
     pts = tuple(x if x is INFINITY else x % ctx.p for x in points)
     if len(pts) != 3 or len(set(pts)) != 3:
-        raise DegenerateTripleError(f"need three pairwise-distinct points, got {pts}")
+        raise ValueError(f"need three pairwise-distinct points, got {pts}")
     return pts
 
 

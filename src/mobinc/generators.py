@@ -17,7 +17,6 @@ from typing import Optional
 
 from .applications import ScalarSet
 from .energy import HyperbolaTranslate
-from .errors import ConfigError, InfeasibleSizeError
 from .field import FieldContext, class_from_index, group_order
 from .incidence import PointSet, TransformSet
 from .pivot import refuse_pivot_work, rich_transforms_pivot
@@ -65,7 +64,7 @@ def derive_seed(*parts) -> int:
 def _as_int(key: str, value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ConfigError(f"generator parameter {key!r} must be an integer, got {value!r}")
+    raise ValueError(f"generator parameter {key!r} must be an integer, got {value!r}")
 
 
 def _int(params: dict, key: str, default=None) -> Optional[int]:
@@ -76,7 +75,7 @@ def _int(params: dict, key: str, default=None) -> Optional[int]:
 def _need(params: dict, key: str, default=None) -> int:
     value = _int(params, key, default)
     if value is None:
-        raise InfeasibleSizeError(f"generator parameter {key!r} is required")
+        raise ValueError(f"generator parameter {key!r} is required")
     return value
 
 
@@ -92,14 +91,14 @@ def _scalars(rng, params, key, size_key, size_default, ctx) -> ScalarSet:
 
 def _sample_scalars(rng: random.Random, n: int, ctx: FieldContext) -> ScalarSet:
     if n > ctx.p:
-        raise InfeasibleSizeError(f"cannot draw {n} distinct scalars mod {ctx.p}")
+        raise ValueError(f"cannot draw {n} distinct scalars mod {ctx.p}")
     return ScalarSet(rng.sample(range(ctx.p), n), ctx)
 
 
 def _sample_points(rng: random.Random, n: int, ctx: FieldContext) -> PointSet:
     p = ctx.p
     if n > p * p:
-        raise InfeasibleSizeError(f"cannot draw {n} distinct points in F_{p}^2")
+        raise ValueError(f"cannot draw {n} distinct points in F_{p}^2")
     cells = rng.sample(range(p * p), n)
     return PointSet(((v // p, v % p) for v in cells), ctx)
 
@@ -107,14 +106,14 @@ def _sample_points(rng: random.Random, n: int, ctx: FieldContext) -> PointSet:
 def _ap_scalars(rng, n, ctx, start, step) -> ScalarSet:
     p = ctx.p
     if n > p:
-        raise InfeasibleSizeError(f"progression of {n} distinct terms mod {p}")
+        raise ValueError(f"progression of {n} distinct terms mod {p}")
     if start is None:
         start = rng.randrange(p)
     if step is None:
         step = rng.randrange(1, p)
     step %= p
     if step == 0 and n > 1:
-        raise InfeasibleSizeError("zero step cannot give distinct terms")
+        raise ValueError("zero step cannot give distinct terms")
     return ScalarSet(((start + i * step) % p for i in range(n)), ctx)
 
 
@@ -129,7 +128,7 @@ def _gp_scalars(rng, n, ctx, start, ratio) -> ScalarSet:
             return ScalarSet(values, ctx)
         if explicit and start is not None:
             break
-    raise InfeasibleSizeError(
+    raise ValueError(
         f"no geometric progression of {n} distinct terms found mod {p}"
     )
 
@@ -137,7 +136,7 @@ def _gp_scalars(rng, n, ctx, start, ratio) -> ScalarSet:
 def _sample_transforms(rng, n, ctx) -> TransformSet:
     order = group_order(ctx.p)
     if n > order:
-        raise InfeasibleSizeError(f"PGL(2,{ctx.p}) has only {order} elements")
+        raise ValueError(f"PGL(2,{ctx.p}) has only {order} elements")
     indices = rng.sample(range(order), n)
     return TransformSet((class_from_index(i, ctx) for i in indices), ctx)
 
@@ -145,7 +144,7 @@ def _sample_transforms(rng, n, ctx) -> TransformSet:
 def _sample_hyperbolas(rng, n, ctx) -> tuple[HyperbolaTranslate, ...]:
     p = ctx.p
     if n > 2 * p * p:
-        raise InfeasibleSizeError(f"only {2 * p * p} distinct translates mod {p}")
+        raise ValueError(f"only {2 * p * p} distinct translates mod {p}")
     picks = rng.sample(range(2 * p * p), n)
     out = [
         HyperbolaTranslate((v // p) % p, v % p, 1 if v < p * p else -1)

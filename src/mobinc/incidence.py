@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator
 
-from .errors import ModulusMismatchError, ThresholdError
 from .field import FieldContext, MoebiusMap, same_context
 
 
@@ -67,7 +66,7 @@ class TransformSet(SortedSet):
         uniq = frozenset(maps)
         for f in uniq:
             if f.ctx.p != ctx.p:
-                raise ModulusMismatchError(
+                raise ValueError(
                     f"map over F_{f.ctx.p} in a set over F_{ctx.p}"
                 )
         super().__init__(uniq, ctx, key=MoebiusMap.as_tuple)
@@ -118,7 +117,7 @@ def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:
     row, in O(p^2 * |P|) steps for the whole group.
     """
     if k < 1:
-        raise ThresholdError(f"the full-group scan needs k >= 1, got {k}")
+        raise ValueError(f"the full-group scan needs k >= 1, got {k}")
     ctx = P.ctx
     p = ctx.p
     inv = ctx._inv

@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from .applications import ScalarSet
 from .energy import HyperbolaTranslate
-from .errors import FileFormatError
 from .field import FieldContext, MoebiusMap
 from .incidence import PointSet, TransformSet
 
@@ -26,14 +25,14 @@ def _data_lines(text: str):
 def _ints(line: str, lineno: int, expected: int, where: str) -> list[int]:
     parts = [part.strip() for part in line.split(",")]
     if len(parts) != expected:
-        raise FileFormatError(
+        raise ValueError(
             f"{where}, line {lineno}: expected {expected} comma-separated "
             f"values, got {line!r}"
         )
     try:
         return [int(part) for part in parts]
     except ValueError:
-        raise FileFormatError(
+        raise ValueError(
             f"{where}, line {lineno}: non-integer value in {line!r}"
         ) from None
 
@@ -61,7 +60,7 @@ def parse_hyperbolas(
     for lineno, line in _data_lines(text):
         a, b, eps = _ints(line, lineno, 3, where)
         if eps not in (1, -1):
-            raise FileFormatError(
+            raise ValueError(
                 f"{where}, line {lineno}: eps must be +1 or -1, got {eps}"
             )
         out.add(HyperbolaTranslate(a % p, b % p, eps))
@@ -74,7 +73,7 @@ def parse_scalars(text: str, ctx: FieldContext, where: str = "<scalars>") -> Sca
         try:
             values.append(int(line))
         except ValueError:
-            raise FileFormatError(
+            raise ValueError(
                 f"{where}, line {lineno}: expected one integer, got {line!r}"
             ) from None
     return ScalarSet(values, ctx)
@@ -84,7 +83,7 @@ def parse_config_text(text: str, where: str = "<config>") -> dict[str, str]:
     mapping: dict[str, str] = {}
     for lineno, line in _data_lines(text):
         if "=" not in line:
-            raise FileFormatError(
+            raise ValueError(
                 f"{where}, line {lineno}: expected key = value, got {line!r}"
             )
         key, value = line.split("=", 1)

@@ -25,7 +25,7 @@ from collections import Counter
 from functools import partial
 from typing import NamedTuple, Optional, Union
 
-from .errors import PivotMismatchError, ThresholdError, WorkLimitError, WrongBranchError
+from .errors import WorkLimitError
 from .field import FieldContext, MoebiusMap, parallel_map
 from .incidence import PointSet, TransformSet
 
@@ -69,9 +69,9 @@ def conjugate_through_pivot(
     p = ctx.p
     q1, q2 = q[0] % p, q[1] % p
     if f.c == 0:
-        raise WrongBranchError(f"{f!r} is affine; the conjugate needs c != 0")
+        raise ValueError(f"{f!r} is affine; the conjugate needs c != 0")
     if f(q1) != q2:
-        raise PivotMismatchError(f"{f!r} does not map {q1} to {q2}")
+        raise ValueError(f"{f!r} does not map {q1} to {q2}")
     s = ctx._inv[f.c]
     a = f.a * s % p
     d = f.d * s % p
@@ -153,7 +153,7 @@ def _line_pairs(points, ctx: FieldContext) -> dict[int, int]:
 def rich_lines(P: PointSet, j: int) -> tuple[AffineLine, ...]:
     """Lines with at least j >= 2 points of P, by (slope, intercept), verticals last."""
     if j < 2:
-        raise ThresholdError(f"rich lines need a threshold >= 2, got {j}")
+        raise ValueError(f"rich lines need a threshold >= 2, got {j}")
     p, least = P.ctx.p, j * (j - 1) // 2
     keys = sorted(key for key, c in _line_pairs(P.points, P.ctx).items() if c >= least)
     return tuple(
@@ -195,7 +195,7 @@ def refuse_pivot_work(n: int) -> None:
 def _later_lines(P: PointSet, k: int):
     """(pivot, key, pairs) per non-axis line through k-1 or more later points."""
     if k < 3:
-        raise ThresholdError(f"pivot enumeration needs k >= 3, got {k}")
+        raise ValueError(f"pivot enumeration needs k >= 3, got {k}")
     ctx, p, pts = P.ctx, P.ctx.p, P.points
     least = (k - 1) * (k - 2) // 2
     for i, q in enumerate(pts):

@@ -34,9 +34,10 @@ from .bounds import (
     hypothesis_check,
 )
 from .energy import encode_family, energy, refuse_energy_work, translate_multiplicity
-from .errors import ConfigError, WorkLimitError
+from .errors import WorkLimitError
 from .field import MAX_MODULUS, FieldContext, group_order, is_prime, parallel_map
 from .generators import (
+    DEFINED_BY,
     INSTANCE_KINDS,
     RANDOM_HYPERBOLAS,
     RANDOM_POINTS,
@@ -109,24 +110,24 @@ class SweepConfig:
         for p in self.primes:
             # Bound first: trial division of a huge modulus would not finish.
             if p >= MAX_MODULUS:
-                raise ConfigError(f"sweep prime {p} exceeds the limit {MAX_MODULUS}")
+                raise ValueError(f"sweep prime {p} exceeds the limit {MAX_MODULUS}")
             if not is_prime(p) or p < 5:
-                raise ConfigError(f"sweep primes must be primes >= 5, got {p}")
+                raise ValueError(f"sweep primes must be primes >= 5, got {p}")
         for bound in self.bounds:
             if bound not in BOUND_IDS:
-                raise ConfigError(f"unknown bound identifier {bound!r}")
+                raise ValueError(f"unknown bound identifier {bound!r}")
         if self.generator not in INSTANCE_KINDS:
-            raise ConfigError(f"unknown generator {self.generator!r}")
+            raise ValueError(f"unknown generator {self.generator!r}")
         if self.reps < 1:
-            raise ConfigError("reps must be at least 1")
+            raise ValueError("reps must be at least 1")
         if self.k < 2:
-            raise ConfigError("k must be at least 2")
+            raise ValueError("k must be at least 2")
         if not 0 < self.constant < math.inf:
-            raise ConfigError(f"constant must be positive and finite, got {self.constant}")
+            raise ValueError(f"constant must be positive and finite, got {self.constant}")
         if self.k < 3 and any(
             b in (THM1_RICH, THM2_RICH) for b in self.bounds
         ):
-            raise ConfigError("rich-transformation bounds need k >= 3")
+            raise ValueError("rich-transformation bounds need k >= 3")
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "SweepConfig":
@@ -136,12 +137,12 @@ class SweepConfig:
             try:
                 (known if key in _TYPED_KEYS else params)[key] = parse(value)
             except ValueError:
-                raise ConfigError(
+                raise ValueError(
                     f"config key {key!r} must be {expected}, got {value!r}"
                 ) from None
         missing = {"primes", "bounds", "generator", "seed"} - known.keys()
         if missing:
-            raise ConfigError(f"config is missing keys: {sorted(missing)}")
+            raise ValueError(f"config is missing keys: {sorted(missing)}")
         return cls(params=params, **known)
 
 
@@ -213,10 +214,12 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
     also gives B, because nb is always resolved, so the scalars are filled
     in as a pair.  The grid A x B is built once, when there are scalars, and
     is the points when the generator gave none.  A needed component that
-    came out empty is a ConfigError naming the cell.  Random points under a
+    came out empty is a ValueError naming the cell.  Random points under a
     thm1-rich row are refused on their size n before they are drawn, random
-    transforms under a thm3-energy row on their size nt, and a grid that a
-    rich row counts is refused on |A|*|B| before it is built.
+    transforms under a thm3-energy row on their size nt, the maps defined
+    by random points under a thm3-energy row on their count before they are
+    built, and a grid that a rich row counts is refused on |A|*|B| before
+    it is built.
     """
     params = _resolved_sizes(config, size)
     needed = {need for bound in config.bounds for need in _NEEDS[bound]}
@@ -227,6 +230,12 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
             refuse_pivot_work(_as_int("n", params["n"]))
         if kind == RANDOM_TRANSFORMS and THM3_ENERGY in config.bounds:
             refuse_energy_work(_as_int("nt", params["nt"]))
+        if kind == DEFINED_BY and THM3_ENERGY in config.bounds:
+            # The generator draws its points as random-points does and builds
+            # every map through three of them; count those maps first.
+            refuse_pivot_work(_as_int("n", params["n"]))
+            drawn = generate_instance(RANDOM_POINTS, kind_params, seed, ctx)
+            refuse_energy_work(rich_counts(drawn.points, 3).get(3, 0))
         return generate_instance(kind, kind_params, seed, ctx)
 
     inst = draw(config.generator, params, base_seed)
@@ -249,7 +258,7 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
             extra = draw(kind, {key: params[key]}, derive_seed(base_seed, attr))
             setattr(inst, attr, getattr(extra, attr))
         if len(getattr(inst, attr)) == 0:
-            raise ConfigError(f"{_cell(config, ctx.p, size, rep)}: the {label} is empty")
+            raise ValueError(f"{_cell(config, ctx.p, size, rep)}: the {label} is empty")
     return inst, grid
 
 
@@ -351,7 +360,7 @@ def _sweep_unit(args):
     The instance and grid are built once, and each distinct point set is
     enumerated for k-rich maps once; a shared quantity is timed in the first
     row that needs it.  Nothing outlives the cell.  A pivot enumeration or an
-    energy table over its work limit is refused as a ConfigError naming the
+    energy table over its work limit is refused as a ValueError naming the
     cell.
     """
     config, p, size, rep = args
@@ -362,7 +371,7 @@ def _sweep_unit(args):
         return [_compute_row(bound, inst, grid, rich, config, ctx, size, rep)
                 for bound in config.bounds]
     except WorkLimitError as exc:
-        raise ConfigError(f"{_cell(config, p, size, rep)}: {exc}") from None
+        raise ValueError(f"{_cell(config, p, size, rep)}: {exc}") from None
 
 
 def sweep(config: SweepConfig, jobs: int = 1) -> list[dict]:

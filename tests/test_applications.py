@@ -18,11 +18,6 @@ from mobinc.applications import (
     representation_report,
     sumset,
 )
-from mobinc.errors import (
-    DegenerateInputError,
-    DegeneratePatternError,
-    UnbalancedInputError,
-)
 from mobinc.field import INFINITY, FieldContext, MoebiusMap
 from mobinc.incidence import PointSet, rich_transforms_brute, richness
 
@@ -93,7 +88,7 @@ def test_representation_report_gp():
 
 
 def test_representation_report_unbalanced():
-    with pytest.raises(UnbalancedInputError):
+    with pytest.raises(ValueError, match=r"report needs \|A\| = \|B\|"):
         representation_report(S([1, 2], CTX7), S([1], CTX7))
 
 
@@ -106,7 +101,7 @@ def test_beck_statistics_examples():
     generic = PointSet([(0, 1), (1, 3), (2, 0)], CTX5)
     stats = beck_statistics(generic)
     assert stats["defined_count"] == 1 and stats["max_richness"] == 3
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ValueError, match="need at least 3 points"):
         beck_statistics(PointSet([(0, 0), (1, 1)], CTX5))
 
 
@@ -199,7 +194,7 @@ def test_equivalence_count_examples():
     assert projective_equivalence_count(
         S([0, 1, 2], CTX7), S([0, 1, 2, 3], CTX7)
     ) == {"map_count": 0, "subset_count": 0}
-    with pytest.raises(DegeneratePatternError):
+    with pytest.raises(ValueError, match="pattern needs >= 3 elements"):
         projective_equivalence_count(S(range(5), CTX7), S([0, 1], CTX7))
 
 

@@ -9,7 +9,6 @@ from mobinc.bounds import (
     dyadic_threshold,
     hypothesis_check,
 )
-from mobinc.errors import MissingParameterError
 
 
 def test_bound_ids_complete():
@@ -74,7 +73,7 @@ def test_bound_rhs_monotone_in_sizes():
 
 
 def test_bound_rhs_errors():
-    with pytest.raises(MissingParameterError):
+    with pytest.raises(ValueError, match="needs parameter 'T'"):
         bound_rhs(BoundSpec("thm1-incidence", {"P": 10}))
     with pytest.raises(ValueError):
         bound_rhs(BoundSpec("thm1-rich", {"P": 0, "k": 3}))

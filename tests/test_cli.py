@@ -138,6 +138,28 @@ def test_rich_enum_admits_scan_at_p1009(files, capsys, monkeypatch):
             "-p", "1009", "-k", "3", "--method", "brute")
 
 
+@pytest.mark.parametrize("p, n, k", [(1009, 60, 1), (1009, 60, 2), (211, 1372, 3)])
+@pytest.mark.parametrize("method", ["brute", "both"])
+def test_rich_enum_refuses_unbounded_listing(files, capsys, monkeypatch, p, n, k, method):
+    # The scan's steps are admitted, but the maps it would keep are over
+    # C(200, 3); refused before either enumerator runs.
+    monkeypatch.setattr(cli, "rich_transforms_brute", _scan_unreachable)
+    monkeypatch.setattr(cli, "rich_transforms_pivot", _scan_unreachable)
+    code, out, err = run(capsys, "rich-enum", "--points", _grid_file(files, p, n),
+                         "-p", str(p), "-k", str(k), "--method", method)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{n} points at p={p} and k={k} may list" in err and "C(200,3) = 1313400" in err
+
+
+@pytest.mark.parametrize("p, n, k", [(61, 120, 3), (1009, 54, 3), (101, 60, 1)])
+def test_rich_enum_admits_bounded_listing(files, capsys, monkeypatch, p, n, k):
+    monkeypatch.setattr(cli, "rich_transforms_brute", _scan_unreachable)
+    with pytest.raises(AssertionError, match="rich_transforms_brute"):
+        run(capsys, "rich-enum", "--points", _grid_file(files, p, n),
+            "-p", str(p), "-k", str(k), "--method", "brute")
+
+
 def _pivot_unreachable(*args, **kwargs):
     raise AssertionError("the pivot enumeration was called")
 

@@ -10,11 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobinc import field
-from mobinc.errors import (
-    DegenerateTripleError,
-    ModulusMismatchError,
-    SingularMatrixError,
-)
 from mobinc.field import (
     INFINITY,
     FieldContext,
@@ -76,7 +71,7 @@ def test_inverse_table_complete():
 def test_canonicalization_examples():
     assert MoebiusMap(2, 4, 0, 2, CTX5).as_tuple() == (1, 2, 0, 1)
     assert MoebiusMap(1, 0, 0, 1, CTX5).as_tuple() == (1, 0, 0, 1)
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(ValueError, match="zero determinant"):
         MoebiusMap(1, 2, 2, 4, CTX5)
 
 
@@ -194,7 +189,7 @@ def test_compose_associative_random():
 
 
 def test_compose_modulus_mismatch():
-    with pytest.raises(ModulusMismatchError):
+    with pytest.raises(ValueError, match="mixed moduli 5 and 7"):
         MoebiusMap.identity(CTX5) * MoebiusMap.identity(CTX7)
 
 
@@ -234,11 +229,11 @@ def test_through_is_unique_in_group(p):
 
 
 def test_through_degenerate_triples():
-    with pytest.raises(DegenerateTripleError):
+    with pytest.raises(ValueError, match="need three pairwise-distinct points"):
         MoebiusMap.through((0, 0, 1), (0, 1, 2), CTX5)
-    with pytest.raises(DegenerateTripleError):
+    with pytest.raises(ValueError, match="need three pairwise-distinct points"):
         MoebiusMap.through((0, 1, 2), (3, INFINITY, INFINITY), CTX5)
-    with pytest.raises(DegenerateTripleError):
+    with pytest.raises(ValueError, match="need three pairwise-distinct points"):
         MoebiusMap.through((0, 1, 6), (0, 1, 2), CTX5)  # 6 = 1 mod 5
 
 
@@ -246,7 +241,7 @@ def test_through_degenerate_triples():
 @given(st.integers(0, 6), st.integers(0, 6))
 def test_affine_constructor(slope, intercept):
     if slope % 7 == 0:
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(ValueError, match="zero determinant"):
             MoebiusMap(slope, intercept, 0, 1, CTX7)
         return
     f = MoebiusMap(slope, intercept, 0, 1, CTX7)

@@ -3,7 +3,6 @@
 import pytest
 
 from mobinc.applications import cartesian_points
-from mobinc.errors import InfeasibleSizeError
 from mobinc.field import FieldContext, group_order
 from mobinc.generators import Instance, derive_seed, generate_instance
 from mobinc.incidence import rich_transforms_brute
@@ -54,7 +53,7 @@ def test_cartesian_explicit_example():
 def test_random_points_distinct_and_feasible():
     inst = generate_instance("random-points", {"n": 30}, 5, CTX11)
     assert len(inst.points) == 30
-    with pytest.raises(InfeasibleSizeError):
+    with pytest.raises(ValueError, match="cannot draw 122 distinct points"):
         generate_instance("random-points", {"n": 122}, 5, CTX11)
 
 
@@ -65,7 +64,7 @@ def test_random_transforms_example():
     assert inst.transforms == again.transforms
     other = generate_instance("random-transforms", {"n": 10}, 8, CTX11)
     assert inst.transforms != other.transforms
-    with pytest.raises(InfeasibleSizeError):
+    with pytest.raises(ValueError, match=r"PGL\(2,11\) has only 1320 elements"):
         generate_instance(
             "random-transforms", {"n": group_order(11) + 1}, 0, CTX11
         )
@@ -74,6 +73,8 @@ def test_random_transforms_example():
 def test_transforms_defined_by_consistency():
     inst = generate_instance("transforms-defined-by", {"n": 10}, 2, CTX11)
     assert inst.transforms == rich_transforms_brute(inst.points, 3)
+    # A sweep counts these maps on the random-points draw before they are built.
+    assert inst.points == generate_instance("random-points", {"n": 10}, 2, CTX11).points
 
 
 def test_hyperbola_grid_and_random():
@@ -90,11 +91,11 @@ def test_hyperbola_grid_and_random():
 
 
 def test_scalar_infeasible():
-    with pytest.raises(InfeasibleSizeError):
+    with pytest.raises(ValueError, match="cannot draw 12 distinct scalars"):
         generate_instance("random-scalars", {"na": 12}, 0, CTX11)
-    with pytest.raises(InfeasibleSizeError):
+    with pytest.raises(ValueError, match="progression of 12 distinct terms"):
         generate_instance("ap", {"na": 12}, 0, CTX11)
-    with pytest.raises(InfeasibleSizeError, match="zero step"):
+    with pytest.raises(ValueError, match="zero step"):
         generate_instance("ap", {"na": 3, "step": 11}, 0, CTX11)
 
 

@@ -8,7 +8,6 @@ import pytest
 from mobinc import cli, generators
 from mobinc import sweep as sweep_module
 from mobinc.bounds import BOUND_IDS, dyadic_threshold
-from mobinc.errors import ConfigError
 from mobinc.generators import INSTANCE_KINDS
 from mobinc.io import parse_config_text
 from mobinc.sweep import (
@@ -45,18 +44,20 @@ def test_config_parsing():
 
 
 def test_config_validation_errors(monkeypatch):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="sweep primes must be primes >= 5, got 4"):
         config_from("primes = 4\nbounds = thm1-rich\ngenerator = random-points\nseed = 1")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="sweep primes must be primes >= 5, got 3"):
         config_from("primes = 3\nbounds = thm1-rich\ngenerator = random-points\nseed = 1")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown bound identifier 'thm9'"):
         config_from("primes = 7\nbounds = thm9\ngenerator = random-points\nseed = 1")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown generator 'bogus'"):
         config_from("primes = 7\nbounds = thm1-rich\ngenerator = bogus\nseed = 1")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"config is missing keys: \['seed'\]"):
         config_from("primes = 7\nbounds = thm1-rich\ngenerator = random-points")
-    for extra in ("k = 2", "k = 1", "reps = 0"):
-        with pytest.raises(ConfigError):
+    for extra, message in (("k = 2", "rich-transformation bounds need k >= 3"),
+                           ("k = 1", "k must be at least 2"),
+                           ("reps = 0", "reps must be at least 1")):
+        with pytest.raises(ValueError, match=message):
             config_from(
                 f"primes = 7\nbounds = thm1-rich\ngenerator = random-points\nseed = 1\n{extra}"
             )
@@ -65,12 +66,12 @@ def test_config_validation_errors(monkeypatch):
                            ("k = 2.5", "'k' must be an integer, got '2.5'"),
                            ("constant = abc", "'constant' must be a number"),
                            ("sizes = 3,y", "'sizes' must be a comma list of integers")):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ValueError, match=message):
             config_from(
                 f"primes = 7\nbounds = thm1-rich\ngenerator = random-points\nseed = 1\n{extra}"
             )
     for constant in ("nan", "0", "-1", "inf"):
-        with pytest.raises(ConfigError, match="positive and finite"):
+        with pytest.raises(ValueError, match="positive and finite"):
             config_from(
                 "primes = 7\nbounds = thm1-rich\ngenerator = random-points\n"
                 f"seed = 1\nconstant = {constant}"
@@ -81,7 +82,7 @@ def test_config_validation_errors(monkeypatch):
 
     # The bound is tested before primality, which would not finish for 2^61-1.
     monkeypatch.setattr(sweep_module, "is_prime", no_trial_division)
-    with pytest.raises(ConfigError, match="exceeds the limit"):
+    with pytest.raises(ValueError, match="exceeds the limit"):
         config_from(
             "primes = 2305843009213693951\nbounds = thm1-rich\n"
             "generator = random-points\nseed = 1"
@@ -312,6 +313,34 @@ def test_energy_of_generated_transforms_is_refused(tmp_path, capsys, monkeypatch
         cli.main(argv)
 
 
+def _maps_unreachable(*args, **kwargs):
+    raise AssertionError("the defined maps were built")
+
+
+def test_defined_maps_are_counted_before_they_are_built(tmp_path, capsys, monkeypatch):
+    # 100 points at p = 9973 define 160446 maps through three of them: the
+    # row is refused on that count, before the generator builds one map.
+    monkeypatch.setattr(generators, "rich_transforms_pivot", _maps_unreachable)
+    path = tmp_path / "sweep.cfg"
+    argv = ["sweep", "--config", str(path), "--jobs", "1"]
+    text = "primes = 9973\nseed = 1\nbounds = thm3-energy\ngenerator = transforms-defined-by\n"
+    path.write_text(text + "n = 100\n", encoding="utf-8")
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: sweep cell p=9973 size=None rep=0 under generator "
+        "transforms-defined-by: the energy of 160446 maps needs 160446^2 = "
+        "25742918916 quotients, over the limit 1000^2 = 1000000; give at most 1000 maps\n"
+    )
+    # 14 points define few enough maps; their row keeps its bytes.
+    monkeypatch.undo()
+    path.write_text(text + "n = 14\n", encoding="utf-8")
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "b17bf6322e41933a202043bf62cfc6137253976fe8a1bccd238035fce49f47ca"
+
+
 def _grid_unreachable(*args, **kwargs):
     raise AssertionError("the grid was built")
 
@@ -392,7 +421,7 @@ def test_library_values_must_be_integers(key, value, expected):
     # bool is refused, not truncated to an integer
     raw = {"primes": "13", "seed": 1, "bounds": "thm1-rich", "generator": "ap", "step": 2}
     assert SweepConfig.from_mapping(raw).params == {"step": 2}
-    with pytest.raises(ConfigError, match=f"config key '{key}' {expected}"):
+    with pytest.raises(ValueError, match=f"config key '{key}' {expected}"):
         SweepConfig.from_mapping({**raw, key: value})
 
 
@@ -427,7 +456,7 @@ def test_one_rich_enumeration_per_point_set(monkeypatch):
 
 # Every bound under every generator, plus progressions with unequal sides and
 # b_ parameters; each config's JSONL and CSV bytes are pinned by their
-# sha256, or by the ConfigError text of a config that fails.
+# sha256, or by the ValueError text of a config that fails.
 PINNED_BASE = (
     f"primes = 11,13\nbounds = {','.join(BOUND_IDS)}\nsizes = 3,4,6\n"
     "reps = 2\nk = 3\n"
@@ -453,8 +482,8 @@ PINNED = {
     ('cartesian', 7): '4431ff6dd3b68827c7035e1133b9074dc2115c262977b91dae1309ba26418303',
     ('random-transforms', 1): '501378a513b516bf2e2bfb0ba00acb432c3d75a4d5cbb20cf1b7fe85f4fd1d32',
     ('random-transforms', 7): 'c8b243bda46c0b14646abd848e76d25267e3a875cd190f2f2eeb0c645bd174be',
-    ('transforms-defined-by', 1): 'ConfigError: sweep cell p=11 size=3 rep=1 under generator transforms-defined-by: the transform set is empty',
-    ('transforms-defined-by', 7): 'ConfigError: sweep cell p=11 size=3 rep=0 under generator transforms-defined-by: the transform set is empty',
+    ('transforms-defined-by', 1): 'ValueError: sweep cell p=11 size=3 rep=1 under generator transforms-defined-by: the transform set is empty',
+    ('transforms-defined-by', 7): 'ValueError: sweep cell p=11 size=3 rep=0 under generator transforms-defined-by: the transform set is empty',
     ('hyperbola-grid', 1): '7b12d1a6f1c74fc072ed4784a803bbc942870ed773df6ca536ab5e3777c342bd',
     ('hyperbola-grid', 7): '64e77cf403e90817650c05c702ff08de11e5c63e1ef6986ed9bb3c3b29cd45e5',
     ('random-hyperbolas', 1): '9c3df42439363f9527030b62d2b1204012b82c70cba54b161cec928d59ce0023',
@@ -471,8 +500,8 @@ PINNED = {
 def _pinned_digest(text):
     try:
         rows = sweep(config_from(text))
-    except ConfigError as exc:
-        return f"ConfigError: {exc}"
+    except ValueError as exc:
+        return f"ValueError: {exc}"
     data = (rows_to_jsonl(rows) + rows_to_csv(rows)).encode()
     return hashlib.sha256(data).hexdigest()
 
