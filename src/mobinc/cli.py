@@ -19,6 +19,7 @@ import time
 from . import io as mio
 from .applications import (
     EXPANDER_KINDS,
+    RATIONAL,
     beck_statistics,
     expander_report,
     projective_equivalence_count,
@@ -26,6 +27,7 @@ from .applications import (
     representation_report,
 )
 from .energy import energy, energy_report, refuse_energy_work
+from .errors import WorkLimitError
 from .field import FieldContext, group_order
 from .generators import RANDOM_POINTS, generate_instance
 from .incidence import count_incidences, rich_transforms_brute
@@ -39,6 +41,10 @@ MAX_BRUTE_LISTING = math.comb(200, 3)
 # The exhaustive check at p = 53: the largest run the CLI starts.  743 is
 # the largest prime p with p^3 <= 53^5, so one pivot fits up to p = 743.
 MAX_REDUCTION_WORK = 53**5
+# The rational value set of 60 values: about 3 s at a large prime.
+MAX_RATIONAL_WORK = 60**4
+# equiv-count over 60 ground elements: 205320 target triples, 2 to 4 s.
+MAX_EQUIV_TARGETS = math.perm(60, 3)
 
 # Each file flag and its loader in io, in load order.  The loader is looked
 # up on io when it runs, so a wrapped loader is the one called.
@@ -148,11 +154,24 @@ def _cmd_beck(args) -> int:
 
 
 def _cmd_expander(args) -> int:
+    n = len(args.a)
+    if args.kind == RATIONAL and n**4 > MAX_RATIONAL_WORK:
+        raise WorkLimitError(
+            f"the rational value set of {n} values needs {n}^4 = {n**4} steps, "
+            f"over the limit 60^4 = {MAX_RATIONAL_WORK}; give at most 60 values"
+        )
     _emit_record(expander_report(args.a, args.kind), args.json)
     return 0
 
 
 def _cmd_equiv_count(args) -> int:
+    n, targets = len(args.a), math.perm(len(args.a), 3)
+    if targets > MAX_EQUIV_TARGETS:
+        raise WorkLimitError(
+            f"equiv-count over {n} ground elements tries {targets} target "
+            f"triples, over the limit 60*59*58 = {MAX_EQUIV_TARGETS}; give at most "
+            f"60 ground elements"
+        )
     _emit_record(projective_equivalence_count(args.a, args.s), args.json)
     return 0
 

@@ -248,21 +248,26 @@ def _check_one_pivot(ctx: FieldContext, q: tuple[int, int]) -> tuple[int, int, i
     map and one of the (p-1)^2 admissible points (s1 != q1, s2 != q2).
 
     Each side of the reduction puts at most one admissible point on each
-    abscissa s1, so each side is a graph built from p-1 evaluations: the
-    curve's {(s1, f(s1))}, and the line t2 = m*t1 + i pulled back through
-    the transplant (t1, t2) = (1/(q1 - s1), 1/(q2 - s2)).  A point violates
-    the reduction when it lies on one side only, so the violations are the
-    size of the symmetric difference of the two graphs.  The two sides are
-    computed independently, from (a, b, d) and from (m, i), with nothing
-    from the enumeration path; a pivot costs O(p^3), an exhaustive check
-    O(p^5).
+    abscissa s1 != q1, so each side is a list of p-1 ordinates, with q2
+    marking an abscissa that carries no admissible point.  The curve's list
+    is f(s1) = (a*s1 + b)/(s1 + d), from (a, b, d) and a table of 1/(s1 + d),
+    with q2 at the pole s1 = -d; an f(s1) equal to q2 is not admissible
+    either.  The line t2 = m*t1 + i is pulled back through the transplant
+    (t1, t2) = (1/(q1 - s1), 1/(q2 - s2)), from (m, i) alone: s2 = q2 - 1/t2,
+    which is never q2, or q2 where t2 = 0.  A point violates the reduction
+    when it lies on one side only, so an abscissa where the lists differ
+    adds 2 when both entries are points and 1 otherwise; that is the size
+    of the symmetric difference of the two graphs.  Nothing comes from the
+    enumeration path.  Tables of p lists of p-1 entries are built once per
+    pivot, so a pivot still costs O(p^3) and an exhaustive check O(p^5).
     """
     p = ctx.p
     inv = ctx._inv
     q1, q2 = q[0] % p, q[1] % p
-    # A point (s1, s2) is keyed as s1*p + s2.
     xs = [s1 for s1 in range(p) if s1 != q1]
-    rows = [(s1 * p, inv[(q1 - s1) % p]) for s1 in xs]
+    t1s = [inv[(q1 - s1) % p] for s1 in xs]
+    slopes = [[m * t1 % p for t1 in t1s] for m in range(p)]
+    recips = [[inv[(s1 + d) % p] for s1 in xs] for d in range(p)]
     transforms = violations = det_mismatches = 0
     lines_seen = set()
     for a in range(p):
@@ -271,6 +276,8 @@ def _check_one_pivot(ctx: FieldContext, q: tuple[int, int]) -> tuple[int, int, i
         u = (a - q2) % p
         inv_u = inv[u]
         i = (-inv_u) % p
+        # back[v]: the ordinate pulled back from t2 = v + i, or q2 where t2 = 0.
+        back = [(q2 - inv[(v + i) % p]) % p if (v + i) % p else q2 for v in range(p)]
         for d in range(p):
             if (d + q1) % p == 0:
                 continue
@@ -280,18 +287,13 @@ def _check_one_pivot(ctx: FieldContext, q: tuple[int, int]) -> tuple[int, int, i
             if ((q1 + d) * u - (a * d - b)) % p != 0:
                 det_mismatches += 1
             lines_seen.add((m, i))
-            curve = {
-                s1 * p + s2
-                for s1 in xs
-                if (den := (s1 + d) % p)
-                and (s2 := (a * s1 + b) * inv[den] % p) != q2
-            }
-            line = {
-                row + (q2 - inv[t2]) % p
-                for row, t1 in rows
-                if (t2 := (m * t1 + i) % p)
-            }
-            violations += len(curve ^ line)
+            curve = [(a * s1 + b) * w % p for s1, w in zip(xs, recips[d])]
+            pole = -d % p
+            # xs skips q1, so abscissae past q1 sit one index lower.
+            curve[pole - (pole > q1)] = q2
+            line = list(map(back.__getitem__, slopes[m]))
+            if curve != line:
+                violations += sum(1 + (c != q2 and l != q2) for c, l in zip(curve, line) if c != l)
     collisions = transforms - len(lines_seen)
     triples = transforms * (p - 1) ** 2
     return transforms, triples, violations, collisions, det_mismatches

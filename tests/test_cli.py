@@ -312,6 +312,44 @@ def test_equiv_count_subcommand(files, capsys):
     assert json.loads(out) == {"map_count": 60, "subset_count": 10}
 
 
+def _work_unreachable(*args, **kwargs):
+    raise AssertionError("the capped work was started")
+
+
+def _values_file(files, n):
+    return files(f"v{n}.txt", "".join(f"{v}\n" for v in range(n)))
+
+
+@pytest.mark.parametrize("command, stub, limit", [
+    (["expander", "rational"], "expander_report", "60^4"),
+    (["equiv-count"], "projective_equivalence_count", "60*59*58"),
+])
+def test_quadratic_commands_refuse_unbounded_work(files, capsys, monkeypatch,
+                                                  command, stub, limit):
+    # 61 values: |A|^4 and |A|(|A|-1)(|A|-2) are over their limits, and the
+    # refusal comes before the value set or any target is computed.
+    monkeypatch.setattr(cli, stub, _work_unreachable)
+    extra = ["--s", _values_file(files, 4)] if command == ["equiv-count"] else []
+    code, out, err = run(capsys, *command, "-p", "1009", "--a", _values_file(files, 61),
+                         *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert limit in err and "at most 60" in err
+
+
+@pytest.mark.parametrize("command, stub, n", [
+    (["expander", "rational"], "expander_report", 60),
+    (["expander", "shift-invert"], "expander_report", 61),
+    (["equiv-count"], "projective_equivalence_count", 60),
+])
+def test_quadratic_commands_admit_bounded_work(files, capsys, monkeypatch,
+                                               command, stub, n):
+    monkeypatch.setattr(cli, stub, _work_unreachable)
+    extra = ["--s", _values_file(files, 4)] if command == ["equiv-count"] else []
+    with pytest.raises(AssertionError, match="capped work"):
+        run(capsys, *command, "-p", "1009", "--a", _values_file(files, n), *extra)
+
+
 def test_verify_reduction_exhaustive(capsys):
     code, out, _ = run(capsys, "verify-reduction", "-p", "7", "--exhaustive",
                        "--jobs", "1")

@@ -392,3 +392,83 @@ def test_check_one_pivot_matches_pointwise_reference():
         ctx = FieldContext(p)
         for q in product(range(p), repeat=2):
             assert _check_one_pivot(ctx, q) == _check_one_pivot_pointwise(ctx, *q), (p, q)
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_check_one_pivot_matches_pointwise_reference_sampled(p):
+    # (0, 0), one pivot on each axis, and a seeded sample of the rest.
+    ctx = FieldContext(p)
+    rng = random.Random(p)
+    pivots = [(0, 0), (rng.randrange(1, p), 0), (0, rng.randrange(1, p))]
+    pivots += [(v // p, v % p) for v in rng.sample(range(p * p), 7)]
+    for q in pivots:
+        assert _check_one_pivot(ctx, q) == _check_one_pivot_pointwise(ctx, *q), (p, q)
+
+
+def _check_one_pivot_sets(ctx, q):
+    """Reference for _check_one_pivot: each graph as a set of keyed points."""
+    p = ctx.p
+    inv = ctx._inv
+    q1, q2 = q[0] % p, q[1] % p
+    # A point (s1, s2) is keyed as s1*p + s2.
+    xs = [s1 for s1 in range(p) if s1 != q1]
+    rows = [(s1 * p, inv[(q1 - s1) % p]) for s1 in xs]
+    transforms = violations = det_mismatches = 0
+    lines_seen = set()
+    for a in range(p):
+        if a == q2:
+            continue
+        u = (a - q2) % p
+        inv_u = inv[u]
+        i = (-inv_u) % p
+        for d in range(p):
+            if (d + q1) % p == 0:
+                continue
+            b = (q2 * (q1 + d) - a * q1) % p
+            transforms += 1
+            m = (q1 + d) * inv_u % p
+            if ((q1 + d) * u - (a * d - b)) % p != 0:
+                det_mismatches += 1
+            lines_seen.add((m, i))
+            curve = {
+                s1 * p + s2
+                for s1 in xs
+                if (den := (s1 + d) % p)
+                and (s2 := (a * s1 + b) * inv[den] % p) != q2
+            }
+            line = {
+                row + (q2 - inv[t2]) % p
+                for row, t1 in rows
+                if (t2 := (m * t1 + i) % p)
+            }
+            violations += len(curve ^ line)
+    collisions = transforms - len(lines_seen)
+    triples = transforms * (p - 1) ** 2
+    return transforms, triples, violations, collisions, det_mismatches
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_check_one_pivot_matches_set_reference(p):
+    ctx = FieldContext(p)
+    for q in product(range(p), repeat=2):
+        assert _check_one_pivot(ctx, q) == _check_one_pivot_sets(ctx, q), (p, q)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+@pytest.mark.parametrize("swap", [(2, 3), (1, -1), (3, 5)])
+def test_check_one_pivot_counts_violations_like_set_reference(p, swap):
+    # A field whose inverse table has two nonzero entries swapped: the
+    # reduction fails, and both kernels must count the same violations.
+    # No entry becomes 0, so q2 still marks "no point" on the line side.
+    ctx = FieldContext(p)
+    inv = ctx._inv
+    x, y = (v % p for v in swap)
+    inv[x], inv[y] = inv[y], inv[x]
+    violations = 0
+    for q in product(range(p), repeat=2):
+        report = _check_one_pivot(ctx, q)
+        assert report == _check_one_pivot_sets(ctx, q), (p, swap, q)
+        violations += report[2]
+    assert violations > 0
+    if (p, swap) == (7, (2, 3)):
+        assert violations == 13048
