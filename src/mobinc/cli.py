@@ -41,8 +41,9 @@ MAX_BRUTE_LISTING = math.comb(200, 3)
 # The exhaustive check at p = 53: the largest run the CLI starts.  743 is
 # the largest prime p with p^3 <= 53^5, so one pivot fits up to p = 743.
 MAX_REDUCTION_WORK = 53**5
-# The rational value set of 60 values: about 3 s at a large prime.
-MAX_RATIONAL_WORK = 60**4
+# The rational value set of 60 values: about 3 s at a large prime.  The
+# shift-invert set of 200 values, 1.5 to 3 s at p = 99991, fits at any p.
+MAX_EXPANDER_WORK = 60**4
 # equiv-count over 60 ground elements: 205320 target triples, 2 to 4 s.
 MAX_EQUIV_TARGETS = math.perm(60, 3)
 
@@ -101,8 +102,7 @@ def _cmd_rich_enum(args) -> int:
             start = time.perf_counter()
             results[method] = enumerate_rich(args.points, args.k)
             timings[method] = (time.perf_counter() - start) * 1000.0
-    for f in results["brute" if args.method == "brute" else "pivot"]:
-        print(mio.format_transform(f))
+    mio.write_transforms(results["brute" if args.method == "brute" else "pivot"], sys.stdout)
     for method, ms in sorted(timings.items()):
         print(f"timing {method}_ms={ms:.3f}", file=sys.stderr)
     if args.method == "both":
@@ -110,11 +110,10 @@ def _cmd_rich_enum(args) -> int:
             print("MATCH")
         else:
             print("MISMATCH")
-            only_pivot = set(results["pivot"]) - set(results["brute"])
-            only_brute = set(results["brute"]) - set(results["pivot"])
+            pivot, brute = set(results["pivot"].keys), set(results["brute"].keys)
             print(
-                f"mismatch: pivot-only={len(only_pivot)} "
-                f"brute-only={len(only_brute)}",
+                f"mismatch: pivot-only={len(pivot - brute)} "
+                f"brute-only={len(brute - pivot)}",
                 file=sys.stderr,
             )
             return 1
@@ -154,11 +153,17 @@ def _cmd_beck(args) -> int:
 
 
 def _cmd_expander(args) -> int:
-    n = len(args.a)
-    if args.kind == RATIONAL and n**4 > MAX_RATIONAL_WORK:
+    n, p = len(args.a), args.ctx.p
+    if args.kind == RATIONAL:
+        work, steps, most = n**4, f"{n}^4", "at most 60 values"
+    else:
+        # Each value meets the inverse of each distinct difference.
+        work = n * min(n * (n - 1), p - 1)
+        steps, most = f"{n}*min({n}*{n - 1}, {p - 1})", "fewer values"
+    if work > MAX_EXPANDER_WORK:
         raise WorkLimitError(
-            f"the rational value set of {n} values needs {n}^4 = {n**4} steps, "
-            f"over the limit 60^4 = {MAX_RATIONAL_WORK}; give at most 60 values"
+            f"the {args.kind} value set of {n} values needs {steps} = {work} steps, "
+            f"over the limit 60^4 = {MAX_EXPANDER_WORK}; give {most}"
         )
     _emit_record(expander_report(args.a, args.kind), args.json)
     return 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import WorkLimitError
-from .field import FieldContext, MoebiusMap
+from .field import FieldContext, MoebiusMap, key_entries
 from .incidence import TransformSet
 
 ORACLE_CAP = 64
@@ -52,7 +52,7 @@ def energy(T: TransformSet) -> int:
         raise ValueError("energy of an empty set")
     p, inv = T.ctx.p, T.ctx._inv
     q = p + 1
-    mats = [f.as_tuple() for f in T.maps]
+    mats = [key_entries(key, p) for key in T.keys]
     # g^{-1} is (d, -b, -c, a): it sends 0 to -b/a, 1 to (d - b)/(a - c) and
     # infinity to -d/c, each p when its denominator vanishes.
     pre = [(-b * inv[a] % p if a else p,

@@ -221,6 +221,26 @@ class MoebiusMap:
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
+    def key(self) -> int:
+        """The canonical entries as the integer ((a*p + b)*p + c)*p + d.
+
+        Keys sort in as_tuple order; key_entries and from_key invert them.
+        """
+        p = self.ctx.p
+        return ((self.a * p + self.b) * p + self.c) * p + self.d
+
+    @classmethod
+    def from_key(cls, key: int, ctx: FieldContext) -> "MoebiusMap":
+        """The map of the key of a canonical map: key_entries with no
+        rescaling, unrolled because listings decode every key."""
+        p = ctx.p
+        m = object.__new__(cls)
+        key, m.d = divmod(key, p)
+        key, m.c = divmod(key, p)
+        m.a, m.b = divmod(key, p)
+        m.ctx = ctx
+        return m
+
     def __eq__(self, other):
         if not isinstance(other, MoebiusMap):
             return NotImplemented
@@ -263,6 +283,14 @@ class MoebiusMap:
         c = (g * ms[0] + h * ms[2]) % p
         d = (g * ms[1] + h * ms[3]) % p
         return cls(a, b, c, d, ctx)
+
+
+def key_entries(key: int, p: int) -> tuple[int, int, int, int]:
+    """(a, b, c, d) of a map key: the inverse of MoebiusMap.key."""
+    key, d = divmod(key, p)
+    key, c = divmod(key, p)
+    a, b = divmod(key, p)
+    return a, b, c, d
 
 
 def _normalize_triple(points, ctx):

@@ -7,10 +7,11 @@ affine point, so it can never contribute an incidence.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from typing import Iterable, Iterator
 
-from .field import FieldContext, MoebiusMap, same_context
+from .field import FieldContext, MoebiusMap, key_entries, same_context
 
 
 class SortedSet:
@@ -22,9 +23,9 @@ class SortedSet:
 
     __slots__ = ("ctx", "_items", "_set")
 
-    def __init__(self, members: frozenset, ctx: FieldContext, key=None):
+    def __init__(self, members: frozenset, ctx: FieldContext):
         self.ctx = ctx
-        self._items = tuple(sorted(members, key=key))
+        self._items = tuple(sorted(members))
         self._set = members
 
     def __len__(self):
@@ -56,20 +57,57 @@ class PointSet(SortedSet):
         return f"PointSet({len(self)} points; p={self.ctx.p})"
 
 
-class TransformSet(SortedSet):
-    """Moebius maps, iterated by canonical tuple order."""
+class TransformSet:
+    """Moebius maps over one field, stored as the sorted tuple of their keys.
 
-    __slots__ = ()
-    maps = SortedSet._items
+    A key is MoebiusMap.key, so the sorted keys are the canonical tuple
+    order, and equality, size and membership work on the keys alone.
+    Iteration and maps decode the keys into maps; nothing decoded is kept.
+    """
+
+    __slots__ = ("ctx", "keys")
 
     def __init__(self, maps: Iterable[MoebiusMap], ctx: FieldContext):
-        uniq = frozenset(maps)
-        for f in uniq:
+        keys = set()
+        for f in maps:
             if f.ctx.p != ctx.p:
                 raise ValueError(
                     f"map over F_{f.ctx.p} in a set over F_{ctx.p}"
                 )
-        super().__init__(uniq, ctx, key=MoebiusMap.as_tuple)
+            keys.add(f.key())
+        self.ctx = ctx
+        self.keys = tuple(sorted(keys))
+
+    @classmethod
+    def from_sorted_keys(cls, keys: Iterable[int], ctx: FieldContext) -> "TransformSet":
+        """The set of the given keys of canonical maps, already sorted and distinct."""
+        T = object.__new__(cls)
+        T.ctx = ctx
+        T.keys = tuple(keys)
+        return T
+
+    @property
+    def maps(self) -> tuple[MoebiusMap, ...]:
+        return tuple(self)
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[MoebiusMap]:
+        ctx, decode = self.ctx, MoebiusMap.from_key
+        return (decode(key, ctx) for key in self.keys)
+
+    def __contains__(self, f):
+        if not isinstance(f, MoebiusMap) or f.ctx.p != self.ctx.p:
+            return False
+        key = f.key()
+        i = bisect_left(self.keys, key)
+        return i < len(self.keys) and self.keys[i] == key
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ctx.p == other.ctx.p and self.keys == other.keys
 
     def __repr__(self):
         return f"TransformSet({len(self)} maps; p={self.ctx.p})"
@@ -104,7 +142,7 @@ def count_incidences(P: PointSet, T: TransformSet) -> int:
     same_context(P.ctx, T.ctx)
     p = P.ctx.p
     pts = P.points
-    return sum(incidences_of(f.a, f.b, f.c, f.d, pts, p) for f in T.maps)
+    return sum(incidences_of(*key_entries(key, p), pts, p) for key in T.keys)
 
 
 def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:
@@ -123,7 +161,8 @@ def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:
     inv = ctx._inv
     off_axis = [(x, inv[y]) for x, y in P.points if y]
     on_axis = {x for x, y in P.points if not y}
-    out = []
+    # The canonical maps of row (a, b, c, *) have the keys row + d.
+    keys = []
     for b in range(p):
         # Row (1, b, c, *): d = (x + b)/y - cx.  At x = -b this is the
         # singular d = bc, so that point lies on no map of the row.
@@ -137,10 +176,12 @@ def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:
                 votes = Counter([(u - c * x) % p for u, x in base])
                 ds = [d for d, m in votes.items() if m >= need]
             bc = b * c % p
-            out.extend(MoebiusMap._canonical(1, b, c, d, ctx) for d in ds if d != bc)
+            row = ((p + b) * p + c) * p
+            keys.extend(row + d for d in ds if d != bc)
     # Block (0, 1, c, *), c != 0: d = 1/y - cx; no point with y = 0 is on it.
     for c in range(1, p):
         votes = Counter([(iy - c * x) % p for x, iy in off_axis])
-        out.extend(MoebiusMap._canonical(0, 1, c, d, ctx)
-                   for d, m in votes.items() if m >= k)
-    return TransformSet(out, ctx)
+        row = (p + c) * p
+        keys.extend(row + d for d, m in votes.items() if m >= k)
+    keys.sort()
+    return TransformSet.from_sorted_keys(keys, ctx)

@@ -9,9 +9,11 @@ Sweep configs: flat "key = value" pairs.
 from __future__ import annotations
 
 import os
+from typing import TextIO
+
 from .applications import ScalarSet
 from .energy import HyperbolaTranslate
-from .field import FieldContext, MoebiusMap
+from .field import FieldContext, MoebiusMap, key_entries
 from .incidence import PointSet, TransformSet
 
 
@@ -118,5 +120,12 @@ def load_config(path: str | os.PathLike) -> dict[str, str]:
     return parse_config_text(_read(path), where=str(path))
 
 
-def format_transform(f: MoebiusMap) -> str:
-    return f"{f.a},{f.b},{f.c},{f.d}"
+def write_transforms(T: TransformSet, out: TextIO) -> None:
+    """Write each map of T as a,b,c,d on a line of its own, in T's order.
+
+    The keys are decoded 4096 lines at a time, with no map built.
+    """
+    p, keys = T.ctx.p, T.keys
+    for start in range(0, len(keys), 4096):
+        out.write("".join(["%d,%d,%d,%d\n" % key_entries(key, p)
+                           for key in keys[start:start + 4096]]))

@@ -179,7 +179,7 @@ def line_preimage(
 
 # The pivot enumeration of 200 points: its work grows as n^3 whatever p and
 # k.  At k = 3 and p = 9973 it yields 1.3 million maps; beck counts them in
-# 2 s and 24 MB, and the sorted rich-enum listing takes 18 s and 430 MB.
+# 2 s and 24 MB, and the sorted rich-enum listing takes 5 s and 105 MB.
 MAX_PIVOT_WORK = 200**3
 
 
@@ -214,15 +214,28 @@ def rich_counts(P: PointSet, k: int) -> dict[int, int]:
     return {(math.isqrt(1 + 8 * pairs) + 3) // 2: n for pairs, n in tally.items()}
 
 
+def _rich_map_keys(P: PointSet, k: int):
+    """The key of each k-rich map, from its one production, in production order.
+
+    Each production's line t2 = s*t1 + i pulls back as in line_preimage, and
+    its lead entry, a or else b, is scaled to 1 here.
+    """
+    p, inv, exact = P.ctx.p, P.ctx._inv, (k - 1) * (k - 2) // 2
+    for (q1, q2), line, pairs in _later_lines(P, k):
+        if pairs == exact:
+            s, i = divmod(line, p)
+            a, b, c, d = (1 - i * q2) % p, (q2 * s + i * q1 * q2 - q1) % p, -i, s + i * q1
+            w = inv[a or b]
+            yield ((a * w % p * p + b * w % p) * p + c * w % p) * p + d * w % p
+
+
 def rich_transforms_pivot(P: PointSet, k: int) -> TransformSet:
     """All k-rich maps (k >= 3), enumerated through the pivot reduction.
 
-    Each map is built once, from its line through exactly k - 1 later
-    points.  Agrees exactly with the full-group brute scan.
+    Each map is produced once, from its line through exactly k - 1 later
+    points, as its key.  Agrees exactly with the full-group brute scan.
     """
-    ctx, exact = P.ctx, (k - 1) * (k - 2) // 2
-    return TransformSet((line_preimage(NonVertical(*divmod(key, ctx.p)), q, ctx)
-                         for q, key, pairs in _later_lines(P, k) if pairs == exact), ctx)
+    return TransformSet.from_sorted_keys(sorted(_rich_map_keys(P, k)), P.ctx)
 
 
 class ReductionReport(NamedTuple):

@@ -13,11 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobinc import cli, field
+from mobinc import applications, cli, field
 from mobinc import sweep as sweep_module
 from mobinc.bounds import BOUND_IDS
 from mobinc.generators import INSTANCE_KINDS
-from mobinc.io import format_transform
 from mobinc.pivot import MAX_PIVOT_WORK, ReductionReport
 
 CONFIG = """
@@ -96,6 +95,21 @@ def test_rich_enum_mismatch_exits_1(files, capsys, monkeypatch):
     assert code == 1
     assert "MISMATCH" in out
     assert "brute-only=1" in err
+
+
+def test_rich_enum_mismatch_counts_a_map_the_scan_drops(files, capsys, monkeypatch):
+    from mobinc.incidence import TransformSet, rich_transforms_brute
+
+    def scan_minus_one(P, k):
+        return TransformSet(list(rich_transforms_brute(P, k))[1:], P.ctx)
+
+    monkeypatch.setattr(cli, "rich_transforms_brute", scan_minus_one)
+    points = files("p.txt", "0,0\n1,1\n2,2\n3,3\n4,4\n1,2\n2,1\n0,3\n")
+    code, out, err = run(capsys, "rich-enum", "--points", points,
+                         "-p", "5", "-k", "3", "--method", "both")
+    assert code == 1
+    assert out.endswith("MISMATCH\n")
+    assert "mismatch: pivot-only=1 brute-only=0\n" in err.splitlines(keepends=True)
 
 
 def _scan_unreachable(*args, **kwargs):
@@ -223,7 +237,7 @@ def _energy_family_file(files, flag, n):
     """n distinct maps mod 17, or n distinct hyperbola translates mod 23."""
     if flag == "--transforms":
         ctx = field.FieldContext(17)
-        lines = (format_transform(field.class_from_index(i, ctx)) for i in range(n))
+        lines = ("%d,%d,%d,%d" % field.class_from_index(i, ctx).as_tuple() for i in range(n))
     else:
         lines = (f"{i // 23 % 23},{i % 23},{1 if i < 529 else -1}" for i in range(n))
     return files("family.txt", "".join(line + "\n" for line in lines))
@@ -335,6 +349,21 @@ def test_quadratic_commands_refuse_unbounded_work(files, capsys, monkeypatch,
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert limit in err and "at most 60" in err
+
+
+def test_expander_shift_invert_refuses_unbounded_work(files, capsys, monkeypatch):
+    # n*min(n(n-1), p-1) steps: 300 values at p = 99991 need 26910000, over
+    # 60^4, and are refused before the value set is computed; 200 values
+    # need at most 200*199*200 = 7960000 at any p and reach it.
+    monkeypatch.setitem(applications._EXPANDERS, applications.SHIFT_INVERT,
+                        (_work_unreachable, 6 / 5))
+    argv = ["expander", "shift-invert", "-p", "99991", "--a"]
+    code, out, err = run(capsys, *argv, _values_file(files, 300))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "300*min(300*299, 99990) = 26910000" in err and "60^4" in err
+    with pytest.raises(AssertionError, match="capped work"):
+        run(capsys, *argv, _values_file(files, 200))
 
 
 @pytest.mark.parametrize("command, stub, n", [

@@ -5,7 +5,8 @@ from itertools import product
 
 import pytest
 
-from mobinc.field import INFINITY, FieldContext, MoebiusMap, enumerate_group
+from mobinc.energy import energy, energy_brute
+from mobinc.field import INFINITY, FieldContext, MoebiusMap, enumerate_group, key_entries
 from mobinc.incidence import (
     PointSet,
     TransformSet,
@@ -48,6 +49,29 @@ def test_transformset_dedup_and_order():
     assert [h.as_tuple() for h in T] == [(1, 0, 0, 1), (1, 0, 5, 6)]
     with pytest.raises(ValueError, match="map over F_5 in a set over F_7"):
         TransformSet([MoebiusMap.identity(CTX5)], CTX7)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_map_keys_over_the_whole_group(p):
+    ctx = FieldContext(p)
+    group = list(enumerate_group(ctx))
+    for f in group:
+        assert MoebiusMap.from_key(f.key(), ctx) == f
+        assert key_entries(f.key(), p) == f.as_tuple()
+    assert sorted(group, key=MoebiusMap.key) == sorted(group, key=MoebiusMap.as_tuple)
+    keyed = TransformSet.from_sorted_keys(sorted(f.key() for f in group), ctx)
+    assert keyed == TransformSet(reversed(group), ctx) and len(keyed) == len(group)
+    assert all(f in keyed for f in group)
+    rng = random.Random(p)
+    for size in (1, 9, 24):
+        maps = rng.sample(group, size)
+        T = TransformSet.from_sorted_keys(sorted(f.key() for f in maps), ctx)
+        assert T == TransformSet(maps, ctx) and T.maps == tuple(sorted(maps, key=MoebiusMap.as_tuple))
+        assert [f in T for f in group] == [f in maps for f in group]
+        assert energy(T) == energy_brute(T)
+    for n in (1, p, 2 * p):
+        P = random_points(ctx, n, n)
+        assert count_incidences(P, keyed) == sum(richness(f, P) for f in group) == n * p * (p - 1)
 
 
 def test_lies_on_examples():

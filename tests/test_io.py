@@ -1,17 +1,20 @@
 """File formats: parsing, canonicalization on load, error reporting."""
 
+import io
+
 import pytest
 
 from mobinc.energy import HyperbolaTranslate
-from mobinc.field import FieldContext
+from mobinc.field import FieldContext, enumerate_group
+from mobinc.incidence import TransformSet
 from mobinc.io import (
-    format_transform,
     load_points,
     parse_config_text,
     parse_hyperbolas,
     parse_points,
     parse_scalars,
     parse_transforms,
+    write_transforms,
 )
 
 CTX7 = FieldContext(7)
@@ -39,7 +42,18 @@ def test_parse_points_errors():
 def test_parse_transforms_canonicalizes():
     T = parse_transforms("3,0,1,4\n6,0,2,8\n", CTX7)
     assert len(T) == 1
-    assert format_transform(next(iter(T))) == "1,0,5,6"
+    out = io.StringIO()
+    write_transforms(T, out)
+    assert out.getvalue() == "1,0,5,6\n"
+
+
+def test_write_transforms_lists_every_map_across_chunks():
+    # PGL(2, 17) has 4896 maps: one full chunk of 4096 lines and a partial one.
+    ctx = FieldContext(17)
+    T = TransformSet(enumerate_group(ctx), ctx)
+    out = io.StringIO()
+    write_transforms(T, out)
+    assert out.getvalue() == "".join("%d,%d,%d,%d\n" % f.as_tuple() for f in T)
 
 
 def test_parse_transforms_rejects_singular():

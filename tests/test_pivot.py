@@ -249,21 +249,22 @@ def test_rich_counts_equal_brute_richness_tails():
         rich_counts(P, 2)
 
 
-def test_rich_transforms_pivot_builds_each_map_once(monkeypatch):
-    built = []
-
-    def counted(line, q, ctx):
-        built.append(line_preimage(line, q, ctx))
-        return built[-1]
-
-    monkeypatch.setattr(pivot_module, "line_preimage", counted)
+def test_rich_map_keys_decode_to_their_productions_preimages():
+    # The keys are canonicalized inline; each one must decode to
+    # line_preimage of the production it came from, and none may repeat.
     for p, n in ((11, 30), (31, 60)):
         ctx = FieldContext(p)
         for P in (random_points(ctx, n, p), axis_lines_and_random(ctx, n // 2, p)):
             for k in (3, 4):
-                built.clear()
-                found = rich_transforms_pivot(P, k)
-                assert len(built) == len(found) and set(built) == set(found)
+                exact = (k - 1) * (k - 2) // 2
+                productions = [(q, line) for q, line, pairs in pivot_module._later_lines(P, k)
+                               if pairs == exact]
+                keys = list(pivot_module._rich_map_keys(P, k))
+                assert len(keys) == len(set(keys)) == len(productions) > 0
+                for key, (q, line) in zip(keys, productions):
+                    f = line_preimage(NonVertical(*divmod(line, p)), q, ctx)
+                    assert MoebiusMap.from_key(key, ctx) == f and key == f.key()
+                assert rich_transforms_pivot(P, k).keys == tuple(sorted(keys))
 
 
 def _pivot_multiplicities_every_pivot(P, k):
