@@ -11,34 +11,19 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import permutations
-from typing import Iterable
 
-from .field import INFINITY, FieldContext, MoebiusMap, same_context
-from .incidence import PointSet, SortedSet
+from .field import INFINITY, MoebiusMap, same_context
+from .incidence import PointSet, ScalarSet
 from .pivot import rich_counts
 
 SHIFT_INVERT = "shift-invert"
 RATIONAL = "rational"
 
 
-class ScalarSet(SortedSet):
-    """Field elements, reduced mod p and iterated in increasing order."""
-
-    __slots__ = ()
-    values = SortedSet._items
-
-    def __init__(self, values: Iterable[int], ctx: FieldContext):
-        p = ctx.p
-        super().__init__(frozenset(v % p for v in values), ctx)
-
-    def __repr__(self):
-        return f"ScalarSet({list(self.values)}; p={self.ctx.p})"
-
-
 def cartesian_points(A: ScalarSet, B: ScalarSet) -> PointSet:
-    """The grid A x B as a point set."""
+    """The grid A x B as a point set, in lexicographic order as built."""
     same_context(A.ctx, B.ctx)
-    return PointSet(((a, b) for a in A for b in B), A.ctx)
+    return PointSet.from_sorted([(a, b) for a in A for b in B], A.ctx)
 
 
 def sumset(A: ScalarSet, B: ScalarSet) -> ScalarSet:
@@ -181,7 +166,7 @@ def projective_equivalence_count(A: ScalarSet, S: ScalarSet) -> dict:
         return {"map_count": 0, "subset_count": 0}
     ctx = A.ctx
     ref = S.values[:3]
-    members = A._set
+    members = set(A.values)
     map_count = 0
     images = set()
     for target in permutations(A.values, 3):

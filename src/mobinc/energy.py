@@ -87,7 +87,7 @@ def _proj_eq(u, v, p):
     )
 
 
-def energy_brute(T: TransformSet, cap: int = ORACLE_CAP) -> int:
+def energy_brute(T: TransformSet) -> int:
     """Independent oracle: a literal loop over all quadruples.
 
     Quotients are raw adjugate products compared projectively, so this path
@@ -96,10 +96,10 @@ def energy_brute(T: TransformSet, cap: int = ORACLE_CAP) -> int:
     n = len(T)
     if n == 0:
         raise ValueError("energy of an empty set")
-    if n > cap:
-        raise WorkLimitError(f"|T| = {n} exceeds the oracle cap {cap}")
+    if n > ORACLE_CAP:
+        raise WorkLimitError(f"|T| = {n} exceeds the oracle cap {ORACLE_CAP}")
     p = T.ctx.p
-    mats = [f.as_tuple() for f in T.maps]
+    mats = [f.as_tuple() for f in T]
     quotients = []
     for a1, b1, c1, d1 in mats:
         row = []

@@ -15,10 +15,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .applications import ScalarSet
 from .energy import HyperbolaTranslate
 from .field import FieldContext, class_from_index, group_order
-from .incidence import PointSet, TransformSet
+from .incidence import PointSet, ScalarSet, TransformSet
 from .pivot import refuse_pivot_work, rich_transforms_pivot
 
 RANDOM_POINTS = "random-points"

@@ -1,4 +1,4 @@
-"""Point sets, transformation sets, incidence counting and richness.
+"""Point, scalar and transformation sets, incidence counting and richness.
 
 Incidences are affine-only: a point (x, y) in F_p^2 lies on a map f when
 f(x) = y with x not a pole of f.  A pole maps to INFINITY, which is never an
@@ -11,22 +11,31 @@ from bisect import bisect_left
 from collections import Counter
 from typing import Iterable, Iterator
 
-from .field import FieldContext, MoebiusMap, key_entries, same_context
+from .field import FieldContext, MoebiusMap, same_context
 
 
 class SortedSet:
-    """Deduplicated members over one field, iterated in a fixed sorted order.
+    """Distinct, reduced members over one field, kept as one sorted tuple.
 
     The fixed order keeps downstream enumeration output reproducible.
-    Subclasses expose the sorted tuple under their own public name.
+    Membership is a bisect of the tuple, and a value that does not compare
+    with the members is not one.  Subclasses expose the tuple under their
+    own public name.
     """
 
-    __slots__ = ("ctx", "_items", "_set")
+    __slots__ = ("ctx", "_items")
 
-    def __init__(self, members: frozenset, ctx: FieldContext):
+    def __init__(self, members: Iterable, ctx: FieldContext):
         self.ctx = ctx
         self._items = tuple(sorted(members))
-        self._set = members
+
+    @classmethod
+    def from_sorted(cls, items: Iterable, ctx: FieldContext):
+        """The set of the given members, already reduced, sorted and distinct."""
+        S = object.__new__(cls)
+        S.ctx = ctx
+        S._items = tuple(items)
+        return S
 
     def __len__(self):
         return len(self._items)
@@ -35,12 +44,20 @@ class SortedSet:
         return iter(self._items)
 
     def __contains__(self, member):
-        return member in self._set
+        items = self._items
+        try:
+            i = bisect_left(items, member)
+        except TypeError:
+            return False
+        return i < len(items) and items[i] == member
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.ctx.p == other.ctx.p and self._set == other._set
+        return self.ctx.p == other.ctx.p and self._items == other._items
+
+    def __repr__(self):
+        return f"{type(self).__name__}({len(self)} members; p={self.ctx.p})"
 
 
 class PointSet(SortedSet):
@@ -51,79 +68,63 @@ class PointSet(SortedSet):
 
     def __init__(self, points: Iterable[tuple[int, int]], ctx: FieldContext):
         p = ctx.p
-        super().__init__(frozenset((x % p, y % p) for x, y in points), ctx)
-
-    def __repr__(self):
-        return f"PointSet({len(self)} points; p={self.ctx.p})"
+        super().__init__({(x % p, y % p) for x, y in points}, ctx)
 
 
-class TransformSet:
+class ScalarSet(SortedSet):
+    """Field elements, reduced mod p and iterated in increasing order."""
+
+    __slots__ = ()
+    values = SortedSet._items
+
+    def __init__(self, values: Iterable[int], ctx: FieldContext):
+        p = ctx.p
+        super().__init__({v % p for v in values}, ctx)
+
+
+class TransformSet(SortedSet):
     """Moebius maps over one field, stored as the sorted tuple of their keys.
 
     A key is MoebiusMap.key, so the sorted keys are the canonical tuple
-    order, and equality, size and membership work on the keys alone.
-    Iteration and maps decode the keys into maps; nothing decoded is kept.
+    order, and equality and size work on the keys alone.  Iteration decodes
+    the keys into maps; nothing decoded is kept.
     """
 
-    __slots__ = ("ctx", "keys")
+    __slots__ = ()
+    keys = SortedSet._items
 
     def __init__(self, maps: Iterable[MoebiusMap], ctx: FieldContext):
         keys = set()
         for f in maps:
             if f.ctx.p != ctx.p:
-                raise ValueError(
-                    f"map over F_{f.ctx.p} in a set over F_{ctx.p}"
-                )
+                raise ValueError(f"map over F_{f.ctx.p} in a set over F_{ctx.p}")
             keys.add(f.key())
-        self.ctx = ctx
-        self.keys = tuple(sorted(keys))
-
-    @classmethod
-    def from_sorted_keys(cls, keys: Iterable[int], ctx: FieldContext) -> "TransformSet":
-        """The set of the given keys of canonical maps, already sorted and distinct."""
-        T = object.__new__(cls)
-        T.ctx = ctx
-        T.keys = tuple(keys)
-        return T
-
-    @property
-    def maps(self) -> tuple[MoebiusMap, ...]:
-        return tuple(self)
-
-    def __len__(self):
-        return len(self.keys)
+        super().__init__(keys, ctx)
 
     def __iter__(self) -> Iterator[MoebiusMap]:
         ctx, decode = self.ctx, MoebiusMap.from_key
-        return (decode(key, ctx) for key in self.keys)
+        return (decode(key, ctx) for key in self._items)
 
     def __contains__(self, f):
-        if not isinstance(f, MoebiusMap) or f.ctx.p != self.ctx.p:
-            return False
-        key = f.key()
-        i = bisect_left(self.keys, key)
-        return i < len(self.keys) and self.keys[i] == key
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.ctx.p == other.ctx.p and self.keys == other.keys
-
-    def __repr__(self):
-        return f"TransformSet({len(self)} maps; p={self.ctx.p})"
+        return (isinstance(f, MoebiusMap) and f.ctx.p == self.ctx.p
+                and super().__contains__(f.key()))
 
 
 def lies_on(s: tuple[int, int], f: MoebiusMap) -> bool:
     """True iff the affine point s = (x, y) satisfies y = f(x), x not a pole."""
-    return incidences_of(f.a, f.b, f.c, f.d, (s,), f.ctx.p) == 1
+    return incidences_of(f.key(), (s,), f.ctx.p) == 1
 
 
-def incidences_of(a: int, b: int, c: int, d: int, points, p: int) -> int:
-    """Number of points (x, y) with y = (ax + b)/(cx + d) mod p, x not a pole.
+def incidences_of(key: int, points, p: int) -> int:
+    """Number of points (x, y) on the map with this key (MoebiusMap.key):
+    y = (ax + b)/(cx + d) mod p, x not a pole.
 
     The one incidence loop and the one incidence test: lies_on, richness
     and count_incidences all count through it.
     """
+    key, d = divmod(key, p)
+    key, c = divmod(key, p)
+    a, b = divmod(key, p)
     n = 0
     for x, y in points:
         den = (c * x + d) % p
@@ -134,15 +135,14 @@ def incidences_of(a: int, b: int, c: int, d: int, points, p: int) -> int:
 
 def richness(f: MoebiusMap, P: PointSet) -> int:
     """Number of points of P lying on f."""
-    return incidences_of(f.a, f.b, f.c, f.d, P.points, P.ctx.p)
+    return incidences_of(f.key(), P.points, P.ctx.p)
 
 
 def count_incidences(P: PointSet, T: TransformSet) -> int:
     """I(P, T): number of pairs (point, map) with the point on the map."""
     same_context(P.ctx, T.ctx)
-    p = P.ctx.p
-    pts = P.points
-    return sum(incidences_of(*key_entries(key, p), pts, p) for key in T.keys)
+    p, pts = P.ctx.p, P.points
+    return sum(incidences_of(key, pts, p) for key in T.keys)
 
 
 def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:
@@ -184,4 +184,4 @@ def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:
         row = (p + c) * p
         keys.extend(row + d for d, m in votes.items() if m >= k)
     keys.sort()
-    return TransformSet.from_sorted_keys(keys, ctx)
+    return TransformSet.from_sorted(keys, ctx)

@@ -11,10 +11,9 @@ from __future__ import annotations
 import os
 from typing import TextIO
 
-from .applications import ScalarSet
 from .energy import HyperbolaTranslate
 from .field import FieldContext, MoebiusMap, key_entries
-from .incidence import PointSet, TransformSet
+from .incidence import PointSet, ScalarSet, TransformSet
 
 
 def _data_lines(text: str):

@@ -48,7 +48,7 @@ from .generators import (
     generate_instance,
 )
 from .incidence import count_incidences
-from .pivot import refuse_pivot_work, rich_counts, rich_lines
+from .pivot import refuse_line_work, refuse_pivot_work, rich_counts, rich_lines
 
 ROW_FIELDS = (
     "bound",
@@ -215,11 +215,11 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
     in as a pair.  The grid A x B is built once, when there are scalars, and
     is the points when the generator gave none.  A needed component that
     came out empty is a ValueError naming the cell.  Random points under a
-    thm1-rich row are refused on their size n before they are drawn, random
-    transforms under a thm3-energy row on their size nt, the maps defined
-    by random points under a thm3-energy row on their count before they are
-    built, and a grid that a rich row counts is refused on |A|*|B| before
-    it is built.
+    thm1-rich or cor-krich-lines row are refused on their size n before they
+    are drawn, random transforms under a thm3-energy row on their size nt,
+    the maps defined by random points under a thm3-energy row on their
+    count before they are built, and a grid that a rich or lines row counts
+    is refused on |A|*|B| before it is built.
     """
     params = _resolved_sizes(config, size)
     needed = {need for bound in config.bounds for need in _NEEDS[bound]}
@@ -228,6 +228,8 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
     def draw(kind, kind_params, seed):
         if kind == RANDOM_POINTS and THM1_RICH in config.bounds:
             refuse_pivot_work(_as_int("n", params["n"]))
+        if kind == RANDOM_POINTS and COR_KRICH_LINES in config.bounds:
+            refuse_line_work(_as_int("n", params["n"]))
         if kind == RANDOM_TRANSFORMS and THM3_ENERGY in config.bounds:
             refuse_energy_work(_as_int("nt", params["nt"]))
         if kind == DEFINED_BY and THM3_ENERGY in config.bounds:
@@ -244,9 +246,12 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
         inst.a, inst.b = extra.a, extra.b
     grid = None
     if inst.a is not None:
-        # thm2-rich counts the grid, and so does thm1-rich when it is the points.
+        # thm2-rich counts the grid; thm1-rich and cor-krich-lines count it as the points.
+        n = len(inst.a) * len(inst.b)
         if THM2_RICH in config.bounds or (THM1_RICH in config.bounds and inst.points is None):
-            refuse_pivot_work(len(inst.a) * len(inst.b))
+            refuse_pivot_work(n)
+        if COR_KRICH_LINES in config.bounds and inst.points is None:
+            refuse_line_work(n)
         grid = cartesian_points(inst.a, inst.b)
     if inst.points is None:
         inst.points = grid
@@ -293,7 +298,6 @@ def _compute_row(bound, inst, grid, rich, config, ctx, size, rep):
     row["n_points"] = len(P)
     if bound in (THM1_RICH, THM2_RICH):
         if P.points not in rich:
-            refuse_pivot_work(len(P))
             rich[P.points] = rich_counts(P, k).get(k, 0)
         lhs = rich[P.points]
         _guard_rich(lhs, ctx.p)
@@ -311,9 +315,6 @@ def _compute_row(bound, inst, grid, rich, config, ctx, size, rep):
         else:
             T = inst.transforms
             params["T"] = row["n_transforms"] = len(T)
-            if bound == THM3_ENERGY:
-                # Refused before the incidence count, which is |P|*|T| steps.
-                refuse_energy_work(len(T))
         lhs = count_incidences(P, T)
         _guard_incidence(lhs, len(P), len(T), ctx.p)
         if bound == THM3_ENERGY:
@@ -359,9 +360,9 @@ def _sweep_unit(args):
 
     The instance and grid are built once, and each distinct point set is
     enumerated for k-rich maps once; a shared quantity is timed in the first
-    row that needs it.  Nothing outlives the cell.  A pivot enumeration or an
-    energy table over its work limit is refused as a ValueError naming the
-    cell.
+    row that needs it.  Nothing outlives the cell.  A pivot enumeration, a
+    rich-line count or an energy table over its work limit is refused as a
+    ValueError naming the cell.
     """
     config, p, size, rep = args
     ctx = FieldContext(p)

@@ -14,7 +14,6 @@ from math import comb
 from pathlib import Path
 
 from mobinc.applications import (
-    ScalarSet,
     expander_rational,
     expander_shift_invert,
     projective_equivalence_count,
@@ -30,6 +29,7 @@ from mobinc.energy import (
 from mobinc.field import FieldContext, MoebiusMap, enumerate_group, group_order
 from mobinc.incidence import (
     PointSet,
+    ScalarSet,
     TransformSet,
     lies_on,
     rich_transforms_brute,

@@ -7,7 +7,6 @@ from math import comb
 import pytest
 
 from mobinc.applications import (
-    ScalarSet,
     beck_statistics,
     cartesian_points,
     expander_rational,
@@ -19,7 +18,7 @@ from mobinc.applications import (
     sumset,
 )
 from mobinc.field import INFINITY, FieldContext, MoebiusMap
-from mobinc.incidence import PointSet, rich_transforms_brute, richness
+from mobinc.incidence import PointSet, ScalarSet, rich_transforms_brute, richness
 
 CTX5 = FieldContext(5)
 CTX7 = FieldContext(7)

@@ -9,6 +9,7 @@ from mobinc.energy import energy, energy_brute
 from mobinc.field import INFINITY, FieldContext, MoebiusMap, enumerate_group, key_entries
 from mobinc.incidence import (
     PointSet,
+    ScalarSet,
     TransformSet,
     count_incidences,
     incidences_of,
@@ -41,6 +42,45 @@ def test_pointset_dedup_reduce_order():
     assert (1, 1) in P and (0, 0) not in P
 
 
+# Each set type: its members over F_p, the sorted items that from_sorted
+# takes for the given members, and values of other types.
+_SET_TYPES = {
+    PointSet: (lambda ctx: list(product(range(ctx.p), repeat=2)), sorted,
+               lambda ctx: [None, 3, "x", (1,), (1, "x"), (0, 0, 0)]),
+    ScalarSet: (lambda ctx: list(range(ctx.p)), sorted,
+                lambda ctx: [None, "x", (1, 2), 1.5, True, -1, ctx.p]),
+    TransformSet: (lambda ctx: list(enumerate_group(ctx)),
+                   lambda maps: sorted(f.key() for f in maps),
+                   lambda ctx: [None, 1, "x", (1, 0, 0, 1), MoebiusMap.identity(CTX5),
+                                MoebiusMap(1, 2, 3, 0, FieldContext(11))]),
+}
+
+
+@pytest.mark.parametrize("p", [7, 31])
+@pytest.mark.parametrize("cls", list(_SET_TYPES), ids=lambda cls: cls.__name__)
+def test_sorted_set_contract(cls, p):
+    """Bisect membership matches a frozenset, from_sorted matches the
+    sorting constructor, and sets of different types are never equal."""
+    ctx = FieldContext(p)
+    universe, sorted_items, foreign = _SET_TYPES[cls]
+    universe = universe(ctx)
+    rng = random.Random(p)
+    members = rng.sample(universe, len(universe) // 3)
+    S = cls(members + members[::2], ctx)
+    reference = frozenset(members)
+    assert len(S) == len(reference)
+    assert [u in S for u in universe] == [u in reference for u in universe]
+    assert [v in S for v in foreign(ctx)] == [v in reference for v in foreign(ctx)]
+    assert cls.from_sorted(sorted_items(reference), ctx) == S
+    assert list(cls.from_sorted(sorted_items(reference), ctx)) == sorted(
+        reference, key=MoebiusMap.key if cls is TransformSet else None)
+    for other in _SET_TYPES:
+        if other is not cls:
+            assert other.from_sorted(S._items, ctx) != S
+            assert other([], ctx) != cls([], ctx)
+    assert cls([], FieldContext(5)) != cls([], ctx)
+
+
 def test_transformset_dedup_and_order():
     f = MoebiusMap(3, 0, 1, 4, CTX7)
     g = MoebiusMap(6, 0, 2, 8, CTX7)  # same class
@@ -59,14 +99,14 @@ def test_map_keys_over_the_whole_group(p):
         assert MoebiusMap.from_key(f.key(), ctx) == f
         assert key_entries(f.key(), p) == f.as_tuple()
     assert sorted(group, key=MoebiusMap.key) == sorted(group, key=MoebiusMap.as_tuple)
-    keyed = TransformSet.from_sorted_keys(sorted(f.key() for f in group), ctx)
+    keyed = TransformSet.from_sorted(sorted(f.key() for f in group), ctx)
     assert keyed == TransformSet(reversed(group), ctx) and len(keyed) == len(group)
     assert all(f in keyed for f in group)
     rng = random.Random(p)
     for size in (1, 9, 24):
         maps = rng.sample(group, size)
-        T = TransformSet.from_sorted_keys(sorted(f.key() for f in maps), ctx)
-        assert T == TransformSet(maps, ctx) and T.maps == tuple(sorted(maps, key=MoebiusMap.as_tuple))
+        T = TransformSet.from_sorted(sorted(f.key() for f in maps), ctx)
+        assert T == TransformSet(maps, ctx) and list(T) == sorted(maps, key=MoebiusMap.as_tuple)
         assert [f in T for f in group] == [f in maps for f in group]
         assert energy(T) == energy_brute(T)
     for n in (1, p, 2 * p):
@@ -134,7 +174,7 @@ def _scan_reference(P):
     """The literal group scan: every class of PGL(2, p) tried on every point
     through incidences_of, giving each map's richness."""
     p = P.ctx.p
-    return {f: incidences_of(f.a, f.b, f.c, f.d, P.points, p)
+    return {f: incidences_of(f.key(), P.points, p)
             for f in enumerate_group(P.ctx)}
 
 

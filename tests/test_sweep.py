@@ -250,19 +250,30 @@ def _draw_unreachable(*args, **kwargs):
     raise AssertionError("the points were drawn")
 
 
-@pytest.mark.parametrize("generator", ["random-points", "random-transforms"])
+@pytest.mark.parametrize("generator, bounds", [
+    ("random-points", "thm1-rich"),
+    ("random-transforms", "thm1-rich"),
+    ("random-points", "cor-krich-lines"),
+    ("random-transforms", "cor-krich-lines"),
+], ids=["random-points", "random-transforms", "lines-random-points",
+        "lines-random-transforms"])
 def test_rich_points_are_refused_before_the_draw(tmp_path, capsys, monkeypatch,
-                                                 generator):
+                                                 generator, bounds):
+    limit, most = ("C(2000, 2)", 2000) if bounds == "cor-krich-lines" else ("200^3", 200)
     monkeypatch.setattr(generators, "_sample_points", _draw_unreachable)
     path = tmp_path / "sweep.cfg"
-    path.write_text(f"primes = 9973\nseed = 1\nbounds = thm1-rich\n"
-                    f"generator = {generator}\nn = 1000000\n", encoding="utf-8")
-    code = cli.main(["sweep", "--config", str(path), "--jobs", "1"])
+    argv = ["sweep", "--config", str(path), "--jobs", "1"]
+    text = f"primes = 9973\nseed = 1\nbounds = {bounds}\ngenerator = {generator}\n"
+    path.write_text(text + "n = 1000000\n", encoding="utf-8")
+    code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "p=9973" in captured.err and "rep=0" in captured.err
-    assert "1000000 points" in captured.err and "200^3" in captured.err
+    assert "1000000 points" in captured.err and limit in captured.err
+    path.write_text(text + f"n = {most}\n", encoding="utf-8")
+    with pytest.raises(AssertionError, match="points were drawn"):
+        cli.main(argv)
 
 
 def _transforms_unreachable(*args, **kwargs):
@@ -352,9 +363,13 @@ def _grid_unreachable(*args, **kwargs):
     ("cartesian", "thm1-rich"),
     # random scalars fill in, and their grid is the points
     ("random-transforms", "thm1-rich,thm2-incidence"),
+    ("ap", "cor-krich-lines"),
+    ("cartesian", "cor-krich-lines"),
+    ("random-transforms", "cor-krich-lines,thm2-incidence"),
 ])
 def test_rich_grid_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch,
                                                  generator, bounds):
+    limit = "C(2000, 2)" if bounds.startswith("cor-krich-lines") else "200^3"
     monkeypatch.setattr(sweep_module, "cartesian_points", _grid_unreachable)
     path = tmp_path / "sweep.cfg"
     path.write_text(f"primes = 9973\nseed = 1\nbounds = {bounds}\n"
@@ -364,7 +379,7 @@ def test_rich_grid_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch,
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "p=9973" in captured.err and "rep=0" in captured.err
-    assert "490000 points" in captured.err and "200^3" in captured.err
+    assert "490000 points" in captured.err and limit in captured.err
 
 
 @pytest.mark.parametrize("text", [
