@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from itertools import permutations
 
-from .field import INFINITY, MoebiusMap, same_context
+from .field import same_context
 from .incidence import PointSet, ScalarSet
 from .pivot import rich_counts
 
@@ -151,32 +151,46 @@ def expander_report(A: ScalarSet, kind: str) -> dict:
 def projective_equivalence_count(A: ScalarSet, S: ScalarSet) -> dict:
     """Count maps carrying the pattern S into A, and the distinct images.
 
-    One ordered reference triple of S is fixed and every ordered triple of
-    distinct elements of A is tried as its target; the map is then unique,
-    and it is kept when all of S lands inside A (never at infinity).
-    map_count counts the kept classes, subset_count the distinct image sets
-    f(S), which are the subsets of A projectively equivalent to S.  Since
-    f(ref) = target, distinct targets give distinct maps, so map_count is
-    the number of kept targets.
+    One ordered reference triple ref = (r1, r2, r3) of S is fixed and every
+    ordered triple t = (t1, t2, t3) of distinct elements of A is tried as
+    its target; the map f with f(ref) = t is then unique, and it is kept
+    when all of S lands inside A (never at infinity).  map_count counts the
+    kept classes, subset_count the distinct image sets f(S), which are the
+    subsets of A projectively equivalent to S.  Since f(ref) = target,
+    distinct targets give distinct maps, so map_count is the number of kept
+    targets.
+
+    No map is built: f keeps cross-ratios, so each later s, with
+    lam = (s - r1)(r2 - r3)/((s - r3)(r2 - r1)), goes to the z solving
+    (z - t1)(t2 - t3) = lam (z - t3)(t2 - t1), that is with u = t2 - t3
+    and v = t2 - t1, z = (t1 u - lam v t3)/(u - lam v), or infinity when
+    u = lam v.
     """
     same_context(A.ctx, S.ctx)
     if len(S) < 3:
         raise ValueError(f"pattern needs >= 3 elements, got {len(S)}")
     if len(S) > len(A):
         return {"map_count": 0, "subset_count": 0}
-    ctx = A.ctx
-    ref = S.values[:3]
+    p, inv = A.ctx.p, A.ctx._inv
+    r1, r2, r3 = S.values[:3]
+    scale = (r2 - r3) * inv[(r2 - r1) % p]
+    lams = [(s - r1) * scale * inv[(s - r3) % p] % p for s in S.values[3:]]
     members = set(A.values)
     map_count = 0
     images = set()
     for target in permutations(A.values, 3):
-        f = MoebiusMap.through(ref, target, ctx)
-        image = []
-        for s in S.values:
-            v = f(s)
-            if v is INFINITY or v not in members:
+        t1, t2, t3 = target
+        u, v = t2 - t3, t2 - t1
+        image = list(target)
+        for lam in lams:
+            lv = lam * v
+            den = (u - lv) % p
+            if not den:
                 break
-            image.append(v)
+            z = (t1 * u - lv * t3) * inv[den] % p
+            if z not in members:
+                break
+            image.append(z)
         else:
             map_count += 1
             images.add(frozenset(image))

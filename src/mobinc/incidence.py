@@ -9,8 +9,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator
 
+from .errors import WorkLimitError
 from .field import FieldContext, MoebiusMap, same_context
 
 
@@ -112,37 +115,76 @@ class TransformSet(SortedSet):
 
 def lies_on(s: tuple[int, int], f: MoebiusMap) -> bool:
     """True iff the affine point s = (x, y) satisfies y = f(x), x not a pole."""
-    return incidences_of(f.key(), (s,), f.ctx.p) == 1
+    p = f.ctx.p
+    x, y = s
+    return incidences_of(f.key(), ((x % p, (y % p,)),), f.ctx) == 1
 
 
-def incidences_of(key: int, points, p: int) -> int:
-    """Number of points (x, y) on the map with this key (MoebiusMap.key):
-    y = (ax + b)/(cx + d) mod p, x not a pole.
+def columns(points) -> list[tuple[int, frozenset]]:
+    """The points (x, y), sorted by x, grouped as (x, set of their y)."""
+    return [(x, frozenset(y for _, y in col)) for x, col in groupby(points, itemgetter(0))]
+
+
+def incidences_of(key: int, cols, ctx: FieldContext) -> int:
+    """Number of points on the map with this key (MoebiusMap.key), given
+    as columns (x, ordinates): y = (ax + b)/(cx + d) mod p, x not a pole.
 
     The one incidence loop and the one incidence test: lies_on, richness
-    and count_incidences all count through it.
+    and count_incidences all count through it.  A map has at most one
+    affine point per abscissa, so each column costs one evaluation.  The
+    pole guard matters: inv[0] is 0, so without it a pole x would count a
+    point (x, 0).
     """
+    p, inv = ctx.p, ctx._inv
     key, d = divmod(key, p)
     key, c = divmod(key, p)
     a, b = divmod(key, p)
     n = 0
-    for x, y in points:
+    for x, ys in cols:
         den = (c * x + d) % p
-        if den and (y * den - a * x - b) % p == 0:
+        if den and (a * x + b) * inv[den] % p in ys:
             n += 1
     return n
 
 
 def richness(f: MoebiusMap, P: PointSet) -> int:
     """Number of points of P lying on f."""
-    return incidences_of(f.key(), P.points, P.ctx.p)
+    return incidences_of(f.key(), columns(P.points), P.ctx)
 
 
 def count_incidences(P: PointSet, T: TransformSet) -> int:
-    """I(P, T): number of pairs (point, map) with the point on the map."""
+    """I(P, T): number of pairs (point, map) with the point on the map.
+
+    It costs |T| times the number of distinct abscissae of P, at most
+    |T| * min(|P|, p).
+    """
     same_context(P.ctx, T.ctx)
-    p, pts = P.ctx.p, P.points
-    return sum(incidences_of(key, pts, p) for key in T.keys)
+    ctx, cols = P.ctx, columns(P.points)
+    return sum(incidences_of(key, cols, ctx) for key in T.keys)
+
+
+# count_incidences of 2000 random points and 2000 random maps at p = 9973
+# takes about 1 s on one core under CPython 3.11 (1640 distinct abscissae).
+MAX_INCIDENCE_PAIRS = 2000**2
+# The most points, or maps, on one side: drawing 2*10^5 random points or
+# maps at p = 9973 takes about 0.8 s, and 2*10^5 random hyperbolas 2.4 s.
+MAX_INCIDENCE_MEMBERS = 2 * 10**5
+
+
+def refuse_incidence_work(n_points: int, n_maps: int) -> None:
+    """Refuse, before anything is drawn, an incidence count over the limits."""
+    for n, side in ((n_points, "points"), (n_maps, "maps")):
+        if n > MAX_INCIDENCE_MEMBERS:
+            raise WorkLimitError(
+                f"an incidence count over {n} {side} is over the limit of "
+                f"2*10^5 = {MAX_INCIDENCE_MEMBERS} {side}; give fewer {side}"
+            )
+    if n_points * n_maps > MAX_INCIDENCE_PAIRS:
+        raise WorkLimitError(
+            f"the incidences of {n_points} points and {n_maps} maps need "
+            f"{n_points * n_maps} pairs, over the limit 2000^2 = {MAX_INCIDENCE_PAIRS}; "
+            f"give fewer points or maps"
+        )
 
 
 def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:

@@ -37,17 +37,22 @@ from .energy import encode_family, energy, refuse_energy_work, translate_multipl
 from .errors import WorkLimitError
 from .field import MAX_MODULUS, FieldContext, group_order, is_prime, parallel_map
 from .generators import (
+    AP,
+    CARTESIAN,
     DEFINED_BY,
+    GP,
+    HYPERBOLA_GRID,
     INSTANCE_KINDS,
     RANDOM_HYPERBOLAS,
     RANDOM_POINTS,
     RANDOM_SCALARS,
     RANDOM_TRANSFORMS,
+    Instance,
     _as_int,
     derive_seed,
     generate_instance,
 )
-from .incidence import count_incidences
+from .incidence import count_incidences, refuse_incidence_work
 from .pivot import refuse_line_work, refuse_pivot_work, rich_counts, rich_lines
 
 ROW_FIELDS = (
@@ -195,6 +200,13 @@ def _resolved_sizes(config: SweepConfig, size: Optional[int]) -> dict:
     return params
 
 
+# The rows whose left-hand side is count_incidences, the generators that give
+# A and B or the points, and the resolved size keys.
+_INCIDENCE_ROWS = (THM1_INCIDENCE, THM2_INCIDENCE, THM3_ENERGY, THM4_HYPERBOLA)
+_SCALAR_KINDS = (RANDOM_SCALARS, AP, GP, CARTESIAN)
+_POINT_KINDS = (RANDOM_POINTS, DEFINED_BY)
+_SIZE_KEYS = ("n", "na", "nb", "nt", "nh")
+
 # need, Instance attribute, diagnostic name, random fill-in and its size key
 _COMPONENTS = (
     ("points", "points", "point set", RANDOM_POINTS, "n"),
@@ -208,22 +220,51 @@ _COMPONENTS = (
 def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
     """One fully-populated instance for this sweep cell, and its grid.
 
-    The configured generator runs first; any component a requested bound
-    still needs is filled in by the matching seeded random generator, each
-    component under its own derived seed.  Every generator that gives A
-    also gives B, because nb is always resolved, so the scalars are filled
-    in as a pair.  The grid A x B is built once, when there are scalars, and
-    is the points when the generator gave none.  A needed component that
-    came out empty is a ValueError naming the cell.  Random points under a
-    thm1-rich or cor-krich-lines row are refused on their size n before they
-    are drawn, random transforms under a thm3-energy row on their size nt,
-    the maps defined by random points under a thm3-energy row on their
-    count before they are built, and a grid that a rich or lines row counts
-    is refused on |A|*|B| before it is built.
+    The scalars come first: from the configured generator when it gives
+    them, else, when a bound needs them, from the seeded random-scalars
+    generator.  Every generator that gives A also gives B, because nb is
+    always resolved.  Then the configured generator runs if it has not, and
+    any component a requested bound still needs is filled in by the
+    matching seeded random generator.
+    Each component has its own derived seed, so the order of the draws does
+    not change the instance.  The grid A x B is built once, when there are
+    scalars, and is the points when the generator gave none.  A needed
+    component that came out empty is a ValueError naming the cell.
+
+    Work is refused before it is drawn.  A negative size is refused first.
+    Random points under a thm1-rich or cor-krich-lines row are refused on
+    their size n, random transforms under a thm3-energy row on their size
+    nt, and a grid that a rich or lines row counts on |A|*|B|.  An incidence
+    row is refused on its point count (n or |A|*|B|) and its map count (nt,
+    nh or the hyperbola grid's size) before any point, map or grid is
+    built.  Under transforms-defined-by, the points are drawn and the maps
+    through three of them counted, for the thm3-energy and incidence
+    limits, before any map is built.
     """
     params = _resolved_sizes(config, size)
+    cell = _cell(config, ctx.p, size, rep)
+    for key in _SIZE_KEYS:
+        value = params[key]
+        if isinstance(value, int) and value < 0:
+            raise ValueError(f"{cell}: generator parameter {key!r} must be at least 0, got {value}")
     needed = {need for bound in config.bounds for need in _NEEDS[bound]}
     base_seed = derive_seed(config.seed, ctx.p, size, rep)
+    counted = [bound for bound in config.bounds if bound in _INCIDENCE_ROWS]
+    as_points = config.generator not in _POINT_KINDS
+    grid_size = None
+
+    def refuse_incidences(maps, map_count):
+        """Refuse each incidence row that counts these maps, on its points;
+        map_count() gives their number."""
+        rows = [bound for bound in counted if maps in _NEEDS[bound]]
+        n_maps = map_count() if rows else 0
+        for bound in rows:
+            # thm1-incidence counts the grid when the generator gives no points.
+            if "scalars" in _NEEDS[bound] or (grid_size is not None and as_points):
+                n_points = grid_size
+            else:
+                n_points = _as_int("n", params["n"])
+            refuse_incidence_work(n_points, n_maps)
 
     def draw(kind, kind_params, seed):
         if kind == RANDOM_POINTS and THM1_RICH in config.bounds:
@@ -232,27 +273,41 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
             refuse_line_work(_as_int("n", params["n"]))
         if kind == RANDOM_TRANSFORMS and THM3_ENERGY in config.bounds:
             refuse_energy_work(_as_int("nt", params["nt"]))
-        if kind == DEFINED_BY and THM3_ENERGY in config.bounds:
+        if kind == DEFINED_BY and "transforms" in needed:
             # The generator draws its points as random-points does and builds
             # every map through three of them; count those maps first.
             refuse_pivot_work(_as_int("n", params["n"]))
             drawn = generate_instance(RANDOM_POINTS, kind_params, seed, ctx)
-            refuse_energy_work(rich_counts(drawn.points, 3).get(3, 0))
+            n_maps = rich_counts(drawn.points, 3).get(3, 0)
+            if THM3_ENERGY in config.bounds:
+                refuse_energy_work(n_maps)
+            refuse_incidences("transforms", lambda: n_maps)
         return generate_instance(kind, kind_params, seed, ctx)
 
-    inst = draw(config.generator, params, base_seed)
+    scalar_kind = config.generator in _SCALAR_KINDS
+    inst = draw(config.generator, params, base_seed) if scalar_kind else Instance()
     if "scalars" in needed and inst.a is None:
         extra = draw(RANDOM_SCALARS, params, derive_seed(base_seed, "scalars"))
         inst.a, inst.b = extra.a, extra.b
-    grid = None
     if inst.a is not None:
-        # thm2-rich counts the grid; thm1-rich and cor-krich-lines count it as the points.
-        n = len(inst.a) * len(inst.b)
-        if THM2_RICH in config.bounds or (THM1_RICH in config.bounds and inst.points is None):
-            refuse_pivot_work(n)
-        if COR_KRICH_LINES in config.bounds and inst.points is None:
-            refuse_line_work(n)
-        grid = cartesian_points(inst.a, inst.b)
+        grid_size = len(inst.a) * len(inst.b)
+        # thm2-rich counts the grid; thm1-rich and cor-krich-lines count it
+        # as the points when the generator gives none.
+        if THM2_RICH in config.bounds or (THM1_RICH in config.bounds and as_points):
+            refuse_pivot_work(grid_size)
+        if COR_KRICH_LINES in config.bounds and as_points:
+            refuse_line_work(grid_size)
+    if config.generator != DEFINED_BY:
+        refuse_incidences("transforms", lambda: _as_int("nt", params["nt"]))
+    if config.generator == HYPERBOLA_GRID:
+        refuse_incidences("hyperbolas", lambda: _grid_family_size(params, base_seed, ctx))
+    else:
+        refuse_incidences("hyperbolas", lambda: _as_int("nh", params["nh"]))
+    if not scalar_kind:
+        drawn = draw(config.generator, params, base_seed)
+        drawn.a, drawn.b = inst.a, inst.b
+        inst = drawn
+    grid = None if inst.a is None else cartesian_points(inst.a, inst.b)
     if inst.points is None:
         inst.points = grid
     for need, attr, label, kind, key in _COMPONENTS:
@@ -263,8 +318,16 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
             extra = draw(kind, {key: params[key]}, derive_seed(base_seed, attr))
             setattr(inst, attr, getattr(extra, attr))
         if len(getattr(inst, attr)) == 0:
-            raise ValueError(f"{_cell(config, ctx.p, size, rep)}: the {label} is empty")
+            raise ValueError(f"{cell}: the {label} is empty")
     return inst, grid
+
+
+def _grid_family_size(params, seed, ctx) -> int:
+    """The hyperbola-grid generator's family size: one translate per pair of
+    the scalars a cartesian draw gives on the same parameters, at most p
+    values each."""
+    sides = generate_instance(CARTESIAN, params, seed, ctx)
+    return len(sides.a) * len(sides.b)
 
 
 def _cell(config: SweepConfig, p, size, rep) -> str:

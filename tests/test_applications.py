@@ -245,6 +245,27 @@ def test_equivalence_map_count_is_the_kept_target_count():
     assert kept > 0
 
 
+def test_equivalence_matches_map_set_on_long_patterns():
+    # Patterns of 5 and 6 elements; on the full ground set of F_7 some
+    # targets send a later pattern element to infinity.
+    rng = random.Random(6)
+    cases = [(FieldContext(7), range(7)), (FieldContext(11), range(11)),
+             (CTX101, rng.sample(range(101), 24))]
+    sent_to_infinity = 0
+    for ctx, ground in cases:
+        ground = S(ground, ctx)
+        for size in (5, 6):
+            pattern = S(rng.sample(range(ctx.p), size), ctx)
+            assert projective_equivalence_count(ground, pattern) == \
+                _equivalence_by_map_set(ground, pattern)
+            if ctx.p == 7:
+                ref = pattern.values[:3]
+                sent_to_infinity += sum(
+                    any(MoebiusMap.through(ref, t, ctx)(s) is INFINITY for s in pattern)
+                    for t in permutations(ground.values, 3))
+    assert sent_to_infinity > 0
+
+
 def test_equivalence_kept_maps_are_pattern_rich():
     # each kept map is |S|-rich for the graph point set {(s, f(s))}
     ctx = FieldContext(11)

@@ -6,11 +6,20 @@ from itertools import product
 import pytest
 
 from mobinc.energy import energy, energy_brute
-from mobinc.field import INFINITY, FieldContext, MoebiusMap, enumerate_group, key_entries
+from mobinc.field import (
+    INFINITY,
+    FieldContext,
+    MoebiusMap,
+    class_from_index,
+    enumerate_group,
+    group_order,
+    key_entries,
+)
 from mobinc.incidence import (
     PointSet,
     ScalarSet,
     TransformSet,
+    columns,
     count_incidences,
     incidences_of,
     lies_on,
@@ -171,11 +180,58 @@ def test_rich_transforms_brute_examples():
 
 
 def _scan_reference(P):
-    """The literal group scan: every class of PGL(2, p) tried on every point
-    through incidences_of, giving each map's richness."""
-    p = P.ctx.p
-    return {f: incidences_of(f.key(), P.points, p)
+    """The literal group scan: every class of PGL(2, p) tried on every
+    abscissa through incidences_of, giving each map's richness."""
+    cols = columns(P.points)
+    return {f: incidences_of(f.key(), cols, P.ctx)
             for f in enumerate_group(P.ctx)}
+
+
+def _incidences_per_point(key, points, p):
+    """The kernel as it was: every point (x, y) tested by y(cx + d) = ax + b
+    with cx + d != 0."""
+    a, b, c, d = key_entries(key, p)
+    return sum(1 for x, y in points
+               if (c * x + d) % p and (y * (c * x + d) - a * x - b) % p == 0)
+
+
+def _reference_sets(ctx, T):
+    """The full grid, AP grids with many points per abscissa, random sets of
+    fewer than p points, and sets holding (pole, 0) for poles of maps in T."""
+    p = ctx.p
+    yield PointSet(product(range(p), repeat=2), ctx)
+    rng = random.Random(p)
+    poles = sorted({-d * ctx.inv(c) % p for _, _, c, d in
+                    (key_entries(key, p) for key in T.keys) if c})
+    for n in (3, p // 2):
+        step = rng.randrange(1, p)
+        ap = [(i * step + 1) % p for i in range(n)]
+        yield PointSet(product(ap, repeat=2), ctx)
+        yield PointSet(product(ap[:2], range(p)), ctx)
+    for n in (1, p // 3, p - 1):
+        P = random_points(ctx, n, n)
+        yield P
+        yield PointSet([*P.points, *((x, 0) for x in poles[: n + 1])], ctx)
+
+
+@pytest.mark.parametrize("p", [7, 31, 101])
+def test_count_incidences_equals_per_point_loop(p):
+    ctx = FieldContext(p)
+    rng = random.Random(p)
+    indices = rng.sample(range(group_order(p)), min(120, group_order(p)))
+    T = TransformSet((class_from_index(i, ctx) for i in indices), ctx)
+    sets = list(_reference_sets(ctx, T))
+    curved = sum(1 for key in T.keys if key_entries(key, p)[2])
+    # On the full grid each map has one point per abscissa but its pole.
+    assert count_incidences(sets[0], T) == p * len(T) - curved
+    for P in sets:
+        per_point = [_incidences_per_point(key, P.points, p) for key in T.keys]
+        assert count_incidences(P, T) == sum(per_point)
+        assert [richness(f, P) for f in T] == per_point
+    on_pole = [(x, 0) for x in range(p)]
+    for f in T:
+        assert [lies_on(s, f) for s in on_pole] == [
+            _incidences_per_point(f.key(), [s], p) == 1 for s in on_pole]
 
 
 @pytest.mark.parametrize("p, n", [(5, 8), (7, 14), (11, 22), (13, 26), (31, 30)])

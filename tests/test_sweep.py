@@ -8,6 +8,7 @@ import pytest
 from mobinc import cli, generators
 from mobinc import sweep as sweep_module
 from mobinc.bounds import BOUND_IDS, dyadic_threshold
+from mobinc.field import FieldContext
 from mobinc.generators import INSTANCE_KINDS
 from mobinc.io import parse_config_text
 from mobinc.sweep import (
@@ -380,6 +381,99 @@ def test_rich_grid_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch,
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "p=9973" in captured.err and "rep=0" in captured.err
     assert "490000 points" in captured.err and limit in captured.err
+
+
+def _incidence_draw_unreachable(*args, **kwargs):
+    raise AssertionError("the incidence row's points, maps or grid were drawn")
+
+
+@pytest.mark.parametrize("text, refused, admitted, error", [
+    ("bounds = thm1-incidence\ngenerator = random-points",
+     "n = 200001\nnt = 1", "n = 200000\nnt = 1", "200001 points"),
+    ("bounds = thm1-incidence\ngenerator = random-points",
+     "n = 2001\nnt = 2000", "n = 2000\nnt = 2000", "4002000 pairs"),
+    # random scalars fill in, and their 10 x 20 grid, not n, is the points
+    ("bounds = thm1-incidence,thm2-rich\ngenerator = random-transforms\n"
+     "na = 10\nnb = 20\nn = 100001", "nt = 20001", "nt = 20000", "4000200 pairs"),
+    ("bounds = thm1-incidence\ngenerator = random-transforms",
+     "nt = 200001\nn = 1", "nt = 200000\nn = 1", "200001 maps"),
+    ("bounds = thm2-incidence\ngenerator = ap",
+     "na = 1000\nnb = 1000", "na = 1000\nnb = 200", "1000000 points"),
+    ("bounds = thm3-energy\ngenerator = cartesian\nna = 100\nnb = 100",
+     "nt = 401", "nt = 400", "4010000 pairs"),
+    # the hyperbola grid's family is one translate per pair of its A x B
+    ("bounds = thm4-hyperbola\ngenerator = hyperbola-grid",
+     "na = 45\nnb = 45", "na = 44\nnb = 45", "4100625 pairs"),
+    ("bounds = thm4-hyperbola\ngenerator = random-points\nna = 1\nnb = 1",
+     "nh = 200001", "nh = 200000", "200001 maps"),
+], ids=["points", "pairs", "grid-as-points", "maps", "grid", "energy-pairs", "hyperbola-grid",
+        "hyperbolas"])
+def test_incidence_rows_are_refused_before_the_draw(tmp_path, capsys, monkeypatch,
+                                                    text, refused, admitted, error):
+    for name in ("_sample_points", "_sample_transforms", "_sample_hyperbolas",
+                 "_grid_hyperbolas"):
+        monkeypatch.setattr(generators, name, _incidence_draw_unreachable)
+    monkeypatch.setattr(sweep_module, "cartesian_points", _incidence_draw_unreachable)
+    path = tmp_path / "sweep.cfg"
+    argv = ["sweep", "--config", str(path), "--jobs", "1"]
+    path.write_text(f"primes = 9973\nseed = 1\n{text}\n{refused}\n", encoding="utf-8")
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: sweep cell p=9973 size=None rep=0 under generator ")
+    assert captured.err.count("\n") == 1 and error in captured.err
+    path.write_text(f"primes = 9973\nseed = 1\n{text}\n{admitted}\n", encoding="utf-8")
+    with pytest.raises(AssertionError, match="were drawn"):
+        cli.main(argv)
+
+
+def test_defined_maps_of_an_incidence_row_are_counted_first(tmp_path, capsys, monkeypatch):
+    # 80 random points at p = 9973 define about C(80, 3) maps, whose
+    # incidences with the 80 points are over the pair limit; 60 points are not.
+    monkeypatch.setattr(generators, "rich_transforms_pivot", _maps_unreachable)
+    path = tmp_path / "sweep.cfg"
+    argv = ["sweep", "--config", str(path), "--jobs", "1"]
+    text = "primes = 9973\nseed = 1\nbounds = thm1-incidence\ngenerator = transforms-defined-by\n"
+    path.write_text(text + "n = 80\n", encoding="utf-8")
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: sweep cell p=9973 size=None rep=0 ")
+    assert captured.err.count("\n") == 1 and "of 80 points and " in captured.err
+    assert "2000^2" in captured.err
+    path.write_text(text + "n = 60\n", encoding="utf-8")
+    with pytest.raises(AssertionError, match="defined maps were built"):
+        cli.main(argv)
+
+
+@pytest.mark.parametrize("params", [
+    {"na": 3, "nb": 4}, {"a": [1, 68, 2], "na": 9, "nb": 5}, {"b": 7, "na": 2, "nb": 1},
+])
+def test_grid_family_size_is_the_generated_family_size(params):
+    ctx = FieldContext(67)
+    family = generators.generate_instance("hyperbola-grid", params, 5, ctx).hyperbolas
+    assert sweep_module._grid_family_size(params, 5, ctx) == len(family)
+
+
+@pytest.mark.parametrize("bound, generator, sizes, key, value", [
+    ("thm1-incidence", "random-points", "n = -1", "n", -1),
+    ("thm1-incidence", "random-transforms", "nt = -2", "nt", -2),
+    ("thm2-incidence", "ap", "na = -1", "na", -1),
+    ("thm2-incidence", "ap", "na = 3\nnb = -3", "nb", -3),
+    ("thm4-hyperbola", "random-hyperbolas", "nh = -1", "nh", -1),
+])
+def test_negative_sizes_name_the_key_and_the_cell(tmp_path, capsys, bound, generator,
+                                                  sizes, key, value):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"primes = 67\nseed = 1\nbounds = {bound}\ngenerator = {generator}\n"
+                    f"{sizes}\n", encoding="utf-8")
+    code = cli.main(["sweep", "--config", str(path), "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: sweep cell p=67 size=None rep=0 under generator {generator}: "
+        f"generator parameter {key!r} must be at least 0, got {value}\n"
+    )
 
 
 @pytest.mark.parametrize("text", [
