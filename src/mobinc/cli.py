@@ -316,6 +316,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         if "prime" in args:
             args.ctx = FieldContext(args.prime)
             for flag, loader in _LOADERS:

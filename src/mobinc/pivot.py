@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import partial
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple, Optional, Union
 
 from .errors import WorkLimitError
@@ -275,26 +277,57 @@ def _check_one_pivot(ctx: FieldContext, q: tuple[int, int]) -> tuple[int, int, i
     map and one of the (p-1)^2 admissible points (s1 != q1, s2 != q2).
 
     Each side of the reduction puts at most one admissible point on each
-    abscissa s1 != q1, so each side is a list of p-1 ordinates, with q2
-    marking an abscissa that carries no admissible point.  The curve's list
-    is f(s1) = (a*s1 + b)/(s1 + d), from (a, b, d) and a table of 1/(s1 + d),
-    with q2 at the pole s1 = -d; an f(s1) equal to q2 is not admissible
-    either.  The line t2 = m*t1 + i is pulled back through the transplant
-    (t1, t2) = (1/(q1 - s1), 1/(q2 - s2)), from (m, i) alone: s2 = q2 - 1/t2,
-    which is never q2, or q2 where t2 = 0.  A point violates the reduction
-    when it lies on one side only, so an abscissa where the lists differ
-    adds 2 when both entries are points and 1 otherwise; that is the size
-    of the symmetric difference of the two graphs.  Nothing comes from the
-    enumeration path.  Tables of p lists of p-1 entries are built once per
-    pivot, so a pivot still costs O(p^3) and an exhaustive check O(p^5).
+    abscissa s1 != q1, so a map's graph is a sequence of p-1 ordinates,
+    with q2 marking an abscissa that carries no admissible point.  The maps
+    of one a are checked in one batch: the sequences of all its d, in d
+    order, laid end to end, each side built by table lookups alone.
+
+    Curve side: b = q2(q1 + d) - a*q1, so with w = 1/(s1 + d) the value
+    f(s1) = (a*s1 + b)*w is (a*alpha + beta) mod p, where alpha =
+    (s1 - q1)*w and beta = q2(q1 + d)*w.  This regroups only the arithmetic
+    around the inverse lookup, so it equals the literal (a*s1 + b)*w for
+    any inverse table.  The keys alpha*p + beta of every (d, s1) are built
+    once per pivot, the pole s1 = -d keyed p^2.  Once per a, the table
+    aff[alpha*p + beta] = (a*alpha + beta) mod p is laid out from slices of
+    range(p) doubled, with aff[p^2] = q2; the curve batch is aff at the
+    keys.  An f(s1) equal to q2 is not admissible either.
+
+    Line side: the map (a, d) conjugates to the line t2 = m*t1 + i, with
+    m = (q1 + d)/(a - q2) and i = -1/(a - q2), pulled back through the
+    transplant (t1, t2) = (1/(q1 - s1), 1/(q2 - s2)): s2 = q2 - 1/t2, which
+    is never q2, or q2 where t2 = 0.  Once per pivot, slopes[m] holds the
+    m*t1 of every abscissa and pulled[t] the ordinate pulled back from
+    t2 = t; once per a, back[v] = pulled[v + i] is a slice of pulled laid
+    twice, and the line batch is back at the slopes of every m.
+
+    A point violates the reduction when it lies on one side only.  Where
+    the two batches of an a differ, an entry that differs adds 2 when both
+    sides hold a point and 1 otherwise: the size of the symmetric
+    difference of the graphs.  The transform, line-collision and
+    det-mismatch counts are kept per map.  Nothing comes from the
+    enumeration path.  A pivot costs O(p^2) interpreted steps and O(p^3)
+    table lookups, so an exhaustive check costs O(p^5).
     """
     p = ctx.p
     inv = ctx._inv
     q1, q2 = q[0] % p, q[1] % p
     xs = [s1 for s1 in range(p) if s1 != q1]
+    ds = [d for d in range(p) if (d + q1) % p]
     t1s = [inv[(q1 - s1) % p] for s1 in xs]
     slopes = [[m * t1 % p for t1 in t1s] for m in range(p)]
-    recips = [[inv[(s1 + d) % p] for s1 in xs] for d in range(p)]
+    pole = p * p
+    keys = []
+    for d in ds:
+        c = q2 * (q1 + d)
+        keys += [
+            (s1 - q1) * (w := inv[den]) % p * p + c * w % p if (den := (s1 + d) % p) else pole
+            for s1 in xs
+        ]
+    # itemgetter of a single key returns the entry, not a 1-tuple (p = 2).
+    curve_at = itemgetter(*keys) if len(keys) > 1 else lambda aff: (aff[keys[0]],)
+    doubled = list(range(p)) * 2
+    pulled = [q2] + [(q2 - inv[t]) % p for t in range(1, p)]
+    pulled += pulled
     transforms = violations = det_mismatches = 0
     lines_seen = set()
     for a in range(p):
@@ -303,24 +336,23 @@ def _check_one_pivot(ctx: FieldContext, q: tuple[int, int]) -> tuple[int, int, i
         u = (a - q2) % p
         inv_u = inv[u]
         i = (-inv_u) % p
-        # back[v]: the ordinate pulled back from t2 = v + i, or q2 where t2 = 0.
-        back = [(q2 - inv[(v + i) % p]) % p if (v + i) % p else q2 for v in range(p)]
-        for d in range(p):
-            if (d + q1) % p == 0:
-                continue
-            b = (q2 * (q1 + d) - a * q1) % p
-            transforms += 1
-            m = (q1 + d) * inv_u % p
-            if ((q1 + d) * u - (a * d - b)) % p != 0:
-                det_mismatches += 1
-            lines_seen.add((m, i))
-            curve = [(a * s1 + b) * w % p for s1, w in zip(xs, recips[d])]
-            pole = -d % p
-            # xs skips q1, so abscissae past q1 sit one index lower.
-            curve[pole - (pole > q1)] = q2
-            line = list(map(back.__getitem__, slopes[m]))
-            if curve != line:
-                violations += sum(1 + (c != q2 and l != q2) for c, l in zip(curve, line) if c != l)
+        ms = [(q1 + d) * inv_u % p for d in ds]
+        transforms += len(ds)
+        # The line t2 = m*t1 + i is keyed i*p + m.
+        lines_seen.update(map((i * p).__add__, ms))
+        det_mismatches += sum(
+            1 for d in ds if ((q1 + d) * u - (a * d - (q2 * (q1 + d) - a * q1) % p)) % p
+        )
+        aff = []
+        for alpha in range(p):
+            r = a * alpha % p
+            aff += doubled[r : r + p]
+        aff.append(q2)
+        curve = curve_at(aff)
+        back = pulled[i : i + p]
+        line = tuple(map(back.__getitem__, chain.from_iterable(map(slopes.__getitem__, ms))))
+        if curve != line:
+            violations += sum(1 + (c != q2 and l != q2) for c, l in zip(curve, line) if c != l)
     collisions = transforms - len(lines_seen)
     triples = transforms * (p - 1) ** 2
     return transforms, triples, violations, collisions, det_mismatches
@@ -335,9 +367,13 @@ def check_reduction(
 
     With pivots=None the check is exhaustive: every pivot q in F_p^2, every
     curved transformation through q, every admissible point.  Each map's
-    curve graph is compared with its line's pulled-back graph, so a pivot
-    costs O(p^3) and the exhaustive check O(p^5).  Also checks injectivity
-    of the conjugation (no two maps share a line) and that the conjugate
+    curve graph is compared with its line's pulled-back graph.  At each
+    pivot the curve side is looked up in a table aff of (a*alpha + beta)
+    mod p at keys alpha*p + beta built once per pivot, the line side in
+    tables of slopes and pulled-back ordinates, and the maps of one a are
+    compared in one batch (see _check_one_pivot); a pivot costs O(p^3)
+    lookups and the exhaustive check O(p^5).  Also checks injectivity of
+    the conjugation (no two maps share a line) and that the conjugate
     matrix determinant matches the c = 1 determinant of the map.  Each
     pivot is one unit of parallel_map, which spreads them over up to jobs
     processes; the per-pivot counts are summed.

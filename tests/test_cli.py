@@ -473,6 +473,19 @@ def test_verify_reduction_failure_exits_1(capsys, monkeypatch):
     assert err == "REDUCTION CHECK FAILED\n"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["verify-reduction", "sweep"])
+def test_jobs_below_one_is_refused(files, capsys, monkeypatch, command, jobs):
+    # Refused before any work starts, not run serially.
+    monkeypatch.setattr(cli, "check_reduction", _unreachable)
+    monkeypatch.setattr(cli, "sweep", _unreachable)
+    argv = (["verify-reduction", "-p", "5", "--exhaustive"] if command == "verify-reduction"
+            else ["sweep", "--config", files("sweep.cfg", CONFIG)])
+    code, out, err = run(capsys, *argv, "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
 def test_tripped_guard_exits_1(files, capsys, monkeypatch):
     monkeypatch.setattr(sweep_module, "energy", lambda T: 0)
     config = files("sweep.cfg", "primes = 7\nbounds = thm3-energy\n"
@@ -768,7 +781,7 @@ def _invocation(draw):
     if command != "sweep":
         argv += ["-p", prime]
     # Usage errors that argparse itself rejects.
-    flaw = draw(st.sampled_from((None,) * 6 + ("missing", "unknown", "int", "choice")))
+    flaw = draw(st.sampled_from((None,) * 6 + ("missing", "unknown", "int", "choice", "jobs")))
     if flaw == "missing":
         at = argv.index("--config" if command == "sweep" else "-p")
         del argv[at:at + 2]
@@ -776,6 +789,9 @@ def _invocation(draw):
         argv.append("--no-such-flag")
     elif flaw == "int":
         argv += ["--jobs" if command == "sweep" else "-p", "x"]
+    elif flaw == "jobs":
+        # Refused by verify-reduction and sweep, unknown to the others.
+        argv += ["--jobs", "0"]
     elif flaw == "choice":
         if command == "rich-enum":
             argv += ["--method", "bogus"]

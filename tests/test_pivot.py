@@ -448,11 +448,23 @@ def _check_one_pivot_sets(ctx, q):
     return transforms, triples, violations, collisions, det_mismatches
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_check_one_pivot_matches_set_reference(p):
     ctx = FieldContext(p)
     for q in product(range(p), repeat=2):
         assert _check_one_pivot(ctx, q) == _check_one_pivot_sets(ctx, q), (p, q)
+
+
+def test_check_one_pivot_matches_set_reference_at_the_cap():
+    # p = 53, the largest exhaustive check the CLI starts, where the curve
+    # keys reach p^2: (0, 0), one pivot on each axis and a seeded sample.
+    p = 53
+    ctx = FieldContext(p)
+    rng = random.Random(p)
+    pivots = [(0, 0), (rng.randrange(1, p), 0), (0, rng.randrange(1, p))]
+    pivots += [(v // p, v % p) for v in rng.sample(range(p * p), 3)]
+    for q in pivots:
+        assert _check_one_pivot(ctx, q) == _check_one_pivot_sets(ctx, q), q
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])
@@ -473,3 +485,20 @@ def test_check_one_pivot_counts_violations_like_set_reference(p, swap):
     assert violations > 0
     if (p, swap) == (7, (2, 3)):
         assert violations == 13048
+
+
+@pytest.mark.parametrize("p", [7, 11])
+@pytest.mark.parametrize("pair", [(2, 3), (1, -1)])
+def test_check_one_pivot_counts_line_collisions_like_set_reference(p, pair):
+    # A non-injective inverse table: two denominators a - q2 share 1/(a - q2),
+    # so their maps conjugate to the same lines.  No entry becomes 0.
+    ctx = FieldContext(p)
+    inv = ctx._inv
+    x, y = (v % p for v in pair)
+    inv[x] = inv[y]
+    collisions = 0
+    for q in product(range(p), repeat=2):
+        report = _check_one_pivot(ctx, q)
+        assert report == _check_one_pivot_sets(ctx, q), (p, pair, q)
+        collisions += report[3]
+    assert collisions > 0
