@@ -107,7 +107,8 @@ def expander_shift_invert(A: ScalarSet) -> ScalarSet:
 
 
 def expander_rational(A: ScalarSet) -> ScalarSet:
-    """The value set {(ab + c)/(b + d) : a, b, c, d in A, b + d != 0}."""
+    """The value set {(ab + c)/(b + d) : a, b, c, d in A, b + d != 0}.
+    It lies in F_p, so the loop stops once it is all of F_p."""
     ctx = A.ctx
     p = ctx.p
     inv = ctx._inv
@@ -120,6 +121,8 @@ def expander_rational(A: ScalarSet) -> ScalarSet:
             if s:
                 r = inv[s]
                 out.update(num * r % p for num in numerators)
+                if len(out) == p:
+                    return ScalarSet.from_sorted(range(p), ctx)
     return ScalarSet(out, ctx)
 
 

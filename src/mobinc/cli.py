@@ -11,6 +11,7 @@ the handler prints its record, and `main` prints any failure as one line.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -232,7 +233,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {' '.join(message.splitlines())}\n")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first main call.  Handlers look
+    up what they call as module globals when they run, not when it is built."""
     ap = _Parser(
         prog="mobinc",
         description="Exact Moebius-transformation incidence toolkit over F_p.",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import WorkLimitError
-from .field import FieldContext, MoebiusMap, key_entries
+from .field import FieldContext, MoebiusMap, canonical_key, key_entries
 from .incidence import TransformSet
 
 ORACLE_CAP = 64
@@ -139,13 +139,18 @@ class HyperbolaTranslate:
 
 def hyperbola_to_moebius(h: HyperbolaTranslate, ctx: FieldContext) -> MoebiusMap:
     """The transformation whose graph is the translate (poles excluded)."""
-    return MoebiusMap(h.a, h.eps - h.a * h.b, 1, -h.b, ctx)
+    return MoebiusMap.from_key(_hyperbola_key(h, ctx), ctx)
+
+
+def _hyperbola_key(h: HyperbolaTranslate, ctx: FieldContext) -> int:
+    return canonical_key(h.a, h.eps - h.a * h.b, 1, -h.b, ctx)
 
 
 def encode_family(
     H: Iterable[HyperbolaTranslate], ctx: FieldContext
 ) -> TransformSet:
-    return TransformSet((hyperbola_to_moebius(h, ctx) for h in H), ctx)
+    """The maps of the translates, as keys; no map is built."""
+    return TransformSet.from_sorted(sorted({_hyperbola_key(h, ctx) for h in H}), ctx)
 
 
 def translate_multiplicity(H: Iterable[HyperbolaTranslate]) -> int:

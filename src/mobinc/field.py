@@ -150,35 +150,7 @@ class MoebiusMap:
     __slots__ = ("a", "b", "c", "d", "ctx")
 
     def __new__(cls, a: int, b: int, c: int, d: int, ctx: FieldContext):
-        p = ctx.p
-        a %= p
-        b %= p
-        c %= p
-        d %= p
-        if (a * d - b * c) % p == 0:
-            raise ValueError(
-                f"({a},{b},{c},{d}) has zero determinant mod {p}"
-            )
-        return cls._canonical(a, b, c, d, ctx)
-
-    @classmethod
-    def _canonical(cls, a, b, c, d, ctx):
-        # Internal: entries already reduced mod p with nonzero determinant.
-        # A nonsingular matrix with a = 0 has b != 0, so the lead is a or b.
-        s = ctx._inv[a if a else b]
-        if s != 1:
-            p = ctx.p
-            a = a * s % p
-            b = b * s % p
-            c = c * s % p
-            d = d * s % p
-        m = object.__new__(cls)
-        m.a = a
-        m.b = b
-        m.c = c
-        m.d = d
-        m.ctx = ctx
-        return m
+        return cls.from_key(canonical_key(a, b, c, d, ctx), ctx)
 
     def __getnewargs__(self):
         """Let pickle and copy rebuild the map through __new__."""
@@ -186,7 +158,7 @@ class MoebiusMap:
 
     @classmethod
     def identity(cls, ctx: FieldContext) -> "MoebiusMap":
-        return cls._canonical(1, 0, 0, 1, ctx)
+        return cls(1, 0, 0, 1, ctx)
 
     def __call__(self, x: ProjectivePoint) -> ProjectivePoint:
         p = self.ctx.p
@@ -204,19 +176,15 @@ class MoebiusMap:
         if not isinstance(other, MoebiusMap):
             return NotImplemented
         ctx = same_context(self.ctx, other.ctx)
-        p = ctx.p
-        a = (self.a * other.a + self.b * other.c) % p
-        b = (self.a * other.b + self.b * other.d) % p
-        c = (self.c * other.a + self.d * other.c) % p
-        d = (self.c * other.b + self.d * other.d) % p
-        return MoebiusMap._canonical(a, b, c, d, ctx)
+        a = self.a * other.a + self.b * other.c
+        b = self.a * other.b + self.b * other.d
+        c = self.c * other.a + self.d * other.c
+        d = self.c * other.b + self.d * other.d
+        return MoebiusMap(a, b, c, d, ctx)
 
     def inverse(self) -> "MoebiusMap":
         """Group inverse (the adjugate matrix, canonicalized)."""
-        p = self.ctx.p
-        return MoebiusMap._canonical(
-            self.d, (-self.b) % p, (-self.c) % p, self.a, self.ctx
-        )
+        return MoebiusMap(self.d, -self.b, -self.c, self.a, self.ctx)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -285,6 +253,21 @@ class MoebiusMap:
         return cls(a, b, c, d, ctx)
 
 
+def canonical_key(a: int, b: int, c: int, d: int, ctx: FieldContext) -> int:
+    """The key of the map of (a, b, c, d), with no map built: the package's one
+    canonicalization rule.  Entries are reduced mod p, a singular matrix is
+    refused, and the lead entry (a, or b when a = 0) is scaled to 1."""
+    p = ctx.p
+    a %= p
+    b %= p
+    c %= p
+    d %= p
+    if (a * d - b * c) % p == 0:
+        raise ValueError(f"({a},{b},{c},{d}) has zero determinant mod {p}")
+    s = ctx._inv[a if a else b]
+    return (((a * s % p) * p + b * s % p) * p + c * s % p) * p + d * s % p
+
+
 def key_entries(key: int, p: int) -> tuple[int, int, int, int]:
     """(a, b, c, d) of a map key: the inverse of MoebiusMap.key."""
     key, d = divmod(key, p)
@@ -346,7 +329,6 @@ def class_from_index(i: int, ctx: FieldContext) -> MoebiusMap:
         c, j = divmod(r, p - 1)
         bc = b * c % p
         d = j if j < bc else j + 1
-        return MoebiusMap._canonical(1, b, c, d, ctx)
+        return MoebiusMap.from_key(((p + b) * p + c) * p + d, ctx)
     i -= block
-    c, d = divmod(i, p)
-    return MoebiusMap._canonical(0, 1, c + 1, d, ctx)
+    return MoebiusMap.from_key(p * p + p + i, ctx)

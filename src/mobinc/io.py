@@ -12,7 +12,7 @@ import os
 from typing import TextIO
 
 from .energy import HyperbolaTranslate
-from .field import FieldContext, MoebiusMap, key_entries
+from .field import FieldContext, canonical_key, key_entries
 from .incidence import PointSet, ScalarSet, TransformSet
 
 
@@ -46,11 +46,14 @@ def parse_points(text: str, ctx: FieldContext, where: str = "<points>") -> Point
 def parse_transforms(
     text: str, ctx: FieldContext, where: str = "<transforms>"
 ) -> TransformSet:
-    maps = []
+    keys = set()
     for lineno, line in _data_lines(text):
         a, b, c, d = _ints(line, lineno, 4, where)
-        maps.append(MoebiusMap(a, b, c, d, ctx))
-    return TransformSet(maps, ctx)
+        try:
+            keys.add(canonical_key(a, b, c, d, ctx))
+        except ValueError as exc:
+            raise ValueError(f"{where}, line {lineno}: {exc}") from None
+    return TransformSet.from_sorted(sorted(keys), ctx)
 
 
 def parse_hyperbolas(

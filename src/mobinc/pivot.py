@@ -304,7 +304,9 @@ def _check_one_pivot(ctx: FieldContext, q: tuple[int, int]) -> tuple[int, int, i
     the two batches of an a differ, an entry that differs adds 2 when both
     sides hold a point and 1 otherwise: the size of the symmetric
     difference of the graphs.  The transform, line-collision and
-    det-mismatch counts are kept per map.  Nothing comes from the
+    det-mismatch counts are kept per map: a det mismatch is a map whose
+    line's pullback, of determinant m, scaled to c = 1 by w = 1/(-i) from
+    the inverse table, has m*w^2 != a*d - b.  Nothing comes from the
     enumeration path.  A pivot costs O(p^2) interpreted steps and O(p^3)
     table lookups, so an exhaustive check costs O(p^5).
     """
@@ -313,6 +315,7 @@ def _check_one_pivot(ctx: FieldContext, q: tuple[int, int]) -> tuple[int, int, i
     q1, q2 = q[0] % p, q[1] % p
     xs = [s1 for s1 in range(p) if s1 != q1]
     ds = [d for d in range(p) if (d + q1) % p]
+    q1ds = [q1 + d for d in ds]
     t1s = [inv[(q1 - s1) % p] for s1 in xs]
     slopes = [[m * t1 % p for t1 in t1s] for m in range(p)]
     pole = p * p
@@ -336,13 +339,13 @@ def _check_one_pivot(ctx: FieldContext, q: tuple[int, int]) -> tuple[int, int, i
         u = (a - q2) % p
         inv_u = inv[u]
         i = (-inv_u) % p
-        ms = [(q1 + d) * inv_u % p for d in ds]
+        ms = [e * inv_u % p for e in q1ds]
         transforms += len(ds)
         # The line t2 = m*t1 + i is keyed i*p + m.
         lines_seen.update(map((i * p).__add__, ms))
-        det_mismatches += sum(
-            1 for d in ds if ((q1 + d) * u - (a * d - (q2 * (q1 + d) - a * q1) % p)) % p
-        )
+        # a*d - b is u*(q1 + d), as b = q2(q1 + d) - a*q1.
+        ww = inv[(-i) % p] ** 2
+        det_mismatches += sum(1 for m, e in zip(ms, q1ds) if (m * ww - u * e) % p)
         aff = []
         for alpha in range(p):
             r = a * alpha % p
@@ -373,8 +376,9 @@ def check_reduction(
     tables of slopes and pulled-back ordinates, and the maps of one a are
     compared in one batch (see _check_one_pivot); a pivot costs O(p^3)
     lookups and the exhaustive check O(p^5).  Also checks injectivity of
-    the conjugation (no two maps share a line) and that the conjugate
-    matrix determinant matches the c = 1 determinant of the map.  Each
+    the conjugation (no two maps share a line) and that the determinant of
+    each line's pullback, scaled to c = 1 through the inverse table,
+    matches the determinant a*d - b of its map.  Each
     pivot is one unit of parallel_map, which spreads them over up to jobs
     processes; the per-pivot counts are summed.
     """

@@ -150,6 +150,23 @@ def test_expander_rational_matches_quadruple_loop():
         assert set(expander_rational(a)) == expected
 
 
+def test_expander_rational_matches_set_comprehension():
+    # The value set may stop growing once it is all of F_p; sets that fill
+    # F_p and sets that do not give the literal comprehension's values.
+    filled = unfilled = 0
+    for p, values in ((5, [0, 1]), (5, [0, 1, 2]), (13, [1, 2, 3]), (13, [0, 1, 3, 9]),
+                      (101, [1, 2]), (101, range(30)), (101, [0, 1, 10, 100])):
+        ctx = FieldContext(p)
+        a = S(values, ctx)
+        expected = {(x * b + c) * ctx.inv(b + d) % p
+                    for x in a for b in a for c in a for d in a if (b + d) % p}
+        out = expander_rational(a)
+        assert out.values == tuple(sorted(expected)), (p, values)
+        filled += len(out) == p
+        unfilled += len(out) < p
+    assert filled and unfilled
+
+
 def test_expander_size_caps():
     rng = random.Random(3)
     for _ in range(5):

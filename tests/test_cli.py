@@ -572,6 +572,54 @@ def test_bad_inputs_exit_2(files, capsys):
     assert code == 2 and "unknown bound" in err
 
 
+def test_singular_transform_row_names_its_file_and_line(files, capsys):
+    points = files("p.txt", "1,1\n")
+    transforms = files("t.txt", "1,0,0,1\n1,2,2,4\n")
+    code, out, err = run(capsys, "incidence", "-p", "5", "--points", points,
+                         "--transforms", transforms)
+    assert code == 2 and out == ""
+    assert err == f"error: {transforms}, line 2: (1,2,2,4) has zero determinant mod 5\n"
+
+
+def test_repeated_calls_in_one_process_give_the_same_output(files, capsys):
+    # One parser serves every call of the process: a usage error and a
+    # refused input between two runs of each subcommand change nothing.
+    f = _pinned_files(files)
+    values61 = _values_file(files, 61)
+    cases = [
+        ["incidence", "-p", "13", "--points", f["P13"], "--transforms", f["T13"]],
+        ["energy", "-p", "13", "--transforms", f["T13"]],
+        ["energy", "-p", "13", "--hyperbolas", f["H13"], "--json"],
+        ["repr", "-p", "101", "--a", f["A101"], "--b", f["A101"]],
+        ["beck", "-p", "13", "--points", f["P13"]],
+        ["expander", "shift-invert", "-p", "31", "--a", f["A31"]],
+        ["expander", "rational", "-p", "31", "--a", f["A31"]],
+        ["equiv-count", "-p", "31", "--a", f["A31"], "--s", f["S31"]],
+        ["rich-enum", "-p", "11", "-k", "3", "--points", f["P11"], "--method", "both"],
+        ["rich-enum", "-p", "11", "-k", "3", "--points", f["P11"], "--method", "pivot"],
+        ["verify-reduction", "-p", "13", "--samples", "5", "--seed", "4", "--jobs", "1"],
+    ]
+    first = [run(capsys, *argv)[:2] for argv in cases]
+    assert all(code == 0 for code, _ in first)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*cases[0], "--bogus"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments")
+    code, out, err = run(capsys, "expander", "rational", "-p", "1009", "--a", values61)
+    assert code == 2 and out == "" and err.startswith("error: the rational value set")
+    assert [run(capsys, *argv)[:2] for argv in cases] == first
+
+
+def test_cached_parser_calls_a_replaced_function(files, capsys, monkeypatch):
+    transforms = files("t.txt", "1,0,0,1\n2,0,0,1\n")
+    assert run(capsys, "energy", "-p", "7", "--transforms", transforms)[0] == 0
+    assert cli._parser() is cli._parser()
+    calls = []
+    monkeypatch.setattr(cli, "energy", lambda T: calls.append(len(T)) or 99)
+    code, out, _ = run(capsys, "energy", "-p", "7", "--transforms", transforms)
+    assert (code, out, calls) == (0, "size=2 energy=99\n", [2])
+
+
 @pytest.mark.parametrize("generator, extra, expected_code", [
     ("cartesian", "a = 3", 0),  # a single value is a list of one
     ("cartesian", "a = 1,x", 2),

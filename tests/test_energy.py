@@ -142,7 +142,8 @@ def test_energy_builds_no_quotient_map(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a Moebius map was built or combined")
 
-    for name in ("__mul__", "inverse", "_canonical"):
+    # every map is built through from_key, MoebiusMap(...) included
+    for name in ("__mul__", "inverse", "from_key"):
         monkeypatch.setattr(MoebiusMap, name, unreachable)
     assert energy(T) == expected
 

@@ -14,6 +14,7 @@ from mobinc.field import (
     INFINITY,
     FieldContext,
     MoebiusMap,
+    canonical_key,
     class_from_index,
     enumerate_group,
     group_order,
@@ -103,6 +104,29 @@ def test_canonical_forms_count_all_tuples_p5():
     assert forms == {f.as_tuple() for f in enumerate_group(CTX5)}
 
 
+def test_canonical_key_is_the_map_key():
+    # one canonicalization rule: every nonsingular 4-tuple at p = 5, and
+    # seeded tuples with scaled copies at p = 101
+    for a, b, c, d in itertools.product(range(5), repeat=4):
+        if (a * d - b * c) % 5:
+            assert canonical_key(a, b, c, d, CTX5) == MoebiusMap(a, b, c, d, CTX5).key()
+        else:
+            with pytest.raises(ValueError, match=r"^\(.*\) has zero determinant mod 5$"):
+                canonical_key(a, b, c, d, CTX5)
+    ctx = FieldContext(101)
+    rng = random.Random(101)
+    checked = 0
+    while checked < 2000:
+        a, b, c, d = (rng.randrange(-300, 300) for _ in range(4))
+        if (a * d - b * c) % 101 == 0:
+            continue
+        key = MoebiusMap(a, b, c, d, ctx).key()
+        lam = rng.randrange(1, 101)
+        assert canonical_key(a, b, c, d, ctx) == key
+        assert canonical_key(lam * a, lam * b, lam * c, lam * d, ctx) == key
+        checked += 1
+
+
 def test_enumerate_group_sizes():
     for p in (2, 3, 5, 7):
         members = list(enumerate_group(FieldContext(p)))
@@ -119,10 +143,10 @@ def _group_by_nested_loops(ctx):
             bc = b * c % p
             for d in range(p):
                 if d != bc:
-                    yield MoebiusMap._canonical(1, b, c, d, ctx)
+                    yield MoebiusMap(1, b, c, d, ctx)
     for c in range(1, p):
         for d in range(p):
-            yield MoebiusMap._canonical(0, 1, c, d, ctx)
+            yield MoebiusMap(0, 1, c, d, ctx)
 
 
 def test_group_order_matches_nested_loops():

@@ -1,11 +1,12 @@
 """File formats: parsing, canonicalization on load, error reporting."""
 
 import io
+import random
 
 import pytest
 
 from mobinc.energy import HyperbolaTranslate
-from mobinc.field import FieldContext, enumerate_group
+from mobinc.field import FieldContext, MoebiusMap, enumerate_group
 from mobinc.incidence import TransformSet
 from mobinc.io import (
     load_points,
@@ -59,6 +60,29 @@ def test_write_transforms_lists_every_map_across_chunks():
 def test_parse_transforms_rejects_singular():
     with pytest.raises(ValueError, match="zero determinant"):
         parse_transforms("1,2,2,4\n", FieldContext(5))
+    with pytest.raises(ValueError, match=r"^maps\.txt, line 2: .*zero determinant mod 5$"):
+        parse_transforms("1,0,0,1\n1,2,2,4\n", FieldContext(5), where="maps.txt")
+
+
+def test_parse_transforms_keys_match_the_map_path():
+    # Duplicate, scaled and unreduced rows load to the keys that building
+    # each row's map would give.
+    ctx = FieldContext(31)
+    rng = random.Random(31)
+    rows = []
+    while len(rows) < 200:
+        a, b, c, d = (rng.randrange(-40, 80) for _ in range(4))
+        if (a * d - b * c) % 31:
+            rows.append((a, b, c, d))
+    rows += rows[:50]
+    for a, b, c, d in rows[:50]:
+        lam = rng.randrange(2, 31)
+        rows.append((lam * a, lam * b, lam * c, lam * d))
+    rng.shuffle(rows)
+    text = "".join("%d,%d,%d,%d\n" % row for row in rows)
+    expected = TransformSet((MoebiusMap(*row, ctx) for row in rows), ctx)
+    assert parse_transforms(text, ctx).keys == expected.keys
+    assert len(expected) <= 200 < len(rows)
 
 
 def test_parse_hyperbolas():

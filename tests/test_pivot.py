@@ -374,7 +374,9 @@ def _check_one_pivot_pointwise(ctx, q1, q2):
             transforms += 1
             m = (q1 + d) * inv_u % p
             i = (-inv_u) % p
-            if ((q1 + d) * u - (a * d - b)) % p != 0:
+            # the line's pullback has determinant m, and c = -i
+            w = inv[(-i) % p]
+            if (m * w * w - (a * d - b)) % p != 0:
                 det_mismatches += 1
             lines_seen.add((m, i))
             for s1, s2, t1, t2 in points:
@@ -428,7 +430,10 @@ def _check_one_pivot_sets(ctx, q):
             b = (q2 * (q1 + d) - a * q1) % p
             transforms += 1
             m = (q1 + d) * inv_u % p
-            if ((q1 + d) * u - (a * d - b)) % p != 0:
+            # the pullback of t2 = m*t1 + i, scaled by 1/(-i) to c = 1
+            pulled = [x * inv[(-i) % p] for x in (1 - i * q2, q2 * m + i * q1 * q2 - q1,
+                                                  -i, m + i * q1)]
+            if (pulled[0] * pulled[3] - pulled[1] * pulled[2] - (a * d - b)) % p != 0:
                 det_mismatches += 1
             lines_seen.add((m, i))
             curve = {
@@ -477,14 +482,15 @@ def test_check_one_pivot_counts_violations_like_set_reference(p, swap):
     inv = ctx._inv
     x, y = (v % p for v in swap)
     inv[x], inv[y] = inv[y], inv[x]
-    violations = 0
+    violations = det_mismatches = 0
     for q in product(range(p), repeat=2):
         report = _check_one_pivot(ctx, q)
         assert report == _check_one_pivot_sets(ctx, q), (p, swap, q)
         violations += report[2]
-    assert violations > 0
+        det_mismatches += report[4]
+    assert violations > 0 and det_mismatches > 0
     if (p, swap) == (7, (2, 3)):
-        assert violations == 13048
+        assert (violations, det_mismatches) == (13048, 1176)
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -496,9 +502,10 @@ def test_check_one_pivot_counts_line_collisions_like_set_reference(p, pair):
     inv = ctx._inv
     x, y = (v % p for v in pair)
     inv[x] = inv[y]
-    collisions = 0
+    collisions = det_mismatches = 0
     for q in product(range(p), repeat=2):
         report = _check_one_pivot(ctx, q)
         assert report == _check_one_pivot_sets(ctx, q), (p, pair, q)
         collisions += report[3]
-    assert collisions > 0
+        det_mismatches += report[4]
+    assert collisions > 0 and det_mismatches > 0
