@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import partial
-from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import NamedTuple, Optional, Union
 
 from .errors import WorkLimitError
@@ -268,97 +267,149 @@ class ReductionReport(NamedTuple):
         return self.violations == 0 and self.line_collisions == 0 and self.det_mismatches == 0
 
 
-def _check_one_pivot(ctx: FieldContext, q: tuple[int, int]) -> tuple[int, int, int, int, int]:
-    """Exhaustively check the reduction at one pivot q, reduced mod p here.
+def _gather(indices):
+    """itemgetter(*indices) that returns a tuple even for one index (p = 2)."""
+    if len(indices) == 1:
+        (index,) = indices
+        return lambda seq: (seq[index],)
+    return itemgetter(*indices)
 
-    Returns (transforms, triples, violations, line_collisions,
-    det_mismatches).  Curved maps through q are parametrized directly:
-    c = 1, b forced, (a, d) ranging over a != q2, d != -q1.  A triple is a
-    map and one of the (p-1)^2 admissible points (s1 != q1, s2 != q2).
+
+def _check_pivot_row(ctx: FieldContext, q1: int, q2s) -> list[tuple[int, int, int, int, int]]:
+    """Exhaustively check the reduction at the pivots (q1, q2), q2 in q2s.
+
+    Returns one (transforms, triples, violations, line_collisions,
+    det_mismatches) per pivot, in q2s order, duplicates included; q1 and
+    each q2 are reduced mod p here.  Curved maps through q are parametrized
+    directly: c = 1, b forced, (a, d) ranging over a != q2, d != -q1.  A
+    triple is a map and one of the (p-1)^2 admissible points (s1 != q1,
+    s2 != q2).
 
     Each side of the reduction puts at most one admissible point on each
     abscissa s1 != q1, so a map's graph is a sequence of p-1 ordinates,
     with q2 marking an abscissa that carries no admissible point.  The maps
-    of one a are checked in one batch: the sequences of all its d, in d
-    order, laid end to end, each side built by table lookups alone.
+    of one (pivot, a) are checked in one batch: the sequences of all its d,
+    in d order, laid end to end, each side built by table lookups alone.
 
     Curve side: b = q2(q1 + d) - a*q1, so with w = 1/(s1 + d) the value
     f(s1) = (a*s1 + b)*w is (a*alpha + beta) mod p, where alpha =
-    (s1 - q1)*w and beta = q2(q1 + d)*w.  This regroups only the arithmetic
-    around the inverse lookup, so it equals the literal (a*s1 + b)*w for
-    any inverse table.  The keys alpha*p + beta of every (d, s1) are built
-    once per pivot, the pole s1 = -d keyed p^2.  Once per a, the table
+    (s1 - q1)*w and beta = q2*z with z = (q1 + d)*w.  This regroups only
+    the arithmetic around the inverse lookup, so it equals the literal
+    (a*s1 + b)*w for any inverse table.  Once per row, alpha*p and z of
+    every (d, s1) are built, the pole s1 = -d getting alpha*p = p^2 and
+    z = 0; once per pivot, the keys alpha*p + beta, beta looked up in the
+    multiplication table mul.  Once per (row, a), the table
     aff[alpha*p + beta] = (a*alpha + beta) mod p is laid out from slices of
-    range(p) doubled, with aff[p^2] = q2; the curve batch is aff at the
-    keys.  An f(s1) equal to q2 is not admissible either.
+    range(p) doubled; each pivot sets aff[p^2] = q2 before its curve batch,
+    aff at its keys.  An f(s1) equal to q2 is not admissible either.
 
     Line side: the map (a, d) conjugates to the line t2 = m*t1 + i, with
     m = (q1 + d)/(a - q2) and i = -1/(a - q2), pulled back through the
     transplant (t1, t2) = (1/(q1 - s1), 1/(q2 - s2)): s2 = q2 - 1/t2, which
-    is never q2, or q2 where t2 = 0.  Once per pivot, slopes[m] holds the
-    m*t1 of every abscissa and pulled[t] the ordinate pulled back from
-    t2 = t; once per a, back[v] = pulled[v + i] is a slice of pulled laid
-    twice, and the line batch is back at the slopes of every m.
+    is never q2, or q2 where t2 = 0.  Once per row, the products
+    (q1 + d)*t1 of every (d, s1) are built; once per pivot, pulled[t] holds
+    the ordinate pulled back from t2 = t.  Once per (pivot, a),
+    back[v] = pulled[v + i] is a slice of pulled laid twice and
+    scale[x] = back[x/(a - q2)] is back at a row of mul; the line batch is
+    scale at the products, as m*t1 = (q1 + d)*t1/(a - q2).
 
     A point violates the reduction when it lies on one side only.  Where
-    the two batches of an a differ, an entry that differs adds 2 when both
-    sides hold a point and 1 otherwise: the size of the symmetric
-    difference of the graphs.  The transform, line-collision and
-    det-mismatch counts are kept per map: a det mismatch is a map whose
-    line's pullback, of determinant m, scaled to c = 1 by w = 1/(-i) from
-    the inverse table, has m*w^2 != a*d - b.  Nothing comes from the
-    enumeration path.  A pivot costs O(p^2) interpreted steps and O(p^3)
-    table lookups, so an exhaustive check costs O(p^5).
+    the two batches of a (pivot, a) differ, an entry that differs adds 2
+    when both sides hold a point and 1 otherwise: the size of the symmetric
+    difference of the graphs.  A line collision is a map whose line another
+    map through its pivot shares.  With u = a - q2 and e = q1 + d, the line
+    of (a, d) has i = -1/u and m = e/u; at every pivot u and e range over
+    the nonzero residues, so the lines, keyed i*p + m, are collected once
+    per row and every pivot of the row has the same collision count.  A
+    det mismatch is a map whose line's pullback, of determinant m, scaled
+    to c = 1 by w = 1/(-i) from the inverse table, has m*w^2 != a*d - b.
+    That difference is e*(w^2/u - u), so it vanishes for all the d of one
+    (pivot, a) or for none, whatever the inverse table holds.  Nothing
+    comes from the enumeration path.
+
+    A row costs O(p^2) interpreted steps and memory for its tables, and
+    O(p) more per a; each (pivot, a) costs a few interpreted steps and
+    O(p^2) table lookups, so an exhaustive check costs O(p^5).  Memory
+    stays O(p^2) per row plus O(p^2) per pivot in the row.
     """
     p = ctx.p
     inv = ctx._inv
-    q1, q2 = q[0] % p, q[1] % p
+    q1 %= p
+    q2s = [q2 % p for q2 in q2s]
     xs = [s1 for s1 in range(p) if s1 != q1]
     ds = [d for d in range(p) if (d + q1) % p]
-    q1ds = [q1 + d for d in ds]
-    t1s = [inv[(q1 - s1) % p] for s1 in xs]
-    slopes = [[m * t1 % p for t1 in t1s] for m in range(p)]
-    pole = p * p
-    keys = []
-    for d in ds:
-        c = q2 * (q1 + d)
-        keys += [
-            (s1 - q1) * (w := inv[den]) % p * p + c * w % p if (den := (s1 + d) % p) else pole
-            for s1 in xs
-        ]
-    # itemgetter of a single key returns the entry, not a 1-tuple (p = 2).
-    curve_at = itemgetter(*keys) if len(keys) > 1 else lambda aff: (aff[keys[0]],)
-    doubled = list(range(p)) * 2
-    pulled = [q2] + [(q2 - inv[t]) % p for t in range(1, p)]
-    pulled += pulled
-    transforms = violations = det_mismatches = 0
-    lines_seen = set()
-    for a in range(p):
-        if a == q2:
-            continue
-        u = (a - q2) % p
+    # Row m of the multiplication table is every m-th entry of range(p) laid
+    # p times, so it and the tables looked up in it hold pointers to the p
+    # int objects of range(p), not to p^2 new ints once p > 256.
+    cycle = list(range(p)) * p
+    mul = [[0] * p] + [cycle[: m * p : m] for m in range(1, p)]
+    doubled = cycle[: 2 * p]
+    del cycle
+    # The lines t2 = m*t1 + i of every pivot, keyed i*p + m: i = -1/u and
+    # m = e/u over all nonzero u and e.
+    lines = set()
+    for u in range(1, p):
         inv_u = inv[u]
-        i = (-inv_u) % p
-        ms = [e * inv_u % p for e in q1ds]
-        transforms += len(ds)
-        # The line t2 = m*t1 + i is keyed i*p + m.
-        lines_seen.update(map((i * p).__add__, ms))
-        # a*d - b is u*(q1 + d), as b = q2(q1 + d) - a*q1.
-        ww = inv[(-i) % p] ** 2
-        det_mismatches += sum(1 for m, e in zip(ms, q1ds) if (m * ww - u * e) % p)
+        lines.update(map(((-inv_u) % p * p).__add__, mul[inv_u][1:]))
+    transforms = (p - 1) * len(ds)
+    collisions = transforms - len(lines)
+    del lines
+    t1s = [inv[(q1 - s1) % p] for s1 in xs]
+    es = [(q1 + d) % p for d in ds]
+    at_products = _gather([mul[e][t1] for e in es for t1 in t1s])
+    pole = p * p
+    scaled = [alpha * p for alpha in range(p)]
+    alpha_p, zs = [], []
+    for d, e in zip(ds, es):
+        for s1 in xs:
+            if den := (s1 + d) % p:
+                w = inv[den]
+                alpha_p.append(scaled[mul[(s1 - q1) % p][w]])
+                zs.append(mul[e][w])
+            else:
+                alpha_p.append(pole)
+                zs.append(0)
+    at_z = _gather(zs)
+    curve_ats = [_gather(tuple(map(add, alpha_p, at_z(mul[q2])))) for q2 in q2s]
+    del alpha_p, zs
+    pulleds = [([q2] + [(q2 - inv[t]) % p for t in range(1, p)]) * 2 for q2 in q2s]
+    violations = [0] * len(q2s)
+    det_mismatches = [0] * len(q2s)
+    for a in range(p):
         aff = []
         for alpha in range(p):
             r = a * alpha % p
             aff += doubled[r : r + p]
-        aff.append(q2)
-        curve = curve_at(aff)
-        back = pulled[i : i + p]
-        line = tuple(map(back.__getitem__, chain.from_iterable(map(slopes.__getitem__, ms))))
-        if curve != line:
-            violations += sum(1 + (c != q2 and l != q2) for c, l in zip(curve, line) if c != l)
-    collisions = transforms - len(lines_seen)
+        aff.append(0)
+        for j, q2 in enumerate(q2s):
+            if a == q2:
+                continue
+            u = (a - q2) % p
+            inv_u = inv[u]
+            i = (-inv_u) % p
+            # With e = q1 + d, m*w^2 - (a*d - b) is e*(w^2/u - u), as m = e/u
+            # and a*d - b = u*e: one test for every d of this a.
+            if (inv_u * inv[(-i) % p] ** 2 - u) % p:
+                det_mismatches[j] += len(ds)
+            aff[pole] = q2
+            curve = curve_ats[j](aff)
+            back = pulleds[j][i : i + p]
+            scale = list(map(back.__getitem__, mul[inv_u]))
+            line = at_products(scale)
+            if curve != line:
+                violations[j] += sum(
+                    1 + (c != q2 and l != q2) for c, l in zip(curve, line) if c != l
+                )
     triples = transforms * (p - 1) ** 2
-    return transforms, triples, violations, collisions, det_mismatches
+    return [
+        (transforms, triples, violations[j], collisions, det_mismatches[j])
+        for j in range(len(q2s))
+    ]
+
+
+def _check_row(ctx: FieldContext, row: tuple[int, list[int]]) -> list[tuple[int, ...]]:
+    """One unit of check_reduction's parallel_map: a (q1, q2s) row."""
+    return _check_pivot_row(ctx, *row)
 
 
 def check_reduction(
@@ -370,21 +421,26 @@ def check_reduction(
 
     With pivots=None the check is exhaustive: every pivot q in F_p^2, every
     curved transformation through q, every admissible point.  Each map's
-    curve graph is compared with its line's pulled-back graph.  At each
-    pivot the curve side is looked up in a table aff of (a*alpha + beta)
-    mod p at keys alpha*p + beta built once per pivot, the line side in
-    tables of slopes and pulled-back ordinates, and the maps of one a are
-    compared in one batch (see _check_one_pivot); a pivot costs O(p^3)
-    lookups and the exhaustive check O(p^5).  Also checks injectivity of
-    the conjugation (no two maps share a line) and that the determinant of
-    each line's pullback, scaled to c = 1 through the inverse table,
-    matches the determinant a*d - b of its map.  Each
-    pivot is one unit of parallel_map, which spreads them over up to jobs
-    processes; the per-pivot counts are summed.
+    curve graph is compared with its line's pulled-back graph.  Also checks
+    injectivity of the conjugation (no two maps share a line) and that the
+    determinant of each line's pullback, scaled to c = 1 through the
+    inverse table, matches the determinant a*d - b of its map.
+
+    The pivots are grouped by q1 mod p, each row keeping its pivots in the
+    given order, duplicates included, and each row is one unit of
+    parallel_map, which spreads the rows over up to jobs processes.  A row
+    builds its tables once, in O(p^2) interpreted steps and memory, and the
+    tables of each a once for all its pivots; each (pivot, a) then costs a
+    few interpreted steps and O(p^2) table lookups (see _check_pivot_row),
+    so the exhaustive check costs O(p^5).  Memory stays O(p^2) per row plus
+    O(p^2) per pivot in the row.  The per-pivot counts are summed.
     """
     p = ctx.p
     if pivots is None:
         pivots = [(q1, q2) for q1 in range(p) for q2 in range(p)]
-    counts = parallel_map(partial(_check_one_pivot, ctx), pivots, jobs)
-    totals = (sum(row[i] for row in counts) for i in range(5))
+    rows: dict[int, list[int]] = {}
+    for q1, q2 in pivots:
+        rows.setdefault(q1 % p, []).append(q2)
+    counts = parallel_map(partial(_check_row, ctx), list(rows.items()), jobs)
+    totals = (sum(pivot[i] for row in counts for pivot in row) for i in range(5))
     return ReductionReport(p, len(pivots), *totals)

@@ -17,7 +17,7 @@ from mobinc.incidence import (
 from mobinc.pivot import (
     NonVertical,
     Vertical,
-    _check_one_pivot,
+    _check_pivot_row,
     check_reduction,
     conjugate_through_pivot,
     line_image,
@@ -349,8 +349,13 @@ def test_check_reduction_parametrization_matches_group_filter():
         assert parametrized == expected
 
 
+def _check_one_pivot(ctx, q):
+    """The row kernel on the one-pivot row of q."""
+    return _check_pivot_row(ctx, q[0], [q[1]])[0]
+
+
 def _check_one_pivot_pointwise(ctx, q1, q2):
-    """Reference for _check_one_pivot: every map tested at every admissible point."""
+    """Reference for _check_pivot_row: every map tested at every admissible point."""
     p = ctx.p
     inv = ctx._inv
     points = [
@@ -409,7 +414,7 @@ def test_check_one_pivot_matches_pointwise_reference_sampled(p):
 
 
 def _check_one_pivot_sets(ctx, q):
-    """Reference for _check_one_pivot: each graph as a set of keyed points."""
+    """Reference for _check_pivot_row: each graph as a set of keyed points."""
     p = ctx.p
     inv = ctx._inv
     q1, q2 = q[0] % p, q[1] % p
@@ -472,22 +477,59 @@ def test_check_one_pivot_matches_set_reference_at_the_cap():
         assert _check_one_pivot(ctx, q) == _check_one_pivot_sets(ctx, q), q
 
 
+def _rows_match_set_reference(ctx):
+    """Check every whole row of ctx against the set reference; return its reports."""
+    p = ctx.p
+    reports = []
+    for q1 in range(p):
+        row = _check_pivot_row(ctx, q1, range(p))
+        assert row == [_check_one_pivot_sets(ctx, (q1, q2)) for q2 in range(p)], q1
+        reports += row
+    return reports
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_check_pivot_row_matches_set_reference(p):
+    # Every row whole, shuffled, and with one q2 repeated: a pivot's counts
+    # must not depend on the pivots it shares its row tables with.
+    ctx = FieldContext(p)
+    rng = random.Random(p)
+    for q1 in range(p):
+        reference = {q2: _check_one_pivot_sets(ctx, (q1, q2)) for q2 in range(p)}
+        shuffled = list(range(p))
+        rng.shuffle(shuffled)
+        repeated = shuffled[:1] + shuffled + shuffled[:1]
+        for q2s in (range(p), shuffled, repeated):
+            got = _check_pivot_row(ctx, q1, q2s)
+            assert got == [reference[q2] for q2 in q2s], (p, q1, q2s)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_check_reduction_groups_pivots_by_row(jobs):
+    # Pivots of several rows, interleaved, one repeated, some unreduced.
+    pivots = [(3, 1), (0, 0), (10, 8), (3, 1), (-4, 2), (6, 5), (0, 4)]
+    report = check_reduction(CTX7, pivots=pivots, jobs=jobs)
+    totals = [sum(col) for col in zip(*(_check_one_pivot_sets(CTX7, q) for q in pivots))]
+    assert report == (CTX7.p, len(pivots), *totals)
+    # (3, 1) stands for three of the seven pivots, and each is checked.
+    assert report.pivots == 7 and report.transforms == 7 * 36
+
+
 @pytest.mark.parametrize("p", [7, 11, 13])
 @pytest.mark.parametrize("swap", [(2, 3), (1, -1), (3, 5)])
 def test_check_one_pivot_counts_violations_like_set_reference(p, swap):
     # A field whose inverse table has two nonzero entries swapped: the
     # reduction fails, and both kernels must count the same violations.
     # No entry becomes 0, so q2 still marks "no point" on the line side.
+    # Whole rows, so that state one pivot leaves in the row tables (say
+    # aff[p^2] still holding the last pivot's q2) shows up.
     ctx = FieldContext(p)
     inv = ctx._inv
     x, y = (v % p for v in swap)
     inv[x], inv[y] = inv[y], inv[x]
-    violations = det_mismatches = 0
-    for q in product(range(p), repeat=2):
-        report = _check_one_pivot(ctx, q)
-        assert report == _check_one_pivot_sets(ctx, q), (p, swap, q)
-        violations += report[2]
-        det_mismatches += report[4]
+    reports = _rows_match_set_reference(ctx)
+    violations = sum(report[2] for report in reports)
+    det_mismatches = sum(report[4] for report in reports)
     assert violations > 0 and det_mismatches > 0
     if (p, swap) == (7, (2, 3)):
         assert (violations, det_mismatches) == (13048, 1176)
@@ -497,15 +539,13 @@ def test_check_one_pivot_counts_violations_like_set_reference(p, swap):
 @pytest.mark.parametrize("pair", [(2, 3), (1, -1)])
 def test_check_one_pivot_counts_line_collisions_like_set_reference(p, pair):
     # A non-injective inverse table: two denominators a - q2 share 1/(a - q2),
-    # so their maps conjugate to the same lines.  No entry becomes 0.
+    # so their maps conjugate to the same lines.  No entry becomes 0.  Whole
+    # rows, as in the swapped-table test.
     ctx = FieldContext(p)
     inv = ctx._inv
     x, y = (v % p for v in pair)
     inv[x] = inv[y]
-    collisions = det_mismatches = 0
-    for q in product(range(p), repeat=2):
-        report = _check_one_pivot(ctx, q)
-        assert report == _check_one_pivot_sets(ctx, q), (p, pair, q)
-        collisions += report[3]
-        det_mismatches += report[4]
+    reports = _rows_match_set_reference(ctx)
+    collisions = sum(report[3] for report in reports)
+    det_mismatches = sum(report[4] for report in reports)
     assert collisions > 0 and det_mismatches > 0
