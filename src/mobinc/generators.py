@@ -30,17 +30,21 @@ DEFINED_BY = "transforms-defined-by"
 HYPERBOLA_GRID = "hyperbola-grid"
 RANDOM_HYPERBOLAS = "random-hyperbolas"
 
-INSTANCE_KINDS = (
-    RANDOM_POINTS,
-    RANDOM_SCALARS,
-    AP,
-    GP,
-    CARTESIAN,
-    RANDOM_TRANSFORMS,
-    DEFINED_BY,
-    HYPERBOLA_GRID,
-    RANDOM_HYPERBOLAS,
-)
+# What each kind gives: "points", "scalars" (A, and B when nb is given or
+# the kind is cartesian), "transforms" or "hyperbolas"; every other
+# Instance field stays None.
+GIVES = {
+    RANDOM_POINTS: ("points",),
+    RANDOM_SCALARS: ("scalars",),
+    AP: ("scalars",),
+    GP: ("scalars",),
+    CARTESIAN: ("scalars",),
+    RANDOM_TRANSFORMS: ("transforms",),
+    DEFINED_BY: ("points", "transforms"),
+    HYPERBOLA_GRID: ("hyperbolas",),
+    RANDOM_HYPERBOLAS: ("hyperbolas",),
+}
+INSTANCE_KINDS = tuple(GIVES)
 
 
 @dataclass

@@ -37,10 +37,9 @@ from .energy import encode_family, energy, refuse_energy_work, translate_multipl
 from .errors import WorkLimitError
 from .field import MAX_MODULUS, FieldContext, group_order, is_prime, parallel_map
 from .generators import (
-    AP,
     CARTESIAN,
     DEFINED_BY,
-    GP,
+    GIVES,
     HYPERBOLA_GRID,
     INSTANCE_KINDS,
     RANDOM_HYPERBOLAS,
@@ -85,15 +84,8 @@ ROW_FIELDS = (
 
 TIMING_FIELD = "wall_ms"
 
-_NEEDS = {
-    THM1_INCIDENCE: ("points", "transforms"),
-    THM1_RICH: ("points",),
-    THM2_INCIDENCE: ("scalars", "transforms"),
-    THM2_RICH: ("scalars",),
-    THM3_ENERGY: ("scalars", "transforms"),
-    THM4_HYPERBOLA: ("scalars", "hyperbolas"),
-    COR_KRICH_LINES: ("points",),
-}
+# A held row costs about 1.5 KB with its JSONL text, so this is about 150 MB.
+MAX_SWEEP_ROWS = 10**5
 
 
 @dataclass(frozen=True)
@@ -125,6 +117,12 @@ class SweepConfig:
             raise ValueError(f"unknown generator {self.generator!r}")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        rows = len(self.primes) * len(self.sizes or (None,)) * self.reps * len(self.bounds)
+        if rows > MAX_SWEEP_ROWS:
+            raise WorkLimitError(
+                f"the sweep holds {rows} rows until it sorts them, over the limit "
+                f"10^5 = {MAX_SWEEP_ROWS}; give fewer primes, sizes, reps or bounds"
+            )
         if self.k < 2:
             raise ValueError("k must be at least 2")
         if not 0 < self.constant < math.inf:
@@ -200,126 +198,109 @@ def _resolved_sizes(config: SweepConfig, size: Optional[int]) -> dict:
     return params
 
 
-# The rows whose left-hand side is count_incidences, the generators that give
-# A and B or the points, and the resolved size keys.
-_INCIDENCE_ROWS = (THM1_INCIDENCE, THM2_INCIDENCE, THM3_ENERGY, THM4_HYPERBOLA)
-_SCALAR_KINDS = (RANDOM_SCALARS, AP, GP, CARTESIAN)
-_POINT_KINDS = (RANDOM_POINTS, DEFINED_BY)
-_SIZE_KEYS = ("n", "na", "nb", "nt", "nh")
+# The work limits of each row, in order, and the components whose planned
+# sizes they read; the size of the scalars is their grid's, |A|*|B|.
+_LIMITS = {
+    THM1_INCIDENCE: ((refuse_incidence_work, "points", "transforms"),),
+    THM1_RICH: ((refuse_pivot_work, "points"),),
+    THM2_INCIDENCE: ((refuse_incidence_work, "scalars", "transforms"),),
+    THM2_RICH: ((refuse_pivot_work, "scalars"),),
+    THM3_ENERGY: ((refuse_incidence_work, "scalars", "transforms"),
+                  (refuse_energy_work, "transforms")),
+    THM4_HYPERBOLA: ((refuse_incidence_work, "scalars", "hyperbolas"),),
+    COR_KRICH_LINES: ((refuse_line_work, "points"),),
+}
+# The components each row reads: exactly those its limits size.
+_NEEDS = {bound: {name for _, *names in limits for name in names}
+          for bound, limits in _LIMITS.items()}
 
-# need, Instance attribute, diagnostic name, random fill-in and its size key
+# The seeded random fill-in of each component but the scalars, and its size key
+_FILL_INS = {"points": (RANDOM_POINTS, "n"), "transforms": (RANDOM_TRANSFORMS, "nt"),
+             "hyperbolas": (RANDOM_HYPERBOLAS, "nh")}
+# need, Instance attribute and diagnostic name
 _COMPONENTS = (
-    ("points", "points", "point set", RANDOM_POINTS, "n"),
-    ("scalars", "a", "scalar set A", None, None),
-    ("scalars", "b", "scalar set B", None, None),
-    ("transforms", "transforms", "transform set", RANDOM_TRANSFORMS, "nt"),
-    ("hyperbolas", "hyperbolas", "hyperbola family", RANDOM_HYPERBOLAS, "nh"),
+    ("points", "points", "point set"),
+    ("scalars", "a", "scalar set A"),
+    ("scalars", "b", "scalar set B"),
+    ("transforms", "transforms", "transform set"),
+    ("hyperbolas", "hyperbolas", "hyperbola family"),
 )
 
 
 def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
     """One fully-populated instance for this sweep cell, and its grid.
 
-    The scalars come first: from the configured generator when it gives
-    them, else, when a bound needs them, from the seeded random-scalars
-    generator.  Every generator that gives A also gives B, because nb is
-    always resolved.  Then the configured generator runs if it has not, and
-    any component a requested bound still needs is filled in by the
-    matching seeded random generator.
-    Each component has its own derived seed, so the order of the draws does
-    not change the instance.  The grid A x B is built once, when there are
-    scalars, and is the points when the generator gave none.  A needed
+    Plan, refuse, then draw.  After a negative size, the scalars are drawn:
+    from the generator when it gives them, else from random-scalars when a
+    row reads them.  Each row's limits, in bounds order, then refuse the
+    planned sizes of what it reads.  Then the generator runs if a row reads
+    what it gives, and each component a row still reads is filled in by a
+    seeded random generator under its own derived seed.  The grid A x B is
+    built once and is the points when the generator gave none.  A needed
     component that came out empty is a ValueError naming the cell.
-
-    Work is refused before it is drawn.  A negative size is refused first.
-    Random points under a thm1-rich or cor-krich-lines row are refused on
-    their size n, random transforms under a thm3-energy row on their size
-    nt, and a grid that a rich or lines row counts on |A|*|B|.  An incidence
-    row is refused on its point count (n or |A|*|B|) and its map count (nt,
-    nh or the hyperbola grid's size) before any point, map or grid is
-    built.  Under transforms-defined-by, the points are drawn and the maps
-    through three of them counted, for the thm3-energy and incidence
-    limits, before any map is built.
     """
     params = _resolved_sizes(config, size)
     cell = _cell(config, ctx.p, size, rep)
-    for key in _SIZE_KEYS:
+    for key in ("n", "na", "nb", "nt", "nh"):
         value = params[key]
         if isinstance(value, int) and value < 0:
             raise ValueError(f"{cell}: generator parameter {key!r} must be at least 0, got {value}")
     needed = {need for bound in config.bounds for need in _NEEDS[bound]}
     base_seed = derive_seed(config.seed, ctx.p, size, rep)
-    counted = [bound for bound in config.bounds if bound in _INCIDENCE_ROWS]
-    as_points = config.generator not in _POINT_KINDS
-    grid_size = None
-
-    def refuse_incidences(maps, map_count):
-        """Refuse each incidence row that counts these maps, on its points;
-        map_count() gives their number."""
-        rows = [bound for bound in counted if maps in _NEEDS[bound]]
-        n_maps = map_count() if rows else 0
-        for bound in rows:
-            # thm1-incidence counts the grid when the generator gives no points.
-            if "scalars" in _NEEDS[bound] or (grid_size is not None and as_points):
-                n_points = grid_size
-            else:
-                n_points = _as_int("n", params["n"])
-            refuse_incidence_work(n_points, n_maps)
-
-    def draw(kind, kind_params, seed):
-        if kind == RANDOM_POINTS and THM1_RICH in config.bounds:
-            refuse_pivot_work(_as_int("n", params["n"]))
-        if kind == RANDOM_POINTS and COR_KRICH_LINES in config.bounds:
-            refuse_line_work(_as_int("n", params["n"]))
-        if kind == RANDOM_TRANSFORMS and THM3_ENERGY in config.bounds:
-            refuse_energy_work(_as_int("nt", params["nt"]))
-        if kind == DEFINED_BY and "transforms" in needed:
-            # The generator draws its points as random-points does and builds
-            # every map through three of them; count those maps first.
-            refuse_pivot_work(_as_int("n", params["n"]))
-            drawn = generate_instance(RANDOM_POINTS, kind_params, seed, ctx)
-            n_maps = rich_counts(drawn.points, 3).get(3, 0)
-            if THM3_ENERGY in config.bounds:
-                refuse_energy_work(n_maps)
-            refuse_incidences("transforms", lambda: n_maps)
-        return generate_instance(kind, kind_params, seed, ctx)
-
-    scalar_kind = config.generator in _SCALAR_KINDS
-    inst = draw(config.generator, params, base_seed) if scalar_kind else Instance()
-    if "scalars" in needed and inst.a is None:
-        extra = draw(RANDOM_SCALARS, params, derive_seed(base_seed, "scalars"))
-        inst.a, inst.b = extra.a, extra.b
-    if inst.a is not None:
-        grid_size = len(inst.a) * len(inst.b)
-        # thm2-rich counts the grid; thm1-rich and cor-krich-lines count it
-        # as the points when the generator gives none.
-        if THM2_RICH in config.bounds or (THM1_RICH in config.bounds and as_points):
-            refuse_pivot_work(grid_size)
-        if COR_KRICH_LINES in config.bounds and as_points:
-            refuse_line_work(grid_size)
-    if config.generator != DEFINED_BY:
-        refuse_incidences("transforms", lambda: _as_int("nt", params["nt"]))
-    if config.generator == HYPERBOLA_GRID:
-        refuse_incidences("hyperbolas", lambda: _grid_family_size(params, base_seed, ctx))
+    gives = GIVES[config.generator]
+    if "scalars" in gives:
+        inst = generate_instance(config.generator, params, base_seed, ctx)
+    elif "scalars" in needed:
+        inst = generate_instance(RANDOM_SCALARS, params, derive_seed(base_seed, "scalars"), ctx)
     else:
-        refuse_incidences("hyperbolas", lambda: _as_int("nh", params["nh"]))
-    if not scalar_kind:
-        drawn = draw(config.generator, params, base_seed)
+        inst = Instance()
+    sizes: dict = {}
+    for bound in config.bounds:
+        for limit, *names in _LIMITS[bound]:
+            for name in names:
+                if name not in sizes:
+                    sizes[name] = _planned_size(name, config.generator, params, inst,
+                                                base_seed, ctx)
+            limit(*(sizes[name] for name in names))
+    if "scalars" not in gives and needed.intersection(gives):
+        drawn = generate_instance(config.generator, params, base_seed, ctx)
         drawn.a, drawn.b = inst.a, inst.b
         inst = drawn
     grid = None if inst.a is None else cartesian_points(inst.a, inst.b)
     if inst.points is None:
         inst.points = grid
-    for need, attr, label, kind, key in _COMPONENTS:
+    for need, attr, label in _COMPONENTS:
         if need not in needed:
             continue
         # Only points, transforms and hyperbolas can still be missing here.
         if getattr(inst, attr) is None:
-            extra = draw(kind, {key: params[key]}, derive_seed(base_seed, attr))
+            kind, key = _FILL_INS[need]
+            extra = generate_instance(kind, {key: params[key]}, derive_seed(base_seed, attr), ctx)
             setattr(inst, attr, getattr(extra, attr))
         if len(getattr(inst, attr)) == 0:
             raise ValueError(f"{cell}: the {label} is empty")
     return inst, grid
+
+
+def _planned_size(name, kind, params, scalars, seed, ctx) -> int:
+    """The size a cell's component will have, before it is drawn: |A|*|B|
+    for the scalars, and for the points when the kind gives none but there
+    are scalars; the maps through three of the drawn points under
+    transforms-defined-by; the family size under hyperbola-grid; else the
+    resolved n, nt or nh."""
+    if name == "scalars" or (name == "points" and scalars.a is not None
+                             and "points" not in GIVES[kind]):
+        return len(scalars.a) * len(scalars.b)
+    if name == "transforms" and kind == DEFINED_BY:
+        # The generator draws its points as random-points does and builds
+        # every map through three of them; count those maps instead.
+        refuse_pivot_work(_as_int("n", params["n"]))
+        drawn = generate_instance(RANDOM_POINTS, params, seed, ctx)
+        return rich_counts(drawn.points, 3).get(3, 0)
+    if name == "hyperbolas" and kind == HYPERBOLA_GRID:
+        return _grid_family_size(params, seed, ctx)
+    key = _FILL_INS[name][1]
+    return _as_int(key, params[key])
 
 
 def _grid_family_size(params, seed, ctx) -> int:

@@ -4,7 +4,7 @@ import pytest
 
 from mobinc.applications import cartesian_points
 from mobinc.field import FieldContext, group_order
-from mobinc.generators import Instance, derive_seed, generate_instance
+from mobinc.generators import GIVES, INSTANCE_KINDS, Instance, derive_seed, generate_instance
 from mobinc.incidence import rich_transforms_brute
 
 CTX11 = FieldContext(11)
@@ -107,3 +107,15 @@ def test_unknown_kind():
 def test_instance_dataclass_defaults():
     inst = Instance()
     assert inst.points is None and inst.hyperbolas is None
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_each_kind_fills_exactly_what_it_gives(kind):
+    # the sweep's resolved sizes: n, na, nb, nt and nh are always given
+    params = {"n": 6, "na": 4, "nb": 3, "nt": 5, "nh": 5}
+    fields = {"points": ("points",), "scalars": ("a", "b"),
+              "transforms": ("transforms",), "hyperbolas": ("hyperbolas",)}
+    given = {attr for component in GIVES[kind] for attr in fields[component]}
+    inst = generate_instance(kind, params, 5, CTX11)
+    filled = {attr for attr in vars(inst) if getattr(inst, attr) is not None}
+    assert filled == given

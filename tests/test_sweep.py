@@ -490,6 +490,86 @@ def test_grid_no_rich_row_counts_is_admitted(tmp_path, capsys, monkeypatch, text
     assert capsys.readouterr().err == ""
 
 
+_CELL = "error: sweep cell p=9973 size=None rep=0 under generator "
+_PIVOT_201 = ("the pivot enumeration of 201 points needs about 201^3 = 8120601 steps, "
+              "over the limit 200^3 = 8000000; give at most 200 points")
+_MEMBERS_490000 = ("an incidence count over 490000 points is over the limit of "
+                   "2*10^5 = 200000 points; give fewer points")
+_LINES_490000 = ("the rich lines of 490000 points need 120049755000 point pairs, over "
+                 "the limit C(2000, 2) = 1999000; give at most 2000 points")
+_PAIRS_160446 = ("the incidences of 100 points and 160446 maps need 16044600 pairs, "
+                 "over the limit 2000^2 = 4000000; give fewer points or maps")
+_ENERGY_160446 = ("the energy of 160446 maps needs 160446^2 = 25742918916 quotients, "
+                  "over the limit 1000^2 = 1000000; give at most 1000 maps")
+_ENERGY_1001 = ("the energy of 1001 maps needs 1001^2 = 1002001 quotients, over the "
+                "limit 1000^2 = 1000000; give at most 1000 maps")
+
+
+@pytest.mark.parametrize("generator, bounds, sizes, error", [
+    ("random-points", "thm1-rich,thm3-energy", "n = 201\nna = 700\nnb = 700", _PIVOT_201),
+    ("random-points", "thm3-energy,thm1-rich", "n = 201\nna = 700\nnb = 700",
+     _MEMBERS_490000),
+    ("ap", "thm1-incidence,cor-krich-lines", "na = 700\nnb = 700", _MEMBERS_490000),
+    ("ap", "cor-krich-lines,thm1-incidence", "na = 700\nnb = 700", _LINES_490000),
+    ("transforms-defined-by", "thm1-incidence,thm3-energy", "n = 100", _PAIRS_160446),
+    ("transforms-defined-by", "thm3-energy,thm1-incidence", "n = 100", _ENERGY_160446),
+    # the energy limit fires before the empty A is found
+    ("ap", "thm1-incidence,thm3-energy", "na = 0\nnb = 4\nnt = 1001", _ENERGY_1001),
+], ids=["rich-energy", "energy-rich", "incidence-lines", "lines-incidence",
+        "defined-by-incidence-energy", "defined-by-energy-incidence", "energy-before-empty"])
+def test_first_over_limit_row_in_bounds_order_is_reported(tmp_path, capsys, generator,
+                                                          bounds, sizes, error):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"primes = 9973\nseed = 1\nbounds = {bounds}\n"
+                    f"generator = {generator}\n{sizes}\n", encoding="utf-8")
+    code = cli.main(["sweep", "--config", str(path), "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"{_CELL}{generator}: {error}\n"
+
+
+def _sweep_unreachable(*args, **kwargs):
+    raise AssertionError("the sweep started its cells")
+
+
+def test_rows_held_by_a_sweep_are_capped(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sweep_module, "parallel_map", _sweep_unreachable)
+    path = tmp_path / "sweep.cfg"
+    path.write_text("primes = 11,13\nseed = 1\nbounds = thm1-rich\n"
+                    "generator = random-points\nreps = 1000000000\n", encoding="utf-8")
+    code = cli.main(["sweep", "--config", str(path), "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: the sweep holds 2000000000 rows until it sorts them, over the limit "
+        "10^5 = 100000; give fewer primes, sizes, reps or bounds\n"
+    )
+    # 2 primes x 2 sizes x 25000 reps x 1 bound is exactly the cap
+    config_from("primes = 11,13\nsizes = 3,4\nseed = 1\nbounds = thm1-rich\n"
+                "generator = random-points\nreps = 25000\n")
+
+
+def _unread_draw(*args, **kwargs):
+    raise AssertionError("a component no row reads was drawn")
+
+
+@pytest.mark.parametrize("generator, bound, sizes, unread", [
+    ("hyperbola-grid", "thm1-rich", "na = 700\nnb = 700", ("_grid_hyperbolas",)),
+    ("transforms-defined-by", "thm2-rich", "n = 201",
+     ("rich_transforms_pivot", "_sample_points")),
+], ids=["hyperbola-grid", "defined-by"])
+def test_components_no_row_reads_are_not_drawn(tmp_path, capsys, monkeypatch, generator,
+                                               bound, sizes, unread):
+    for name in unread:
+        monkeypatch.setattr(generators, name, _unread_draw)
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"primes = 9973\nseed = 1\nbounds = {bound}\n"
+                    f"generator = {generator}\n{sizes}\n", encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(path), "--jobs", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.count("\n") == 1
+
+
 _NOT_INTEGERS = "must be an integer or a comma list of integers, got "
 
 
