@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .energy import HyperbolaTranslate
+from .errors import WorkLimitError
 from .field import FieldContext, class_from_index, group_order
 from .incidence import PointSet, ScalarSet, TransformSet
 from .pivot import refuse_pivot_work, rich_transforms_pivot
@@ -121,19 +122,22 @@ def _ap_scalars(rng, n, ctx, start, step) -> ScalarSet:
 
 
 def _gp_scalars(rng, n, ctx, start, ratio) -> ScalarSet:
+    """n distinct terms s*r^i mod p, from up to 200 seeded (ratio, start)
+    draws, or one when the ratio is given: with a nonzero start, whether the
+    terms are distinct depends on the ratio alone.  Nonzero terms take at
+    most p - 1 values (two, s and 0, with a zero ratio) and a zero start one,
+    so a larger n is refused before any draw."""
     p = ctx.p
-    explicit = ratio is not None
-    for _ in range(200):
-        r = ratio if explicit else rng.randrange(2, max(3, p))
-        s = start if start is not None else rng.randrange(1, p)
+    refused = WorkLimitError(f"no geometric progression of {n} distinct terms found mod {p}")
+    if n > max(p - 1, 2) or (n > 1 and start is not None and start % p == 0):
+        raise refused
+    for _ in range(200 if ratio is None else 1):
+        r = rng.randrange(2, max(3, p)) if ratio is None else ratio
+        s = rng.randrange(1, p) if start is None else start
         values = {s * pow(r, i, p) % p for i in range(n)}
         if len(values) == n:
             return ScalarSet(values, ctx)
-        if explicit and start is not None:
-            break
-    raise ValueError(
-        f"no geometric progression of {n} distinct terms found mod {p}"
-    )
+    raise refused
 
 
 def _sample_transforms(rng, n, ctx) -> TransformSet:

@@ -1,21 +1,35 @@
-"""Pivot reduction: trading curved transformations for affine lines.
+"""Pivot reduction: trading the maps through a point for affine lines.
 
-Fix a pivot q = (q1, q2).  Every transformation f through q with c != 0 can
-be scaled to c = 1, which forces b = q2(q1 + d) - a*q1.  Conjugating by the
-two unit-determinant maps x -> 1/(q2 - x) (outside) and x -> q1 - 1/x
-(inside) turns f into the upper-triangular matrix
+Fix a pivot q = (q1, q2).  The point (x, y) lies on the map (a, b, c, d)
+when c*x*y + d*y - a*x - b = 0.  Through q, b = c*q1*q2 + d*q2 - a*q1, and
+for x != q1, y != q2 the condition is linear in the moved point (B, A):
 
-    ((q1 + d, -1), (0, a - q2)),
+    a*A = c*B + (d + c*q1),  where A = (x - q1)/(y - q2) and B = y*A.
 
-i.e. the line y = ((q1 + d)x - 1)/(a - q2).  Transplanting each point
-(s1, s2) with s1 != q1, s2 != q2 to (1/(q1 - s1), 1/(q2 - s2)) preserves
-incidences exactly, and the only incidence lost to the two excluded rows is
-the pivot itself.  Affine maps (c = 0) through q land on the lines through
-the origin, so the maps through q correspond one-to-one to the lines that
-are neither vertical nor horizontal.  When pivots transplant only later
-points, a map with r points of P shows up at its t-th point as a line
-through exactly r - t of them, so each map with at least j points has
-exactly one production whose line carries exactly j - 1 later points.
+The paper's transplant, which check_reduction (verify-reduction) checks
+exhaustively.  Every f through q with c != 0 can be scaled to c = 1, which
+forces b = q2(q1 + d) - a*q1.  Conjugating by the two unit-determinant maps
+x -> 1/(q2 - x) (outside) and x -> q1 - 1/x (inside) turns f into the
+upper-triangular matrix ((q1 + d, -1), (0, a - q2)), i.e. the line
+y = ((q1 + d)x - 1)/(a - q2).  Transplanting each point (s1, s2) with
+s1 != q1, s2 != q2 to (1/(q1 - s1), 1/(q2 - s2)) preserves incidences
+exactly, and the only incidence lost to the two excluded rows is the pivot
+itself.  Affine maps (c = 0) through q land on the lines through the
+origin, so the maps through q correspond one-to-one to the lines that are
+neither vertical nor horizontal.
+
+The a = 1 chart of the same condition, where the enumeration runs.  A map
+with a = 1 is the line A = cB + j with j = d + c*q1, which _line_pairs
+keys c*p + j, and its key (1, q2*j - q1, c, j - c*q1) needs no rescale.  A
+map with a = 0 needs q2 != 0 and is the vertical B = beta != 0; with b = 1
+it has c = 1/(-q2*beta) and d = -(beta + q1)*c.  Every other line is a row
+or a column: the row y = r is A = B/r (B = 0 when r = 0), and the column
+x = s is A = B/q2 + (q1 - s)/q2 (B = s - q1 when q2 = 0).
+
+When pivots move only later points, a map with r points of P shows up at
+its t-th point as a line through exactly r - t of them, so each map with
+at least j points has exactly one production whose line carries exactly
+j - 1 later points.
 """
 
 from __future__ import annotations
@@ -23,6 +37,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import partial
+from itertools import compress, repeat
 from operator import add, itemgetter
 from typing import NamedTuple, Optional, Union
 
@@ -101,13 +116,10 @@ def transplant_points(P: PointSet, q: tuple[int, int]) -> tuple[PointSet, int]:
     points is returned alongside.  On the kept domain the move is injective
     (each coordinate is separately invertible).
     """
-    kept = _transplant(P.points, *(c % P.ctx.p for c in q), P.ctx)
+    p, inv = P.ctx.p, P.ctx._inv
+    q1, q2 = q[0] % p, q[1] % p
+    kept = [(inv[(q1 - x) % p], inv[(q2 - y) % p]) for x, y in P.points if x != q1 and y != q2]
     return PointSet(kept, P.ctx), len(P) - len(kept)
-
-
-def _transplant(points, q1: int, q2: int, ctx: FieldContext) -> list[tuple[int, int]]:
-    p, inv = ctx.p, ctx._inv
-    return [(inv[(q1 - x) % p], inv[(q2 - y) % p]) for x, y in points if x != q1 and y != q2]
 
 
 def line_through(
@@ -194,7 +206,8 @@ def line_preimage(
 
 # The pivot enumeration of 200 points: its work grows as n^3 whatever p and
 # k.  At k = 3 and p = 9973 it yields 1.3 million maps; beck counts them in
-# 2 s and 24 MB, and the sorted rich-enum listing takes 5 s and 105 MB.
+# about 1 s and 25 MB, and the sorted rich-enum listing takes about 3.5 s and
+# 105 MB (Python 3.11, shared 2-core machine).
 MAX_PIVOT_WORK = 200**3
 
 
@@ -207,41 +220,39 @@ def refuse_pivot_work(n: int) -> None:
         )
 
 
-def _later_lines(P: PointSet, k: int):
-    """(pivot, key, pairs) per non-axis line through k-1 or more later points."""
+def _chart_lines(P: PointSet, k: int):
+    """(q1, q2, pairs) per pivot q: _line_pairs of the later points moved to
+    the chart of q, with the lines of the rows and columns of P dropped, so
+    that every line left carries one map (see the module docstring).  Each
+    dict is emptied when the walk moves on, so only one is held at a time."""
     if k < 3:
         raise ValueError(f"pivot enumeration needs k >= 3, got {k}")
-    ctx, p, pts = P.ctx, P.ctx.p, P.points
-    least = (k - 1) * (k - 2) // 2
-    for i, q in enumerate(pts):
-        for key, pairs in _line_pairs(_transplant(pts[i + 1 :], *q, ctx), ctx).items():
-            if pairs >= least and p <= key < p * p:
-                yield q, key, pairs
+    ctx, p, inv, pts = P.ctx, P.ctx.p, P.ctx._inv, P.points
+    row_keys = [inv[r] * p if r else p * p for r, n in Counter(y for _, y in pts).items() if n > 1]
+    columns = [s for s, n in Counter(x for x, _ in pts).items() if n > 1]
+    for i, (q1, q2) in enumerate(pts):
+        moved = [(y * A % p, A) for x, y in pts[i + 1 :] if x != q1 and y != q2
+                 for A in [(x - q1) * inv[(y - q2) % p] % p]]
+        pairs = _line_pairs(moved, ctx)
+        w = inv[q2]
+        column_keys = [w * p + (q1 - s) * w % p if w else p * p + (s - q1) % p for s in columns]
+        for key in row_keys + column_keys:
+            pairs.pop(key, None)
+        yield q1, q2, pairs
+        pairs.clear()
 
 
 def rich_counts(P: PointSet, k: int) -> dict[int, int]:
     """For each r >= k, the number of maps with at least r points of P.
 
     These are the lines through exactly m = r - 1 later points, whose
-    m(m-1)/2 pairs give isqrt(1 + 8*pairs) = 2m - 1.  No map is built.
+    t = m(m-1)/2 pairs give isqrt(1 + 8t) = 2m - 1.  No map is built.
     """
-    tally = Counter(pairs for _, _, pairs in _later_lines(P, k))
-    return {(math.isqrt(1 + 8 * pairs) + 3) // 2: n for pairs, n in tally.items()}
-
-
-def _rich_map_keys(P: PointSet, k: int):
-    """The key of each k-rich map, from its one production, in production order.
-
-    Each production's line t2 = s*t1 + i pulls back as in line_preimage, and
-    its lead entry, a or else b, is scaled to 1 here.
-    """
-    p, inv, exact = P.ctx.p, P.ctx._inv, (k - 1) * (k - 2) // 2
-    for (q1, q2), line, pairs in _later_lines(P, k):
-        if pairs == exact:
-            s, i = divmod(line, p)
-            a, b, c, d = (1 - i * q2) % p, (q2 * s + i * q1 * q2 - q1) % p, -i, s + i * q1
-            w = inv[a or b]
-            yield ((a * w % p * p + b * w % p) * p + c * w % p) * p + d * w % p
+    tally = Counter()
+    for _, _, pairs in _chart_lines(P, k):
+        tally.update(pairs.values())
+    least = (k - 1) * (k - 2) // 2
+    return {(math.isqrt(1 + 8 * t) + 3) // 2: n for t, n in tally.items() if t >= least}
 
 
 def rich_transforms_pivot(P: PointSet, k: int) -> TransformSet:
@@ -250,7 +261,16 @@ def rich_transforms_pivot(P: PointSet, k: int) -> TransformSet:
     Each map is produced once, from its line through exactly k - 1 later
     points, as its key.  Agrees exactly with the full-group brute scan.
     """
-    return TransformSet.from_sorted(sorted(_rich_map_keys(P, k)), P.ctx)
+    p, inv, exact = P.ctx.p, P.ctx._inv, (k - 1) * (k - 2) // 2
+    keys = []
+    for q1, q2, pairs in _chart_lines(P, k):
+        lines = compress(pairs, map(exact.__eq__, pairs.values()))
+        # divmod gives (c, j) for A = cB + j and (p, beta) for B = beta.
+        keys += [((p + (q2 * j - q1) % p) * p + c) * p + (j - c * q1) % p if c < p
+                 else (p + (g := inv[-q2 * j % p])) * p + -(j + q1) * g % p
+                 for c, j in map(divmod, lines, repeat(p))]
+    keys.sort()
+    return TransformSet.from_sorted(keys, P.ctx)
 
 
 class ReductionReport(NamedTuple):

@@ -234,10 +234,12 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
     from the generator when it gives them, else from random-scalars when a
     row reads them.  Each row's limits, in bounds order, then refuse the
     planned sizes of what it reads.  Then the generator runs if a row reads
-    what it gives, and each component a row still reads is filled in by a
-    seeded random generator under its own derived seed.  The grid A x B is
-    built once and is the points when the generator gave none.  A needed
-    component that came out empty is a ValueError naming the cell.
+    what it gives; transforms-defined-by with no row reading maps draws its
+    points as random-points does and builds no map.  Each component a row
+    still reads is filled in by a seeded random generator under its own
+    derived seed.  The grid A x B is built once and is the points when the
+    generator gave none.  A needed component that came out empty is a
+    ValueError naming the cell.
     """
     params = _resolved_sizes(config, size)
     cell = _cell(config, ctx.p, size, rep)
@@ -263,7 +265,10 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
                                                 base_seed, ctx)
             limit(*(sizes[name] for name in names))
     if "scalars" not in gives and needed.intersection(gives):
-        drawn = generate_instance(config.generator, params, base_seed, ctx)
+        kind = config.generator
+        if kind == DEFINED_BY and "transforms" not in needed:
+            kind = RANDOM_POINTS
+        drawn = generate_instance(kind, params, base_seed, ctx)
         drawn.a, drawn.b = inst.a, inst.b
         inst = drawn
     grid = None if inst.a is None else cartesian_points(inst.a, inst.b)

@@ -1,9 +1,12 @@
 """Seeded instance generators: structure, determinism, feasibility."""
 
+import time
+
 import pytest
 
 from mobinc.applications import cartesian_points
 from mobinc.field import FieldContext, group_order
+from mobinc.errors import WorkLimitError
 from mobinc.generators import GIVES, INSTANCE_KINDS, Instance, derive_seed, generate_instance
 from mobinc.incidence import rich_transforms_brute
 
@@ -40,6 +43,26 @@ def test_gp_distinct():
         "gp", {"na": 2, "ratio": 2, "nb": 4, "b_start": 3, "b_ratio": 3}, 0, CTX101
     )
     assert len(both.a) == 2 and both.b.values == (3, 9, 27, 81)
+
+
+def test_gp_refuses_impossible_progressions_before_any_draw():
+    # Nonzero terms take at most p - 1 values and a zero start one; an
+    # impossible size is refused at once, whatever na.
+    ctx = FieldContext(9973)
+    start = time.perf_counter()
+    for params in ({"na": 20000}, {"na": 9973}, {"na": 2, "start": 9973},
+                   {"na": 10**5, "ratio": 5}):
+        with pytest.raises(WorkLimitError,
+                           match=f"no geometric progression of {params['na']} distinct"):
+            generate_instance("gp", params, 1, ctx)
+    # A given ratio of order 2 fails on its first start: distinctness does not
+    # depend on a nonzero start, so no other start is tried.
+    with pytest.raises(WorkLimitError, match="of 9972 distinct terms found mod 9973"):
+        generate_instance("gp", {"na": 9972, "ratio": -1}, 1, ctx)
+    assert time.perf_counter() - start < 1.0
+    assert generate_instance("gp", {"na": 1, "start": 0}, 1, ctx).a.values == (0,)
+    assert generate_instance("gp", {"na": 10, "ratio": 2}, 1, CTX11).a.values == tuple(
+        range(1, 11))
 
 
 def test_cartesian_explicit_example():

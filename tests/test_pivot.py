@@ -249,22 +249,100 @@ def test_rich_counts_equal_brute_richness_tails():
         rich_counts(P, 2)
 
 
-def test_rich_map_keys_decode_to_their_productions_preimages():
-    # The keys are canonicalized inline; each one must decode to
-    # line_preimage of the production it came from, and none may repeat.
-    for p, n in ((11, 30), (31, 60)):
-        ctx = FieldContext(p)
-        for P in (random_points(ctx, n, p), axis_lines_and_random(ctx, n // 2, p)):
-            for k in (3, 4):
-                exact = (k - 1) * (k - 2) // 2
-                productions = [(q, line) for q, line, pairs in pivot_module._later_lines(P, k)
-                               if pairs == exact]
-                keys = list(pivot_module._rich_map_keys(P, k))
-                assert len(keys) == len(set(keys)) == len(productions) > 0
-                for key, (q, line) in zip(keys, productions):
-                    f = line_preimage(NonVertical(*divmod(line, p)), q, ctx)
-                    assert MoebiusMap.from_key(key, ctx) == f and key == f.key()
-                assert rich_transforms_pivot(P, k).keys == tuple(sorted(keys))
+def _chart_move(point, q, p, inv):
+    """(B, A) of an admissible point at pivot q: A = (x - q1)/(y - q2), B = y*A."""
+    (x, y), (q1, q2) = point, q
+    A = (x - q1) * inv[(y - q2) % p] % p
+    return y * A % p, A
+
+
+def _on_chart_line(moved, key, p):
+    """Whether (B, A) lies on the line keyed as _line_pairs keys lines."""
+    B, A = moved
+    slope, j = divmod(key, p)
+    return B == j if slope == p else A == (slope * B + j) % p
+
+
+def _map_chart_key(f, q, ctx):
+    """The chart line of f through q, from a*A = c*B + e with e = d + c*q1."""
+    p = ctx.p
+    a, _, c, d = f.as_tuple()
+    e = (d + c * q[0]) % p
+    if a == 0:
+        return p * p + (-e * ctx.inv(c)) % p
+    w = ctx.inv(a)
+    return c * w % p * p + e * w % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_chart_lines_carry_exactly_the_maps_through_each_pivot(p):
+    # Every map through q comes from the group scan, and every key from the
+    # chart equation; the production walk and its decoding are then checked
+    # against them.  PointSet.from_sorted keeps q first, so q is the pivot
+    # of every other point: the walk reads only the order of the points.
+    ctx = FieldContext(p)
+    inv = ctx._inv
+    group = list(enumerate_group(ctx))
+    grid = [(x, y) for x in range(p) for y in range(p)]
+    for q in grid:
+        q1, q2 = q
+        admissible = [(x, y) for x, y in grid if x != q1 and y != q2]
+        moved = {s: _chart_move(s, q, p, inv) for s in admissible}
+        expected = {}
+        for f in (f for f in group if f(q1) == q2):
+            key = _map_chart_key(f, q, ctx)
+            others = [(x, f(x)) for x in range(p) if x != q1 and f(x) is not INFINITY]
+            assert [s for s in admissible if _on_chart_line(moved[s], key, p)] == others
+            if len(others) >= 2:
+                assert key not in expected
+                expected[key] = len(others) * (len(others) - 1) // 2
+                line = line_through(moved[others[0]], moved[others[1]], ctx)
+                assert key == (p * p + line.x if isinstance(line, Vertical)
+                               else line.slope * p + line.intercept)
+                lone = PointSet.from_sorted([q, *others], ctx)
+                assert rich_transforms_pivot(lone, len(others) + 1).keys == (f.key(),)
+        # The rows and columns carry no map, each on its documented line.
+        dropped = {}
+        for r in range(p):
+            dropped[inv[r] * p if r else p * p] = [s for s in admissible if s[1] == r]
+        for s1 in range(p):
+            w = inv[q2]
+            key = w * p + (q1 - s1) * w % p if q2 else p * p + (s1 - q1) % p
+            dropped[key] = [s for s in admissible if s[0] == s1]
+        for key, points in dropped.items():
+            assert key not in expected
+            assert [s for s in admissible if _on_chart_line(moved[s], key, p)] == points
+        rest = [s for s in grid if s != q]
+        pivot_q1, pivot_q2, pairs = next(pivot_module._chart_lines(
+            PointSet.from_sorted([q, *rest], ctx), 3))
+        assert (pivot_q1, pivot_q2) == q and pairs == expected
+
+
+def _paper_chart_listing(P, k):
+    """The k-rich maps through the paper's transplant: each pivot's later
+    points transplanted, their (k-1)-rich lines pulled back through
+    line_preimage, and the productions with exactly k - 1 later points kept."""
+    keys = []
+    for i, q in enumerate(P.points):
+        later = transplant_points(PointSet(P.points[i + 1 :], P.ctx), q)[0]
+        for line in set(rich_lines(later, k - 1)) - set(rich_lines(later, k)):
+            f = line_preimage(line, q, P.ctx)
+            if f is not None:
+                keys.append(f.key())
+    return tuple(sorted(keys))
+
+
+@pytest.mark.parametrize("p, n", [(11, 30), (31, 60)])
+def test_rich_transforms_pivot_equal_paper_chart_listing(p, n):
+    ctx = FieldContext(p)
+    with_zero_row = PointSet(
+        [*axis_lines_and_random(ctx, n // 2, p).points, *((x, 0) for x in range(0, p, 2))], ctx)
+    assert any(q2 == 0 for _, q2 in with_zero_row.points[:-3])
+    for P in (random_points(ctx, n, p), axis_lines_and_random(ctx, n // 2, p), with_zero_row):
+        for k in (3, 4):
+            reference = _paper_chart_listing(P, k)
+            assert len(reference) == len(set(reference)) > 0
+            assert rich_transforms_pivot(P, k).keys == reference
 
 
 def _pivot_multiplicities_every_pivot(P, k):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -528,6 +529,21 @@ def test_first_over_limit_row_in_bounds_order_is_reported(tmp_path, capsys, gene
     assert captured.err == f"{_CELL}{generator}: {error}\n"
 
 
+def test_impossible_progression_is_refused_naming_its_cell(tmp_path, capsys):
+    # No geometric progression mod 9973 has 20000 distinct terms; the draw
+    # that comes before every limit refuses it at once.
+    path = tmp_path / "sweep.cfg"
+    path.write_text("primes = 9973\nseed = 1\nbounds = thm2-rich\ngenerator = gp\n"
+                    "na = 20000\n", encoding="utf-8")
+    start = time.perf_counter()
+    code = cli.main(["sweep", "--config", str(path), "--jobs", "1"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"{_CELL}gp: no geometric progression of 20000 distinct terms found mod 9973\n")
+
+
 def _sweep_unreachable(*args, **kwargs):
     raise AssertionError("the sweep started its cells")
 
@@ -557,7 +573,9 @@ def _unread_draw(*args, **kwargs):
     ("hyperbola-grid", "thm1-rich", "na = 700\nnb = 700", ("_grid_hyperbolas",)),
     ("transforms-defined-by", "thm2-rich", "n = 201",
      ("rich_transforms_pivot", "_sample_points")),
-], ids=["hyperbola-grid", "defined-by"])
+    # a lone point row draws the generator's points, as random-points does
+    ("transforms-defined-by", "thm1-rich", "n = 150", ("rich_transforms_pivot",)),
+], ids=["hyperbola-grid", "defined-by", "defined-by-points"])
 def test_components_no_row_reads_are_not_drawn(tmp_path, capsys, monkeypatch, generator,
                                                bound, sizes, unread):
     for name in unread:
