@@ -28,7 +28,6 @@ from .applications import (
     representation_report,
 )
 from .energy import energy, energy_report, refuse_energy_work
-from .errors import WorkLimitError
 from .field import FieldContext, group_order
 from .generators import RANDOM_POINTS, generate_instance
 from .incidence import count_incidences, rich_transforms_brute
@@ -113,12 +112,8 @@ def _cmd_rich_enum(args) -> int:
         else:
             print("MISMATCH")
             pivot, brute = set(results["pivot"].keys), set(results["brute"].keys)
-            print(
-                f"mismatch: pivot-only={len(pivot - brute)} "
-                f"brute-only={len(brute - pivot)}",
-                file=sys.stderr,
-            )
-            return 1
+            raise RuntimeError(f"mismatch: pivot-only={len(pivot - brute)} "
+                               f"brute-only={len(brute - pivot)}")
     return 0
 
 
@@ -163,7 +158,7 @@ def _cmd_expander(args) -> int:
         work = n * min(n * (n - 1), p - 1)
         steps, most = f"{n}*min({n}*{n - 1}, {p - 1})", "fewer values"
     if work > MAX_EXPANDER_WORK:
-        raise WorkLimitError(
+        raise ValueError(
             f"the {args.kind} value set of {n} values needs {steps} = {work} steps, "
             f"over the limit 60^4 = {MAX_EXPANDER_WORK}; give {most}"
         )
@@ -174,7 +169,7 @@ def _cmd_expander(args) -> int:
 def _cmd_equiv_count(args) -> int:
     n, targets = len(args.a), math.perm(len(args.a), 3)
     if targets > MAX_EQUIV_TARGETS:
-        raise WorkLimitError(
+        raise ValueError(
             f"equiv-count over {n} ground elements tries {targets} target "
             f"triples, over the limit 60*59*58 = {MAX_EQUIV_TARGETS}; give at most "
             f"60 ground elements"
@@ -206,8 +201,7 @@ def _cmd_verify_reduction(args) -> int:
     _emit_record({name.replace("_", "-"): value
                   for name, value in report._asdict().items()})
     if not report.ok:
-        print("REDUCTION CHECK FAILED", file=sys.stderr)
-        return 1
+        raise RuntimeError("REDUCTION CHECK FAILED")
     print("OK")
     return 0
 

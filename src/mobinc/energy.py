@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import WorkLimitError
 from .field import FieldContext, MoebiusMap, canonical_key, key_entries
 from .incidence import TransformSet
 
@@ -32,7 +31,7 @@ MAX_ENERGY_WORK = 1000**2
 def refuse_energy_work(n: int) -> None:
     """Refuse, before it starts, a quotient table of n maps over the limit."""
     if n * n > MAX_ENERGY_WORK:
-        raise WorkLimitError(
+        raise ValueError(
             f"the energy of {n} maps needs {n}^2 = {n * n} quotients, over the "
             f"limit 1000^2 = {MAX_ENERGY_WORK}; give at most 1000 maps"
         )
@@ -97,7 +96,7 @@ def energy_brute(T: TransformSet) -> int:
     if n == 0:
         raise ValueError("energy of an empty set")
     if n > ORACLE_CAP:
-        raise WorkLimitError(f"|T| = {n} exceeds the oracle cap {ORACLE_CAP}")
+        raise ValueError(f"|T| = {n} exceeds the oracle cap {ORACLE_CAP}")
     p = T.ctx.p
     mats = [f.as_tuple() for f in T]
     quotients = []

@@ -119,23 +119,35 @@ def parallel_map(fn: Callable, units: Sequence, jobs: int = 1) -> list:
     The package's one worker pool and its only split of units over workers:
     n = min(len(units), 4 * workers) batches, batch i holding every n-th
     unit from the i-th, so that units listed by rising cost spread evenly
-    over the batches; the results come back in unit order.  fn must pickle;
-    a single worker runs fn in this process.
+    over the batches; the results come back in unit order.  A failure
+    raises the exception of the lowest failing unit, as a serial run does.
+    fn must pickle; a single worker runs fn in this process.
     """
     workers = max(1, min(jobs, os.cpu_count() or 1, len(units)))
     if workers == 1:
         return [fn(u) for u in units]
     n = min(len(units), 4 * workers)
-    results = [None] * len(units)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        batches = pool.map(partial(_run_batch, fn), [units[i::n] for i in range(n)])
-        for i, batch in enumerate(batches):
-            results[i::n] = batch
+        batches = list(pool.map(partial(_run_batch, fn), [units[i::n] for i in range(n)]))
+    # Batch i runs its units in order, so its failure is unit i + n * len(done).
+    failed = {i + n * len(done): exc for i, (done, exc) in enumerate(batches) if exc}
+    if failed:
+        raise failed[min(failed)]
+    results = [None] * len(units)
+    for i, (done, _) in enumerate(batches):
+        results[i::n] = done
     return results
 
 
-def _run_batch(fn: Callable, batch: Sequence) -> list:
-    return [fn(u) for u in batch]
+def _run_batch(fn: Callable, batch: Sequence) -> tuple:
+    """fn over the batch in order, up to the first failure, and that failure."""
+    done = []
+    try:
+        for u in batch:
+            done.append(fn(u))
+    except Exception as exc:
+        return done, exc
+    return done, None
 
 
 class MoebiusMap:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .energy import HyperbolaTranslate
-from .errors import WorkLimitError
 from .field import FieldContext, class_from_index, group_order
 from .incidence import PointSet, ScalarSet, TransformSet
 from .pivot import refuse_pivot_work, rich_transforms_pivot
@@ -128,7 +127,7 @@ def _gp_scalars(rng, n, ctx, start, ratio) -> ScalarSet:
     most p - 1 values (two, s and 0, with a zero ratio) and a zero start one,
     so a larger n is refused before any draw."""
     p = ctx.p
-    refused = WorkLimitError(f"no geometric progression of {n} distinct terms found mod {p}")
+    refused = ValueError(f"no geometric progression of {n} distinct terms found mod {p}")
     if n > max(p - 1, 2) or (n > 1 and start is not None and start % p == 0):
         raise refused
     for _ in range(200 if ratio is None else 1):

@@ -13,7 +13,6 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .errors import WorkLimitError
 from .field import FieldContext, MoebiusMap, same_context
 
 
@@ -175,12 +174,12 @@ def refuse_incidence_work(n_points: int, n_maps: int) -> None:
     """Refuse, before anything is drawn, an incidence count over the limits."""
     for n, side in ((n_points, "points"), (n_maps, "maps")):
         if n > MAX_INCIDENCE_MEMBERS:
-            raise WorkLimitError(
+            raise ValueError(
                 f"an incidence count over {n} {side} is over the limit of "
                 f"2*10^5 = {MAX_INCIDENCE_MEMBERS} {side}; give fewer {side}"
             )
     if n_points * n_maps > MAX_INCIDENCE_PAIRS:
-        raise WorkLimitError(
+        raise ValueError(
             f"the incidences of {n_points} points and {n_maps} maps need "
             f"{n_points * n_maps} pairs, over the limit 2000^2 = {MAX_INCIDENCE_PAIRS}; "
             f"give fewer points or maps"

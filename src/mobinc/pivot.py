@@ -41,7 +41,6 @@ from itertools import compress, repeat
 from operator import add, itemgetter
 from typing import NamedTuple, Optional, Union
 
-from .errors import WorkLimitError
 from .field import FieldContext, MoebiusMap, parallel_map
 from .incidence import PointSet, TransformSet
 
@@ -171,7 +170,7 @@ MAX_LINE_PAIRS = math.comb(2000, 2)
 def refuse_line_work(n: int) -> None:
     """Refuse, before it starts, a rich-line count of n points over the limit."""
     if n * (n - 1) // 2 > MAX_LINE_PAIRS:
-        raise WorkLimitError(
+        raise ValueError(
             f"the rich lines of {n} points need {n * (n - 1) // 2} point pairs, "
             f"over the limit C(2000, 2) = {MAX_LINE_PAIRS}; give at most 2000 points"
         )
@@ -214,7 +213,7 @@ MAX_PIVOT_WORK = 200**3
 def refuse_pivot_work(n: int) -> None:
     """Refuse, before it starts, a pivot enumeration of n points over the limit."""
     if n**3 > MAX_PIVOT_WORK:
-        raise WorkLimitError(
+        raise ValueError(
             f"the pivot enumeration of {n} points needs about {n}^3 = {n**3} "
             f"steps, over the limit 200^3 = {MAX_PIVOT_WORK}; give at most 200 points"
         )

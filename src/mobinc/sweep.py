@@ -34,7 +34,6 @@ from .bounds import (
     hypothesis_check,
 )
 from .energy import encode_family, energy, refuse_energy_work, translate_multiplicity
-from .errors import WorkLimitError
 from .field import MAX_MODULUS, FieldContext, group_order, is_prime, parallel_map
 from .generators import (
     CARTESIAN,
@@ -119,7 +118,7 @@ class SweepConfig:
             raise ValueError("reps must be at least 1")
         rows = len(self.primes) * len(self.sizes or (None,)) * self.reps * len(self.bounds)
         if rows > MAX_SWEEP_ROWS:
-            raise WorkLimitError(
+            raise ValueError(
                 f"the sweep holds {rows} rows until it sorts them, over the limit "
                 f"10^5 = {MAX_SWEEP_ROWS}; give fewer primes, sizes, reps or bounds"
             )
@@ -239,14 +238,13 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
     still reads is filled in by a seeded random generator under its own
     derived seed.  The grid A x B is built once and is the points when the
     generator gave none.  A needed component that came out empty is a
-    ValueError naming the cell.
+    ValueError.
     """
     params = _resolved_sizes(config, size)
-    cell = _cell(config, ctx.p, size, rep)
     for key in ("n", "na", "nb", "nt", "nh"):
         value = params[key]
         if isinstance(value, int) and value < 0:
-            raise ValueError(f"{cell}: generator parameter {key!r} must be at least 0, got {value}")
+            raise ValueError(f"generator parameter {key!r} must be at least 0, got {value}")
     needed = {need for bound in config.bounds for need in _NEEDS[bound]}
     base_seed = derive_seed(config.seed, ctx.p, size, rep)
     gives = GIVES[config.generator]
@@ -283,7 +281,7 @@ def _build_instance(config: SweepConfig, ctx: FieldContext, size, rep):
             extra = generate_instance(kind, {key: params[key]}, derive_seed(base_seed, attr), ctx)
             setattr(inst, attr, getattr(extra, attr))
         if len(getattr(inst, attr)) == 0:
-            raise ValueError(f"{cell}: the {label} is empty")
+            raise ValueError(f"the {label} is empty")
     return inst, grid
 
 
@@ -314,10 +312,6 @@ def _grid_family_size(params, seed, ctx) -> int:
     values each."""
     sides = generate_instance(CARTESIAN, params, seed, ctx)
     return len(sides.a) * len(sides.b)
-
-
-def _cell(config: SweepConfig, p, size, rep) -> str:
-    return f"sweep cell p={p} size={size} rep={rep} under generator {config.generator}"
 
 
 def _round12(x: float) -> float:
@@ -409,9 +403,8 @@ def _sweep_unit(args):
 
     The instance and grid are built once, and each distinct point set is
     enumerated for k-rich maps once; a shared quantity is timed in the first
-    row that needs it.  Nothing outlives the cell.  A pivot enumeration, a
-    rich-line count or an energy table over its work limit is refused as a
-    ValueError naming the cell.
+    row that needs it.  Nothing outlives the cell.  Every ValueError the
+    cell raises, a refused size or a failed draw, is re-raised naming the cell.
     """
     config, p, size, rep = args
     ctx = FieldContext(p)
@@ -420,8 +413,9 @@ def _sweep_unit(args):
         inst, grid = _build_instance(config, ctx, size, rep)
         return [_compute_row(bound, inst, grid, rich, config, ctx, size, rep)
                 for bound in config.bounds]
-    except WorkLimitError as exc:
-        raise ValueError(f"{_cell(config, p, size, rep)}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"sweep cell p={p} size={size} rep={rep} under generator "
+                         f"{config.generator}: {exc}") from None
 
 
 def sweep(config: SweepConfig, jobs: int = 1) -> list[dict]:

@@ -109,7 +109,7 @@ def test_rich_enum_mismatch_counts_a_map_the_scan_drops(files, capsys, monkeypat
                          "-p", "5", "-k", "3", "--method", "both")
     assert code == 1
     assert out.endswith("MISMATCH\n")
-    assert "mismatch: pivot-only=1 brute-only=0\n" in err.splitlines(keepends=True)
+    assert "internal error: mismatch: pivot-only=1 brute-only=0\n" in err.splitlines(keepends=True)
 
 
 def _scan_unreachable(*args, **kwargs):
@@ -470,7 +470,7 @@ def test_verify_reduction_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ("p=7 pivots=1 transforms=42 triples=1512 violations=1 "
                    "line-collisions=0 det-mismatches=0\n")
-    assert err == "REDUCTION CHECK FAILED\n"
+    assert err == "internal error: REDUCTION CHECK FAILED\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -856,7 +856,8 @@ def _invocation(draw):
 @settings(max_examples=200, deadline=None)
 @given(_invocation(), st.sampled_from((False,) * 7 + (True,)))
 def test_cli_contract_under_fuzzed_files(invocation, missing_file):
-    # Any input: exit 0, 1 or 2; a failure writes exactly one stderr line.
+    # Any input: exit 0, 1 or 2; a failure writes exactly one stderr line,
+    # `error:` on exit 2 and `internal error:` on exit 1.
     argv, contents, flaw = invocation
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
@@ -878,3 +879,4 @@ def test_cli_contract_under_fuzzed_files(invocation, missing_file):
     if code:
         text = err.getvalue()
         assert text.endswith("\n") and text.count("\n") == 1, (argv, text)
+        assert text.startswith("error:" if code == 2 else "internal error:"), (argv, text)

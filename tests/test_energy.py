@@ -20,7 +20,6 @@ from mobinc.energy import (
     refuse_energy_work,
     translate_multiplicity,
 )
-from mobinc.errors import WorkLimitError
 from mobinc.field import (
     FieldContext,
     MoebiusMap,
@@ -77,7 +76,7 @@ def test_energy_empty_and_cap(monkeypatch):
         energy_brute(TransformSet([], CTX5))
     T = random_transform_set(CTX7, 5, 0)
     monkeypatch.setattr(energy_module, "ORACLE_CAP", 4)
-    with pytest.raises(WorkLimitError, match="exceeds the oracle cap 4"):
+    with pytest.raises(ValueError, match="exceeds the oracle cap 4"):
         energy_brute(T)
 
 
@@ -151,7 +150,7 @@ def test_energy_builds_no_quotient_map(monkeypatch):
 def test_energy_work_limit():
     assert MAX_ENERGY_WORK == 1000**2
     refuse_energy_work(1000)
-    with pytest.raises(WorkLimitError, match="1001 maps"):
+    with pytest.raises(ValueError, match="1001 maps"):
         refuse_energy_work(1001)
 
 

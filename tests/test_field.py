@@ -289,3 +289,11 @@ def test_parallel_map_keeps_unit_order():
     units = list(range(-40, 43))
     assert field.parallel_map(abs, units, 2) == [abs(u) for u in units]
     assert field.parallel_map(abs, [], 2) == []
+
+
+def test_parallel_map_raises_the_lowest_failing_unit():
+    # With two workers, 'x8' is in the first of eight batches and 'x1' in
+    # the second; the error is 'x1's, as in a serial run
+    units = ["0", "x1", *map(str, range(2, 8)), "x8", "9", "10", "11"]
+    with pytest.raises(ValueError, match="'x1'"):
+        field.parallel_map(int, units, 2)

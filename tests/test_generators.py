@@ -6,7 +6,6 @@ import pytest
 
 from mobinc.applications import cartesian_points
 from mobinc.field import FieldContext, group_order
-from mobinc.errors import WorkLimitError
 from mobinc.generators import GIVES, INSTANCE_KINDS, Instance, derive_seed, generate_instance
 from mobinc.incidence import rich_transforms_brute
 
@@ -52,12 +51,12 @@ def test_gp_refuses_impossible_progressions_before_any_draw():
     start = time.perf_counter()
     for params in ({"na": 20000}, {"na": 9973}, {"na": 2, "start": 9973},
                    {"na": 10**5, "ratio": 5}):
-        with pytest.raises(WorkLimitError,
+        with pytest.raises(ValueError,
                            match=f"no geometric progression of {params['na']} distinct"):
             generate_instance("gp", params, 1, ctx)
     # A given ratio of order 2 fails on its first start: distinctness does not
     # depend on a nonzero start, so no other start is tried.
-    with pytest.raises(WorkLimitError, match="of 9972 distinct terms found mod 9973"):
+    with pytest.raises(ValueError, match="of 9972 distinct terms found mod 9973"):
         generate_instance("gp", {"na": 9972, "ratio": -1}, 1, ctx)
     assert time.perf_counter() - start < 1.0
     assert generate_instance("gp", {"na": 1, "start": 0}, 1, ctx).a.values == (0,)

@@ -544,6 +544,29 @@ def test_impossible_progression_is_refused_naming_its_cell(tmp_path, capsys):
         f"{_CELL}gp: no geometric progression of 20000 distinct terms found mod 9973\n")
 
 
+@pytest.mark.parametrize("p, generator, bound, text, size, error", [
+    (7, "random-points", "thm1-rich", "sizes = 50", 50,
+     "cannot draw 50 distinct points in F_7^2"),
+    (7, "random-scalars", "thm2-rich", "sizes = 8", 8, "cannot draw 8 distinct scalars mod 7"),
+    (7, "ap", "thm2-rich", "na = 8", None, "progression of 8 distinct terms mod 7"),
+    (5, "random-transforms", "thm1-incidence", "nt = 200", None,
+     "PGL(2,5) has only 120 elements"),
+    (5, "random-hyperbolas", "thm4-hyperbola", "nh = 60", None,
+     "only 50 distinct translates mod 5"),
+])
+def test_a_failed_draw_names_its_cell(tmp_path, capsys, p, generator, bound, text, size,
+                                      error):
+    # The cell at p = 11 draws; the one at the second, smaller prime cannot.
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"primes = 11,{p}\nseed = 1\nbounds = {bound}\n"
+                    f"generator = {generator}\n{text}\n", encoding="utf-8")
+    code = cli.main(["sweep", "--config", str(path), "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: sweep cell p={p} size={size} rep=0 under generator {generator}: {error}\n")
+
+
 def _sweep_unreachable(*args, **kwargs):
     raise AssertionError("the sweep started its cells")
 
@@ -609,6 +632,10 @@ def test_generator_parameter_errors_name_the_key(tmp_path, capsys, text, error):
     path = tmp_path / "sweep.cfg"
     path.write_text(f"primes = 13\nseed = 1\nbounds = thm1-rich,thm2-rich\n{text}\n",
                     encoding="utf-8")
+    if error.startswith("generator parameter"):
+        # read in the cell, so the error names it
+        generator = text.split("\n")[0].removeprefix("generator = ")
+        error = f"sweep cell p=13 size=None rep=0 under generator {generator}: {error}"
     code = cli.main(["sweep", "--config", str(path), "--jobs", "1"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
