@@ -104,8 +104,6 @@ def _cmd_rich_enum(args) -> int:
             results[method] = enumerate_rich(args.points, args.k)
             timings[method] = (time.perf_counter() - start) * 1000.0
     mio.write_transforms(results["brute" if args.method == "brute" else "pivot"], sys.stdout)
-    for method, ms in sorted(timings.items()):
-        print(f"timing {method}_ms={ms:.3f}", file=sys.stderr)
     if args.method == "both":
         if results["pivot"] == results["brute"]:
             print("MATCH")
@@ -114,6 +112,9 @@ def _cmd_rich_enum(args) -> int:
             pivot, brute = set(results["pivot"].keys), set(results["brute"].keys)
             raise RuntimeError(f"mismatch: pivot-only={len(pivot - brute)} "
                                f"brute-only={len(brute - pivot)}")
+    # After the match, so that a mismatch writes its one diagnostic line alone.
+    for method, ms in sorted(timings.items()):
+        print(f"timing {method}_ms={ms:.3f}", file=sys.stderr)
     return 0
 
 

@@ -30,6 +30,13 @@ When pivots move only later points, a map with r points of P shows up at
 its t-th point as a line through exactly r - t of them, so each map with
 at least j points has exactly one production whose line carries exactly
 j - 1 later points.
+
+The walk counts the moved points on each chart line in one of two ways.
+A pivot that moves m <= p points counts the m(m-1)/2 point pairs on each
+line (_line_pairs).  One that moves more tallies its chart slope by slope
+(_slope_tally): each moved point lies on one line of each of the p slopes
+and on one vertical, so p*m table lookups count every line at once.  A
+pivot thus costs about min(m^2/2, p*m) steps.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import partial
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import add, itemgetter
 from typing import NamedTuple, Optional, Union
 
@@ -203,10 +210,13 @@ def line_preimage(
     return MoebiusMap(1 - i * q2, q2 * s + i * q1 * q2 - q1, -i, s + i * q1, ctx)
 
 
-# The pivot enumeration of 200 points: its work grows as n^3 whatever p and
-# k.  At k = 3 and p = 9973 it yields 1.3 million maps; beck counts them in
-# about 1 s and 25 MB, and the sorted rich-enum listing takes about 3.5 s and
-# 105 MB (Python 3.11, shared 2-core machine).
+# The pivot enumeration of 200 points: a pivot that moves m points costs
+# about min(m^2/2, p*m) steps, so the work grows as n^3/6 on sparse sets and
+# more slowly once pivots move more than p points; the limit counts n^3
+# whatever p and k.  At k = 3 and p = 9973, 200 random points yield 1.3
+# million maps; beck counts them in about 1 s and 25 MB, and the sorted
+# rich-enum listing takes about 3.5 s and 105 MB (Python 3.11, shared 2-core
+# machine).
 MAX_PIVOT_WORK = 200**3
 
 
@@ -219,39 +229,87 @@ def refuse_pivot_work(n: int) -> None:
         )
 
 
+def _pair_count(m: int) -> int:
+    """The value _line_pairs holds for a line through m points."""
+    return m * (m - 1) // 2
+
+
+def _point_count(m: int) -> int:
+    """The value _slope_tally holds for a line through m points."""
+    return m
+
+
+def _slope_tables(p: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Per slope c, the tables _slope_tally reads: shift[c][B] = -c*B mod p,
+    and keyed[c], c*p + range(p) laid twice, so that keyed[c][A + shift[c][B]]
+    = c*p + (A - c*B) mod p is the key of the line of slope c through (B, A)."""
+    shift = [[-c * B % p for B in range(p)] for c in range(p)]
+    keyed = [list(range(c * p, c * p + p)) * 2 for c in range(p)]
+    return shift, keyed
+
+
+def _slope_tally(moved, p: int, tables) -> Counter:
+    """Points per line: every line through one or more of the moved points,
+    keyed as _line_pairs keys it, with its number of points.
+
+    Each point (B, A) lies on one line A = cB + j of each slope c and on the
+    vertical B = beta, so a slope takes one pass of table lookups over the
+    points, and one Counter reads the p + 1 passes."""
+    shift, keyed = tables
+    Bs = [B for B, _ in moved]
+    As = [A for _, A in moved]
+    return Counter(chain(map((p * p).__add__, Bs), *[
+        map(keyed[c].__getitem__, map(add, As, map(shift[c].__getitem__, Bs))) for c in range(p)]))
+
+
 def _chart_lines(P: PointSet, k: int):
-    """(q1, q2, pairs) per pivot q: _line_pairs of the later points moved to
-    the chart of q, with the lines of the rows and columns of P dropped, so
-    that every line left carries one map (see the module docstring).  Each
-    dict is emptied when the walk moves on, so only one is held at a time."""
+    """(q1, q2, lines, size) per pivot q: the lines of the chart of q through
+    the later points moved there, with the lines of the rows and columns of
+    P dropped, so that every line left through two or more points carries
+    one map (see the module docstring).  A line through exactly m moved
+    points holds size(m): the tally of _slope_tally when the pivot moves
+    more than p points, where its p*m lookups beat the m^2/2 pairs, and
+    _line_pairs otherwise.  Each dict is emptied when the walk moves on, so
+    only one is held at a time."""
     if k < 3:
         raise ValueError(f"pivot enumeration needs k >= 3, got {k}")
     ctx, p, inv, pts = P.ctx, P.ctx.p, P.ctx._inv, P.points
     row_keys = [inv[r] * p if r else p * p for r, n in Counter(y for _, y in pts).items() if n > 1]
     columns = [s for s, n in Counter(x for x, _ in pts).items() if n > 1]
+    tables = None
     for i, (q1, q2) in enumerate(pts):
         moved = [(y * A % p, A) for x, y in pts[i + 1 :] if x != q1 and y != q2
                  for A in [(x - q1) * inv[(y - q2) % p] % p]]
-        pairs = _line_pairs(moved, ctx)
+        if len(moved) > p:
+            tables = tables or _slope_tables(p)
+            lines, size = _slope_tally(moved, p, tables), _point_count
+        else:
+            lines, size = _line_pairs(moved, ctx), _pair_count
         w = inv[q2]
         column_keys = [w * p + (q1 - s) * w % p if w else p * p + (s - q1) % p for s in columns]
         for key in row_keys + column_keys:
-            pairs.pop(key, None)
-        yield q1, q2, pairs
-        pairs.clear()
+            lines.pop(key, None)
+        yield q1, q2, lines, size
+        lines.clear()
 
 
 def rich_counts(P: PointSet, k: int) -> dict[int, int]:
     """For each r >= k, the number of maps with at least r points of P.
 
-    These are the lines through exactly m = r - 1 later points, whose
-    t = m(m-1)/2 pairs give isqrt(1 + 8t) = 2m - 1.  No map is built.
+    These are the lines through exactly m = r - 1 later points.  The chart
+    of each pivot holds size(m) on such a line, so one tally of the values
+    is kept per size and read back through m -> size(m) for m >= k - 1.
+    No map is built.
     """
-    tally = Counter()
-    for _, _, pairs in _chart_lines(P, k):
-        tally.update(pairs.values())
-    least = (k - 1) * (k - 2) // 2
-    return {(math.isqrt(1 + 8 * t) + 3) // 2: n for t, n in tally.items() if t >= least}
+    tallies: dict = {}
+    for _, _, lines, size in _chart_lines(P, k):
+        tallies.setdefault(size, Counter()).update(lines.values())
+    counts = Counter()
+    for size, tally in tallies.items():
+        for m in range(k - 1, len(P)):
+            if n := tally.get(size(m)):
+                counts[m + 1] += n
+    return dict(counts)
 
 
 def rich_transforms_pivot(P: PointSet, k: int) -> TransformSet:
@@ -260,10 +318,11 @@ def rich_transforms_pivot(P: PointSet, k: int) -> TransformSet:
     Each map is produced once, from its line through exactly k - 1 later
     points, as its key.  Agrees exactly with the full-group brute scan.
     """
-    p, inv, exact = P.ctx.p, P.ctx._inv, (k - 1) * (k - 2) // 2
+    p, inv = P.ctx.p, P.ctx._inv
     keys = []
-    for q1, q2, pairs in _chart_lines(P, k):
-        lines = compress(pairs, map(exact.__eq__, pairs.values()))
+    for q1, q2, chart, size in _chart_lines(P, k):
+        exact = size(k - 1)
+        lines = compress(chart, map(exact.__eq__, chart.values()))
         # divmod gives (c, j) for A = cB + j and (p, beta) for B = beta.
         keys += [((p + (q2 * j - q1) % p) * p + c) * p + (j - c * q1) % p if c < p
                  else (p + (g := inv[-q2 * j % p])) * p + -(j + q1) * g % p

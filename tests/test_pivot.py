@@ -280,6 +280,9 @@ def test_chart_lines_carry_exactly_the_maps_through_each_pivot(p):
     # chart equation; the production walk and its decoding are then checked
     # against them.  PointSet.from_sorted keeps q first, so q is the pivot
     # of every other point: the walk reads only the order of the points.
+    # Behind q come either all other points, (p-1)^2 of them moved, which
+    # the slope tally counts from p = 3 on, or p of them, which the pairs
+    # count; a line through m moved points must hold size(m).
     ctx = FieldContext(p)
     inv = ctx._inv
     group = list(enumerate_group(ctx))
@@ -295,7 +298,7 @@ def test_chart_lines_carry_exactly_the_maps_through_each_pivot(p):
             assert [s for s in admissible if _on_chart_line(moved[s], key, p)] == others
             if len(others) >= 2:
                 assert key not in expected
-                expected[key] = len(others) * (len(others) - 1) // 2
+                expected[key] = others
                 line = line_through(moved[others[0]], moved[others[1]], ctx)
                 assert key == (p * p + line.x if isinstance(line, Vertical)
                                else line.slope * p + line.intercept)
@@ -313,9 +316,16 @@ def test_chart_lines_carry_exactly_the_maps_through_each_pivot(p):
             assert key not in expected
             assert [s for s in admissible if _on_chart_line(moved[s], key, p)] == points
         rest = [s for s in grid if s != q]
-        pivot_q1, pivot_q2, pairs = next(pivot_module._chart_lines(
-            PointSet.from_sorted([q, *rest], ctx), 3))
-        assert (pivot_q1, pivot_q2) == q and pairs == expected
+        for later in (rest, rest[:p]):
+            pivot_q1, pivot_q2, lines, size = next(pivot_module._chart_lines(
+                PointSet.from_sorted([q, *later], ctx), 3))
+            assert (pivot_q1, pivot_q2) == q
+            assert (size(2) == 2) == (sum(s in later for s in admissible) > p)
+            # A line through one moved point carries no map.
+            through = {key: m for key, others in expected.items()
+                       if (m := sum(s in later for s in others)) >= 2}
+            assert {key: v for key, v in lines.items() if v != size(1)} == {
+                key: size(m) for key, m in through.items()}
 
 
 def _paper_chart_listing(P, k):
@@ -382,6 +392,28 @@ def test_rich_counts_equal_every_pivot_reference(p, n):
         for k in (3, 4, 5):
             reference = _pivot_multiplicities_every_pivot(P, k)
             assert rich_counts(P, k) == richness_tails(reference.values(), k)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_dense_pivots_list_and_count_as_the_group_scan(p):
+    # A pivot that moves more than p points is tallied slope by slope, one
+    # that moves at most p by its point pairs.  Random sets of p to 4p
+    # points sit around that switch, and from 2p on they start dense and
+    # end sparse; the full grid, walked last, adds full rows and columns,
+    # dense pivots with q2 = 0 and maps with a = 0.
+    ctx = FieldContext(p)
+    grid = PointSet(product(range(p), repeat=2), ctx)
+    for P in (*(random_points(ctx, n, n) for n in (p, p + 1, p + 2, 2 * p, 4 * p)), grid):
+        walk = [(q2, size(2) == 2) for _, q2, _, size in pivot_module._chart_lines(P, 3)]
+        if len(P) >= 2 * p:
+            assert walk[0][1] and not walk[-1][1]
+        scan = rich_transforms_brute(P, 3)
+        richnesses = [richness(f, P) for f in scan]
+        for k in range(3, max(richnesses, default=2) + 1):
+            assert rich_transforms_pivot(P, k) == rich_transforms_brute(P, k)
+            assert rich_counts(P, k) == richness_tails(richnesses, k)
+    assert (0, True) in walk
+    assert any(key < p**3 for key in rich_transforms_pivot(grid, 3).keys)
 
 
 @pytest.mark.parametrize("p, n", [(7, 16), (11, 30), (13, 40), (31, 60)])
