@@ -75,7 +75,8 @@ def _cmd_incidence(args) -> int:
 def _cmd_rich_enum(args) -> int:
     n, p, k = len(args.points), args.ctx.p, args.k
     if args.method != "pivot":
-        # The group scan solves every point's equation in each of the ~p^2 rows.
+        # The limit counts p^2 steps a point.  The scan takes fewer, about
+        # p*min(m^2/2, p*m) for m points off the axis y = 0.
         if p**2 * n > MAX_BRUTE_WORK:
             raise ValueError(
                 f"the group scan of {n} points at p={p} needs over "

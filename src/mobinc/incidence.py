@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import groupby
-from operator import itemgetter
+from itertools import chain, combinations, groupby, repeat
+from operator import add, itemgetter
 from typing import Iterable, Iterator
 
 from .field import FieldContext, MoebiusMap, same_context
@@ -186,43 +186,94 @@ def refuse_incidence_work(n_points: int, n_maps: int) -> None:
         )
 
 
+def _lines_from_pairs(off_axis, p: int, inv):
+    """rich(a, b, need): the keys c*p + d of the lines v = cx + d through
+    at least need >= 1 of the points (x, (ax + b)/y), for (x, 1/y) in
+    off_axis, counted from the point pairs on each line: about m^2/2 steps
+    a row for m points.  For need = 1 they are the p lines of each point.
+
+    Two points with distinct abscissae lie on one line, whose slope and
+    intercept are linear in (a, b): those of row (1, 0) times a plus those
+    of row (0, 1) times b.  Two points with one abscissa lie on no common
+    line.  A line through n points holds n(n - 1)/2 pairs.
+    """
+    lines = []
+    for (x1, i1), (x2, i2) in combinations(off_axis, 2):
+        if x1 != x2:
+            w = inv[(x2 - x1) % p]
+            c = (x2 * i2 - x1 * i1) * w % p
+            e = (i2 - i1) * w % p
+            lines.append((c, (x1 * i1 - c * x1) % p, e, (i1 - e * x1) % p))
+
+    def rich(a, b, need):
+        if need == 1:
+            vs = [(x, (a * x + b) * iy % p) for x, iy in off_axis]
+            return {c * p + (v - c * x) % p for x, v in vs for c in range(p)}
+        least = need * (need - 1) // 2
+        if a:
+            votes = Counter([(c + b * e) % p * p + (d + b * h) % p for c, d, e, h in lines])
+        else:  # the block (0, 1), whose lines are those of row (0, 1)
+            votes = Counter([e * p + h for _, _, e, h in lines])
+        return [key for key, n in votes.items() if n >= least]
+
+    return rich
+
+
+def _lines_from_tally(off_axis, p: int):
+    """rich(a, b, need): the keys c*p + d of the lines v = cx + d through
+    at least need >= 1 of the points (x, (ax + b)/y), for (x, 1/y) in
+    off_axis, counted from one tally of each point's p lines: p*m table
+    lookups a row for m points.
+
+    The tables are built once: shift[c][i] = -c*x_i mod p for the i-th
+    point, and keyed[c], c*p + range(p) laid twice, so that
+    keyed[c][v + shift[c][i]] is the key of the line of slope c through
+    (x_i, v).
+    """
+    shift = [[-c * x % p for x, _ in off_axis] for c in range(p)]
+    keyed = [list(range(c * p, c * p + p)) * 2 for c in range(p)]
+
+    def rich(a, b, need):
+        vs = [(a * x + b) * iy % p for x, iy in off_axis]
+        votes = Counter(chain.from_iterable(
+            map(keyed[c].__getitem__, map(add, vs, shift[c])) for c in range(p)))
+        return [key for key, n in votes.items() if n >= need]
+
+    return rich
+
+
 def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:
     """All maps with at least k points of P on them, by scanning PGL(2, p).
 
     The oracle for the pivot enumeration; it shares no code with the pivot
-    reduction.  It walks the whole group one row (a, b, c, *) at a time.  In
-    a row each point's equation y(cx + d) = ax + b has at most one solution
-    d, so a Counter of these votes gives the richness of every map in the
-    row, in O(p^2 * |P|) steps for the whole group.
+    reduction.  It walks the whole group one row (a, b, *, *) at a time: the
+    rows (1, b) and the block (0, 1).  In a row, a point (x, y) with y != 0
+    lies on the map (a, b, c, d) iff the point (x, v), v = (ax + b)/y, lies
+    on the line v = cx + d, and the map is nonsingular.  So each row is a
+    line problem over the m points off the axis y = 0.  With m <= p it is
+    solved from the point pairs on each line, and otherwise from one tally
+    of each point's p lines: about p * min(m^2/2, p*m) steps for the group.
     """
     if k < 1:
         raise ValueError(f"the full-group scan needs k >= 1, got {k}")
     ctx = P.ctx
-    p = ctx.p
-    inv = ctx._inv
+    p, inv = ctx.p, ctx._inv
+    pp = p * p
     off_axis = [(x, inv[y]) for x, y in P.points if y]
     on_axis = {x for x, y in P.points if not y}
-    # The canonical maps of row (a, b, c, *) have the keys row + d.
+    if len(off_axis) > p:
+        rich = _lines_from_tally(off_axis, p)
+    else:
+        rich = _lines_from_pairs(off_axis, p, inv)
     keys = []
-    for b in range(p):
-        # Row (1, b, c, *): d = (x + b)/y - cx.  At x = -b this is the
-        # singular d = bc, so that point lies on no map of the row.
-        base = [((x + b) * iy % p, x) for x, iy in off_axis]
-        # (-b, 0) lies on every nonsingular map of the row.
-        need = k - ((-b) % p in on_axis)
-        for c in range(p):
-            if need < 1:
-                ds = range(p)
-            else:
-                votes = Counter([(u - c * x) % p for u, x in base])
-                ds = [d for d, m in votes.items() if m >= need]
-            bc = b * c % p
-            row = ((p + b) * p + c) * p
-            keys.extend(row + d for d in ds if d != bc)
-    # Block (0, 1, c, *), c != 0: d = 1/y - cx; no point with y = 0 is on it.
-    for c in range(1, p):
-        votes = Counter([(iy - c * x) % p for x, iy in off_axis])
-        row = (p + c) * p
-        keys.extend(row + d for d, m in votes.items() if m >= k)
+    for a, b in chain(zip(repeat(1), range(p)), [(0, 1)]):
+        # (-b, 0) lies on every nonsingular map of row (1, b); no point of
+        # the axis lies on a map of the block.  Every point at x = -b goes
+        # to (-b, 0), on the singular lines d = bc only.
+        need = k - (a == 1 and (-b) % p in on_axis)
+        lines = rich(a, b, need) if need > 0 else range(pp)
+        # The map (a, b, c, d) has the key row + c*p + d; keep ad - bc != 0.
+        row = (a * p + b) * pp
+        keys.extend(row + key for key in lines if (a * key - b * (key // p)) % p)
     keys.sort()
     return TransformSet.from_sorted(keys, ctx)

@@ -32,3 +32,11 @@ def test_io_loads_neither_applications_nor_pivot():
     loaded = set(done.stdout.split())
     assert done.returncode == 0 and "mobinc.io" in loaded and "mobinc.incidence" in loaded
     assert not loaded & {"mobinc.applications", "mobinc.pivot"}
+
+
+def test_incidence_loads_no_pivot():
+    # The group scan is the oracle of the pivot enumeration: it shares no code.
+    done = _fresh("import sys, mobinc.incidence; print(*sorted(sys.modules))")
+    loaded = set(done.stdout.split())
+    assert done.returncode == 0 and "mobinc.incidence" in loaded
+    assert "mobinc.pivot" not in loaded

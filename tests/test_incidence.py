@@ -1,6 +1,7 @@
 """Incidence counting, richness, and the full-group scan."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -19,6 +20,8 @@ from mobinc.incidence import (
     PointSet,
     ScalarSet,
     TransformSet,
+    _lines_from_pairs,
+    _lines_from_tally,
     columns,
     count_incidences,
     incidences_of,
@@ -253,6 +256,90 @@ def test_rich_transforms_brute_equals_literal_scan(p, n):
             found = rich_transforms_brute(P, k)
             expected = TransformSet([f for f, r in reference.items() if r >= k], ctx)
             assert found == expected
+
+
+def _vote_scan_reference(P, k):
+    """The group scan as it was: in each row (a, b, c, *) every point's
+    equation y(cx + d) = ax + b votes for its one solution d, and a Counter
+    of the votes gives the richness of every map of the row (p^2 * |P|
+    steps)."""
+    ctx = P.ctx
+    p = ctx.p
+    inv = ctx._inv
+    off_axis = [(x, inv[y]) for x, y in P.points if y]
+    on_axis = {x for x, y in P.points if not y}
+    keys = []
+    for b in range(p):
+        # Row (1, b, c, *): d = (x + b)/y - cx.  At x = -b this is the
+        # singular d = bc, so that point lies on no map of the row.
+        base = [((x + b) * iy % p, x) for x, iy in off_axis]
+        # (-b, 0) lies on every nonsingular map of the row.
+        need = k - ((-b) % p in on_axis)
+        for c in range(p):
+            if need < 1:
+                ds = range(p)
+            else:
+                votes = Counter([(u - c * x) % p for u, x in base])
+                ds = [d for d, m in votes.items() if m >= need]
+            bc = b * c % p
+            row = ((p + b) * p + c) * p
+            keys.extend(row + d for d in ds if d != bc)
+    # Block (0, 1, c, *), c != 0: d = 1/y - cx; no point with y = 0 is on it.
+    for c in range(1, p):
+        votes = Counter([(iy - c * x) % p for x, iy in off_axis])
+        row = (p + c) * p
+        keys.extend(row + d for d, m in votes.items() if m >= k)
+    keys.sort()
+    return TransformSet.from_sorted(keys, ctx)
+
+
+def _switch_sets(ctx):
+    """Sets just below and just above the switch of the scan's row kernels:
+    m = p and m = p + 1 points off the axis y = 0.  Both hold points of the
+    axis, so that some rows (1, b) hold (-b, 0) and some do not; part of
+    the column x = 3, which collapses to (-b, 0) in the row b = -3; and part
+    of the row y = 2, which lies on a singular map of every row (1, b) and
+    on the constant maps c = 0 of the block (0, 1)."""
+    p = ctx.p
+    lines = {*((3, y) for y in range(1, 2 + p // 3)),
+             *((x, 2) for x in [x for x in range(p) if x != 3][: 2 + p // 4])}
+    rest = sorted(set(product(range(p), range(1, p))) - lines)
+    others = random.Random(p).sample(rest, p + 1 - len(lines))
+    axis = [(x, 0) for x in range(0, p, 3)]
+    for m in (p, p + 1):
+        yield PointSet([*lines, *others[: m - len(lines)], *axis], ctx)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 61])
+def test_rich_transforms_brute_equals_vote_scan(p):
+    ctx = FieldContext(p)
+    sets = list(_switch_sets(ctx))
+    assert [sum(1 for _, y in P.points if y) for P in sets] == [p, p + 1]
+    for P in sets:
+        for k in (1, 2, 3, 4, 5):
+            assert rich_transforms_brute(P, k) == _vote_scan_reference(P, k), (len(P), k)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_line_kernels_count_every_row_as_a_literal_loop(p):
+    """Both row kernels, on sets below and above the switch, give the lines
+    v = cx + d through at least `need` of the points (x, (ax + b)/y) in every
+    row (1, b) and in the block (0, 1).  In row (1, b) every point at x = -b
+    lands on (-b, 0), so the lines through it, d = bc, are left out."""
+    ctx = FieldContext(p)
+    inv = ctx._inv
+    rows = [*((1, b) for b in range(p)), (0, 1)]
+    for P in _switch_sets(ctx):
+        off_axis = [(x, inv[y]) for x, y in P.points if y]
+        kernels = (_lines_from_pairs(off_axis, p, inv), _lines_from_tally(off_axis, p))
+        for a, b in rows:
+            points = [(x, (a * x + b) * iy % p) for x, iy in off_axis]
+            on_line = {c * p + d: sum(1 for x, v in points if (c * x + d - v) % p == 0)
+                       for c in range(p) for d in range(p) if not a or d != b * c % p}
+            for need in (1, 2, 3, 4, 5):
+                expected = sorted(key for key, n in on_line.items() if n >= need)
+                for rich in kernels:
+                    assert sorted(on_line.keys() & set(rich(a, b, need))) == expected, (a, b, need)
 
 
 def test_rich_transforms_monotone_in_k():
