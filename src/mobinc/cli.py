@@ -34,8 +34,13 @@ from .incidence import count_incidences, rich_transforms_brute
 from .pivot import check_reduction, refuse_pivot_work, rich_transforms_pivot
 from .sweep import SweepConfig, json_line, rows_to_csv, rows_to_jsonl, sweep
 
-# The group scan of 60 points at p = 1009: the largest one the CLI starts.
-MAX_BRUTE_WORK = 1009**2 * 60
+# The group scan of 200 points at p = 547, about 4 s: the largest one the
+# CLI starts.  For m points off the axis y = 0 the scan takes about
+# p*min(m(m-1)/2, p*m) steps, plus about 16 steps' worth of its own for each
+# of its p + 1 rows: the rows set the time of scans of a few points at a
+# large p (2 points at p = 200003 take 4.6 us a row, and one point pair in a
+# row about 0.35 us).
+MAX_BRUTE_WORK = 547 * (math.comb(200, 2) + 16)
 # The most maps the pivot limit lets rich-enum list: C(200, 3) = 1313400.
 MAX_BRUTE_LISTING = math.comb(200, 3)
 # The exhaustive check at p = 53: the largest run the CLI starts.  743 is
@@ -75,12 +80,14 @@ def _cmd_incidence(args) -> int:
 def _cmd_rich_enum(args) -> int:
     n, p, k = len(args.points), args.ctx.p, args.k
     if args.method != "pivot":
-        # The limit counts p^2 steps a point.  The scan takes fewer, about
-        # p*min(m^2/2, p*m) for m points off the axis y = 0.
-        if p**2 * n > MAX_BRUTE_WORK:
+        m = sum(1 for _, y in args.points.points if y)
+        work = p * (min(m * (m - 1) // 2, p * m) + 16)
+        if work > MAX_BRUTE_WORK:
             raise ValueError(
-                f"the group scan of {n} points at p={p} needs over "
-                f"1009^2*60 = {MAX_BRUTE_WORK} steps; enumerate with --method pivot"
+                f"the group scan of {n} points at p={p}, m={m} of them off the axis "
+                f"y = 0, needs about p*(min(m(m-1)/2, p*m) + 16) = {work} steps, over "
+                f"the limit 547*(C(200,2) + 16) = {MAX_BRUTE_WORK}; enumerate with "
+                f"--method pivot"
             )
         # It keeps every map through k points: p(p-1) maps pass through one
         # point, p-1 through two and at most one through three.  It refuses

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain, combinations, groupby, repeat
+from itertools import chain, combinations, compress, groupby, repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
@@ -219,25 +219,51 @@ def _lines_from_pairs(off_axis, p: int, inv):
     return rich
 
 
-def _lines_from_tally(off_axis, p: int):
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _lines_from_bits(off_axis, p: int):
     """rich(a, b, need): the keys c*p + d of the lines v = cx + d through
     at least need >= 1 of the points (x, (ax + b)/y), for (x, 1/y) in
-    off_axis, counted from one tally of each point's p lines: p*m table
-    lookups a row for m points.
+    off_axis, counted in masks whose bit c*p + d is that line: a few
+    operations on p^2-bit integers a point, and one read of p^2 bits a row.
 
-    The tables are built once: shift[c][i] = -c*x_i mod p for the i-th
-    point, and keyed[c], c*p + range(p) laid twice, so that
-    keyed[c][v + shift[c][i]] is the key of the line of slope c through
-    (x_i, v).
+    The tables are built once: base[x] holds the p lines through (x, 0),
+    d = -cx, one bit in each p-bit block c, and low[v] the bits d >= v of
+    every block.  The lines through (x, v) are base[x] with every block
+    rotated by v: the bits the left shift by v carries past a block's end
+    come back in through the right shift by p - v.  levels[j], j < need,
+    holds the lines through more than j of the points, so the last level
+    holds the lines asked for; each point's lines are carried up the levels
+    as in a binary counter, and the carry stops at the first level that
+    held none of them.
     """
-    shift = [[-c * x % p for x, _ in off_axis] for c in range(p)]
-    keyed = [list(range(c * p, c * p + p)) * 2 for c in range(p)]
+    pp = p * p
+    # Row s of the multiplication table is every s-th entry of range(p)
+    # laid p times: -c*x mod p for every c, at s = -x mod p.
+    cycle, starts, base = list(range(p)) * p, range(0, pp, p), []
+    for s in (-x % p for x in range(p)):
+        packed = bytearray(pp // 8 + 1)
+        for i in map(add, starts, cycle[: s * p : s] if s else [0] * p):
+            packed[i >> 3] |= 1 << (i & 7)
+        base.append(int.from_bytes(packed, "little"))
+    blocks = int("1".rjust(p, "0") * p, 2)
+    low = [blocks * ((1 << p) - (1 << v)) for v in range(p)]
+    keys = list(range(pp))
 
     def rich(a, b, need):
-        vs = [(a * x + b) * iy % p for x, iy in off_axis]
-        votes = Counter(chain.from_iterable(
-            map(keyed[c].__getitem__, map(add, vs, shift[c])) for c in range(p)))
-        return [key for key, n in votes.items() if n >= need]
+        levels = [0] * need
+        for x, iy in off_axis:
+            v = (a * x + b) * iy % p
+            lines = base[x]
+            wrap = lines >> p - v
+            lines = wrap ^ (wrap ^ lines << v) & low[v]
+            for j, old in enumerate(levels):
+                levels[j] = old | lines
+                lines &= old
+                if not lines:
+                    break
+        return compress(keys, format(levels[-1], "b")[::-1].encode().translate(_BITS))
 
     return rich
 
@@ -250,9 +276,12 @@ def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:
     rows (1, b) and the block (0, 1).  In a row, a point (x, y) with y != 0
     lies on the map (a, b, c, d) iff the point (x, v), v = (ax + b)/y, lies
     on the line v = cx + d, and the map is nonsingular.  So each row is a
-    line problem over the m points off the axis y = 0.  With m <= p it is
-    solved from the point pairs on each line, and otherwise from one tally
-    of each point's p lines: about p * min(m^2/2, p*m) steps for the group.
+    line problem over the m points off the axis y = 0.  With m <= p/2 it
+    is solved from the point pairs on each line, m^2/2 interpreted steps a
+    row.  With more it is solved in masks with one bit per line, each
+    point's p lines one mask: a few p^2-bit integer operations a point and
+    one read of p^2 bits a row.  From p = 13 to p = 397 the masks overtake
+    the pairs near m = p/2.
     """
     if k < 1:
         raise ValueError(f"the full-group scan needs k >= 1, got {k}")
@@ -261,8 +290,8 @@ def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:
     pp = p * p
     off_axis = [(x, inv[y]) for x, y in P.points if y]
     on_axis = {x for x, y in P.points if not y}
-    if len(off_axis) > p:
-        rich = _lines_from_tally(off_axis, p)
+    if 2 * len(off_axis) > p:
+        rich = _lines_from_bits(off_axis, p)
     else:
         rich = _lines_from_pairs(off_axis, p, inv)
     keys = []

@@ -32,11 +32,13 @@ at least j points has exactly one production whose line carries exactly
 j - 1 later points.
 
 The walk counts the moved points on each chart line in one of two ways.
-A pivot that moves m <= p points counts the m(m-1)/2 point pairs on each
-line (_line_pairs).  One that moves more tallies its chart slope by slope
-(_slope_tally): each moved point lies on one line of each of the p slopes
-and on one vertical, so p*m table lookups count every line at once.  A
-pivot thus costs about min(m^2/2, p*m) steps.
+A pivot that moves m <= p/2 points counts the m(m-1)/2 point pairs on each
+line (_line_pairs).  One that moves more counts in big-int masks with one
+bit per line (_chart_levels): each moved point lies on one line of each of
+the p slopes and on one vertical, those p + 1 lines are one mask, and a
+binary counter of masks adds them all at once.  A dense pivot thus costs a
+few operations on p^2-bit integers a point, against m/2 interpreted pair
+updates a point for a sparse one.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import compress, count, repeat
 from operator import add, itemgetter
 from typing import NamedTuple, Optional, Union
 
@@ -211,12 +213,12 @@ def line_preimage(
 
 
 # The pivot enumeration of 200 points: a pivot that moves m points costs
-# about min(m^2/2, p*m) steps, so the work grows as n^3/6 on sparse sets and
-# more slowly once pivots move more than p points; the limit counts n^3
-# whatever p and k.  At k = 3 and p = 9973, 200 random points yield 1.3
-# million maps; beck counts them in about 1 s and 25 MB, and the sorted
-# rich-enum listing takes about 3.5 s and 105 MB (Python 3.11, shared 2-core
-# machine).
+# about m^2/2 steps, or a few p^2-bit mask operations a point once it moves
+# more than p/2 points, so the work grows as n^3/6 on sparse sets and more
+# slowly on dense ones; the limit counts n^3 whatever p and k.  At k = 3 and
+# p = 9973, 200 random points yield 1.3 million maps; beck counts them in
+# about 1 s and 25 MB, and the sorted rich-enum listing takes about 3.5 s
+# and 105 MB (Python 3.11, shared 2-core machine).
 MAX_PIVOT_WORK = 200**3
 
 
@@ -229,87 +231,122 @@ def refuse_pivot_work(n: int) -> None:
         )
 
 
-def _pair_count(m: int) -> int:
-    """The value _line_pairs holds for a line through m points."""
-    return m * (m - 1) // 2
+def _pencil_tables(p: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The masks _chart_levels reads, and the key of each bit.  Bit c*p + j
+    of a mask is the line A = cB + j and bit p*p + beta the vertical
+    B = beta, as _line_pairs keys them.  base[B] holds the p lines through
+    (B, 0), j = -c*B, one bit in each p-bit block c; low[A] the bits j >= A
+    of every block; and vertical[B] the vertical through (B, *)."""
+    pp = p * p
+    # Row s of the multiplication table is every s-th entry of range(p)
+    # laid p times: -c*B mod p for every c, at s = -B mod p.
+    cycle, starts, base = list(range(p)) * p, range(0, pp, p), []
+    for s in (-B % p for B in range(p)):
+        packed = bytearray(pp // 8 + 1)
+        for i in map(add, starts, cycle[: s * p : s] if s else [0] * p):
+            packed[i >> 3] |= 1 << (i & 7)
+        base.append(int.from_bytes(packed, "little"))
+    blocks = int("1".rjust(p, "0") * p, 2)
+    low = [blocks * ((1 << p) - (1 << A)) for A in range(p)]
+    vertical = [1 << pp + B for B in range(p)]
+    return base, low, vertical, list(range(pp + p))
 
 
-def _point_count(m: int) -> int:
-    """The value _slope_tally holds for a line through m points."""
-    return m
+def _chart_levels(moved, p: int, tables, top: int) -> list[int]:
+    """levels[j], j < top: the mask of the lines (see _pencil_tables)
+    through more than j of the moved points.
+
+    The p + 1 lines through (B, A) are base[B] with every p-bit block
+    rotated by A, plus vertical[B]: the bits the left shift by A carries
+    past a block's end come back in through the right shift by p - A.
+    Each point's lines are carried up the levels as in a binary counter,
+    and the carry stops at the first level that held none of them."""
+    base, low, vertical, _ = tables
+    levels = [0] * top
+    for B, A in moved:
+        lines = base[B]
+        wrap = lines >> p - A
+        lines = wrap ^ (wrap ^ lines << A) & low[A] | vertical[B]
+        for j, old in enumerate(levels):
+            levels[j] = old | lines
+            lines &= old
+            if not lines:
+                break
+    return levels
 
 
-def _slope_tables(p: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Per slope c, the tables _slope_tally reads: shift[c][B] = -c*B mod p,
-    and keyed[c], c*p + range(p) laid twice, so that keyed[c][A + shift[c][B]]
-    = c*p + (A - c*B) mod p is the key of the line of slope c through (B, A)."""
-    shift = [[-c * B % p for B in range(p)] for c in range(p)]
-    keyed = [list(range(c * p, c * p + p)) * 2 for c in range(p)]
-    return shift, keyed
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _slope_tally(moved, p: int, tables) -> Counter:
-    """Points per line: every line through one or more of the moved points,
-    keyed as _line_pairs keys it, with its number of points.
-
-    Each point (B, A) lies on one line A = cB + j of each slope c and on the
-    vertical B = beta, so a slope takes one pass of table lookups over the
-    points, and one Counter reads the p + 1 passes."""
-    shift, keyed = tables
-    Bs = [B for B, _ in moved]
-    As = [A for _, A in moved]
-    return Counter(chain(map((p * p).__add__, Bs), *[
-        map(keyed[c].__getitem__, map(add, As, map(shift[c].__getitem__, Bs))) for c in range(p)]))
+def _set_bits(mask: int, keys):
+    """keys[i] for each set bit i of mask, in increasing order of i."""
+    return compress(keys, format(mask, "b")[::-1].encode().translate(_BITS))
 
 
-def _chart_lines(P: PointSet, k: int):
-    """(q1, q2, lines, size) per pivot q: the lines of the chart of q through
-    the later points moved there, with the lines of the rows and columns of
-    P dropped, so that every line left through two or more points carries
-    one map (see the module docstring).  A line through exactly m moved
-    points holds size(m): the tally of _slope_tally when the pivot moves
-    more than p points, where its p*m lookups beat the m^2/2 pairs, and
-    _line_pairs otherwise.  Each dict is emptied when the walk moves on, so
-    only one is held at a time."""
+def _chart_lines(P: PointSet, k: int, listing: bool):
+    """(q1, q2, lines) per pivot q, from the chart lines through the later
+    points moved to q, the lines of the rows and columns of P dropped, so
+    that every line left through two or more points carries one map (see
+    the module docstring).  With listing, lines are the keys of the lines
+    through exactly k - 1 moved points; otherwise a dict m -> the number of
+    lines through exactly m >= k - 1 moved points.
+
+    A pivot that moves m > p/2 points counts its lines in masks
+    (_chart_levels), a few p^2-bit operations a point, and reads each
+    level it needs once; one that moves fewer counts the m(m-1)/2 point
+    pairs on each line (_line_pairs).  From p = 13 to p = 397 the masks
+    overtake the pairs between m = 0.4p and m = 0.5p; switching at p/2 also
+    pays for the tables, built at the first dense pivot of a walk."""
     if k < 3:
         raise ValueError(f"pivot enumeration needs k >= 3, got {k}")
     ctx, p, inv, pts = P.ctx, P.ctx.p, P.ctx._inv, P.points
-    row_keys = [inv[r] * p if r else p * p for r, n in Counter(y for _, y in pts).items() if n > 1]
+    pp = p * p
+    row_keys = [inv[r] * p if r else pp for r, n in Counter(y for _, y in pts).items() if n > 1]
     columns = [s for s, n in Counter(x for x, _ in pts).items() if n > 1]
-    tables = None
+    least = (k - 1) * (k - 2) // 2
+    pairs = {m * (m - 1) // 2: m for m in range(2, len(pts))}
+    tables = rows = None
     for i, (q1, q2) in enumerate(pts):
         moved = [(y * A % p, A) for x, y in pts[i + 1 :] if x != q1 and y != q2
                  for A in [(x - q1) * inv[(y - q2) % p] % p]]
-        if len(moved) > p:
-            tables = tables or _slope_tables(p)
-            lines, size = _slope_tally(moved, p, tables), _point_count
-        else:
-            lines, size = _line_pairs(moved, ctx), _pair_count
         w = inv[q2]
-        column_keys = [w * p + (q1 - s) * w % p if w else p * p + (s - q1) % p for s in columns]
-        for key in row_keys + column_keys:
-            lines.pop(key, None)
-        yield q1, q2, lines, size
-        lines.clear()
+        if 2 * len(moved) > p:
+            if not tables:
+                tables, rows = _pencil_tables(p), sum(1 << key for key in row_keys)
+            levels = _chart_levels(moved, p, tables, k if listing else len(moved))
+            # A column is one block: the lines of slope w, or the verticals.
+            column = sum(1 << ((q1 - s) * w if w else s - q1) % p for s in columns)
+            drop = rows | column << (w if w else p) * p
+            if listing:
+                exact = levels[k - 2] ^ levels[k - 1]
+                lines = _set_bits(exact ^ exact & drop, tables[3])
+            else:
+                at_least = [(level ^ level & drop).bit_count() for level in levels[k - 2 :]]
+                lines = {m: n - more for m, n, more in zip(
+                    count(k - 1), at_least, at_least[1:] + [0]) if n > more}
+        else:
+            lines = _line_pairs(moved, ctx)
+            for key in row_keys:
+                lines.pop(key, None)
+            for s in columns:
+                lines.pop(w * p + (q1 - s) * w % p if w else pp + (s - q1) % p, None)
+            if listing:
+                lines = compress(lines, map(least.__eq__, lines.values()))
+            else:
+                lines = {pairs[v]: n for v, n in Counter(lines.values()).items() if v >= least}
+        yield q1, q2, lines
 
 
 def rich_counts(P: PointSet, k: int) -> dict[int, int]:
     """For each r >= k, the number of maps with at least r points of P.
 
-    These are the lines through exactly m = r - 1 later points.  The chart
-    of each pivot holds size(m) on such a line, so one tally of the values
-    is kept per size and read back through m -> size(m) for m >= k - 1.
-    No map is built.
+    These are the lines through exactly r - 1 later points, summed over
+    the pivots.  No map is built.
     """
-    tallies: dict = {}
-    for _, _, lines, size in _chart_lines(P, k):
-        tallies.setdefault(size, Counter()).update(lines.values())
     counts = Counter()
-    for size, tally in tallies.items():
-        for m in range(k - 1, len(P)):
-            if n := tally.get(size(m)):
-                counts[m + 1] += n
-    return dict(counts)
+    for _, _, lines in _chart_lines(P, k, listing=False):
+        counts.update(lines)
+    return {m + 1: n for m, n in sorted(counts.items())}
 
 
 def rich_transforms_pivot(P: PointSet, k: int) -> TransformSet:
@@ -320,9 +357,7 @@ def rich_transforms_pivot(P: PointSet, k: int) -> TransformSet:
     """
     p, inv = P.ctx.p, P.ctx._inv
     keys = []
-    for q1, q2, chart, size in _chart_lines(P, k):
-        exact = size(k - 1)
-        lines = compress(chart, map(exact.__eq__, chart.values()))
+    for q1, q2, lines in _chart_lines(P, k, listing=True):
         # divmod gives (c, j) for A = cB + j and (p, beta) for B = beta.
         keys += [((p + (q2 * j - q1) % p) * p + c) * p + (j - c * q1) % p if c < p
                  else (p + (g := inv[-q2 * j % p])) * p + -(j + q1) * g % p

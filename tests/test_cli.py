@@ -117,26 +117,31 @@ def _scan_unreachable(*args, **kwargs):
     raise AssertionError("rich_transforms_brute was called")
 
 
-def _grid_file(files, p, n):
-    """n distinct points mod p, one per line."""
-    return files("grid.txt", "".join(f"{i % p},{i // p}\n" for i in range(n)))
+def _grid_file(files, p, n, row=0):
+    """n distinct points mod p, one per line, filling the rows y = row,
+    row + 1, ... in turn."""
+    return files("grid.txt", "".join(f"{i % p},{row + i // p}\n" for i in range(n)))
 
 
+# The scan limit, 547*(C(200,2) + 16) steps of p*(min(m(m-1)/2, p*m) + 16)
+# for m points off the axis y = 0, falls between 147 and 148 such points at
+# p = 1009 and between 46 and 47 at p = 9973.
 @pytest.mark.parametrize("p, n, method", [
-    (1009, 61, None),
-    (9973, 3, "brute"),
+    (1009, 148, None),
+    (9973, 48, "brute"),
 ])
 def test_rich_enum_refuses_unbounded_scan(files, capsys, monkeypatch, p, n, method):
     # Refused once the points are loaded, before either enumerator runs.
     monkeypatch.setattr(cli, "rich_transforms_brute", _scan_unreachable)
     monkeypatch.setattr(cli, "rich_transforms_pivot", _scan_unreachable)
-    argv = ["rich-enum", "--points", _grid_file(files, p, n), "-p", str(p), "-k", "3"]
+    argv = ["rich-enum", "--points", _grid_file(files, p, n, row=1), "-p", str(p), "-k", "3"]
     if method:
         argv += ["--method", method]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "--method pivot" in err
+    work = p * (n * (n - 1) // 2 + 16)
+    assert f"m={n} of them" in err and f"= {work} steps" in err and "--method pivot" in err
 
 
 def test_rich_enum_pivot_is_not_limited_by_the_scan(files, capsys, monkeypatch):
@@ -149,11 +154,22 @@ def test_rich_enum_pivot_is_not_limited_by_the_scan(files, capsys, monkeypatch):
 def test_rich_enum_admits_scan_at_p1009(files, capsys, monkeypatch):
     monkeypatch.setattr(cli, "rich_transforms_brute", _scan_unreachable)
     with pytest.raises(AssertionError, match="rich_transforms_brute"):
-        run(capsys, "rich-enum", "--points", _grid_file(files, 1009, 60),
+        run(capsys, "rich-enum", "--points", _grid_file(files, 1009, 147, row=1),
             "-p", "1009", "-k", "3", "--method", "brute")
 
 
-@pytest.mark.parametrize("p, n, k", [(1009, 60, 1), (1009, 60, 2), (211, 1372, 3)])
+def test_rich_enum_scans_few_points_at_a_large_prime(files, capsys):
+    # p^2 * n steps, the former count, refused these 10 points; the scan
+    # walks the p + 1 rows of PGL(2, 2477) with 45 point pairs each.
+    p, rng = 2477, random.Random(2477)
+    points = files("p.txt", "".join(f"{v // p},{v % p}\n"
+                                     for v in rng.sample(range(p * p), 10)))
+    code, out, _ = run(capsys, "rich-enum", "--points", points, "-p", str(p), "-k", "3")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "MATCH" and len(lines) - 1 == 120
+
+
+@pytest.mark.parametrize("p, n, k", [(1009, 60, 1), (1009, 60, 2), (211, 300, 3)])
 @pytest.mark.parametrize("method", ["brute", "both"])
 def test_rich_enum_refuses_unbounded_listing(files, capsys, monkeypatch, p, n, k, method):
     # The scan's steps are admitted, but the maps it would keep are over

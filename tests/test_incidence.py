@@ -2,7 +2,8 @@
 
 import random
 from collections import Counter
-from itertools import product
+from itertools import chain, product
+from operator import add
 
 import pytest
 
@@ -20,8 +21,8 @@ from mobinc.incidence import (
     PointSet,
     ScalarSet,
     TransformSet,
+    _lines_from_bits,
     _lines_from_pairs,
-    _lines_from_tally,
     columns,
     count_incidences,
     incidences_of,
@@ -294,27 +295,28 @@ def _vote_scan_reference(P, k):
 
 
 def _switch_sets(ctx):
-    """Sets just below and just above the switch of the scan's row kernels:
-    m = p and m = p + 1 points off the axis y = 0.  Both hold points of the
-    axis, so that some rows (1, b) hold (-b, 0) and some do not; part of
-    the column x = 3, which collapses to (-b, 0) in the row b = -3; and part
-    of the row y = 2, which lies on a singular map of every row (1, b) and
-    on the constant maps c = 0 of the block (0, 1)."""
+    """Sets on both sides of the switch of the scan's row kernels, m = p//2
+    and p//2 + 1 points off the axis y = 0, and two sets well past it,
+    m = p and p + 1.  All hold points of the axis, so that some rows (1, b) hold
+    (-b, 0) and some do not.  As far as m allows, they hold part of the
+    column x = 3, which collapses to (-b, 0) in the row b = -3, and part of
+    the row y = 2, which lies on a singular map of every row (1, b) and on
+    the constant maps c = 0 of the block (0, 1)."""
     p = ctx.p
-    lines = {*((3, y) for y in range(1, 2 + p // 3)),
-             *((x, 2) for x in [x for x in range(p) if x != 3][: 2 + p // 4])}
-    rest = sorted(set(product(range(p), range(1, p))) - lines)
-    others = random.Random(p).sample(rest, p + 1 - len(lines))
+    lines = [*((3, y) for y in range(1, 2 + p // 3)),
+             *((x, 2) for x in [x for x in range(p) if x != 3][: 2 + p // 4])]
+    rest = sorted(set(product(range(p), range(1, p))) - set(lines))
+    off_axis = lines + random.Random(p).sample(rest, p + 1)
     axis = [(x, 0) for x in range(0, p, 3)]
-    for m in (p, p + 1):
-        yield PointSet([*lines, *others[: m - len(lines)], *axis], ctx)
+    for m in (p // 2, p // 2 + 1, p, p + 1):
+        yield PointSet([*off_axis[:m], *axis], ctx)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 61])
 def test_rich_transforms_brute_equals_vote_scan(p):
     ctx = FieldContext(p)
     sets = list(_switch_sets(ctx))
-    assert [sum(1 for _, y in P.points if y) for P in sets] == [p, p + 1]
+    assert [sum(1 for _, y in P.points if y) for P in sets] == [p // 2, p // 2 + 1, p, p + 1]
     for P in sets:
         for k in (1, 2, 3, 4, 5):
             assert rich_transforms_brute(P, k) == _vote_scan_reference(P, k), (len(P), k)
@@ -331,7 +333,7 @@ def test_line_kernels_count_every_row_as_a_literal_loop(p):
     rows = [*((1, b) for b in range(p)), (0, 1)]
     for P in _switch_sets(ctx):
         off_axis = [(x, inv[y]) for x, y in P.points if y]
-        kernels = (_lines_from_pairs(off_axis, p, inv), _lines_from_tally(off_axis, p))
+        kernels = (_lines_from_pairs(off_axis, p, inv), _lines_from_bits(off_axis, p))
         for a, b in rows:
             points = [(x, (a * x + b) * iy % p) for x, iy in off_axis]
             on_line = {c * p + d: sum(1 for x, v in points if (c * x + d - v) % p == 0)
@@ -340,6 +342,56 @@ def test_line_kernels_count_every_row_as_a_literal_loop(p):
                 expected = sorted(key for key, n in on_line.items() if n >= need)
                 for rich in kernels:
                     assert sorted(on_line.keys() & set(rich(a, b, need))) == expected, (a, b, need)
+
+
+def _lines_from_tally(off_axis, p):
+    """Reference for _lines_from_bits, the scan's former dense kernel:
+    rich(a, b, need), the keys c*p + d of the lines v = cx + d through at
+    least need >= 1 of the points (x, (ax + b)/y), for (x, 1/y) in off_axis,
+    from one tally of each point's p lines.  shift[c][i] = -c*x_i mod p for
+    the i-th point, and keyed[c], c*p + range(p) laid twice, so that
+    keyed[c][v + shift[c][i]] is the key of the line of slope c through
+    (x_i, v)."""
+    shift = [[-c * x % p for x, _ in off_axis] for c in range(p)]
+    keyed = [list(range(c * p, c * p + p)) * 2 for c in range(p)]
+
+    def rich(a, b, need):
+        vs = [(a * x + b) * iy % p for x, iy in off_axis]
+        votes = Counter(chain.from_iterable(
+            map(keyed[c].__getitem__, map(add, vs, shift[c])) for c in range(p)))
+        return [key for key, n in votes.items() if n >= need]
+
+    return rich
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31])
+def test_bit_kernel_equals_tally_reference(p):
+    """In every row, the mask kernel lists for every `need` the lines that
+    the tally lists: on random sets, on a coset grid and on the full grid,
+    on whose lines v = cx + d lie p points each.  Rows map points to v = 0
+    at x = -b, and the block (0, 1) maps no point there."""
+    ctx = FieldContext(p)
+    inv = ctx._inv
+    plane = list(product(range(p), range(1, p)))
+    rng = random.Random(p)
+    d = max(d for d in range(1, p) if (p - 1) % d == 0 and d * d <= p)
+    S = {pow(x, (p - 1) // d, p) for x in range(1, p)}
+    sets = [rng.sample(plane, n) for n in sorted({1, p // 2 + 1, p - 1, min(2 * p, len(plane))})]
+    for points in (*sets, [(s, 2 * t % p) for s in S for t in S if t], plane):
+        off_axis = [(x, inv[y]) for x, y in points]
+        bits, tally = _lines_from_bits(off_axis, p), _lines_from_tally(off_axis, p)
+        # Every need on the 930 points of the plane at p = 31 would take
+        # seconds; there the needs sit around p and around 2p - 2, the most
+        # points on one line, since p - 1 points land on (-b, 0) in row (1, b).
+        needs = (range(1, len(off_axis) + 2) if len(off_axis) < 900
+                 else [1, 2, 3, p - 1, p, p + 1, 2 * p - 3, 2 * p - 2, 2 * p - 1])
+        for a, b in [*((1, b) for b in range(p)), (0, 1)]:
+            for need in needs:
+                expected = sorted(tally(a, b, need))
+                assert list(bits(a, b, need)) == expected, (a, b, need)
+                if not expected:
+                    break
+    assert tally(0, 1, p)
 
 
 def test_rich_transforms_monotone_in_k():

@@ -1,7 +1,9 @@
 """The pivot reduction: conjugation to lines, point transplant, enumeration."""
 
 import random
-from itertools import product
+from collections import Counter
+from itertools import chain, islice, product
+from operator import add
 
 import pytest
 
@@ -274,15 +276,30 @@ def _map_chart_key(f, q, ctx):
     return c * w % p * p + e * w % p
 
 
+def _pivot_walk(P, k, listing, monkeypatch, pivots=None):
+    """(q1, q2, lines, dense) for the first `pivots` pivots of the walk
+    (all by default), the listed keys sorted; dense when the pivot's lines
+    were counted in masks, not from their point pairs."""
+    walk, calls, levels = [], [], pivot_module._chart_levels
+    with monkeypatch.context() as patch:
+        patch.setattr(pivot_module, "_chart_levels",
+                      lambda *args: calls.append(args) or levels(*args))
+        for q1, q2, lines in islice(pivot_module._chart_lines(P, k, listing), pivots):
+            walk.append((q1, q2, sorted(lines) if listing else lines, bool(calls)))
+            calls.clear()
+    return walk
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_chart_lines_carry_exactly_the_maps_through_each_pivot(p):
+def test_chart_lines_carry_exactly_the_maps_through_each_pivot(p, monkeypatch):
     # Every map through q comes from the group scan, and every key from the
     # chart equation; the production walk and its decoding are then checked
     # against them.  PointSet.from_sorted keeps q first, so q is the pivot
     # of every other point: the walk reads only the order of the points.
-    # Behind q come either all other points, (p-1)^2 of them moved, which
-    # the slope tally counts from p = 3 on, or p of them, which the pairs
-    # count; a line through m moved points must hold size(m).
+    # Behind q come all other points, (p-1)^2 of them moved, which the
+    # masks count from p = 3 on, or p or p//2 + 1 of them, fewer moved,
+    # which the pairs count once at most p/2 are moved; the first pivot
+    # must list and count the lines through each number of moved points.
     ctx = FieldContext(p)
     inv = ctx._inv
     group = list(enumerate_group(ctx))
@@ -316,16 +333,18 @@ def test_chart_lines_carry_exactly_the_maps_through_each_pivot(p):
             assert key not in expected
             assert [s for s in admissible if _on_chart_line(moved[s], key, p)] == points
         rest = [s for s in grid if s != q]
-        for later in (rest, rest[:p]):
-            pivot_q1, pivot_q2, lines, size = next(pivot_module._chart_lines(
-                PointSet.from_sorted([q, *later], ctx), 3))
-            assert (pivot_q1, pivot_q2) == q
-            assert (size(2) == 2) == (sum(s in later for s in admissible) > p)
+        for later in (rest, rest[:p], rest[: p // 2 + 1]):
+            lone = PointSet.from_sorted([q, *later], ctx)
+            dense = 2 * sum(s in later for s in admissible) > p
             # A line through one moved point carries no map.
             through = {key: m for key, others in expected.items()
                        if (m := sum(s in later for s in others)) >= 2}
-            assert {key: v for key, v in lines.items() if v != size(1)} == {
-                key: size(m) for key, m in through.items()}
+            for k in range(3, max(through.values(), default=2) + 3):
+                listed, tally = (_pivot_walk(lone, k, listing, monkeypatch, pivots=1)[0]
+                                 for listing in (True, False))
+                assert listed[:2] == tally[:2] == q and listed[3] == tally[3] == dense
+                assert listed[2] == sorted(key for key, m in through.items() if m == k - 1)
+                assert tally[2] == Counter(m for m in through.values() if m >= k - 1)
 
 
 def _paper_chart_listing(P, k):
@@ -394,17 +413,66 @@ def test_rich_counts_equal_every_pivot_reference(p, n):
             assert rich_counts(P, k) == richness_tails(reference.values(), k)
 
 
+def _slope_tables(p):
+    """Per slope c, the tables _slope_tally reads: shift[c][B] = -c*B mod p,
+    and keyed[c], c*p + range(p) laid twice, so that keyed[c][A + shift[c][B]]
+    = c*p + (A - c*B) mod p is the key of the line of slope c through (B, A)."""
+    shift = [[-c * B % p for B in range(p)] for c in range(p)]
+    keyed = [list(range(c * p, c * p + p)) * 2 for c in range(p)]
+    return shift, keyed
+
+
+def _slope_tally(moved, p, tables):
+    """Reference for _chart_levels, the walk's former dense kernel: every
+    line through one or more of the points (B, A), keyed as _line_pairs
+    keys it, with its number of points.  Each point lies on one line
+    A = cB + j of each slope c and on the vertical B = beta, so a slope
+    takes one pass of table lookups over the points."""
+    shift, keyed = tables
+    Bs = [B for B, _ in moved]
+    As = [A for _, A in moved]
+    return Counter(chain(map((p * p).__add__, Bs), *[
+        map(keyed[c].__getitem__, map(add, As, map(shift[c].__getitem__, Bs))) for c in range(p)]))
+
+
+def coset_grid(p):
+    """S x 2S for the subgroup S of F_p^* of the largest order d <= sqrt(p)
+    dividing p - 1: the d-th powers' images x^((p-1)/d)."""
+    d = max(d for d in range(1, p) if (p - 1) % d == 0 and d * d <= p)
+    S = {pow(x, (p - 1) // d, p) for x in range(1, p)}
+    return [(s, 2 * t % p) for s in S for t in S]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31])
+def test_chart_levels_equal_slope_tally(p):
+    # Chart points (B, A) of random sets, of a coset grid and of the full
+    # grid, on whose lines lie p points each; points with A = 0 or B = 0
+    # are among them.  Under every cap `top`, level j must hold exactly the
+    # lines through more than j points, as _set_bits reads them.
+    tables, reference = pivot_module._pencil_tables(p), _slope_tables(p)
+    grid = list(product(range(p), repeat=2))
+    rng = random.Random(p)
+    sets = [rng.sample(grid, n) for n in sorted({1, p // 2 + 1, p, min(2 * p, p * p)})]
+    for moved in (*sets, coset_grid(p), grid):
+        tally = _slope_tally(moved, p, reference)
+        for top in range(1, max(tally.values()) + 2):
+            levels = pivot_module._chart_levels(moved, p, tables, top)
+            assert [list(pivot_module._set_bits(level, tables[3])) for level in levels] == [
+                sorted(key for key, n in tally.items() if n > j) for j in range(top)]
+    assert max(tally.values()) == p
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_dense_pivots_list_and_count_as_the_group_scan(p):
-    # A pivot that moves more than p points is tallied slope by slope, one
-    # that moves at most p by its point pairs.  Random sets of p to 4p
-    # points sit around that switch, and from 2p on they start dense and
-    # end sparse; the full grid, walked last, adds full rows and columns,
-    # dense pivots with q2 = 0 and maps with a = 0.
+def test_dense_pivots_list_and_count_as_the_group_scan(p, monkeypatch):
+    # A pivot that moves more than p/2 points is counted in masks, one
+    # that moves at most p/2 by its point pairs.  Random sets of p//2 + 1
+    # to 4p points sit around that switch, and from 2p on they start dense
+    # and end sparse; the full grid, walked last, adds full rows and
+    # columns, dense pivots with q2 = 0 and maps with a = 0.
     ctx = FieldContext(p)
     grid = PointSet(product(range(p), repeat=2), ctx)
-    for P in (*(random_points(ctx, n, n) for n in (p, p + 1, p + 2, 2 * p, 4 * p)), grid):
-        walk = [(q2, size(2) == 2) for _, q2, _, size in pivot_module._chart_lines(P, 3)]
+    for P in (*(random_points(ctx, n, n) for n in (p // 2 + 1, p, p + 2, 2 * p, 4 * p)), grid):
+        walk = [(q2, dense) for _, q2, _, dense in _pivot_walk(P, 3, True, monkeypatch)]
         if len(P) >= 2 * p:
             assert walk[0][1] and not walk[-1][1]
         scan = rich_transforms_brute(P, 3)
