@@ -30,7 +30,7 @@ from .applications import (
 from .energy import energy, energy_report, refuse_energy_work
 from .field import FieldContext, group_order
 from .generators import RANDOM_POINTS, generate_instance
-from .incidence import count_incidences, rich_transforms_brute
+from .incidence import MAX_INCIDENCE_PAIRS, count_incidences, rich_transforms_brute
 from .pivot import check_reduction, refuse_pivot_work, rich_transforms_pivot
 from .sweep import SweepConfig, json_line, rows_to_csv, rows_to_jsonl, sweep
 
@@ -73,6 +73,14 @@ def _emit_record(record: dict, as_json: bool = False) -> None:
 
 
 def _cmd_incidence(args) -> int:
+    # One column test per map and distinct abscissa: 2000^2 take about 1 s.
+    maps, abscissae = len(args.transforms), len({x for x, _ in args.points.points})
+    if maps * abscissae > MAX_INCIDENCE_PAIRS:
+        raise ValueError(
+            f"the incidences of {maps} maps and points at {abscissae} distinct "
+            f"abscissae need {maps * abscissae} column tests, over the limit "
+            f"2000^2 = {MAX_INCIDENCE_PAIRS}; give fewer points or maps"
+        )
     print(count_incidences(args.points, args.transforms))
     return 0
 

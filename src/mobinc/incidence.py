@@ -290,7 +290,8 @@ def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:
     pp = p * p
     off_axis = [(x, inv[y]) for x, y in P.points if y]
     on_axis = {x for x, y in P.points if not y}
-    if 2 * len(off_axis) > p:
+    m = len(off_axis)
+    if 2 * m > p:
         rich = _lines_from_bits(off_axis, p)
     else:
         rich = _lines_from_pairs(off_axis, p, inv)
@@ -298,8 +299,11 @@ def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:
     for a, b in chain(zip(repeat(1), range(p)), [(0, 1)]):
         # (-b, 0) lies on every nonsingular map of row (1, b); no point of
         # the axis lies on a map of the block.  Every point at x = -b goes
-        # to (-b, 0), on the singular lines d = bc only.
+        # to (-b, 0), on the singular lines d = bc only.  So a row that
+        # needs more than the m points off the axis holds no rich map.
         need = k - (a == 1 and (-b) % p in on_axis)
+        if need > m:
+            continue
         lines = rich(a, b, need) if need > 0 else range(pp)
         # The map (a, b, c, d) has the key row + c*p + d; keep ad - bc != 0.
         row = (a * p + b) * pp

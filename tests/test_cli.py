@@ -55,6 +55,26 @@ def test_incidence_prints_single_integer(files, capsys):
     assert out.strip() == "4"  # 3 on the curved map, 1 fixed point of identity
 
 
+@pytest.mark.parametrize("limit, code", [(12, 0), (11, 2)])
+def test_incidence_work_is_refused_over_the_limit(files, capsys, monkeypatch, limit, code):
+    # 4 maps against points at 3 distinct abscissae need 12 column tests;
+    # the refusal comes before any is made.
+    points = files("p.txt", "1,2\n1,3\n2,1\n0,0\n0,4\n")
+    transforms = files("t.txt", "3,0,1,4\n1,0,0,1\n1,1,0,1\n2,0,0,1\n")
+    monkeypatch.setattr(cli, "MAX_INCIDENCE_PAIRS", limit)
+    if code:
+        monkeypatch.setattr(cli, "count_incidences", _work_unreachable)
+    status, out, err = run(capsys, "incidence", "--points", points,
+                           "--transforms", transforms, "-p", "7")
+    assert status == code
+    if code:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: the incidences of 4 maps and points at 3 distinct "
+                              "abscissae need 12 column tests, over the limit")
+    else:
+        assert out == "7\n"  # 3 on the curved map, 1 on x, 1 on x + 1, 2 on 2x
+
+
 def test_rich_enum_match(files, capsys):
     points = files("p.txt", "1,2\n2,1\n0,0\n")
     code, out, err = run(capsys, "rich-enum", "--points", points,

@@ -7,6 +7,7 @@ from operator import add
 
 import pytest
 
+from mobinc import incidence
 from mobinc.energy import energy, energy_brute
 from mobinc.field import (
     INFINITY,
@@ -320,6 +321,38 @@ def test_rich_transforms_brute_equals_vote_scan(p):
     for P in sets:
         for k in (1, 2, 3, 4, 5):
             assert rich_transforms_brute(P, k) == _vote_scan_reference(P, k), (len(P), k)
+
+
+@pytest.mark.parametrize("p", [101, 640793])
+def test_rich_transforms_brute_skips_rows_that_cannot_be_rich(p, monkeypatch):
+    """A row (1, b) holds no point of the axis y = 0 but (-b, 0), so it needs
+    k - [(-b, 0) in P] of the points off the axis.  With two of them and
+    k = 3 no row runs its kernel; with (x, 0) added, only the row b = -x,
+    which lists the one map through the three points."""
+    kernel, calls = incidence._lines_from_pairs, []
+
+    def counted(*args):
+        rich = kernel(*args)
+
+        def row(a, b, need):
+            calls.append((a, b, need))
+            return rich(a, b, need)
+
+        return row
+
+    monkeypatch.setattr(incidence, "_lines_from_pairs", counted)
+    ctx = FieldContext(p)
+    two = [(1, 2), (5, 7)]
+    for points, rows, size in ((two, [], 0), ([*two, (3, 0)], [(1, p - 3, 2)], 1)):
+        P = PointSet(points, ctx)
+        calls.clear()
+        found = rich_transforms_brute(P, 3)
+        assert calls == rows
+        assert len(found) == size
+        if p < 1000:
+            assert found == _vote_scan_reference(P, 3)
+        else:
+            assert found == rich_transforms_pivot(P, 3)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
