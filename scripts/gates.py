@@ -245,6 +245,15 @@ GATES = [
      lambda g: g.stdout_is("energy", "-p", 31, "--transforms",
                            g.file(f"{a},{b},0,1" for a in range(1, 31) for b in range(31)),
                            expected="size=930 energy=804357000")),
+    ("Energy on both sides of the byte kernel",
+     "The maps x -> +-x + b form a subgroup H, so E(H) = |H|^3; below p = 255 energy keys "
+     "quotients by 4-byte rows, at p = 251 over all 252 points of the line, and above by "
+     "integers.",
+     lambda g: [g.stdout_is("energy", "-p", p, "--transforms",
+                            g.file(f"{a},{b},0,1" for a in (1, p - 1) for b in range(p)),
+                            expected=expected)
+                for p, expected in ((251, "size=502 energy=126506008"),
+                                    (257, "size=514 energy=135796744"))]),
     ("Benchmark smoke run",
      "One short seeded pass per workload, on seed 1 and on the held-out seed 17; the fixtures "
      "pin the stdout of the apps_cli invocations and the sweep JSONL, so output drift fails "

@@ -90,14 +90,14 @@ def test_energy_equals_brute_seeded(p, n, seed):
 
 @pytest.mark.parametrize("p,n,seed", [
     (5, 30, 1), (5, 120, 2), (13, 80, 3), (13, 300, 4), (101, 150, 5),
-    (101, 300, 6), (1009, 40, 7), (1009, 300, 8),
+    (101, 300, 6), (1009, 40, 7), (1009, 300, 8), (251, 80, 9), (257, 80, 10),
 ])
 def test_energy_equals_quotient_reference(p, n, seed):
     T = random_transform_set(FieldContext(p), n, seed)
     assert energy(T) == _quotient_reference(T)
 
 
-@pytest.mark.parametrize("p, side", [(7, 4), (13, 6), (101, 10)])
+@pytest.mark.parametrize("p, side", [(7, 4), (13, 6), (101, 10), (257, 10)])
 def test_energy_of_hyperbola_grids_equals_quotient_reference(p, side):
     ctx = FieldContext(p)
     grids = [[HyperbolaTranslate(a, b, eps) for a in range(side) for b in range(side)]
@@ -108,15 +108,26 @@ def test_energy_of_hyperbola_grids_equals_quotient_reference(p, side):
         assert energy(T) == _quotient_reference(T)
 
 
-@pytest.mark.parametrize("p, affine, size", [
-    (5, False, 120), (7, False, 336), (11, True, 110),
-], ids=["PGL(2,5)", "PGL(2,7)", "AGL(1,11)"])
-def test_energy_of_a_subgroup_is_its_order_cubed(p, affine, size):
+SUBGROUPS = {
+    "PGL": enumerate_group,
+    "AGL": lambda ctx: (f for f in enumerate_group(ctx) if f.c == 0),
+    "+-x+b": lambda ctx: (MoebiusMap(a, b, 0, 1, ctx) for a in (1, -1) for b in range(ctx.p)),
+}
+
+
+@pytest.mark.parametrize("p, kind, size", [
+    (2, "PGL", 6), (3, "PGL", 24), (5, "PGL", 120), (7, "PGL", 336), (11, "AGL", 110),
+    (251, "+-x+b", 502), (257, "+-x+b", 514),
+], ids=["PGL(2,2)", "PGL(2,3)", "PGL(2,5)", "PGL(2,7)", "AGL(1,11)", "+-x+b(251)",
+        "+-x+b(257)"])
+def test_energy_of_a_subgroup_is_its_order_cubed(p, kind, size):
     # Every quotient of a subgroup H lies in H, and each of its |H| elements
     # is the quotient of exactly |H| ordered pairs.  The affine maps (c = 0)
-    # all send infinity to infinity.
+    # all send infinity to infinity.  The inverses of x -> +-x + b send 0, 1
+    # and infinity to all p + 1 points, so at p = 251, the largest prime
+    # below the byte kernel's pad index 255, its rows index 252 values.
     ctx = FieldContext(p)
-    H = TransformSet((f for f in enumerate_group(ctx) if not affine or f.c == 0), ctx)
+    H = TransformSet(SUBGROUPS[kind](ctx), ctx)
     assert len(H) == size
     assert energy(H) == size**3
 
