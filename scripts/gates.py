@@ -100,6 +100,17 @@ class Run:
         defined = defined["defined_count"]
         self.check(listed == defined, f"listed {listed}, beck defined_count {defined}")
 
+    def sampled_reduction(self, p: int, samples: int, transforms: int) -> None:
+        """verify-reduction on seeded pivots reports no fault, and its stdout does
+        not depend on --jobs."""
+        argv = ("verify-reduction", "-p", p, "--samples", samples, "--seed", 1, "--jobs")
+        out = self.cli(*argv, 2)[0].rstrip("\n")
+        first = out.split("\n")[0]
+        self.check(f" transforms={transforms} " in first, f"transforms is not {transforms}")
+        self.check(" violations=0 " in first, "violations is not 0")
+        self.check(out.split("\n")[-1] == "OK", "the last line is not OK")
+        self.stdout_is(*argv, 1, expected=out)
+
     def bench_passes(self, workload: str, seed: int) -> None:
         """A one-second benchmark run of the workload fails no operation."""
         out = self.run(sys.executable, "bench/run.py", "--workload", workload, "--seed", seed,
@@ -108,7 +119,6 @@ class Run:
         self.check(not result["failed"], f"{workload} seed {seed}: {result}")
 
 
-SAMPLED = ("verify-reduction", "-p", 127, "--samples", 8, "--seed", 1, "--jobs")
 WORKLOADS = ("enum_random", "reduction_exhaustive", "sweep_bounds", "apps_cli")
 
 # Name, reason and checks of each gate, in the order CI runs them.
@@ -119,7 +129,7 @@ GATES = [
          "p=31 pivots=961 transforms=864900 triples=778410000 violations=0 line-collisions=0 "
          "det-mismatches=0\nOK"))),
     ("Exhaustive reduction check at p = 53",
-     "The largest exhaustive check the CLI starts; about 7 s on two cores.",
+     "The largest exhaustive check the CLI starts; about 2 s on two cores.",
      lambda g: g.stdout_is("verify-reduction", "-p", 53, "--exhaustive", "--jobs", 2,
                            timeout=180, expected=(
          "p=53 pivots=2809 transforms=7595536 triples=20538329344 violations=0 "
@@ -128,11 +138,12 @@ GATES = [
      "Eight seeded pivots, each with its 126^2 curved maps: the row and per-pivot tables at a "
      "p well above the exhaustive gate's.  The pivots go to the workers in rows, so stdout "
      "must not depend on --jobs.",
-     lambda g: (out := g.cli(*SAMPLED, 2)[0].rstrip("\n"),
-                g.check(" transforms=127008 " in out.split("\n")[0], "transforms is not 127008"),
-                g.check(" violations=0 " in out.split("\n")[0], "violations is not 0"),
-                g.check(out.split("\n")[-1] == "OK", "the last line is not OK"),
-                g.stdout_is(*SAMPLED, 1, expected=out))),
+     lambda g: g.sampled_reduction(127, 8, 127008)),
+    ("Sampled reduction checks on both sides of the byte lanes",
+     "Four seeded pivots at p = 251, the last prime whose rows run in 16-bit byte lanes, and "
+     "four at p = 257, the first whose rows gather tuples; about 1 s and 3 s on one core.  "
+     "Each must report no fault, and stdout must not depend on --jobs.",
+     lambda g: [g.sampled_reduction(p, 4, 4 * (p - 1) ** 2) for p in (251, 257)]),
     ("Corpus sweeps give the same bytes with one and two workers",
      "--jobs 2 runs the cells in batches on real worker processes; stdout must not depend "
      "on it.",

@@ -19,14 +19,10 @@ from itertools import chain
 from operator import mul
 from typing import Iterable
 
-from .field import FieldContext, MoebiusMap, canonical_key, key_entries
+from .field import PAD, FieldContext, MoebiusMap, canonical_key, key_entries
 from .incidence import TransformSet
 
 ORACLE_CAP = 64
-
-# Below this prime energy() keys quotients by 4-byte rows; PAD is the byte
-# index, above every point index, that fills the fourth byte of each key.
-PAD = 255
 
 # The quotient table of 1000 maps.  On 1000 random maps (random.Random(1)),
 # one fresh process per run, CPython 3.11.7 on a shared 2-core x86-64 Xeon:

@@ -22,6 +22,12 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 # table small; this library targets desk-scale moduli.
 MAX_MODULUS = 1 << 20
 
+# Below this prime every residue, and every index up to p, is a byte other
+# than PAD, so a byte kernel can fill its entries with PAD and have each
+# bytes.translate table map PAD to 0 (energy's quotient keys, the reduction
+# check's lanes).  From p = 257 on those kernels take their integer paths.
+PAD = 255
+
 
 class _Infinity:
     """The point at infinity on the projective line (a singleton)."""

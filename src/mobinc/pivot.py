@@ -46,11 +46,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import partial
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, itemgetter
 from typing import NamedTuple, Optional, Union
 
-from .field import FieldContext, MoebiusMap, parallel_map
+from .field import PAD, FieldContext, MoebiusMap, parallel_map
 from .incidence import PointSet, TransformSet
 
 
@@ -380,14 +380,6 @@ class ReductionReport(NamedTuple):
         return self.violations == 0 and self.line_collisions == 0 and self.det_mismatches == 0
 
 
-def _gather(indices):
-    """itemgetter(*indices) that returns a tuple even for one index (p = 2)."""
-    if len(indices) == 1:
-        (index,) = indices
-        return lambda seq: (seq[index],)
-    return itemgetter(*indices)
-
-
 def _check_pivot_row(ctx: FieldContext, q1: int, q2s) -> list[tuple[int, int, int, int, int]]:
     """Exhaustively check the reduction at the pivots (q1, q2), q2 in q2s.
 
@@ -408,23 +400,33 @@ def _check_pivot_row(ctx: FieldContext, q1: int, q2s) -> list[tuple[int, int, in
     f(s1) = (a*s1 + b)*w is (a*alpha + beta) mod p, where alpha =
     (s1 - q1)*w and beta = q2*z with z = (q1 + d)*w.  This regroups only
     the arithmetic around the inverse lookup, so it equals the literal
-    (a*s1 + b)*w for any inverse table.  Once per row, alpha*p and z of
-    every (d, s1) are built, the pole s1 = -d getting alpha*p = p^2 and
-    z = 0; once per pivot, the keys alpha*p + beta, beta looked up in the
-    multiplication table mul.  Once per (row, a), the table
-    aff[alpha*p + beta] = (a*alpha + beta) mod p is laid out from slices of
-    range(p) doubled; each pivot sets aff[p^2] = q2 before its curve batch,
-    aff at its keys.  An f(s1) equal to q2 is not admissible either.
+    (a*s1 + b)*w for any inverse table.  Once per row, alpha and z of every
+    (d, s1) are built, the pole s1 = -d getting alpha = 0 and z = 1, so that
+    its value is q2, no point.  An f(s1) equal to q2 is not admissible
+    either.
 
     Line side: the map (a, d) conjugates to the line t2 = m*t1 + i, with
     m = (q1 + d)/(a - q2) and i = -1/(a - q2), pulled back through the
     transplant (t1, t2) = (1/(q1 - s1), 1/(q2 - s2)): s2 = q2 - 1/t2, which
     is never q2, or q2 where t2 = 0.  Once per row, the products
     (q1 + d)*t1 of every (d, s1) are built; once per pivot, pulled[t] holds
-    the ordinate pulled back from t2 = t.  Once per (pivot, a),
-    back[v] = pulled[v + i] is a slice of pulled laid twice and
-    scale[x] = back[x/(a - q2)] is back at a row of mul; the line batch is
+    the ordinate pulled back from t2 = t, laid twice.  Once per (pivot, a),
+    back[v] = pulled[v + i] is a slice of it and scale[x] = back[x/(a - q2)]
+    is back at a row of the multiplication table mul; the line batch is
     scale at the products, as m*t1 = (q1 + d)*t1/(a - q2).
+
+    Below p = PAD each batch is an integer of 16-bit little-endian lanes,
+    one (d, s1) entry a lane: the entry's byte and then the byte PAD, which
+    every translate table maps to 0.  Once per (row, a), A holds a*alpha
+    and once per pivot beta holds q2*z, each one bytes.translate of the
+    row's bytes through a row of mul.  Each lane of s = A + beta is below
+    2p, so adding 2^15 - p sets the lane's top bit exactly where s >= p, and
+    subtracting p there reduces every lane at once, without a carry into
+    the next.  The line batch is one translate of the products through
+    scale.  From p = 257 on, each batch is a tuple gathered by itemgetter:
+    the curve from aff[alpha*p + beta] = (a*alpha + beta) mod p, laid out
+    once per (row, a) from slices of range(p) doubled, at keys built once
+    per pivot.
 
     A point violates the reduction when it lies on one side only.  Where
     the two batches of a (pivot, a) differ, an entry that differs adds 2
@@ -442,8 +444,9 @@ def _check_pivot_row(ctx: FieldContext, q1: int, q2s) -> list[tuple[int, int, in
 
     A row costs O(p^2) interpreted steps and memory for its tables, and
     O(p) more per a; each (pivot, a) costs a few interpreted steps and
-    O(p^2) table lookups, so an exhaustive check costs O(p^5).  Memory
-    stays O(p^2) per row plus O(p^2) per pivot in the row.
+    O(p^2) work in C, on p^2-lane integers or by table lookups, so an
+    exhaustive check costs O(p^5).  Memory stays O(p^2) per row plus
+    O(p^2) per pivot in the row.
     """
     p = ctx.p
     inv = ctx._inv
@@ -469,31 +472,47 @@ def _check_pivot_row(ctx: FieldContext, q1: int, q2s) -> list[tuple[int, int, in
     del lines
     t1s = [inv[(q1 - s1) % p] for s1 in xs]
     es = [(q1 + d) % p for d in ds]
-    at_products = _gather([mul[e][t1] for e in es for t1 in t1s])
-    pole = p * p
-    scaled = [alpha * p for alpha in range(p)]
-    alpha_p, zs = [], []
+    products = [mul[e][t1] for e in es for t1 in t1s]
+    alphas, zs = [], []
     for d, e in zip(ds, es):
         for s1 in xs:
             if den := (s1 + d) % p:
                 w = inv[den]
-                alpha_p.append(scaled[mul[(s1 - q1) % p][w]])
+                alphas.append(mul[(s1 - q1) % p][w])
                 zs.append(mul[e][w])
             else:
-                alpha_p.append(pole)
-                zs.append(0)
-    at_z = _gather(zs)
-    curve_ats = [_gather(tuple(map(add, alpha_p, at_z(mul[q2])))) for q2 in q2s]
-    del alpha_p, zs
+                alphas.append(0)
+                zs.append(1)
     pulleds = [([q2] + [(q2 - inv[t]) % p for t in range(1, p)]) * 2 for q2 in q2s]
+    lanes = p < PAD
+    if lanes:
+        n = len(products)
+        fill = bytes(256 - p)
+        mul = [bytes(row) for row in mul]
+        tables = [row + fill for row in mul]
+        pulleds = [bytes(pulled) + fill for pulled in pulleds]
+        products, alphas, zs = (
+            bytes(chain.from_iterable(zip(entries, repeat(PAD))))
+            for entries in (products, alphas, zs)
+        )
+        betas = [int.from_bytes(zs.translate(tables[q2]), "little") for q2 in q2s]
+        bias = int.from_bytes((2**15 - p).to_bytes(2, "little") * n, "little")
+        high = int.from_bytes(b"\0\x80" * n, "little")
+    else:
+        at_products = itemgetter(*products)
+        alpha_p = [alpha * p for alpha in alphas]
+        at_z = itemgetter(*zs)
+        curve_ats = [itemgetter(*map(add, alpha_p, at_z(mul[q2]))) for q2 in q2s]
     violations = [0] * len(q2s)
     det_mismatches = [0] * len(q2s)
     for a in range(p):
-        aff = []
-        for alpha in range(p):
-            r = a * alpha % p
-            aff += doubled[r : r + p]
-        aff.append(0)
+        if lanes:
+            A = int.from_bytes(alphas.translate(tables[a]), "little")
+        else:
+            aff = []
+            for alpha in range(p):
+                r = a * alpha % p
+                aff += doubled[r : r + p]
         for j, q2 in enumerate(q2s):
             if a == q2:
                 continue
@@ -504,11 +523,17 @@ def _check_pivot_row(ctx: FieldContext, q1: int, q2s) -> list[tuple[int, int, in
             # and a*d - b = u*e: one test for every d of this a.
             if (inv_u * inv[(-i) % p] ** 2 - u) % p:
                 det_mismatches[j] += len(ds)
-            aff[pole] = q2
-            curve = curve_ats[j](aff)
-            back = pulleds[j][i : i + p]
-            scale = list(map(back.__getitem__, mul[inv_u]))
-            line = at_products(scale)
+            if lanes:
+                s = A + betas[j]
+                curve = s - (((s + bias) & high) >> 15) * p
+                line = products.translate(mul[inv_u].translate(pulleds[j][i : i + 256]) + fill)
+                if curve == int.from_bytes(line, "little"):
+                    continue
+                curve, line = curve.to_bytes(2 * n, "little")[::2], line[::2]
+            else:
+                curve = curve_ats[j](aff)
+                back = pulleds[j][i : i + p]
+                line = at_products(list(map(back.__getitem__, mul[inv_u])))
             if curve != line:
                 violations[j] += sum(
                     1 + (c != q2 and l != q2) for c, l in zip(curve, line) if c != l
@@ -544,9 +569,11 @@ def check_reduction(
     parallel_map, which spreads the rows over up to jobs processes.  A row
     builds its tables once, in O(p^2) interpreted steps and memory, and the
     tables of each a once for all its pivots; each (pivot, a) then costs a
-    few interpreted steps and O(p^2) table lookups (see _check_pivot_row),
-    so the exhaustive check costs O(p^5).  Memory stays O(p^2) per row plus
-    O(p^2) per pivot in the row.  The per-pivot counts are summed.
+    few interpreted steps and O(p^2) work in C (see _check_pivot_row): below
+    p = PAD a few operations on two integers of p^2 16-bit lanes, compared
+    once, and from p = 257 on O(p^2) table lookups into tuples.  So the
+    exhaustive check costs O(p^5).  Memory stays O(p^2) per row plus O(p^2)
+    per pivot in the row.  The per-pivot counts are summed.
     """
     p = ctx.p
     if pivots is None:

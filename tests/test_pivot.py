@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from itertools import chain, islice, product
-from operator import add
+from operator import add, itemgetter
 
 import pytest
 
@@ -691,6 +691,140 @@ def test_check_reduction_groups_pivots_by_row(jobs):
     assert report == (CTX7.p, len(pivots), *totals)
     # (3, 1) stands for three of the seven pivots, and each is checked.
     assert report.pivots == 7 and report.transforms == 7 * 36
+
+
+def _check_pivot_row_reference(ctx, q1, q2s):
+    """Reference for _check_pivot_row's byte lanes: each batch a tuple.
+
+    The row kernel as it was before the lanes, for every p: the curve batch
+    gathered from aff[alpha*p + beta] = (a*alpha + beta) mod p, the pole
+    keyed p^2 and aff[p^2] set to the pivot's q2, and the line batch
+    gathered from scale at the products.
+    """
+
+    def gather(indices):
+        if len(indices) == 1:
+            (index,) = indices
+            return lambda seq: (seq[index],)
+        return itemgetter(*indices)
+
+    p = ctx.p
+    inv = ctx._inv
+    q1 %= p
+    q2s = [q2 % p for q2 in q2s]
+    xs = [s1 for s1 in range(p) if s1 != q1]
+    ds = [d for d in range(p) if (d + q1) % p]
+    cycle = list(range(p)) * p
+    mul = [[0] * p] + [cycle[: m * p : m] for m in range(1, p)]
+    doubled = cycle[: 2 * p]
+    lines = set()
+    for u in range(1, p):
+        inv_u = inv[u]
+        lines.update(map(((-inv_u) % p * p).__add__, mul[inv_u][1:]))
+    transforms = (p - 1) * len(ds)
+    collisions = transforms - len(lines)
+    t1s = [inv[(q1 - s1) % p] for s1 in xs]
+    es = [(q1 + d) % p for d in ds]
+    at_products = gather([mul[e][t1] for e in es for t1 in t1s])
+    pole = p * p
+    scaled = [alpha * p for alpha in range(p)]
+    alpha_p, zs = [], []
+    for d, e in zip(ds, es):
+        for s1 in xs:
+            if den := (s1 + d) % p:
+                w = inv[den]
+                alpha_p.append(scaled[mul[(s1 - q1) % p][w]])
+                zs.append(mul[e][w])
+            else:
+                alpha_p.append(pole)
+                zs.append(0)
+    at_z = gather(zs)
+    curve_ats = [gather(tuple(map(add, alpha_p, at_z(mul[q2])))) for q2 in q2s]
+    pulleds = [([q2] + [(q2 - inv[t]) % p for t in range(1, p)]) * 2 for q2 in q2s]
+    violations = [0] * len(q2s)
+    det_mismatches = [0] * len(q2s)
+    for a in range(p):
+        aff = []
+        for alpha in range(p):
+            r = a * alpha % p
+            aff += doubled[r : r + p]
+        aff.append(0)
+        for j, q2 in enumerate(q2s):
+            if a == q2:
+                continue
+            u = (a - q2) % p
+            inv_u = inv[u]
+            i = (-inv_u) % p
+            if (inv_u * inv[(-i) % p] ** 2 - u) % p:
+                det_mismatches[j] += len(ds)
+            aff[pole] = q2
+            curve = curve_ats[j](aff)
+            back = pulleds[j][i : i + p]
+            line = at_products(list(map(back.__getitem__, mul[inv_u])))
+            if curve != line:
+                violations[j] += sum(
+                    1 + (c != q2 and l != q2) for c, l in zip(curve, line) if c != l
+                )
+    triples = transforms * (p - 1) ** 2
+    return [
+        (transforms, triples, violations[j], collisions, det_mismatches[j])
+        for j in range(len(q2s))
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_lane_rows_equal_batch_reference(p):
+    ctx = FieldContext(p)
+    for q1 in range(p):
+        assert _check_pivot_row(ctx, q1, range(p)) == _check_pivot_row_reference(
+            ctx, q1, range(p)
+        ), (p, q1)
+
+
+@pytest.mark.parametrize("p", [127, 131, 251])
+def test_lane_rows_equal_batch_reference_sampled(p):
+    # Single-pivot rows up to the last prime below the byte switch, where a
+    # lane of s = a*alpha + beta reaches 2*250.
+    ctx = FieldContext(p)
+    rng = random.Random(p)
+    for q1, q2 in [(0, 0), (rng.randrange(p), rng.randrange(p))]:
+        assert _check_pivot_row(ctx, q1, [q2]) == _check_pivot_row_reference(
+            ctx, q1, [q2]
+        ), (p, q1, q2)
+
+
+def test_integer_batches_give_the_closed_form_above_the_switch():
+    p = 257
+    q1, q2 = random.Random(p).sample(range(p), 2)
+    assert _check_pivot_row(FieldContext(p), q1, [q2]) == [
+        ((p - 1) ** 2, (p - 1) ** 4, 0, 0, 0)
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_integer_batches_equal_batch_reference(p, monkeypatch):
+    # The tuples _check_pivot_row gathers from p = 257 on, run at small p by
+    # moving the byte switch below every prime.
+    monkeypatch.setattr(pivot_module, "PAD", 2)
+    ctx = FieldContext(p)
+    for q1 in range(p):
+        assert _check_pivot_row(ctx, q1, range(p)) == _check_pivot_row_reference(
+            ctx, q1, range(p)
+        ), (p, q1)
+
+
+def test_integer_batches_count_corrupted_tables_like_set_reference(monkeypatch):
+    # The swapped and the non-injective inverse tables of the tests below,
+    # through the integer batches.
+    monkeypatch.setattr(pivot_module, "PAD", 2)
+    ctx = FieldContext(7)
+    inv = ctx._inv
+    inv[2], inv[3] = inv[3], inv[2]
+    reports = _rows_match_set_reference(ctx)
+    assert (sum(r[2] for r in reports), sum(r[4] for r in reports)) == (13048, 1176)
+    ctx = FieldContext(7)
+    ctx._inv[2] = ctx._inv[3]
+    assert sum(report[3] for report in _rows_match_set_reference(ctx)) > 0
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])
