@@ -182,13 +182,25 @@ GATES = [
     ("Incidences of the full grid of F_101",
      "All 10201 points against the 10100 affine maps x -> ax + b and the 10100 maps "
      "(x + b)/(x + d), d != b.  Each map has one point per abscissa but its pole, so "
-     "I = 101 * 20200 - 10100.  The kernel walks the 101 abscissae per map: well under a "
-     "second.",
+     "I = 101 * 20200 - 10100.  Below p = 255 each of the 101 columns is counted for all "
+     "maps at once in their graph tables: well under a second.",
      lambda g: g.stdout_is("incidence", "-p", 101, "--points", g.grid(101), "--transforms",
                            g.file(chain(
                                (f"{a},{b},0,1" for a in range(1, 101) for b in range(101)),
                                (f"1,{b},1,{d}" for b in range(101) for d in range(101) if d != b))),
                            expected="2030100", timeout=10)),
+    ("Incidences of the full grids on both sides of the graph tables",
+     "The full grid of F_251, the last prime whose count reads the maps' byte graph tables, "
+     "and of F_257, the first whose count walks the abscissae per map, each against the 20p "
+     "affine maps x -> ax + b, 1 <= a <= 20, and the 20(p - 1) maps (x + b)/(x + d), b < 20, "
+     "d != b: about 2.6 million column tests, under the command's limit.  Each affine map "
+     "has p points of the grid and each other map p - 1, so I = p * 20p + (p - 1) * 20(p - 1).",
+     lambda g: [g.stdout_is("incidence", "-p", p, "--points", g.grid(p), "--transforms",
+                            g.file(chain(
+                                (f"{a},{b},0,1" for a in range(1, 21) for b in range(p)),
+                                (f"1,{b},1,{d}" for b in range(20) for d in range(p) if d != b))),
+                            expected=str(20 * p * p + 20 * (p - 1) ** 2), timeout=30)
+                for p in (251, 257)]),
     ("Equivalence count at the 60-element cap",
      "PGL(2, p) is sharply 3-transitive, so every ordered target triple of 60 elements keeps "
      "a 3-element pattern: 60*59*58 maps and C(60, 3) image sets, in about half a second.",

@@ -73,7 +73,9 @@ def _emit_record(record: dict, as_json: bool = False) -> None:
 
 
 def _cmd_incidence(args) -> int:
-    # One column test per map and distinct abscissa: 2000^2 take about 1 s.
+    # One column test per map and distinct abscissa.  From p = 257 on 2000^2
+    # take about 1.2 s; below p = 255 the graph tables count the 251 columns
+    # of the full grid of F_251 against 15936 maps (4*10^6 tests) in 0.07 s.
     maps, abscissae = len(args.transforms), len({x for x, _ in args.points.points})
     if maps * abscissae > MAX_INCIDENCE_PAIRS:
         raise ValueError(

@@ -19,7 +19,7 @@ from itertools import chain
 from operator import mul
 from typing import Iterable
 
-from .field import PAD, FieldContext, MoebiusMap, canonical_key, key_entries
+from .field import PAD, FieldContext, MoebiusMap, canonical_key, graph_tables, key_entries
 from .incidence import TransformSet
 
 ORACLE_CAP = 64
@@ -27,8 +27,10 @@ ORACLE_CAP = 64
 # The quotient table of 1000 maps.  On 1000 random maps (random.Random(1)),
 # one fresh process per run, CPython 3.11.7 on a shared 2-core x86-64 Xeon:
 # at p = 9973 nearly all of the 10^6 quotients are distinct, and energy takes
-# 0.8-1.4 s with a peak RSS of 110 MB; at p = 251, on byte keys, 0.32-0.39 s
-# and 99 MB.  2000 maps at p = 9973 take 4.4 s and 387 MB.
+# 0.8-1.4 s with a peak RSS of 110 MB (1.56-1.57 s in three later runs on a
+# busier machine); at p = 251, on byte keys through the graph tables,
+# 0.44-0.46 s and 99 MB in those same later runs.  2000 maps at p = 9973
+# take 4.4 s and 387 MB.
 MAX_ENERGY_WORK = 1000**2
 
 
@@ -46,42 +48,39 @@ def energy(T: TransformSet) -> int:
 
     A map of PGL(2, p) is fixed by its images of 0, 1 and infinity, so the
     quotient f g^{-1} is keyed by its images (v0, v1, v2) = f(g^{-1}(0)),
-    f(g^{-1}(1)), f(g^{-1}(infinity)) as (v0 (p+1) + v1) (p+1) + v2, with
-    infinity written as p; no quotient map is built.  Each f is evaluated
-    once on the sorted set of the points the inverses send 0, 1 and infinity
-    to, and its row of keys is counted at once.  Below p = 255 every value
-    and point index fits in a byte, and the row is |T| 4-byte keys built by
-    one bytes.translate of a pattern of indices fixed before the loop; from
-    p = 257 on the keys are integers.
+    f(g^{-1}(1)), f(g^{-1}(infinity)), infinity written as p; no quotient map
+    is built, and each row of |T| keys, one f's, is counted at once.  Below
+    p = 255 the row is |T| 4-byte keys (v0, v1, v2, PAD): one bytes.translate
+    of the pattern of the preimages, fixed before the loop, through f's
+    graph table (field.graph_tables).  From p = 257 on each f is evaluated
+    once on the sorted set of the preimages and the keys are the integers
+    (v0 (p+1) + v1) (p+1) + v2.
     """
     if len(T) == 0:
         raise ValueError("energy of an empty set")
     p, inv = T.ctx.p, T.ctx._inv
-    q = p + 1
     mats = [key_entries(key, p) for key in T.keys]
     # g^{-1} is (d, -b, -c, a): it sends 0 to -b/a, 1 to (d - b)/(a - c) and
     # infinity to -d/c, each p when its denominator vanishes.
     pre = [(-b * inv[a] % p if a else p,
             (d - b) * inv[(a - c) % p] % p if a != c else p,
             -d * inv[c] % p if c else p) for a, b, c, d in mats]
-    points = sorted({x for triple in pre for x in triple})
-    finite = points[:-1] if points[-1] == p else points
-    where = {x: i for i, x in enumerate(points)}
-    columns = [(where[u], where[v], where[w]) for u, v, w in pre]
-    if p < PAD:
-        # Every value (0..p) and every index (at most p + 1 < PAD points)
-        # fits in a byte; g's key is the 4 bytes (v_i, v_j, v_k, 0).
-        pattern = bytes(chain.from_iterable((i, j, k, PAD) for i, j, k in columns))
-        pad = bytes(256 - len(points))
     counts: Counter[int] = Counter()
-    for a, b, c, d in mats:
-        vals = [(a * x + b) * inv[den] % p if (den := (c * x + d) % p) else p
-                for x in finite]
-        if len(finite) < len(points):
-            vals.append(a * inv[c] % p if c else p)
-        if p < PAD:
-            counts.update(memoryview(pattern.translate(bytes(vals) + pad)).cast("I"))
-        else:
+    if p < PAD:
+        pattern = bytes(chain.from_iterable((u, v, w, PAD) for u, v, w in pre))
+        for table in graph_tables(T.keys, T.ctx):
+            counts.update(memoryview(pattern.translate(table)).cast("I"))
+    else:
+        q = p + 1
+        points = sorted({x for triple in pre for x in triple})
+        finite = points[:-1] if points[-1] == p else points
+        where = {x: i for i, x in enumerate(points)}
+        columns = [(where[u], where[v], where[w]) for u, v, w in pre]
+        for a, b, c, d in mats:
+            vals = [(a * x + b) * inv[den] % p if (den := (c * x + d) % p) else p
+                    for x in finite]
+            if len(finite) < len(points):
+                vals.append(a * inv[c] % p if c else p)
             counts.update([(vals[i] * q + vals[j]) * q + vals[k] for i, j, k in columns])
     values = counts.values()
     return sum(map(mul, values, values))

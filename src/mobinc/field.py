@@ -24,8 +24,9 @@ MAX_MODULUS = 1 << 20
 
 # Below this prime every residue, and every index up to p, is a byte other
 # than PAD, so a byte kernel can fill its entries with PAD and have each
-# bytes.translate table map PAD to 0 (energy's quotient keys, the reduction
-# check's lanes).  From p = 257 on those kernels take their integer paths.
+# bytes.translate table map PAD to a fixed byte (the graph tables, the
+# reduction check's lanes).  From p = 257 on those kernels take their
+# integer paths.
 PAD = 255
 
 
@@ -292,6 +293,49 @@ def key_entries(key: int, p: int) -> tuple[int, int, int, int]:
     key, c = divmod(key, p)
     a, b = divmod(key, p)
     return a, b, c, d
+
+
+def graph_tables(keys: Iterable[int], ctx: FieldContext) -> Iterator[bytes]:
+    """The graph of each map key as a 256-byte bytes.translate table, p < PAD.
+
+    Index x < p holds f(x), index p holds f(INFINITY), INFINITY written as
+    p, and every index above p holds PAD, which every table maps to PAD.
+    A map with c != 0 is t + s/(x + u), u = d/c, t = a/c, s = (bc - ad)/c^2:
+    its table is the window x + u of the doubled reciprocal table (0 and
+    INFINITY swapped) sent through "times s" and then "plus t".  A map with
+    c = 0 has a = 1 and is x/d + b/d: the identity sent through "times 1/d"
+    and "plus b/d".  "Times s" is every s-th byte of range(p) laid p times,
+    "plus t" a window of the doubled range(p); both are built once per s
+    and t of a call.  No Python code runs per point.
+    """
+    p, inv = ctx.p, ctx._inv
+    if p >= PAD:
+        raise ValueError(f"graph tables need p < {PAD}, got {p}")
+    residues = bytes(range(p))
+    ring, mul = residues * 2, residues * p
+    tail = bytes([p]) + bytes([PAD]) * (PAD - p)
+    identity = residues + tail
+    # The reciprocal of x + u, for u and x in range(p), and of INFINITY + u.
+    recip = bytes([p, *inv[1:]]) * 2
+    back = bytes([0]) + tail[1:]
+    times, plus = {}, {}
+    for key in keys:
+        key, d = divmod(key, p)
+        key, c = divmod(key, p)
+        a, b = divmod(key, p)
+        if c:
+            w = inv[c]
+            u, s, t = d * w % p, (b * c - a * d) * w * w % p, a * w % p
+            table = recip[u:u + p] + back
+        else:
+            s = inv[d]
+            t = b * s % p
+            table = identity
+        if s not in times:
+            times[s] = mul[: s * p : s] + tail
+        if t not in plus:
+            plus[t] = ring[t:t + p] + tail
+        yield table.translate(times[s]).translate(plus[t])
 
 
 def _normalize_triple(points, ctx):

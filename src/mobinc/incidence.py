@@ -13,7 +13,7 @@ from itertools import chain, combinations, compress, groupby, repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
-from .field import FieldContext, MoebiusMap, same_context
+from .field import PAD, FieldContext, MoebiusMap, graph_tables, same_context
 
 
 class SortedSet:
@@ -128,8 +128,9 @@ def incidences_of(key: int, cols, ctx: FieldContext) -> int:
     """Number of points on the map with this key (MoebiusMap.key), given
     as columns (x, ordinates): y = (ax + b)/(cx + d) mod p, x not a pole.
 
-    The one incidence loop and the one incidence test: lies_on, richness
-    and count_incidences all count through it.  A map has at most one
+    The one incidence loop and the one incidence test: lies_on and
+    richness count through it, and count_incidences does on points at
+    fewer than CUT abscissae and from p = 257 on.  A map has at most one
     affine point per abscissa, so each column costs one evaluation.  The
     pole guard matters: inv[0] is 0, so without it a pole x would count a
     point (x, 0).
@@ -151,19 +152,47 @@ def richness(f: MoebiusMap, P: PointSet) -> int:
     return incidences_of(f.key(), columns(P.points), P.ctx)
 
 
+# From this many distinct abscissae on, below p = PAD, count_incidences reads
+# the maps' graph tables; with fewer, building the tables costs more than the
+# incidences_of walks.  On 150 and 2000 random maps at p in {13, 43, 101, 251}
+# (CPython 3.11, shared 2-core Xeon) the tables took 1.3-2.6 times the walks'
+# time at 4 abscissae, 0.8-1.8 at 8, 0.6-1.2 at 12 and 0.3-0.8 at 24.
+CUT = 12
+
+
 def count_incidences(P: PointSet, T: TransformSet) -> int:
     """I(P, T): number of pairs (point, map) with the point on the map.
 
-    It costs |T| times the number of distinct abscissae of P, at most
-    |T| * min(|P|, p).
+    Below p = PAD, on points at CUT or more distinct abscissae, the graph
+    tables (field.graph_tables) of up to 4096 maps are joined into one blob,
+    so that every 256th byte from x is the image of x under each map; one
+    bytes.translate through the column's indicator (1 at its ordinates)
+    and one count give the column's incidences with all of them.  That is
+    |T| table builds and three C-speed passes over |T| bytes a column.
+    Otherwise it sums incidences_of: |T| times the number of distinct
+    abscissae of P, at most |T| * min(|P|, p), Python evaluations.
     """
     same_context(P.ctx, T.ctx)
     ctx, cols = P.ctx, columns(P.points)
-    return sum(incidences_of(key, cols, ctx) for key in T.keys)
+    if ctx.p >= PAD or len(cols) < CUT:
+        return sum(incidences_of(key, cols, ctx) for key in T.keys)
+    marks = []
+    for x, ys in cols:
+        mark = bytearray(256)
+        for y in ys:
+            mark[y] = 1
+        marks.append((x, mark))
+    keys, n = T.keys, 0
+    # 4096 tables keep the blob at 1 MB for any |T|.
+    for i in range(0, len(keys), 4096):
+        graphs = b"".join(graph_tables(keys[i:i + 4096], ctx))
+        n += sum(graphs[x::256].translate(mark).count(1) for x, mark in marks)
+    return n
 
 
 # count_incidences of 2000 random points and 2000 random maps at p = 9973
-# takes about 1 s on one core under CPython 3.11 (1640 distinct abscissae).
+# takes about 1 s on one core under CPython 3.11 (1640 distinct abscissae);
+# below p = 255 the graph tables count as many column tests in under 0.1 s.
 MAX_INCIDENCE_PAIRS = 2000**2
 # The most points, or maps, on one side: drawing 2*10^5 random points or
 # maps at p = 9973 takes about 0.8 s, and 2*10^5 random hyperbolas 2.4 s.

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from mobinc import field
 from mobinc.field import (
     INFINITY,
+    PAD,
     FieldContext,
     MoebiusMap,
     canonical_key,
     class_from_index,
     enumerate_group,
+    graph_tables,
     group_order,
     is_prime,
 )
@@ -180,6 +182,34 @@ def test_eval_is_bijection_exhaustive_p5():
     for f in enumerate_group(CTX5):
         images = {f(x) if f(x) is INFINITY else f(x) for x in domain}
         assert len(images) == 6
+
+
+def _assert_graph_tables(maps, ctx):
+    """Each table holds f(x) at x < p and f(INFINITY) at p, INFINITY written
+    as p, and PAD at every index above p."""
+    p = ctx.p
+    tables = list(graph_tables([f.key() for f in maps], ctx))
+    assert len(tables) == len(maps)
+    for f, table in zip(maps, tables):
+        images = [f(x) for x in [*range(p), INFINITY]]
+        assert list(table[: p + 1]) == [p if y is INFINITY else y for y in images], f
+        assert table[p + 1:] == bytes([PAD]) * (255 - p), f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_graph_tables_agree_with_eval_on_the_whole_group(p):
+    ctx = FieldContext(p)
+    _assert_graph_tables(list(enumerate_group(ctx)), ctx)
+
+
+def test_graph_tables_agree_with_eval_at_p251():
+    ctx = FieldContext(251)
+    indices = random.Random(251).sample(range(group_order(251)), 2000)
+    maps = [class_from_index(i, ctx) for i in indices]
+    assert {f.c == 0 for f in maps} == {f.a == 0 for f in maps} == {True, False}
+    _assert_graph_tables(maps, ctx)
+    with pytest.raises(ValueError, match="p < 255"):
+        next(graph_tables([MoebiusMap.identity(FieldContext(257)).key()], FieldContext(257)))
 
 
 def test_compose_examples():

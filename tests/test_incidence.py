@@ -7,7 +7,8 @@ from operator import add
 
 import pytest
 
-from mobinc import incidence
+from mobinc import energy as energy_module
+from mobinc import field, incidence
 from mobinc.energy import energy, energy_brute
 from mobinc.field import (
     INFINITY,
@@ -19,6 +20,7 @@ from mobinc.field import (
     key_entries,
 )
 from mobinc.incidence import (
+    CUT,
     PointSet,
     ScalarSet,
     TransformSet,
@@ -31,7 +33,7 @@ from mobinc.incidence import (
     rich_transforms_brute,
     richness,
 )
-from mobinc.pivot import rich_transforms_pivot
+from mobinc.pivot import ReductionReport, check_reduction, rich_transforms_pivot
 
 CTX5 = FieldContext(5)
 CTX7 = FieldContext(7)
@@ -219,7 +221,7 @@ def _reference_sets(ctx, T):
         yield PointSet([*P.points, *((x, 0) for x in poles[: n + 1])], ctx)
 
 
-@pytest.mark.parametrize("p", [7, 31, 101])
+@pytest.mark.parametrize("p", [7, 31, 101, 251, 257])
 def test_count_incidences_equals_per_point_loop(p):
     ctx = FieldContext(p)
     rng = random.Random(p)
@@ -237,6 +239,77 @@ def test_count_incidences_equals_per_point_loop(p):
     for f in T:
         assert [lies_on(s, f) for s in on_pole] == [
             _incidences_per_point(f.key(), [s], p) == 1 for s in on_pole]
+
+
+def _seeded_maps(ctx, n):
+    indices = random.Random(ctx.p).sample(range(group_order(ctx.p)), n)
+    return TransformSet((class_from_index(i, ctx) for i in indices), ctx)
+
+
+@pytest.mark.parametrize("p", [31, 251])
+def test_count_incidences_on_both_sides_of_the_column_cut(p):
+    # The graph tables count from CUT distinct abscissae on, the loop below.
+    ctx = FieldContext(p)
+    T = _seeded_maps(ctx, 120)
+    rng = random.Random(-p)
+    for k in (1, CUT - 1, CUT, CUT + 1, p):
+        xs = rng.sample(range(p), k)
+        P = PointSet([(x, y) for x in xs for y in rng.sample(range(p), 3)]
+                     + [(x, 0) for x in xs], ctx)
+        assert len(columns(P.points)) == k
+        assert count_incidences(P, T) == sum(
+            _incidences_per_point(key, P.points, p) for key in T.keys)
+
+
+def test_count_incidences_over_more_maps_than_one_blob():
+    # PGL(2, 17) has 4896 maps, more than the 4096 tables of one blob.
+    ctx = FieldContext(17)
+    T = TransformSet(enumerate_group(ctx), ctx)
+    grid = PointSet(product(range(17), repeat=2), ctx)
+    affine = sum(1 for key in T.keys if not key_entries(key, 17)[2])
+    assert len(T) == 4896 and affine == 17 * 16
+    assert count_incidences(grid, T) == 17 * affine + 16 * (len(T) - affine)
+    P = random_points(ctx, 60, 17)
+    assert count_incidences(P, T) == sum(richness(f, P) for f in T) == 60 * 17 * 16
+
+
+def test_count_incidences_switch_reads_the_column_count(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the other path ran")
+
+    ctx = FieldContext(31)
+    T = _seeded_maps(ctx, 200)
+    sparse = PointSet([(x, y) for x in range(CUT - 1) for y in range(31)], ctx)
+    expected = sum(_incidences_per_point(key, sparse.points, 31) for key in T.keys)
+    with monkeypatch.context() as m:
+        m.setattr(incidence, "graph_tables", unreachable)
+        assert count_incidences(sparse, T) == expected
+    curved = sum(1 for key in T.keys if key_entries(key, 31)[2])
+    monkeypatch.setattr(incidence, "incidences_of", unreachable)
+    grid = PointSet(product(range(31), repeat=2), ctx)
+    assert count_incidences(grid, T) == 31 * len(T) - curved
+
+
+def test_oracles_do_not_read_graph_tables(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("graph_tables was called")
+
+    ctx13 = FieldContext(13)
+    grid = PointSet(product(range(13), repeat=2), ctx13)
+    agl = TransformSet((f for f in enumerate_group(CTX5) if f.c == 0), CTX5)
+    for module in (field, incidence, energy_module):
+        monkeypatch.setattr(module, "graph_tables", unreachable)
+    with pytest.raises(AssertionError, match="graph_tables"):
+        count_incidences(grid, TransformSet([MoebiusMap.identity(ctx13)], ctx13))
+    assert [f.as_tuple() for f in rich_transforms_brute(diagonal(CTX5), 3)] == [(1, 0, 0, 1)]
+    rich = rich_transforms_brute(grid, 13)
+    assert len(rich) == 13 * 12 and all(f.c == 0 for f in rich)
+    assert check_reduction(CTX5) == ReductionReport(5, 25, 400, 6400, 0, 0, 0)
+    assert energy_brute(agl) == 20**3
+    assert [richness(f, grid) for f in rich] == [13] * 156
+    assert richness(MoebiusMap(0, 1, 1, 0, ctx13), grid) == 12
+    assert lies_on((2, 1), MoebiusMap(3, 0, 1, 4, CTX7))
+    assert not lies_on((0, 0), MoebiusMap(0, 1, 1, 0, CTX5))
 
 
 @pytest.mark.parametrize("p, n", [(5, 8), (7, 14), (11, 22), (13, 26), (31, 30)])
