@@ -19,7 +19,7 @@ from itertools import chain
 from operator import mul
 from typing import Iterable
 
-from .field import PAD, FieldContext, MoebiusMap, canonical_key, graph_tables, key_entries
+from .field import PAD, FieldContext, canonical_key, graph_tables, key_entries
 from .incidence import TransformSet
 
 ORACLE_CAP = 64
@@ -149,11 +149,6 @@ class HyperbolaTranslate:
     def __post_init__(self):
         if self.eps not in (1, -1):
             raise ValueError(f"eps must be +1 or -1, got {self.eps}")
-
-
-def hyperbola_to_moebius(h: HyperbolaTranslate, ctx: FieldContext) -> MoebiusMap:
-    """The transformation whose graph is the translate (poles excluded)."""
-    return MoebiusMap.from_key(_hyperbola_key(h, ctx), ctx)
 
 
 def _hyperbola_key(h: HyperbolaTranslate, ctx: FieldContext) -> int:

@@ -101,9 +101,6 @@ class FieldContext:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
         return self._inv[x]
 
-    def projective_points(self) -> list[ProjectivePoint]:
-        return [*range(self.p), INFINITY]
-
     def __eq__(self, other):
         return isinstance(other, FieldContext) and other.p == self.p
 
@@ -175,10 +172,6 @@ class MoebiusMap:
         """Let pickle and copy rebuild the map through __new__."""
         return (self.a, self.b, self.c, self.d, self.ctx)
 
-    @classmethod
-    def identity(cls, ctx: FieldContext) -> "MoebiusMap":
-        return cls(1, 0, 0, 1, ctx)
-
     def __call__(self, x: ProjectivePoint) -> ProjectivePoint:
         p = self.ctx.p
         if x is INFINITY:
@@ -245,32 +238,6 @@ class MoebiusMap:
     def __repr__(self):
         return f"MoebiusMap({self.a},{self.b},{self.c},{self.d}; p={self.ctx.p})"
 
-    @classmethod
-    def through(
-        cls,
-        src: Iterable[ProjectivePoint],
-        dst: Iterable[ProjectivePoint],
-        ctx: FieldContext,
-    ) -> "MoebiusMap":
-        """The unique map sending the distinct triple src onto dst, in order.
-
-        Built by composing the standard maps of each triple onto
-        (0, 1, INFINITY), which avoids any case analysis on vanishing
-        unknowns of a linear system.
-        """
-        src = _normalize_triple(src, ctx)
-        dst = _normalize_triple(dst, ctx)
-        ms = _to_zero_one_inf(src, ctx)
-        md = _to_zero_one_inf(dst, ctx)
-        p = ctx.p
-        # md^{-1} (adjugate) times ms.
-        e, f, g, h = md[3], (-md[1]) % p, (-md[2]) % p, md[0]
-        a = (e * ms[0] + f * ms[2]) % p
-        b = (e * ms[1] + f * ms[3]) % p
-        c = (g * ms[0] + h * ms[2]) % p
-        d = (g * ms[1] + h * ms[3]) % p
-        return cls(a, b, c, d, ctx)
-
 
 def canonical_key(a: int, b: int, c: int, d: int, ctx: FieldContext) -> int:
     """The key of the map of (a, b, c, d), with no map built: the package's one
@@ -320,9 +287,7 @@ def graph_tables(keys: Iterable[int], ctx: FieldContext) -> Iterator[bytes]:
     back = bytes([0]) + tail[1:]
     times, plus = {}, {}
     for key in keys:
-        key, d = divmod(key, p)
-        key, c = divmod(key, p)
-        a, b = divmod(key, p)
+        a, b, c, d = key_entries(key, p)
         if c:
             w = inv[c]
             u, s, t = d * w % p, (b * c - a * d) * w * w % p, a * w % p
@@ -338,40 +303,9 @@ def graph_tables(keys: Iterable[int], ctx: FieldContext) -> Iterator[bytes]:
         yield table.translate(times[s]).translate(plus[t])
 
 
-def _normalize_triple(points, ctx):
-    pts = tuple(x if x is INFINITY else x % ctx.p for x in points)
-    if len(pts) != 3 or len(set(pts)) != 3:
-        raise ValueError(f"need three pairwise-distinct points, got {pts}")
-    return pts
-
-
-def _to_zero_one_inf(triple, ctx):
-    """Matrix sending the distinct triple (p1, p2, p3) to (0, 1, INFINITY)."""
-    p = ctx.p
-    p1, p2, p3 = triple
-    if p1 is INFINITY:
-        # x -> (p2 - p3)/(x - p3)
-        return (0, (p2 - p3) % p, 1, (-p3) % p)
-    if p2 is INFINITY:
-        # x -> (x - p1)/(x - p3)
-        return (1, (-p1) % p, 1, (-p3) % p)
-    if p3 is INFINITY:
-        # x -> (x - p1)/(p2 - p1)
-        return (1, (-p1) % p, 0, (p2 - p1) % p)
-    u = (p2 - p3) % p
-    v = (p2 - p1) % p
-    return (u, (-p1 * u) % p, v, (-p3 * v) % p)
-
-
 def group_order(p: int) -> int:
     """|PGL(2, p)| = p(p-1)(p+1)."""
     return p * (p - 1) * (p + 1)
-
-
-def enumerate_group(ctx: FieldContext) -> Iterator[MoebiusMap]:
-    """Every element of PGL(2, p) exactly once, streamed in class_from_index
-    order.  Nothing is kept: each call regenerates the maps."""
-    return (class_from_index(i, ctx) for i in range(group_order(ctx.p)))
 
 
 def class_from_index(i: int, ctx: FieldContext) -> MoebiusMap:
@@ -379,7 +313,7 @@ def class_from_index(i: int, ctx: FieldContext) -> MoebiusMap:
 
     Canonical forms with a = 1 (b, c free, d != bc), then a = 0, b = 1
     (c nonzero, d free), lexicographic within each block.  Used for seeded
-    sampling without replacement from the whole group and by enumerate_group.
+    sampling without replacement from the whole group.
     """
     p = ctx.p
     order = group_order(p)

@@ -13,7 +13,7 @@ from itertools import chain, combinations, compress, groupby, repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
-from .field import PAD, FieldContext, MoebiusMap, graph_tables, same_context
+from .field import PAD, FieldContext, MoebiusMap, graph_tables, key_entries, same_context
 
 
 class SortedSet:
@@ -112,13 +112,6 @@ class TransformSet(SortedSet):
                 and super().__contains__(f.key()))
 
 
-def lies_on(s: tuple[int, int], f: MoebiusMap) -> bool:
-    """True iff the affine point s = (x, y) satisfies y = f(x), x not a pole."""
-    p = f.ctx.p
-    x, y = s
-    return incidences_of(f.key(), ((x % p, (y % p,)),), f.ctx) == 1
-
-
 def columns(points) -> list[tuple[int, frozenset]]:
     """The points (x, y), sorted by x, grouped as (x, set of their y)."""
     return [(x, frozenset(y for _, y in col)) for x, col in groupby(points, itemgetter(0))]
@@ -128,28 +121,21 @@ def incidences_of(key: int, cols, ctx: FieldContext) -> int:
     """Number of points on the map with this key (MoebiusMap.key), given
     as columns (x, ordinates): y = (ax + b)/(cx + d) mod p, x not a pole.
 
-    The one incidence loop and the one incidence test: lies_on and
-    richness count through it, and count_incidences does on points at
-    fewer than CUT abscissae and from p = 257 on.  A map has at most one
-    affine point per abscissa, so each column costs one evaluation.  The
-    pole guard matters: inv[0] is 0, so without it a pole x would count a
-    point (x, 0).
+    The one incidence loop and the one incidence test: count_incidences
+    counts through it on points at fewer than CUT abscissae and from
+    p = 257 on, and the pointwise references of the tests always do.  A
+    map has at most one affine point per abscissa, so each column costs
+    one evaluation.  The pole guard matters: inv[0] is 0, so without it a
+    pole x would count a point (x, 0).
     """
     p, inv = ctx.p, ctx._inv
-    key, d = divmod(key, p)
-    key, c = divmod(key, p)
-    a, b = divmod(key, p)
+    a, b, c, d = key_entries(key, p)
     n = 0
     for x, ys in cols:
         den = (c * x + d) % p
         if den and (a * x + b) * inv[den] % p in ys:
             n += 1
     return n
-
-
-def richness(f: MoebiusMap, P: PointSet) -> int:
-    """Number of points of P lying on f."""
-    return incidences_of(f.key(), columns(P.points), P.ctx)
 
 
 # From this many distinct abscissae on, below p = PAD, count_incidences reads

@@ -50,7 +50,7 @@ from itertools import chain, compress, count, repeat
 from operator import add, itemgetter
 from typing import NamedTuple, Optional, Union
 
-from .field import PAD, FieldContext, MoebiusMap, parallel_map
+from .field import PAD, FieldContext, parallel_map
 from .incidence import PointSet, TransformSet
 
 
@@ -64,92 +64,6 @@ class Vertical(NamedTuple):
 
 
 AffineLine = Union[NonVertical, Vertical]
-
-
-def transforms_through_pivot(
-    T: TransformSet, q: tuple[int, int]
-) -> tuple[TransformSet, TransformSet]:
-    """Split the members of T passing through q into (affine, curved) parts."""
-    ctx = T.ctx
-    p = ctx.p
-    q1, q2 = q[0] % p, q[1] % p
-    affine, curved = [], []
-    for key, f in zip(T.keys, T):
-        if f(q1) == q2:
-            (affine if f.c == 0 else curved).append(key)
-    return TransformSet.from_sorted(affine, ctx), TransformSet.from_sorted(curved, ctx)
-
-
-def conjugate_through_pivot(
-    f: MoebiusMap, q: tuple[int, int]
-) -> tuple[int, int, int, int]:
-    """The unreduced conjugate matrix of f at pivot q, before any rescaling.
-
-    f must pass through q with c != 0.  The result is upper triangular with
-    entries ((q1+d, -1), (0, a-q2)) taken from the c = 1 scaling of f, and
-    its determinant equals det of that scaling exactly.
-    """
-    ctx = f.ctx
-    p = ctx.p
-    q1, q2 = q[0] % p, q[1] % p
-    if f.c == 0:
-        raise ValueError(f"{f!r} is affine; the conjugate needs c != 0")
-    if f(q1) != q2:
-        raise ValueError(f"{f!r} does not map {q1} to {q2}")
-    s = ctx._inv[f.c]
-    a = f.a * s % p
-    d = f.d * s % p
-    # a = q2 would force det = 0, so the bottom-right entry is nonzero.
-    return ((q1 + d) % p, p - 1, 0, (a - q2) % p)
-
-
-def line_image(f: MoebiusMap, q: tuple[int, int]) -> NonVertical:
-    """The affine line that the curved map f through q conjugates to.
-
-    The intercept is -1/(a - q2), which is never zero, and the slope is
-    (q1 + d)/(a - q2), which is never zero either (slope 0 would need
-    d = -q1, putting the pole of f at q1).
-    """
-    ctx = f.ctx
-    p = ctx.p
-    A, B, _, D = conjugate_through_pivot(f, q)
-    s = ctx._inv[D]
-    return NonVertical(A * s % p, B * s % p)
-
-
-def transplant_points(P: PointSet, q: tuple[int, int]) -> tuple[PointSet, int]:
-    """Move P to the line side of the pivot reduction at q.
-
-    Points on the rows x = q1 or y = q2 are dropped; the count of dropped
-    points is returned alongside.  On the kept domain the move is injective
-    (each coordinate is separately invertible).
-    """
-    p, inv = P.ctx.p, P.ctx._inv
-    q1, q2 = q[0] % p, q[1] % p
-    kept = [(inv[(q1 - x) % p], inv[(q2 - y) % p]) for x, y in P.points if x != q1 and y != q2]
-    return PointSet(kept, P.ctx), len(P) - len(kept)
-
-
-def line_through(
-    s: tuple[int, int], t: tuple[int, int], ctx: FieldContext
-) -> AffineLine:
-    """The unique line through two distinct points, in canonical form."""
-    p = ctx.p
-    x1, y1 = s[0] % p, s[1] % p
-    x2, y2 = t[0] % p, t[1] % p
-    if (x1, y1) == (x2, y2):
-        raise ValueError(f"need two distinct points, got {s!r} twice")
-    if x1 == x2:
-        return Vertical(x1)
-    m = (y2 - y1) * ctx._inv[(x2 - x1) % p] % p
-    return NonVertical(m, (y1 - m * x1) % p)
-
-
-def point_on_line(s: tuple[int, int], line: AffineLine, ctx: FieldContext) -> bool:
-    p = ctx.p
-    if isinstance(line, Vertical):
-        return s[0] % p == line.x
-    return (s[1] - line.slope * s[0] - line.intercept) % p == 0
 
 
 def _line_pairs(points, ctx: FieldContext) -> dict[int, int]:
@@ -194,22 +108,6 @@ def rich_lines(P: PointSet, j: int) -> tuple[AffineLine, ...]:
     return tuple(
         NonVertical(*divmod(key, p)) if key < p * p else Vertical(key - p * p) for key in keys
     )
-
-
-def line_preimage(
-    line: AffineLine, q: tuple[int, int], ctx: FieldContext
-) -> Optional[MoebiusMap]:
-    """The map through q whose transplanted graph is the line, or None.
-
-    The line t2 = s*t1 + i pulls back to a map of determinant s, curved when
-    i != 0 (the inverse of line_image) and affine of slope 1/s when i = 0.
-    Vertical and horizontal lines are the only ones with no preimage.
-    """
-    if isinstance(line, Vertical) or line.slope == 0:
-        return None
-    q1, q2 = q
-    s, i = line
-    return MoebiusMap(1 - i * q2, q2 * s + i * q1 * q2 - q1, -i, s + i * q1, ctx)
 
 
 # The pivot enumeration of 200 points: a pivot that moves m points costs

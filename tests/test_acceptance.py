@@ -24,20 +24,21 @@ from mobinc.energy import (
     energy,
     energy_brute,
     energy_report,
-    hyperbola_to_moebius,
 )
-from mobinc.field import FieldContext, MoebiusMap, enumerate_group, group_order
-from mobinc.incidence import (
-    PointSet,
-    ScalarSet,
-    TransformSet,
-    lies_on,
-    rich_transforms_brute,
-    richness,
-)
+from mobinc.field import FieldContext, MoebiusMap, group_order
+from mobinc.incidence import PointSet, ScalarSet, TransformSet, rich_transforms_brute
 from mobinc.io import load_config, load_hyperbolas
 from mobinc.pivot import check_reduction, rich_counts, rich_transforms_pivot
 from mobinc.sweep import SweepConfig, rows_to_csv, rows_to_jsonl, sweep
+
+from reference import (
+    enumerate_group,
+    hyperbola_to_moebius,
+    identity,
+    lies_on,
+    projective_points,
+    richness,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -132,14 +133,14 @@ def test_criterion_4_group_algebra_exhaustive_p5():
             forms.add(MoebiusMap(a, b, c, d, ctx).as_tuple())
     unique_ok = len(forms) == 120 == group_order(5)
     members = list(enumerate_group(ctx))
-    domain = ctx.projective_points()
-    identity = MoebiusMap.identity(ctx)
+    domain = projective_points(ctx)
+    ident = identity(ctx)
     hom_ok = all(
         (f * g)(x) == f(g(x))
         for f in members for g in members for x in domain
     )
     inverse_ok = all(
-        f * f.inverse() == identity and f.inverse() * f == identity
+        f * f.inverse() == ident and f.inverse() * f == ident
         for f in members
     )
     elapsed = time.perf_counter() - start

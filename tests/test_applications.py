@@ -18,7 +18,9 @@ from mobinc.applications import (
     sumset,
 )
 from mobinc.field import INFINITY, FieldContext, MoebiusMap
-from mobinc.incidence import PointSet, ScalarSet, rich_transforms_brute, richness
+from mobinc.incidence import PointSet, ScalarSet, rich_transforms_brute
+
+from reference import richness, through
 
 CTX5 = FieldContext(5)
 CTX7 = FieldContext(7)
@@ -240,7 +242,7 @@ def _equivalence_by_map_set(A, S):
     ref = S.values[:3]
     maps, images = set(), set()
     for target in permutations(A.values, 3):
-        f = MoebiusMap.through(ref, target, A.ctx)
+        f = through(ref, target, A.ctx)
         image = [f(s) for s in S.values]
         if all(v is not INFINITY and v in A for v in image):
             maps.add(f)
@@ -278,7 +280,7 @@ def test_equivalence_matches_map_set_on_long_patterns():
             if ctx.p == 7:
                 ref = pattern.values[:3]
                 sent_to_infinity += sum(
-                    any(MoebiusMap.through(ref, t, ctx)(s) is INFINITY for s in pattern)
+                    any(through(ref, t, ctx)(s) is INFINITY for s in pattern)
                     for t in permutations(ground.values, 3))
     assert sent_to_infinity > 0
 
@@ -290,7 +292,7 @@ def test_equivalence_kept_maps_are_pattern_rich():
     pattern = S([0, 1, 5], ctx)
     ref = pattern.values[:3]
     for target in permutations(ground.values, 3):
-        f = MoebiusMap.through(ref, target, ctx)
+        f = through(ref, target, ctx)
         images = [f(s) for s in pattern]
         if any(v is INFINITY or v not in ground for v in images):
             continue

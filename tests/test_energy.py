@@ -16,18 +16,13 @@ from mobinc.energy import (
     energy,
     energy_brute,
     energy_report,
-    hyperbola_to_moebius,
     refuse_energy_work,
     translate_multiplicity,
 )
-from mobinc.field import (
-    FieldContext,
-    MoebiusMap,
-    class_from_index,
-    enumerate_group,
-    group_order,
-)
-from mobinc.incidence import TransformSet, lies_on
+from mobinc.field import FieldContext, MoebiusMap, class_from_index, group_order
+from mobinc.incidence import TransformSet
+
+from reference import enumerate_group, hyperbola_to_moebius, identity, lies_on
 
 CTX5 = FieldContext(5)
 CTX7 = FieldContext(7)
@@ -47,23 +42,23 @@ def _quotient_reference(T):
 
 
 def test_energy_examples():
-    single = TransformSet([MoebiusMap.identity(CTX5)], CTX5)
+    single = TransformSet([identity(CTX5)], CTX5)
     assert energy(single) == 1
     shifts = TransformSet(
-        [MoebiusMap.identity(CTX5), MoebiusMap(1, 1, 0, 1, CTX5)], CTX5
+        [identity(CTX5), MoebiusMap(1, 1, 0, 1, CTX5)], CTX5
     )
     assert energy(shifts) == 6  # quotient multiset {id: 2, +1: 1, -1: 1}
     scalings = TransformSet(
-        [MoebiusMap.identity(CTX5), MoebiusMap(2, 0, 0, 1, CTX5)], CTX5
+        [identity(CTX5), MoebiusMap(2, 0, 0, 1, CTX5)], CTX5
     )
     assert energy(scalings) == 6
 
 
 def test_energy_brute_matches_examples():
     for maps in (
-        [MoebiusMap.identity(CTX5)],
-        [MoebiusMap.identity(CTX5), MoebiusMap(1, 1, 0, 1, CTX5)],
-        [MoebiusMap.identity(CTX5), MoebiusMap(2, 0, 0, 1, CTX5)],
+        [identity(CTX5)],
+        [identity(CTX5), MoebiusMap(1, 1, 0, 1, CTX5)],
+        [identity(CTX5), MoebiusMap(2, 0, 0, 1, CTX5)],
     ):
         T = TransformSet(maps, CTX5)
         assert energy_brute(T) == energy(T)

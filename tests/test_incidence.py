@@ -15,7 +15,6 @@ from mobinc.field import (
     FieldContext,
     MoebiusMap,
     class_from_index,
-    enumerate_group,
     group_order,
     key_entries,
 )
@@ -29,11 +28,11 @@ from mobinc.incidence import (
     columns,
     count_incidences,
     incidences_of,
-    lies_on,
     rich_transforms_brute,
-    richness,
 )
 from mobinc.pivot import ReductionReport, check_reduction, rich_transforms_pivot
+
+from reference import enumerate_group, identity, lies_on, richness
 
 CTX5 = FieldContext(5)
 CTX7 = FieldContext(7)
@@ -67,7 +66,7 @@ _SET_TYPES = {
                 lambda ctx: [None, "x", (1, 2), 1.5, True, -1, ctx.p]),
     TransformSet: (lambda ctx: list(enumerate_group(ctx)),
                    lambda maps: sorted(f.key() for f in maps),
-                   lambda ctx: [None, 1, "x", (1, 0, 0, 1), MoebiusMap.identity(CTX5),
+                   lambda ctx: [None, 1, "x", (1, 0, 0, 1), identity(CTX5),
                                 MoebiusMap(1, 2, 3, 0, FieldContext(11))]),
 }
 
@@ -100,11 +99,11 @@ def test_sorted_set_contract(cls, p):
 def test_transformset_dedup_and_order():
     f = MoebiusMap(3, 0, 1, 4, CTX7)
     g = MoebiusMap(6, 0, 2, 8, CTX7)  # same class
-    T = TransformSet([f, g, MoebiusMap.identity(CTX7)], CTX7)
+    T = TransformSet([f, g, identity(CTX7)], CTX7)
     assert len(T) == 2
     assert [h.as_tuple() for h in T] == [(1, 0, 0, 1), (1, 0, 5, 6)]
     with pytest.raises(ValueError, match="map over F_5 in a set over F_7"):
-        TransformSet([MoebiusMap.identity(CTX5)], CTX7)
+        TransformSet([identity(CTX5)], CTX7)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -131,7 +130,7 @@ def test_map_keys_over_the_whole_group(p):
 
 
 def test_lies_on_examples():
-    assert lies_on((2, 2), MoebiusMap.identity(CTX5))
+    assert lies_on((2, 2), identity(CTX5))
     recip = MoebiusMap(0, 1, 1, 0, CTX5)
     assert not lies_on((0, 0), recip)  # pole contributes no incidence
     f = MoebiusMap(3, 0, 1, 4, CTX7)  # 3x/(x+4)
@@ -139,8 +138,8 @@ def test_lies_on_examples():
 
 
 def test_count_incidences_examples():
-    assert count_incidences(PointSet([], CTX5), TransformSet([MoebiusMap.identity(CTX5)], CTX5)) == 0
-    assert count_incidences(diagonal(CTX5), TransformSet([MoebiusMap.identity(CTX5)], CTX5)) == 5
+    assert count_incidences(PointSet([], CTX5), TransformSet([identity(CTX5)], CTX5)) == 0
+    assert count_incidences(diagonal(CTX5), TransformSet([identity(CTX5)], CTX5)) == 5
     grid = PointSet(product(range(5), repeat=2), CTX5)
     recip = TransformSet([MoebiusMap(0, 1, 1, 0, CTX5)], CTX5)
     assert count_incidences(grid, recip) == 4
@@ -149,8 +148,8 @@ def test_count_incidences_examples():
 
 
 def test_richness_examples():
-    assert richness(MoebiusMap.identity(CTX5), diagonal(CTX5)) == 5
-    assert richness(MoebiusMap.identity(CTX5), PointSet([], CTX5)) == 0
+    assert richness(identity(CTX5), diagonal(CTX5)) == 5
+    assert richness(identity(CTX5), PointSet([], CTX5)) == 0
     f = MoebiusMap(3, 0, 1, 4, CTX7)
     P = PointSet([(1, 2), (2, 1), (0, 0)], CTX7)
     assert richness(f, P) == 3
@@ -300,7 +299,7 @@ def test_oracles_do_not_read_graph_tables(monkeypatch):
     for module in (field, incidence, energy_module):
         monkeypatch.setattr(module, "graph_tables", unreachable)
     with pytest.raises(AssertionError, match="graph_tables"):
-        count_incidences(grid, TransformSet([MoebiusMap.identity(ctx13)], ctx13))
+        count_incidences(grid, TransformSet([identity(ctx13)], ctx13))
     assert [f.as_tuple() for f in rich_transforms_brute(diagonal(CTX5), 3)] == [(1, 0, 0, 1)]
     rich = rich_transforms_brute(grid, 13)
     assert len(rich) == 13 * 12 and all(f.c == 0 for f in rich)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from mobinc.energy import HyperbolaTranslate
-from mobinc.field import FieldContext, MoebiusMap, enumerate_group
+from mobinc.field import FieldContext, MoebiusMap
 from mobinc.incidence import TransformSet
 from mobinc.io import (
     load_points,
@@ -17,6 +17,8 @@ from mobinc.io import (
     parse_transforms,
     write_transforms,
 )
+
+from reference import enumerate_group
 
 CTX7 = FieldContext(7)
 

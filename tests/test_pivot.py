@@ -8,27 +8,28 @@ from operator import add, itemgetter
 import pytest
 
 import mobinc.pivot as pivot_module
-from mobinc.field import INFINITY, FieldContext, MoebiusMap, enumerate_group
-from mobinc.incidence import (
-    PointSet,
-    TransformSet,
-    lies_on,
-    rich_transforms_brute,
-    richness,
-)
+from mobinc.field import INFINITY, FieldContext, MoebiusMap
+from mobinc.incidence import PointSet, TransformSet, rich_transforms_brute
 from mobinc.pivot import (
     NonVertical,
     Vertical,
     _check_pivot_row,
     check_reduction,
+    rich_counts,
+    rich_lines,
+    rich_transforms_pivot,
+)
+
+from reference import (
     conjugate_through_pivot,
+    enumerate_group,
+    identity,
+    lies_on,
     line_image,
     line_preimage,
     line_through,
     point_on_line,
-    rich_counts,
-    rich_lines,
-    rich_transforms_pivot,
+    richness,
     transforms_through_pivot,
     transplant_points,
 )
@@ -52,7 +53,7 @@ def random_points(ctx, n, seed):
 
 
 def test_transforms_through_pivot_examples():
-    ident = MoebiusMap.identity(CTX7)
+    ident = identity(CTX7)
     T = TransformSet([ident], CTX7)
     lines_part, curved_part = transforms_through_pivot(T, (3, 3))
     assert list(lines_part) == [ident] and len(curved_part) == 0
