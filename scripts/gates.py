@@ -74,9 +74,12 @@ class Run:
         return self.file([f"primes = {primes}", f"bounds = {bounds}",
                           f"generator = {generator}", *params, "seed = 1"])
 
-    def stdout_is(self, *args, expected: str, timeout=None) -> None:
-        out = self.cli(*args, timeout=timeout)[0].rstrip("\n")
-        self.check(out == expected, f"stdout {out!r}, expected {expected!r}")
+    def stdout_is(self, *args, expected: str, timeout=None) -> str:
+        """Check stdout, trailing newlines aside, against expected; return stdout."""
+        out = self.cli(*args, timeout=timeout)[0]
+        text = out.rstrip("\n")
+        self.check(text == expected, f"stdout {text!r}, expected {expected!r}")
+        return out
 
     def refused(self, *args, timeout=10) -> str:
         """Check that the run exits 2 with one line on stderr; return it."""
@@ -124,12 +127,16 @@ WORKLOADS = ("enum_random", "reduction_exhaustive", "sweep_bounds", "apps_cli")
 # Name, reason and checks of each gate, in the order CI runs them.
 GATES = [
     ("Exhaustive reduction check at p = 31",
-     "Correctness only: the report must match its closed form exactly.",
-     lambda g: g.stdout_is("verify-reduction", "-p", 31, "--exhaustive", "--jobs", 2, expected=(
-         "p=31 pivots=961 transforms=864900 triples=778410000 violations=0 line-collisions=0 "
-         "det-mismatches=0\nOK"))),
+     "Correctness only: the report must match its closed form exactly, and --jobs 1, which "
+     "starts no worker, must print the same bytes as --jobs 2.",
+     lambda g: g.check(
+         g.stdout_is("verify-reduction", "-p", 31, "--exhaustive", "--jobs", 2, expected=(
+             "p=31 pivots=961 transforms=864900 triples=778410000 violations=0 "
+             "line-collisions=0 det-mismatches=0\nOK"))
+         == g.cli("verify-reduction", "-p", 31, "--exhaustive", "--jobs", 1)[0],
+         "--jobs 1 and 2 print different bytes")),
     ("Exhaustive reduction check at p = 53",
-     "The largest exhaustive check the CLI starts; about 2 s on two cores.",
+     "The largest exhaustive check the CLI starts; about 1.8-2.2 s on two cores.",
      lambda g: g.stdout_is("verify-reduction", "-p", 53, "--exhaustive", "--jobs", 2,
                            timeout=180, expected=(
          "p=53 pivots=2809 transforms=7595536 triples=20538329344 violations=0 "
@@ -145,7 +152,7 @@ GATES = [
      "Each must report no fault, and stdout must not depend on --jobs.",
      lambda g: [g.sampled_reduction(p, 4, 4 * (p - 1) ** 2) for p in (251, 257)]),
     ("Corpus sweeps give the same bytes with one and two workers",
-     "--jobs 2 runs the cells in batches on real worker processes; stdout must not depend "
+     "--jobs 2 runs half of the cells on a real worker process; stdout must not depend "
      "on it.",
      lambda g: [g.check(g.cli("sweep", "--config", config, "--jobs", 1)[0]
                         == g.cli("sweep", "--config", config, "--jobs", 2)[0],

@@ -13,8 +13,7 @@ the modulus and a precomputed inverse table so division is a lookup.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from multiprocessing import Pipe, Process
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 
@@ -118,28 +117,53 @@ def same_context(a: FieldContext, b: FieldContext) -> FieldContext:
 
 
 def parallel_map(fn: Callable, units: Sequence, jobs: int = 1) -> list:
-    """[fn(u) for u in units] over min(jobs, CPU count, len(units)) processes.
+    """[fn(u) for u in units] over w = min(jobs, CPU count, len(units)) processes.
 
-    The package's one worker pool and its only split of units over workers:
-    n = min(len(units), 4 * workers) batches, batch i holding every n-th
-    unit from the i-th, so that units listed by rising cost spread evenly
-    over the batches; the results come back in unit order.  A failure
-    raises the exception of the lowest failing unit, as a serial run does.
-    fn must pickle; a single worker runs fn in this process.
+    The package's one worker pool and its only split of units over workers,
+    one fork-join: share k holds units[k::w], so that units listed by rising
+    cost spread evenly over the shares.  The caller is worker 0 and runs
+    share 0 itself; each of w - 1 worker processes runs one other share and
+    sends its results, and its first failure, once through a one-way pipe.
+    The results come back in unit order.  A failure raises the exception of
+    the lowest failing unit, as a serial run does.  A worker that sends
+    nothing, because it died, was killed or its result would not pickle,
+    raises a RuntimeError naming its exit code.  No worker outlives the
+    call, whether it returns or raises.  With w = 1 fn runs in this process
+    alone; otherwise fn, the units and their results must pickle.
     """
-    workers = max(1, min(jobs, os.cpu_count() or 1, len(units)))
-    if workers == 1:
+    w = max(1, min(jobs, os.cpu_count() or 1, len(units)))
+    if w == 1:
         return [fn(u) for u in units]
-    n = min(len(units), 4 * workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        batches = list(pool.map(partial(_run_batch, fn), [units[i::n] for i in range(n)]))
-    # Batch i runs its units in order, so its failure is unit i + n * len(done).
-    failed = {i + n * len(done): exc for i, (done, exc) in enumerate(batches) if exc}
+    workers = []
+    try:
+        for k in range(1, w):
+            recv, send = Pipe(duplex=False)
+            worker = Process(target=_send_share, args=(send, fn, units[k::w]), daemon=True)
+            worker.start()
+            # Only the worker holds the send end, so its death reads as end of file.
+            send.close()
+            workers.append((worker, recv))
+        shares = [_run_batch(fn, units[::w])]
+        # Read every share before joining: a worker blocks until its pipe is read.
+        for worker, recv in workers:
+            try:
+                shares.append(recv.recv())
+            except (EOFError, OSError):
+                worker.join()
+                raise RuntimeError(f"a parallel_map worker sent no result "
+                                   f"(exit code {worker.exitcode})") from None
+    finally:
+        for worker, recv in workers:
+            recv.close()
+            worker.terminate()
+            worker.join()
+    # Share k runs its units in order, so its failure is unit k + w * len(done).
+    failed = {k + w * len(done): exc for k, (done, exc) in enumerate(shares) if exc}
     if failed:
         raise failed[min(failed)]
     results = [None] * len(units)
-    for i, (done, _) in enumerate(batches):
-        results[i::n] = done
+    for k, (done, _) in enumerate(shares):
+        results[k::w] = done
     return results
 
 
@@ -152,6 +176,16 @@ def _run_batch(fn: Callable, batch: Sequence) -> tuple:
     except Exception as exc:
         return done, exc
     return done, None
+
+
+def _send_share(conn, fn: Callable, share: Sequence) -> None:
+    """A parallel_map worker: send _run_batch's (done, exc) once.  A send that
+    fails leaves by SystemExit(1), which prints no traceback; the caller
+    then reads end of file and reports the exit code."""
+    try:
+        conn.send(_run_batch(fn, share))
+    except Exception:
+        raise SystemExit(1) from None
 
 
 class MoebiusMap:

@@ -464,7 +464,8 @@ def check_reduction(
 
     The pivots are grouped by q1 mod p, each row keeping its pivots in the
     given order, duplicates included, and each row is one unit of
-    parallel_map, which spreads the rows over up to jobs processes.  A row
+    parallel_map, which spreads the rows over up to jobs processes, the
+    caller being one of them.  A row
     builds its tables once, in O(p^2) interpreted steps and memory, and the
     tables of each a once for all its pivots; each (pivot, a) then costs a
     few interpreted steps and O(p^2) work in C (see _check_pivot_row): below

@@ -533,7 +533,7 @@ def test_tripped_guard_exits_1(files, capsys, monkeypatch):
 
 
 class NoPool:
-    """Stands in for the process pool in tests that must start no process."""
+    """Stands in for field.Process in tests that must start no process."""
 
     def __init__(self, *args, **kwargs):
         raise AssertionError("a worker pool was started")
@@ -542,7 +542,7 @@ class NoPool:
 def test_jobs_capped_at_cpu_count(files, capsys, monkeypatch):
     # With one CPU no pool may start, whatever --jobs asks for.
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(field, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(field, "Process", NoPool)
     config = files("sweep.cfg", CONFIG)
     for argv in (["sweep", "--config", config],
                  ["verify-reduction", "-p", "5", "--exhaustive"]):
@@ -898,7 +898,7 @@ def test_cli_contract_under_fuzzed_files(invocation, missing_file):
     argv, contents, flaw = invocation
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(field, "ProcessPoolExecutor", NoPool):
+            mock.patch.object(field, "Process", NoPool):
         paths = [os.path.join(tmp, f"in{i}.txt") for i in range(2)]
         for path, data in zip(paths, contents):
             if not (missing_file and path == paths[1]):

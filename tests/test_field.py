@@ -2,8 +2,12 @@
 
 import copy
 import itertools
+import multiprocessing
+import os
 import pickle
 import random
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -315,7 +319,7 @@ def test_map_hash_and_repr():
 
 
 def test_parallel_map_keeps_unit_order():
-    # 83 units over two workers go in eight strided batches of 11 or 10
+    # 83 units over two workers go in two strided shares of 42 and 41
     # units; the results stay in unit order
     units = list(range(-40, 43))
     assert field.parallel_map(abs, units, 2) == [abs(u) for u in units]
@@ -323,8 +327,82 @@ def test_parallel_map_keeps_unit_order():
 
 
 def test_parallel_map_raises_the_lowest_failing_unit():
-    # With two workers, 'x8' is in the first of eight batches and 'x1' in
-    # the second; the error is 'x1's, as in a serial run
+    # With two workers, 'x8' is in the caller's share and 'x1' in the
+    # worker's; the error is 'x1's, as in a serial run
     units = ["0", "x1", *map(str, range(2, 8)), "x8", "9", "10", "11"]
     with pytest.raises(ValueError, match="'x1'"):
         field.parallel_map(int, units, 2)
+
+
+# Each unit below is (the caller's pid, a value), so that a unit knows where
+# it runs under any start method.
+
+def _pid_of(unit):
+    return unit[1], os.getpid()
+
+
+def _exit_off_caller(unit):
+    caller, code = unit
+    if os.getpid() != caller:
+        os._exit(code)
+    return code
+
+
+def _unpicklable_off_caller(unit):
+    caller, _ = unit
+    return None if os.getpid() == caller else (lambda: None)
+
+
+def _interrupted_in_caller(unit):
+    caller, _ = unit
+    if os.getpid() == caller:
+        raise KeyboardInterrupt
+    time.sleep(60)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The processes parallel_map starts on a two-CPU machine; none may
+    outlive the case."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    processes = []
+
+    def record(*args, **kwargs):
+        processes.append(multiprocessing.Process(*args, **kwargs))
+        return processes[-1]
+
+    monkeypatch.setattr(field, "Process", record)
+    yield processes
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_map_caller_runs_share_zero(started):
+    caller = os.getpid()
+    results = field.parallel_map(_pid_of, [(caller, i) for i in range(9)], 2)
+    assert [i for i, _ in results] == list(range(9))
+    [worker] = started
+    assert {pid for _, pid in results[::2]} == {caller}
+    assert {pid for _, pid in results[1::2]} == {worker.pid} != {caller}
+
+
+def test_parallel_map_names_a_dead_workers_exit_code(started):
+    caller = os.getpid()
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        field.parallel_map(_exit_off_caller, [(caller, 3), (caller, 3)], 2)
+
+
+def test_parallel_map_unpicklable_result_prints_no_traceback(started, capfd):
+    caller = os.getpid()
+    with pytest.raises(RuntimeError, match="exit code 1"):
+        field.parallel_map(_unpicklable_off_caller, [(caller, 0), (caller, 1)], 2)
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_parallel_map_interrupt_terminates_the_workers(started):
+    caller = os.getpid()
+    begin = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        field.parallel_map(_interrupted_in_caller, [(caller, 0), (caller, 1)], 2)
+    assert time.monotonic() - begin < 5
+    [worker] = started
+    assert worker.exitcode == -signal.SIGTERM
