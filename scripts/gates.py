@@ -200,7 +200,7 @@ GATES = [
      "The full grid of F_251, the last prime whose count reads the maps' byte graph tables, "
      "and of F_257, the first whose count walks the abscissae per map, each against the 20p "
      "affine maps x -> ax + b, 1 <= a <= 20, and the 20(p - 1) maps (x + b)/(x + d), b < 20, "
-     "d != b: about 2.6 million column tests, under the command's limit.  Each affine map "
+     "d != b: about 2.6 million column tests, under count_incidences' limit.  Each affine map "
      "has p points of the grid and each other map p - 1, so I = p * 20p + (p - 1) * 20(p - 1).",
      lambda g: [g.stdout_is("incidence", "-p", p, "--points", g.grid(p), "--transforms",
                             g.file(chain(
@@ -229,9 +229,10 @@ GATES = [
      "over the expander rational and equiv-count caps, and 300 values at p = 99991 over the "
      "expander shift-invert cap; a cor-krich-lines row over 100000 random points or a "
      "1000 x 1000 grid is over the line-pair limit; a thm1-incidence row over 10^6 random "
-     "points and a thm2-incidence row over a 1000 x 1000 grid are over the incidence limits; "
-     "the full grid of F_101 against 40000 maps needs 4040000 column tests, over the "
-     "incidence command's limit.  Each must exit 2 with one stderr line well inside 10 s.",
+     "points and a thm2-incidence row over a 1000 x 1000 grid are over the sweep's cap of "
+     "2*10^5 points; the full grid of F_101 against 40000 maps needs 4040000 column tests, "
+     "over the one incidence limit, count_incidences' 2000^2 column tests.  Each must exit 2 "
+     "with one stderr line well inside 10 s.",
      lambda g: [g.refused(*argv) for argv in (
          ("sweep", "--config", g.cfg(9973, "thm3-energy", "transforms-defined-by", "n = 200",
                                      "na = 5"), "--jobs", 1),

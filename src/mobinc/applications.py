@@ -14,10 +14,17 @@ from itertools import permutations
 
 from .field import same_context
 from .incidence import PointSet, ScalarSet
-from .pivot import rich_counts
+from .pivot import refuse_pivot_work, rich_counts
 
 SHIFT_INVERT = "shift-invert"
 RATIONAL = "rational"
+
+# The rational value set of 60 values: about 3 s at a large prime.  The
+# shift-invert set of 200 values, 1.5 to 3 s at p = 99991, fits at any p.
+MAX_EXPANDER_WORK = 60**4
+# equiv-count over 60 ground elements: 205320 target triples.  A 3-element
+# pattern keeps every one, and the run takes about 0.5 s at p = 9973.
+MAX_EQUIV_TARGETS = math.perm(60, 3)
 
 
 def cartesian_points(A: ScalarSet, B: ScalarSet) -> PointSet:
@@ -79,7 +86,9 @@ def beck_statistics(P: PointSet, constant: float = 1.0) -> dict:
     Counts the maps through three points of P and the most points on one,
     from the pivot richness tallies, and gives the window endpoints
     constant*n^(3/7) and n/constant^(7/4) for a positive finite constant.
+    A walk over the pivot limit is refused first, as rich_counts refuses it.
     """
+    refuse_pivot_work(len(P))
     if not 0 < constant < math.inf:
         raise ValueError(f"the constant must be positive and finite, got {constant}")
     n = len(P)
@@ -138,9 +147,20 @@ def expander_report(A: ScalarSet, kind: str) -> dict:
     """Value-set size next to the claimed growth exponent for that kind."""
     if kind not in _EXPANDERS:
         raise ValueError(f"unknown expander kind {kind!r}")
+    n, p = len(A), A.ctx.p
+    if kind == RATIONAL:
+        work, steps, most = n**4, f"{n}^4", "at most 60 values"
+    else:
+        # Each value meets the inverse of each distinct difference.
+        work = n * min(n * (n - 1), p - 1)
+        steps, most = f"{n}*min({n}*{n - 1}, {p - 1})", "fewer values"
+    if work > MAX_EXPANDER_WORK:
+        raise ValueError(
+            f"the {kind} value set of {n} values needs {steps} = {work} steps, "
+            f"over the limit 60^4 = {MAX_EXPANDER_WORK}; give {most}"
+        )
     value_set, exponent = _EXPANDERS[kind]
     out = value_set(A)
-    n = len(A)
     size = len(out)
     return {
         "kind": kind,
@@ -170,6 +190,13 @@ def projective_equivalence_count(A: ScalarSet, S: ScalarSet) -> dict:
     u = lam v.
     """
     same_context(A.ctx, S.ctx)
+    n, targets = len(A), math.perm(len(A), 3)
+    if targets > MAX_EQUIV_TARGETS:
+        raise ValueError(
+            f"equiv-count over {n} ground elements tries {targets} target "
+            f"triples, over the limit 60*59*58 = {MAX_EQUIV_TARGETS}; give at most "
+            f"60 ground elements"
+        )
     if len(S) < 3:
         raise ValueError(f"pattern needs >= 3 elements, got {len(S)}")
     if len(S) > len(A):

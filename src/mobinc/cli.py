@@ -12,46 +12,20 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 import time
 
 from . import io as mio
-from .applications import (
-    EXPANDER_KINDS,
-    RATIONAL,
-    beck_statistics,
-    expander_report,
-    projective_equivalence_count,
-    representation_counts,
-    representation_report,
-)
-from .energy import energy, energy_report, refuse_energy_work
-from .field import FieldContext, group_order
+from .applications import (EXPANDER_KINDS, beck_statistics, expander_report,
+                           projective_equivalence_count, representation_counts,
+                           representation_report)
+from .energy import energy, energy_report
+from .field import FieldContext
 from .generators import RANDOM_POINTS, generate_instance
-from .incidence import MAX_INCIDENCE_PAIRS, count_incidences, rich_transforms_brute
-from .pivot import check_reduction, refuse_pivot_work, rich_transforms_pivot
+from .incidence import count_incidences, refuse_scan_work, rich_transforms_brute
+from .pivot import check_reduction, refuse_reduction_work, rich_transforms_pivot
 from .sweep import SweepConfig, json_line, rows_to_csv, rows_to_jsonl, sweep
-
-# The group scan of 200 points at p = 547, about 4 s: the largest one the
-# CLI starts.  For m points off the axis y = 0 the scan takes about
-# p*min(m(m-1)/2, p*m) steps, plus about 16 steps' worth of its own for each
-# of its p + 1 rows: the rows set the time of scans of a few points at a
-# large p (2 points at p = 200003 take 4.6 us a row, and one point pair in a
-# row about 0.35 us).
-MAX_BRUTE_WORK = 547 * (math.comb(200, 2) + 16)
-# The most maps the pivot limit lets rich-enum list: C(200, 3) = 1313400.
-MAX_BRUTE_LISTING = math.comb(200, 3)
-# The exhaustive check at p = 53: the largest run the CLI starts.  743 is
-# the largest prime p with p^3 <= 53^5, so one pivot fits up to p = 743.
-MAX_REDUCTION_WORK = 53**5
-# The rational value set of 60 values: about 3 s at a large prime.  The
-# shift-invert set of 200 values, 1.5 to 3 s at p = 99991, fits at any p.
-MAX_EXPANDER_WORK = 60**4
-# equiv-count over 60 ground elements: 205320 target triples.  A 3-element
-# pattern keeps every one, and the run takes about 0.5 s at p = 9973.
-MAX_EQUIV_TARGETS = math.perm(60, 3)
 
 # Each file flag and its loader in io, in load order.  The loader is looked
 # up on io when it runs, so a wrapped loader is the one called.
@@ -73,48 +47,15 @@ def _emit_record(record: dict, as_json: bool = False) -> None:
 
 
 def _cmd_incidence(args) -> int:
-    # One column test per map and distinct abscissa.  From p = 257 on 2000^2
-    # take about 1.2 s; below p = 255 the graph tables count the 251 columns
-    # of the full grid of F_251 against 15936 maps (4*10^6 tests) in 0.07 s.
-    maps, abscissae = len(args.transforms), len({x for x, _ in args.points.points})
-    if maps * abscissae > MAX_INCIDENCE_PAIRS:
-        raise ValueError(
-            f"the incidences of {maps} maps and points at {abscissae} distinct "
-            f"abscissae need {maps * abscissae} column tests, over the limit "
-            f"2000^2 = {MAX_INCIDENCE_PAIRS}; give fewer points or maps"
-        )
     print(count_incidences(args.points, args.transforms))
     return 0
 
 
 def _cmd_rich_enum(args) -> int:
-    n, p, k = len(args.points), args.ctx.p, args.k
-    if args.method != "pivot":
-        m = sum(1 for _, y in args.points.points if y)
-        work = p * (min(m * (m - 1) // 2, p * m) + 16)
-        if work > MAX_BRUTE_WORK:
-            raise ValueError(
-                f"the group scan of {n} points at p={p}, m={m} of them off the axis "
-                f"y = 0, needs about p*(min(m(m-1)/2, p*m) + 16) = {work} steps, over "
-                f"the limit 547*(C(200,2) + 16) = {MAX_BRUTE_WORK}; enumerate with "
-                f"--method pivot"
-            )
-        # It keeps every map through k points: p(p-1) maps pass through one
-        # point, p-1 through two and at most one through three.  It refuses
-        # k < 1 itself.
-        through = (n * p * (p - 1) if k == 1 else
-                   math.comb(n, 2) * (p - 1) if k == 2 else math.comb(n, 3))
-        listing = min(group_order(p), through)
-        if k >= 1 and listing > MAX_BRUTE_LISTING:
-            raise ValueError(
-                f"the group scan of {n} points at p={p} and k={k} may list {listing} "
-                f"maps, over the limit C(200,3) = {MAX_BRUTE_LISTING}; give fewer points"
-            )
-    if args.method != "brute":
-        refuse_pivot_work(n)
-    results = {}
-    timings = {}
-    # The pivot runs first.
+    if args.method == "both":
+        # The pivot runs first, so the scan is refused before it starts.
+        refuse_scan_work(args.points, args.k)
+    results, timings = {}, {}
     for method, enumerate_rich in (("pivot", rich_transforms_pivot),
                                    ("brute", rich_transforms_brute)):
         if args.method in (method, "both"):
@@ -139,12 +80,8 @@ def _cmd_rich_enum(args) -> int:
 def _cmd_energy(args) -> int:
     if (args.transforms is None) == (args.hyperbolas is None):
         raise ValueError("give exactly one of --transforms or --hyperbolas")
-    family = args.transforms if args.hyperbolas is None else args.hyperbolas
-    refuse_energy_work(len(family))
-    if args.hyperbolas is not None:
-        record = energy_report(args.hyperbolas, args.ctx)
-    else:
-        record = {"size": len(args.transforms), "energy": energy(args.transforms)}
+    record = (energy_report(args.hyperbolas, args.ctx) if args.transforms is None
+              else {"size": len(args.transforms), "energy": energy(args.transforms)})
     _emit_record(record, args.json)
     return 0
 
@@ -163,36 +100,16 @@ def _cmd_repr(args) -> int:
 
 
 def _cmd_beck(args) -> int:
-    refuse_pivot_work(len(args.points))
     _emit_record(beck_statistics(args.points, args.constant), args.json)
     return 0
 
 
 def _cmd_expander(args) -> int:
-    n, p = len(args.a), args.ctx.p
-    if args.kind == RATIONAL:
-        work, steps, most = n**4, f"{n}^4", "at most 60 values"
-    else:
-        # Each value meets the inverse of each distinct difference.
-        work = n * min(n * (n - 1), p - 1)
-        steps, most = f"{n}*min({n}*{n - 1}, {p - 1})", "fewer values"
-    if work > MAX_EXPANDER_WORK:
-        raise ValueError(
-            f"the {args.kind} value set of {n} values needs {steps} = {work} steps, "
-            f"over the limit 60^4 = {MAX_EXPANDER_WORK}; give {most}"
-        )
     _emit_record(expander_report(args.a, args.kind), args.json)
     return 0
 
 
 def _cmd_equiv_count(args) -> int:
-    n, targets = len(args.a), math.perm(len(args.a), 3)
-    if targets > MAX_EQUIV_TARGETS:
-        raise ValueError(
-            f"equiv-count over {n} ground elements tries {targets} target "
-            f"triples, over the limit 60*59*58 = {MAX_EQUIV_TARGETS}; give at most "
-            f"60 ground elements"
-        )
     _emit_record(projective_equivalence_count(args.a, args.s), args.json)
     return 0
 
@@ -201,21 +118,11 @@ def _cmd_verify_reduction(args) -> int:
     p = args.ctx.p
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    # Each pivot costs about p^3 steps.
-    pivot_count = p * p if args.exhaustive else min(args.samples, p * p)
-    if pivot_count * p**3 > MAX_REDUCTION_WORK:
-        most = MAX_REDUCTION_WORK // p**3
-        hint = (f"check at most {most} pivots at this p with --samples" if most
-                else "one pivot at this p is already over the limit; --samples "
-                     "checks run up to p = 743")
-        raise ValueError(
-            f"{pivot_count} pivots at p={p} need about {pivot_count * p**3:.2g} "
-            f"steps, over the limit 53^5 = {MAX_REDUCTION_WORK}; {hint}"
-        )
     pivots = None
     if not args.exhaustive:
-        draw = generate_instance(RANDOM_POINTS, {"n": pivot_count}, args.seed, args.ctx)
-        pivots = list(draw.points)
+        n = min(args.samples, p * p)
+        refuse_reduction_work(p, n)
+        pivots = list(generate_instance(RANDOM_POINTS, {"n": n}, args.seed, args.ctx).points)
     report = check_reduction(args.ctx, pivots, jobs=args.jobs)
     _emit_record({name.replace("_", "-"): value
                   for name, value in report._asdict().items()})

@@ -58,6 +58,7 @@ def energy(T: TransformSet) -> int:
     """
     if len(T) == 0:
         raise ValueError("energy of an empty set")
+    refuse_energy_work(len(T))
     p, inv = T.ctx.p, T.ctx._inv
     mats = [key_entries(key, p) for key in T.keys]
     # g^{-1} is (d, -b, -c, a): it sends 0 to -b/a, 1 to (d - b)/(a - c) and
@@ -182,6 +183,7 @@ def energy_report(H: Iterable[HyperbolaTranslate], ctx: FieldContext) -> dict:
     H = sorted(set(H))
     if not H:
         raise ValueError("report of an empty family")
+    refuse_energy_work(len(H))
     maps = encode_family(H, ctx)
     e = energy(maps)
     m = translate_multiplicity(H)

@@ -93,13 +93,6 @@ class FieldContext:
             inv[x] = (-(p // x) * inv[p % x]) % p
         self._inv = inv
 
-    def inv(self, x: int) -> int:
-        """Multiplicative inverse of x mod p; raises on zero."""
-        x %= self.p
-        if x == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
-        return self._inv[x]
-
     def __eq__(self, other):
         return isinstance(other, FieldContext) and other.p == self.p
 

@@ -7,13 +7,15 @@ affine point, so it can never contribute an incidence.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import Counter
 from itertools import chain, combinations, compress, groupby, repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
-from .field import PAD, FieldContext, MoebiusMap, graph_tables, key_entries, same_context
+from .field import (PAD, FieldContext, MoebiusMap, graph_tables, group_order, key_entries,
+                    same_context)
 
 
 class SortedSet:
@@ -146,6 +148,24 @@ def incidences_of(key: int, cols, ctx: FieldContext) -> int:
 CUT = 12
 
 
+# One column test per map and distinct abscissa of the points.  From p = 257
+# on, count_incidences of 2000 random points and 2000 random maps at p = 9973
+# (1640 distinct abscissae) takes about 1 s on one core under CPython 3.11,
+# and 2000^2 tests about 1.2 s; below p = 255 the graph tables count the 251
+# columns of the full grid of F_251 against 15936 maps (4*10^6 tests) in 0.07 s.
+MAX_INCIDENCE_PAIRS = 2000**2
+
+
+def refuse_incidence_work(maps: int, abscissae: int) -> None:
+    """Refuse, before it starts, an incidence count over the limit on column tests."""
+    if maps * abscissae > MAX_INCIDENCE_PAIRS:
+        raise ValueError(
+            f"the incidences of {maps} maps and points at up to {abscissae} distinct "
+            f"abscissae need up to {maps * abscissae} column tests, over the limit "
+            f"2000^2 = {MAX_INCIDENCE_PAIRS}; give fewer points or maps"
+        )
+
+
 def count_incidences(P: PointSet, T: TransformSet) -> int:
     """I(P, T): number of pairs (point, map) with the point on the map.
 
@@ -160,6 +180,7 @@ def count_incidences(P: PointSet, T: TransformSet) -> int:
     """
     same_context(P.ctx, T.ctx)
     ctx, cols = P.ctx, columns(P.points)
+    refuse_incidence_work(len(T), len(cols))
     if ctx.p >= PAD or len(cols) < CUT:
         return sum(incidences_of(key, cols, ctx) for key in T.keys)
     marks = []
@@ -174,31 +195,6 @@ def count_incidences(P: PointSet, T: TransformSet) -> int:
         graphs = b"".join(graph_tables(keys[i:i + 4096], ctx))
         n += sum(graphs[x::256].translate(mark).count(1) for x, mark in marks)
     return n
-
-
-# count_incidences of 2000 random points and 2000 random maps at p = 9973
-# takes about 1 s on one core under CPython 3.11 (1640 distinct abscissae);
-# below p = 255 the graph tables count as many column tests in under 0.1 s.
-MAX_INCIDENCE_PAIRS = 2000**2
-# The most points, or maps, on one side: drawing 2*10^5 random points or
-# maps at p = 9973 takes about 0.8 s, and 2*10^5 random hyperbolas 2.4 s.
-MAX_INCIDENCE_MEMBERS = 2 * 10**5
-
-
-def refuse_incidence_work(n_points: int, n_maps: int) -> None:
-    """Refuse, before anything is drawn, an incidence count over the limits."""
-    for n, side in ((n_points, "points"), (n_maps, "maps")):
-        if n > MAX_INCIDENCE_MEMBERS:
-            raise ValueError(
-                f"an incidence count over {n} {side} is over the limit of "
-                f"2*10^5 = {MAX_INCIDENCE_MEMBERS} {side}; give fewer {side}"
-            )
-    if n_points * n_maps > MAX_INCIDENCE_PAIRS:
-        raise ValueError(
-            f"the incidences of {n_points} points and {n_maps} maps need "
-            f"{n_points * n_maps} pairs, over the limit 2000^2 = {MAX_INCIDENCE_PAIRS}; "
-            f"give fewer points or maps"
-        )
 
 
 def _lines_from_pairs(off_axis, p: int, inv):
@@ -283,6 +279,40 @@ def _lines_from_bits(off_axis, p: int):
     return rich
 
 
+# The group scan of 200 points at p = 547, about 4 s: the largest one the
+# CLI starts.  For m points off the axis y = 0 the scan takes about
+# p*min(m(m-1)/2, p*m) steps, plus about 16 steps' worth of its own for each
+# of its p + 1 rows: the rows set the time of scans of a few points at a
+# large p (2 points at p = 200003 take 4.6 us a row, and one point pair in a
+# row about 0.35 us).
+MAX_BRUTE_WORK = 547 * (math.comb(200, 2) + 16)
+# The most maps the pivot limit lets rich-enum list: C(200, 3) = 1313400.
+MAX_BRUTE_LISTING = math.comb(200, 3)
+
+
+def refuse_scan_work(P: PointSet, k: int) -> None:
+    """Refuse, before it starts, a group scan of P at k over its steps or listing."""
+    n, p, m = len(P), P.ctx.p, sum(1 for _, y in P.points if y)
+    work = p * (min(m * (m - 1) // 2, p * m) + 16)
+    if work > MAX_BRUTE_WORK:
+        raise ValueError(
+            f"the group scan of {n} points at p={p}, m={m} of them off the axis "
+            f"y = 0, needs about p*(min(m(m-1)/2, p*m) + 16) = {work} steps, over "
+            f"the limit 547*(C(200,2) + 16) = {MAX_BRUTE_WORK}; enumerate with "
+            f"--method pivot"
+        )
+    # It keeps every map through k points: p(p-1) maps pass through one
+    # point, p-1 through two and at most one through three.
+    through = (n * p * (p - 1) if k == 1 else
+               math.comb(n, 2) * (p - 1) if k == 2 else math.comb(n, 3))
+    listing = min(group_order(p), through)
+    if k >= 1 and listing > MAX_BRUTE_LISTING:
+        raise ValueError(
+            f"the group scan of {n} points at p={p} and k={k} may list {listing} "
+            f"maps, over the limit C(200,3) = {MAX_BRUTE_LISTING}; give fewer points"
+        )
+
+
 def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:
     """All maps with at least k points of P on them, by scanning PGL(2, p).
 
@@ -298,6 +328,7 @@ def rich_transforms_brute(P: PointSet, k: int) -> TransformSet:
     one read of p^2 bits a row.  From p = 13 to p = 397 the masks overtake
     the pairs near m = p/2.
     """
+    refuse_scan_work(P, k)
     if k < 1:
         raise ValueError(f"the full-group scan needs k >= 1, got {k}")
     ctx = P.ctx

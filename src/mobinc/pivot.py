@@ -103,6 +103,7 @@ def rich_lines(P: PointSet, j: int) -> tuple[AffineLine, ...]:
     """Lines with at least j >= 2 points of P, by (slope, intercept), verticals last."""
     if j < 2:
         raise ValueError(f"rich lines need a threshold >= 2, got {j}")
+    refuse_line_work(len(P))
     p, least = P.ctx.p, j * (j - 1) // 2
     keys = sorted(key for key, c in _line_pairs(P.points, P.ctx).items() if c >= least)
     return tuple(
@@ -195,6 +196,7 @@ def _chart_lines(P: PointSet, k: int, listing: bool):
     pairs on each line (_line_pairs).  From p = 13 to p = 397 the masks
     overtake the pairs between m = 0.4p and m = 0.5p; switching at p/2 also
     pays for the tables, built at the first dense pivot of a walk."""
+    refuse_pivot_work(len(P))
     if k < 3:
         raise ValueError(f"pivot enumeration needs k >= 3, got {k}")
     ctx, p, inv, pts = P.ctx, P.ctx.p, P.ctx._inv, P.points
@@ -276,6 +278,25 @@ class ReductionReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.violations == 0 and self.line_collisions == 0 and self.det_mismatches == 0
+
+
+# The exhaustive check at p = 53: the largest run the CLI starts.  743 is
+# the largest prime p with p^3 <= 53^5, so one pivot fits up to p = 743.
+MAX_REDUCTION_WORK = 53**5
+
+
+def refuse_reduction_work(p: int, pivots: int) -> None:
+    """Refuse, before any pivot is drawn or checked, a reduction check of
+    that many pivots at p over the limit: each pivot costs about p^3 steps."""
+    if pivots * p**3 > MAX_REDUCTION_WORK:
+        most = MAX_REDUCTION_WORK // p**3
+        hint = (f"check at most {most} pivots at this p with --samples" if most
+                else "one pivot at this p is already over the limit; --samples "
+                     "checks run up to p = 743")
+        raise ValueError(
+            f"{pivots} pivots at p={p} need about {pivots * p**3:.2g} "
+            f"steps, over the limit 53^5 = {MAX_REDUCTION_WORK}; {hint}"
+        )
 
 
 def _check_pivot_row(ctx: FieldContext, q1: int, q2s) -> list[tuple[int, int, int, int, int]]:
@@ -475,6 +496,7 @@ def check_reduction(
     per pivot in the row.  The per-pivot counts are summed.
     """
     p = ctx.p
+    refuse_reduction_work(p, p * p if pivots is None else len(pivots))
     if pivots is None:
         pivots = [(q1, q2) for q1 in range(p) for q2 in range(p)]
     rows: dict[int, list[int]] = {}

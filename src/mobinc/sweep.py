@@ -197,16 +197,33 @@ def _resolved_sizes(config: SweepConfig, size: Optional[int]) -> dict:
     return params
 
 
+# The most points, or maps, on one side: drawing 2*10^5 random points or
+# maps at p = 9973 takes about 0.8 s, and 2*10^5 random hyperbolas 2.4 s.
+MAX_INCIDENCE_MEMBERS = 2 * 10**5
+
+
+def _refuse_incidence_draw(n_points: int, n_maps: int) -> None:
+    """Refuse, before anything is drawn, an incidence row over the members cap
+    or over count_incidences' limit, the planned points bounding the abscissae."""
+    for n, side in ((n_points, "points"), (n_maps, "maps")):
+        if n > MAX_INCIDENCE_MEMBERS:
+            raise ValueError(
+                f"an incidence count over {n} {side} is over the limit of "
+                f"2*10^5 = {MAX_INCIDENCE_MEMBERS} {side}; give fewer {side}"
+            )
+    refuse_incidence_work(n_maps, n_points)
+
+
 # The work limits of each row, in order, and the components whose planned
 # sizes they read; the size of the scalars is their grid's, |A|*|B|.
 _LIMITS = {
-    THM1_INCIDENCE: ((refuse_incidence_work, "points", "transforms"),),
+    THM1_INCIDENCE: ((_refuse_incidence_draw, "points", "transforms"),),
     THM1_RICH: ((refuse_pivot_work, "points"),),
-    THM2_INCIDENCE: ((refuse_incidence_work, "scalars", "transforms"),),
+    THM2_INCIDENCE: ((_refuse_incidence_draw, "scalars", "transforms"),),
     THM2_RICH: ((refuse_pivot_work, "scalars"),),
-    THM3_ENERGY: ((refuse_incidence_work, "scalars", "transforms"),
+    THM3_ENERGY: ((_refuse_incidence_draw, "scalars", "transforms"),
                   (refuse_energy_work, "transforms")),
-    THM4_HYPERBOLA: ((refuse_incidence_work, "scalars", "hyperbolas"),),
+    THM4_HYPERBOLA: ((_refuse_incidence_draw, "scalars", "hyperbolas"),),
     COR_KRICH_LINES: ((refuse_line_work, "points"),),
 }
 # The components each row reads: exactly those its limits size.

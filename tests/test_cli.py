@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobinc import applications, cli, field
+from mobinc import applications, cli, field, incidence
 from mobinc import sweep as sweep_module
 from mobinc.bounds import BOUND_IDS
 from mobinc.generators import INSTANCE_KINDS
 from mobinc.pivot import MAX_PIVOT_WORK, ReductionReport
+from test_limits import stub_inner_work
 
 CONFIG = """
 primes = 7,11
@@ -61,16 +62,16 @@ def test_incidence_work_is_refused_over_the_limit(files, capsys, monkeypatch, li
     # the refusal comes before any is made.
     points = files("p.txt", "1,2\n1,3\n2,1\n0,0\n0,4\n")
     transforms = files("t.txt", "3,0,1,4\n1,0,0,1\n1,1,0,1\n2,0,0,1\n")
-    monkeypatch.setattr(cli, "MAX_INCIDENCE_PAIRS", limit)
+    monkeypatch.setattr(incidence, "MAX_INCIDENCE_PAIRS", limit)
     if code:
-        monkeypatch.setattr(cli, "count_incidences", _work_unreachable)
+        stub_inner_work(monkeypatch, "count_incidences", _work_unreachable)
     status, out, err = run(capsys, "incidence", "--points", points,
                            "--transforms", transforms, "-p", "7")
     assert status == code
     if code:
         assert out == "" and err.count("\n") == 1
-        assert err.startswith("error: the incidences of 4 maps and points at 3 distinct "
-                              "abscissae need 12 column tests, over the limit")
+        assert err.startswith("error: the incidences of 4 maps and points at up to 3 distinct "
+                              "abscissae need up to 12 column tests, over the limit")
     else:
         assert out == "7\n"  # 3 on the curved map, 1 on x, 1 on x + 1, 2 on 2x
 
@@ -152,8 +153,8 @@ def _grid_file(files, p, n, row=0):
 ])
 def test_rich_enum_refuses_unbounded_scan(files, capsys, monkeypatch, p, n, method):
     # Refused once the points are loaded, before either enumerator runs.
-    monkeypatch.setattr(cli, "rich_transforms_brute", _scan_unreachable)
-    monkeypatch.setattr(cli, "rich_transforms_pivot", _scan_unreachable)
+    stub_inner_work(monkeypatch, "rich_transforms_brute", _scan_unreachable)
+    stub_inner_work(monkeypatch, "rich_transforms_pivot", _scan_unreachable)
     argv = ["rich-enum", "--points", _grid_file(files, p, n, row=1), "-p", str(p), "-k", "3"]
     if method:
         argv += ["--method", method]
@@ -172,7 +173,7 @@ def test_rich_enum_pivot_is_not_limited_by_the_scan(files, capsys, monkeypatch):
 
 
 def test_rich_enum_admits_scan_at_p1009(files, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "rich_transforms_brute", _scan_unreachable)
+    stub_inner_work(monkeypatch, "rich_transforms_brute", _scan_unreachable)
     with pytest.raises(AssertionError, match="rich_transforms_brute"):
         run(capsys, "rich-enum", "--points", _grid_file(files, 1009, 147, row=1),
             "-p", "1009", "-k", "3", "--method", "brute")
@@ -194,8 +195,8 @@ def test_rich_enum_scans_few_points_at_a_large_prime(files, capsys):
 def test_rich_enum_refuses_unbounded_listing(files, capsys, monkeypatch, p, n, k, method):
     # The scan's steps are admitted, but the maps it would keep are over
     # C(200, 3); refused before either enumerator runs.
-    monkeypatch.setattr(cli, "rich_transforms_brute", _scan_unreachable)
-    monkeypatch.setattr(cli, "rich_transforms_pivot", _scan_unreachable)
+    stub_inner_work(monkeypatch, "rich_transforms_brute", _scan_unreachable)
+    stub_inner_work(monkeypatch, "rich_transforms_pivot", _scan_unreachable)
     code, out, err = run(capsys, "rich-enum", "--points", _grid_file(files, p, n),
                          "-p", str(p), "-k", str(k), "--method", method)
     assert code == 2 and out == ""
@@ -205,7 +206,7 @@ def test_rich_enum_refuses_unbounded_listing(files, capsys, monkeypatch, p, n, k
 
 @pytest.mark.parametrize("p, n, k", [(61, 120, 3), (1009, 54, 3), (101, 60, 1)])
 def test_rich_enum_admits_bounded_listing(files, capsys, monkeypatch, p, n, k):
-    monkeypatch.setattr(cli, "rich_transforms_brute", _scan_unreachable)
+    stub_inner_work(monkeypatch, "rich_transforms_brute", _scan_unreachable)
     with pytest.raises(AssertionError, match="rich_transforms_brute"):
         run(capsys, "rich-enum", "--points", _grid_file(files, p, n),
             "-p", str(p), "-k", str(k), "--method", "brute")
@@ -219,11 +220,13 @@ def _pivot_unreachable(*args, **kwargs):
     ["rich-enum", "-k", "3", "--method", "pivot"],
     ["rich-enum", "-k", "3", "--method", "both"],
     ["beck", "--json"],
+    ["beck", "--constant", "0"],
 ])
 def test_pivot_work_is_refused(files, capsys, monkeypatch, argv):
-    # At p=17 the group scan of 201 points is admitted; n^3 is over 200^3.
+    # At p=17 the group scan of 201 points is admitted; n^3 is over 200^3,
+    # and beck refuses it before it reads its constant.
     for name in ("rich_transforms_brute", "rich_transforms_pivot", "beck_statistics"):
-        monkeypatch.setattr(cli, name, _pivot_unreachable)
+        stub_inner_work(monkeypatch, name, _pivot_unreachable)
     code, out, err = run(capsys, *argv, "-p", "17", "--points", _grid_file(files, 17, 201))
     assert MAX_PIVOT_WORK == 200**3
     assert code == 2 and out == ""
@@ -236,7 +239,7 @@ def test_pivot_work_is_refused(files, capsys, monkeypatch, argv):
     (["beck"], "beck_statistics"),
 ])
 def test_pivot_work_admits_200_points(files, capsys, monkeypatch, argv, stub):
-    monkeypatch.setattr(cli, stub, _pivot_unreachable)
+    stub_inner_work(monkeypatch, stub, _pivot_unreachable)
     with pytest.raises(AssertionError, match="pivot enumeration was called"):
         run(capsys, *argv, "-p", "17", "--points", _grid_file(files, 17, 200))
 
@@ -283,8 +286,8 @@ def _energy_family_file(files, flag, n):
 @pytest.mark.parametrize("flag, p", [("--transforms", "17"), ("--hyperbolas", "23")])
 def test_energy_work_is_refused(files, capsys, monkeypatch, flag, p):
     # Refused once the family is loaded, before any quotient is formed.
-    monkeypatch.setattr(cli, "energy", _energy_unreachable)
-    monkeypatch.setattr(cli, "energy_report", _energy_unreachable)
+    stub_inner_work(monkeypatch, "energy", _energy_unreachable)
+    stub_inner_work(monkeypatch, "energy_report", _energy_unreachable)
     code, out, err = run(capsys, "energy", "-p", p, flag,
                          _energy_family_file(files, flag, 1001))
     assert code == 2 and out == ""
@@ -379,7 +382,7 @@ def test_quadratic_commands_refuse_unbounded_work(files, capsys, monkeypatch,
                                                   command, stub, limit):
     # 61 values: |A|^4 and |A|(|A|-1)(|A|-2) are over their limits, and the
     # refusal comes before the value set or any target is computed.
-    monkeypatch.setattr(cli, stub, _work_unreachable)
+    stub_inner_work(monkeypatch, stub, _work_unreachable)
     extra = ["--s", _values_file(files, 4)] if command == ["equiv-count"] else []
     code, out, err = run(capsys, *command, "-p", "1009", "--a", _values_file(files, 61),
                          *extra)
@@ -410,7 +413,7 @@ def test_expander_shift_invert_refuses_unbounded_work(files, capsys, monkeypatch
 ])
 def test_quadratic_commands_admit_bounded_work(files, capsys, monkeypatch,
                                                command, stub, n):
-    monkeypatch.setattr(cli, stub, _work_unreachable)
+    stub_inner_work(monkeypatch, stub, _work_unreachable)
     extra = ["--s", _values_file(files, 4)] if command == ["equiv-count"] else []
     with pytest.raises(AssertionError, match="capped work"):
         run(capsys, *command, "-p", "1009", "--a", _values_file(files, n), *extra)
@@ -448,6 +451,10 @@ def _unreachable(*args, **kwargs):
     raise AssertionError("check_reduction was called")
 
 
+def _draw_unreachable(*args, **kwargs):
+    raise AssertionError("the pivots were drawn")
+
+
 @pytest.mark.parametrize("argv", [
     ("-p", "59", "--exhaustive"),
     ("-p", "1048573", "--exhaustive"),
@@ -458,7 +465,8 @@ def _unreachable(*args, **kwargs):
 ])
 def test_verify_reduction_refuses_unbounded_work(capsys, monkeypatch, argv):
     # Refused before any pivot is listed or sampled, let alone checked.
-    monkeypatch.setattr(cli, "check_reduction", _unreachable)
+    monkeypatch.setattr(cli, "generate_instance", _draw_unreachable)
+    stub_inner_work(monkeypatch, "check_reduction", _unreachable)
     code, out, err = run(capsys, "verify-reduction", *argv, "--jobs", "1")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -467,14 +475,14 @@ def test_verify_reduction_refuses_unbounded_work(capsys, monkeypatch, argv):
 
 
 def test_verify_reduction_admits_sampled_p53(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "check_reduction", _unreachable)
+    stub_inner_work(monkeypatch, "check_reduction", _unreachable)
     with pytest.raises(AssertionError, match="check_reduction"):
         run(capsys, "verify-reduction", "-p", "53", "--samples", "8", "--jobs", "1")
 
 
 def test_verify_reduction_admits_one_sample_at_p743(capsys, monkeypatch):
     # 751^3 > 53^5 >= 743^3: the refusal at p = 751 points here.
-    monkeypatch.setattr(cli, "check_reduction", _unreachable)
+    stub_inner_work(monkeypatch, "check_reduction", _unreachable)
     with pytest.raises(AssertionError, match="check_reduction"):
         run(capsys, "verify-reduction", "-p", "743", "--samples", "1", "--jobs", "1")
 

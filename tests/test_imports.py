@@ -46,6 +46,14 @@ def test_incidence_loads_no_pivot():
     assert "mobinc.pivot" not in loaded
 
 
+def test_cli_defines_no_work_limit():
+    # Each work limit lives beside the kernel it bounds, and the kernel
+    # refuses it, so that no cost model drifts back into the front end.
+    import mobinc.cli as cli
+
+    assert [name for name in vars(cli) if name.startswith("MAX_")] == []
+
+
 # Definitions kept although no product path names them, each with its reason.
 _KEPT = {
     "energy_brute": "the quadruple-loop oracle of energy, which the tests run",

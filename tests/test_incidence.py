@@ -207,7 +207,7 @@ def _reference_sets(ctx, T):
     p = ctx.p
     yield PointSet(product(range(p), repeat=2), ctx)
     rng = random.Random(p)
-    poles = sorted({-d * ctx.inv(c) % p for _, _, c, d in
+    poles = sorted({-d * pow(c, -1, p) % p for _, _, c, d in
                     (key_entries(key, p) for key in T.keys) if c})
     for n in (3, p // 2):
         step = rng.randrange(1, p)

@@ -392,19 +392,19 @@ def _incidence_draw_unreachable(*args, **kwargs):
     ("bounds = thm1-incidence\ngenerator = random-points",
      "n = 200001\nnt = 1", "n = 200000\nnt = 1", "200001 points"),
     ("bounds = thm1-incidence\ngenerator = random-points",
-     "n = 2001\nnt = 2000", "n = 2000\nnt = 2000", "4002000 pairs"),
+     "n = 2001\nnt = 2000", "n = 2000\nnt = 2000", "4002000 column tests"),
     # random scalars fill in, and their 10 x 20 grid, not n, is the points
     ("bounds = thm1-incidence,thm2-rich\ngenerator = random-transforms\n"
-     "na = 10\nnb = 20\nn = 100001", "nt = 20001", "nt = 20000", "4000200 pairs"),
+     "na = 10\nnb = 20\nn = 100001", "nt = 20001", "nt = 20000", "4000200 column tests"),
     ("bounds = thm1-incidence\ngenerator = random-transforms",
      "nt = 200001\nn = 1", "nt = 200000\nn = 1", "200001 maps"),
     ("bounds = thm2-incidence\ngenerator = ap",
      "na = 1000\nnb = 1000", "na = 1000\nnb = 200", "1000000 points"),
     ("bounds = thm3-energy\ngenerator = cartesian\nna = 100\nnb = 100",
-     "nt = 401", "nt = 400", "4010000 pairs"),
+     "nt = 401", "nt = 400", "4010000 column tests"),
     # the hyperbola grid's family is one translate per pair of its A x B
     ("bounds = thm4-hyperbola\ngenerator = hyperbola-grid",
-     "na = 45\nnb = 45", "na = 44\nnb = 45", "4100625 pairs"),
+     "na = 45\nnb = 45", "na = 44\nnb = 45", "4100625 column tests"),
     ("bounds = thm4-hyperbola\ngenerator = random-points\nna = 1\nnb = 1",
      "nh = 200001", "nh = 200000", "200001 maps"),
 ], ids=["points", "pairs", "grid-as-points", "maps", "grid", "energy-pairs", "hyperbola-grid",
@@ -430,7 +430,7 @@ def test_incidence_rows_are_refused_before_the_draw(tmp_path, capsys, monkeypatc
 
 def test_defined_maps_of_an_incidence_row_are_counted_first(tmp_path, capsys, monkeypatch):
     # 80 random points at p = 9973 define about C(80, 3) maps, whose
-    # incidences with the 80 points are over the pair limit; 60 points are not.
+    # incidences with the 80 points are over the column-test limit; 60 points are not.
     monkeypatch.setattr(generators, "rich_transforms_pivot", _maps_unreachable)
     path = tmp_path / "sweep.cfg"
     argv = ["sweep", "--config", str(path), "--jobs", "1"]
@@ -440,7 +440,7 @@ def test_defined_maps_of_an_incidence_row_are_counted_first(tmp_path, capsys, mo
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: sweep cell p=9973 size=None rep=0 ")
-    assert captured.err.count("\n") == 1 and "of 80 points and " in captured.err
+    assert captured.err.count("\n") == 1 and "up to 80 distinct abscissae" in captured.err
     assert "2000^2" in captured.err
     path.write_text(text + "n = 60\n", encoding="utf-8")
     with pytest.raises(AssertionError, match="defined maps were built"):
@@ -498,8 +498,9 @@ _MEMBERS_490000 = ("an incidence count over 490000 points is over the limit of "
                    "2*10^5 = 200000 points; give fewer points")
 _LINES_490000 = ("the rich lines of 490000 points need 120049755000 point pairs, over "
                  "the limit C(2000, 2) = 1999000; give at most 2000 points")
-_PAIRS_160446 = ("the incidences of 100 points and 160446 maps need 16044600 pairs, "
-                 "over the limit 2000^2 = 4000000; give fewer points or maps")
+_PAIRS_160446 = ("the incidences of 160446 maps and points at up to 100 distinct abscissae "
+                 "need up to 16044600 column tests, over the limit 2000^2 = 4000000; give "
+                 "fewer points or maps")
 _ENERGY_160446 = ("the energy of 160446 maps needs 160446^2 = 25742918916 quotients, "
                   "over the limit 1000^2 = 1000000; give at most 1000 maps")
 _ENERGY_1001 = ("the energy of 1001 maps needs 1001^2 = 1002001 quotients, over the "
