@@ -136,11 +136,16 @@ GATES = [
          == g.cli("verify-reduction", "-p", 31, "--exhaustive", "--jobs", 1)[0],
          "--jobs 1 and 2 print different bytes")),
     ("Exhaustive reduction check at p = 53",
-     "The largest exhaustive check the CLI starts; about 1.8-2.2 s on two cores.",
-     lambda g: g.stdout_is("verify-reduction", "-p", 53, "--exhaustive", "--jobs", 2,
-                           timeout=180, expected=(
-         "p=53 pivots=2809 transforms=7595536 triples=20538329344 violations=0 "
-         "line-collisions=0 det-mismatches=0\nOK"))),
+     "The largest exhaustive check the CLI starts, whose rows are its widest batches, "
+     "53 * 52^2 lanes; about 0.3-0.5 s a run on two cores.  --jobs 1, which starts no "
+     "worker, must print the same bytes as --jobs 2.",
+     lambda g: g.check(
+         g.stdout_is("verify-reduction", "-p", 53, "--exhaustive", "--jobs", 2,
+                     timeout=180, expected=(
+             "p=53 pivots=2809 transforms=7595536 triples=20538329344 violations=0 "
+             "line-collisions=0 det-mismatches=0\nOK"))
+         == g.cli("verify-reduction", "-p", 53, "--exhaustive", "--jobs", 1, timeout=180)[0],
+         "--jobs 1 and 2 print different bytes")),
     ("Sampled reduction check at p = 127",
      "Eight seeded pivots, each with its 126^2 curved maps: the row and per-pivot tables at a "
      "p well above the exhaustive gate's.  The pivots go to the workers in rows, so stdout "

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import partial
-from itertools import chain, compress, count, repeat
+from itertools import compress, count, repeat
 from operator import add, itemgetter
 from typing import NamedTuple, Optional, Union
 
@@ -280,8 +280,11 @@ class ReductionReport(NamedTuple):
         return self.violations == 0 and self.line_collisions == 0 and self.det_mismatches == 0
 
 
-# The exhaustive check at p = 53: the largest run the CLI starts.  743 is
-# the largest prime p with p^3 <= 53^5, so one pivot fits up to p = 743.
+# The exhaustive check at p = 53, the largest run the CLI starts, takes about
+# 0.3-0.5 s with --jobs 1 or 2, interpreter start included (Python 3.11,
+# shared 2-core machine); it took 7 s when the limit was set.  743 is the
+# largest prime p with p^3 <= 53^5, so one pivot fits up to p = 743, where
+# its tuple batches take about 22 s.
 MAX_REDUCTION_WORK = 53**5
 
 
@@ -305,67 +308,79 @@ def _check_pivot_row(ctx: FieldContext, q1: int, q2s) -> list[tuple[int, int, in
     Returns one (transforms, triples, violations, line_collisions,
     det_mismatches) per pivot, in q2s order, duplicates included; q1 and
     each q2 are reduced mod p here.  Curved maps through q are parametrized
-    directly: c = 1, b forced, (a, d) ranging over a != q2, d != -q1.  A
-    triple is a map and one of the (p-1)^2 admissible points (s1 != q1,
-    s2 != q2).
+    directly: c = 1, b forced, (a, d) ranging over a != q2, d != -q1, and
+    are visited by u = a - q2 != 0.  A triple is a map and one of the
+    (p-1)^2 admissible points (s1 != q1, s2 != q2).
 
     Each side of the reduction puts at most one admissible point on each
-    abscissa s1 != q1, so a map's graph is a sequence of p-1 ordinates,
-    with q2 marking an abscissa that carries no admissible point.  The maps
-    of one (pivot, a) are checked in one batch: the sequences of all its d,
-    in d order, laid end to end, each side built by table lookups alone.
+    abscissa s1 != q1, so a map's graph is a sequence of p-1 ordinates.
+    Both sides are shifted by -q2: an entry is s2 - q2, and 0 marks an
+    abscissa that carries no admissible point.  The maps of one pivot and
+    one u form a sequence of all their d, in d order, laid end to end; the
+    row checks the sequences of every pivot at one u in one batch, built
+    by table lookups alone.
 
     Curve side: b = q2(q1 + d) - a*q1, so with w = 1/(s1 + d) the value
-    f(s1) = (a*s1 + b)*w is (a*alpha + beta) mod p, where alpha =
-    (s1 - q1)*w and beta = q2*z with z = (q1 + d)*w.  This regroups only
-    the arithmetic around the inverse lookup, so it equals the literal
-    (a*s1 + b)*w for any inverse table.  Once per row, alpha and z of every
-    (d, s1) are built, the pole s1 = -d getting alpha = 0 and z = 1, so that
-    its value is q2, no point.  An f(s1) equal to q2 is not admissible
-    either.
+    f(s1) = (a*s1 + b)*w less q2 is (u*alpha + q2*gamma) mod p, where alpha
+    = (s1 - q1)*w and gamma = (s1 + d)*w - 1, which is 0 for a correct
+    inverse table.  This regroups only the arithmetic around the inverse
+    lookup (gamma is alpha + (q1 + d)*w - 1), so it equals the literal
+    (a*s1 + b)*w - q2 for any inverse table.  Once per row, alpha and gamma of every (d, s1) are built, the
+    pole s1 = -d getting alpha = gamma = 0, so that its entry is 0, no
+    point.
 
     Line side: the map (a, d) conjugates to the line t2 = m*t1 + i, with
-    m = (q1 + d)/(a - q2) and i = -1/(a - q2), pulled back through the
-    transplant (t1, t2) = (1/(q1 - s1), 1/(q2 - s2)): s2 = q2 - 1/t2, which
-    is never q2, or q2 where t2 = 0.  Once per row, the products
-    (q1 + d)*t1 of every (d, s1) are built; once per pivot, pulled[t] holds
-    the ordinate pulled back from t2 = t, laid twice.  Once per (pivot, a),
-    back[v] = pulled[v + i] is a slice of it and scale[x] = back[x/(a - q2)]
-    is back at a row of the multiplication table mul; the line batch is
-    scale at the products, as m*t1 = (q1 + d)*t1/(a - q2).
+    m = (q1 + d)/u and i = -1/u, pulled back through the transplant
+    (t1, t2) = (1/(q1 - s1), 1/(q2 - s2)): s2 - q2 = -1/t2, which is never
+    0, or 0 where t2 = 0.  Once per row, the products (q1 + d)*t1 of every
+    (d, s1) are built, and pulled[t] holds the entry pulled back from
+    t2 = t, laid twice.  Neither depends on q2, so the line sequence of
+    every pivot at one u is the same: back[v] = pulled[v + i] is a slice,
+    scale[x] = back[x/u] is back at a row of the multiplication table mul,
+    and the line sequence is scale at the products, as m*t1 = (q1 + d)*t1/u.
 
-    Below p = PAD each batch is an integer of 16-bit little-endian lanes,
-    one (d, s1) entry a lane: the entry's byte and then the byte PAD, which
-    every translate table maps to 0.  Once per (row, a), A holds a*alpha
-    and once per pivot beta holds q2*z, each one bytes.translate of the
-    row's bytes through a row of mul.  Each lane of s = A + beta is below
-    2p, so adding 2^15 - p sets the lane's top bit exactly where s >= p, and
-    subtracting p there reduces every lane at once, without a carry into
-    the next.  The line batch is one translate of the products through
-    scale.  From p = 257 on, each batch is a tuple gathered by itemgetter:
-    the curve from aff[alpha*p + beta] = (a*alpha + beta) mod p, laid out
-    once per (row, a) from slices of range(p) doubled, at keys built once
-    per pivot.
+    Below p = PAD each sequence is a byte string of 16-bit little-endian
+    lanes, one (d, s1) entry a lane: the entry's byte and then the byte
+    PAD, which every translate table maps to 0, so that translated strings
+    read as integers add lane by lane.  Once per row, G lays every
+    pivot's q2*gamma end to end, one bytes.translate of the row's gamma
+    bytes through row q2 of mul a pivot.  Once per u, A holds u*alpha, one
+    translate of the row's alpha bytes through row u of mul, and the line
+    sequence is one translate of the products through scale.  Every lane
+    holds a residue, so a pivot's curve equals the line exactly where its
+    q2*gamma equals (line - A) mod p.  Each lane of line + p - A is below
+    2p, so adding 2^15 - p sets the lane's top bit exactly where it is
+    >= p, and subtracting p there reduces every lane at once, without a
+    carry into the next.  The difference, repeated once a pivot, is
+    compared with G once; only where they differ is the batch split per
+    pivot, each pivot's curve being A plus its q2*gamma, reduced the same
+    way.  From p = 257 on each sequence is a tuple gathered by itemgetter:
+    the line once per u, and the curve once per (pivot, u) from
+    aff[alpha*p + g] = (u*alpha + g) mod p, laid out once per u from
+    slices of range(p) doubled, at keys alpha*p + q2*gamma built once per
+    pivot.
 
     A point violates the reduction when it lies on one side only.  Where
-    the two batches of a (pivot, a) differ, an entry that differs adds 2
-    when both sides hold a point and 1 otherwise: the size of the symmetric
-    difference of the graphs.  A line collision is a map whose line another
-    map through its pivot shares.  With u = a - q2 and e = q1 + d, the line
-    of (a, d) has i = -1/u and m = e/u; at every pivot u and e range over
-    the nonzero residues, so the lines, keyed i*p + m, are collected once
-    per row and every pivot of the row has the same collision count.  A
-    det mismatch is a map whose line's pullback, of determinant m, scaled
+    the curve and line sequences of a (pivot, u) differ, an entry that
+    differs adds 2 when both sides hold a point and 1 otherwise: the size
+    of the symmetric difference of the graphs.  A line collision is a map
+    whose line another map through its pivot shares.  With e = q1 + d, the
+    line of (a, d) has i = -1/u and m = e/u; at every pivot u and e range
+    over the nonzero residues, so the lines, keyed i*p + m, are collected
+    once per row and every pivot of the row has the same collision count.
+    A det mismatch is a map whose line's pullback, of determinant m, scaled
     to c = 1 by w = 1/(-i) from the inverse table, has m*w^2 != a*d - b.
     That difference is e*(w^2/u - u), so it vanishes for all the d of one
-    (pivot, a) or for none, whatever the inverse table holds.  Nothing
-    comes from the enumeration path.
+    u or for none, whatever the inverse table holds; the test runs once
+    per (row, u) and counts for every pivot.  Nothing comes from the
+    enumeration path.
 
-    A row costs O(p^2) interpreted steps and memory for its tables, and
-    O(p) more per a; each (pivot, a) costs a few interpreted steps and
-    O(p^2) work in C, on p^2-lane integers or by table lookups, so an
-    exhaustive check costs O(p^5).  Memory stays O(p^2) per row plus
-    O(p^2) per pivot in the row.
+    A row costs O(p^2) interpreted steps and memory for its tables, O(1)
+    more per pivot and O(p) more per u.  Below p = PAD each (row, u) costs a
+    few interpreted steps, a few operations on integers of p^2 lanes and
+    one comparison of p^2 lanes a pivot; from p = 257 on, O(p^2) table
+    lookups a pivot.  So an exhaustive check costs O(p^5) work in C.
+    Memory stays O(p^2) per row plus O(p^2) per pivot in the row.
     """
     p = ctx.p
     inv = ctx._inv
@@ -390,77 +405,84 @@ def _check_pivot_row(ctx: FieldContext, q1: int, q2s) -> list[tuple[int, int, in
     collisions = transforms - len(lines)
     del lines
     t1s = [inv[(q1 - s1) % p] for s1 in xs]
-    es = [(q1 + d) % p for d in ds]
-    products = [mul[e][t1] for e in es for t1 in t1s]
-    alphas, zs = [], []
-    for d, e in zip(ds, es):
+    products = [mul[(q1 + d) % p][t1] for d in ds for t1 in t1s]
+    alphas, units = [], []
+    for d in ds:
         for s1 in xs:
             if den := (s1 + d) % p:
                 w = inv[den]
                 alphas.append(mul[(s1 - q1) % p][w])
-                zs.append(mul[e][w])
+                units.append(mul[den][w])
             else:
                 alphas.append(0)
-                zs.append(1)
-    pulleds = [([q2] + [(q2 - inv[t]) % p for t in range(1, p)]) * 2 for q2 in q2s]
-    lanes = p < PAD
-    if lanes:
+                units.append(1)
+    # gamma = (s1 + d)*w - 1, doubled[p - 1 + v] being v - 1 mod p; the
+    # pole's unit 1 makes it 0 there.
+    gammas = list(map(doubled[p - 1 :].__getitem__, units))
+    del units
+    pulled = ([0] + [-inv[t] % p for t in range(1, p)]) * 2
+    pivots = len(q2s)
+    if lanes := p < PAD:
         n = len(products)
         fill = bytes(256 - p)
         mul = [bytes(row) for row in mul]
         tables = [row + fill for row in mul]
-        pulleds = [bytes(pulled) + fill for pulled in pulleds]
-        products, alphas, zs = (
-            bytes(chain.from_iterable(zip(entries, repeat(PAD))))
-            for entries in (products, alphas, zs)
-        )
-        betas = [int.from_bytes(zs.translate(tables[q2]), "little") for q2 in q2s]
+        pulled = bytes(pulled) + fill
+        lane = bytearray([0, PAD]) * n
+
+        def packed(entries):
+            lane[::2] = entries
+            return bytes(lane)
+
+        products, alphas, gammas = map(packed, (products, alphas, gammas))
+        G = b"".join(gammas.translate(tables[q2]) for q2 in q2s)
+        ps = int.from_bytes(p.to_bytes(2, "little") * n, "little")
         bias = int.from_bytes((2**15 - p).to_bytes(2, "little") * n, "little")
         high = int.from_bytes(b"\0\x80" * n, "little")
+
+        def reduced(s):
+            return (s - (((s + bias) & high) >> 15) * p).to_bytes(2 * n, "little")
+
     else:
         at_products = itemgetter(*products)
         alpha_p = [alpha * p for alpha in alphas]
-        at_z = itemgetter(*zs)
-        curve_ats = [itemgetter(*map(add, alpha_p, at_z(mul[q2]))) for q2 in q2s]
-    violations = [0] * len(q2s)
-    det_mismatches = [0] * len(q2s)
-    for a in range(p):
+        at_gamma = itemgetter(*gammas)
+        curve_ats = [itemgetter(*map(add, alpha_p, at_gamma(mul[q2]))) for q2 in q2s]
+    violations = [0] * pivots
+    det_fails = 0
+    for u in range(1, p):
+        inv_u = inv[u]
+        i = (-inv_u) % p
+        # With e = q1 + d, m*w^2 - (a*d - b) is e*(w^2/u - u), as m = e/u
+        # and a*d - b = u*e: one test for every d of this u at every pivot.
+        if (inv_u * inv[(-i) % p] ** 2 - u) % p:
+            det_fails += 1
         if lanes:
-            A = int.from_bytes(alphas.translate(tables[a]), "little")
+            line = products.translate(mul[inv_u].translate(pulled[i : i + 256]) + fill)
+            A = int.from_bytes(alphas.translate(tables[u]), "little")
+            if reduced(int.from_bytes(line, "little") + ps - A) * pivots == G:
+                continue
+            line = line[::2]
+            curves = (reduced(A + int.from_bytes(G[k : k + 2 * n], "little"))[::2]
+                      for k in range(0, len(G), 2 * n))
         else:
+            back = pulled[i : i + p]
+            line = at_products(list(map(back.__getitem__, mul[inv_u])))
             aff = []
             for alpha in range(p):
-                r = a * alpha % p
+                r = u * alpha % p
                 aff += doubled[r : r + p]
-        for j, q2 in enumerate(q2s):
-            if a == q2:
-                continue
-            u = (a - q2) % p
-            inv_u = inv[u]
-            i = (-inv_u) % p
-            # With e = q1 + d, m*w^2 - (a*d - b) is e*(w^2/u - u), as m = e/u
-            # and a*d - b = u*e: one test for every d of this a.
-            if (inv_u * inv[(-i) % p] ** 2 - u) % p:
-                det_mismatches[j] += len(ds)
-            if lanes:
-                s = A + betas[j]
-                curve = s - (((s + bias) & high) >> 15) * p
-                line = products.translate(mul[inv_u].translate(pulleds[j][i : i + 256]) + fill)
-                if curve == int.from_bytes(line, "little"):
-                    continue
-                curve, line = curve.to_bytes(2 * n, "little")[::2], line[::2]
-            else:
-                curve = curve_ats[j](aff)
-                back = pulleds[j][i : i + p]
-                line = at_products(list(map(back.__getitem__, mul[inv_u])))
+            curves = (curve_at(aff) for curve_at in curve_ats)
+        for j, curve in enumerate(curves):
             if curve != line:
                 violations[j] += sum(
-                    1 + (c != q2 and l != q2) for c, l in zip(curve, line) if c != l
+                    1 + (c != 0 and l != 0) for c, l in zip(curve, line) if c != l
                 )
     triples = transforms * (p - 1) ** 2
+    det_mismatches = det_fails * len(ds)
     return [
-        (transforms, triples, violations[j], collisions, det_mismatches[j])
-        for j in range(len(q2s))
+        (transforms, triples, violation, collisions, det_mismatches)
+        for violation in violations
     ]
 
 
@@ -486,12 +508,13 @@ def check_reduction(
     The pivots are grouped by q1 mod p, each row keeping its pivots in the
     given order, duplicates included, and each row is one unit of
     parallel_map, which spreads the rows over up to jobs processes, the
-    caller being one of them.  A row
-    builds its tables once, in O(p^2) interpreted steps and memory, and the
-    tables of each a once for all its pivots; each (pivot, a) then costs a
-    few interpreted steps and O(p^2) work in C (see _check_pivot_row): below
-    p = PAD a few operations on two integers of p^2 16-bit lanes, compared
-    once, and from p = 257 on O(p^2) table lookups into tuples.  So the
+    caller being one of them.  A row builds its tables once, in O(p^2)
+    interpreted steps and memory, and then checks all its pivots at once
+    for each u = a - q2, both sides shifted by -q2 so that the line side
+    depends on the row and u alone (see _check_pivot_row).  Below p = PAD
+    each (row, u) costs a few interpreted steps, a few operations on
+    integers of p^2 16-bit lanes and one comparison of p^2 lanes a pivot;
+    from p = 257 on, O(p^2) table lookups into tuples a pivot.  So the
     exhaustive check costs O(p^5).  Memory stays O(p^2) per row plus O(p^2)
     per pivot in the row.  The per-pivot counts are summed.
     """

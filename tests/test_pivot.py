@@ -8,7 +8,7 @@ from operator import add, itemgetter
 import pytest
 
 import mobinc.pivot as pivot_module
-from mobinc.field import INFINITY, FieldContext, MoebiusMap
+from mobinc.field import INFINITY, PAD, FieldContext, MoebiusMap
 from mobinc.incidence import PointSet, TransformSet, rich_transforms_brute
 from mobinc.pivot import (
     NonVertical,
@@ -697,10 +697,11 @@ def test_check_reduction_groups_pivots_by_row(jobs):
 def _check_pivot_row_reference(ctx, q1, q2s):
     """Reference for _check_pivot_row's byte lanes: each batch a tuple.
 
-    The row kernel as it was before the lanes, for every p: the curve batch
-    gathered from aff[alpha*p + beta] = (a*alpha + beta) mod p, the pole
-    keyed p^2 and aff[p^2] set to the pivot's q2, and the line batch
-    gathered from scale at the products.
+    The row kernel as it was before the lanes, for every p: one batch per
+    (pivot, a), its entries not shifted, so that q2 marks no point; the
+    curve batch gathered from aff[alpha*p + beta] = (a*alpha + beta) mod p,
+    the pole keyed p^2 and aff[p^2] set to the pivot's q2, and the line
+    batch gathered from scale at the products.
     """
 
     def gather(indices):
@@ -834,8 +835,8 @@ def test_check_one_pivot_counts_violations_like_set_reference(p, swap):
     # A field whose inverse table has two nonzero entries swapped: the
     # reduction fails, and both kernels must count the same violations.
     # No entry becomes 0, so q2 still marks "no point" on the line side.
-    # Whole rows, so that state one pivot leaves in the row tables (say
-    # aff[p^2] still holding the last pivot's q2) shows up.
+    # Whole rows, so that a pivot read from another pivot's part of the
+    # row's batches (say a wrong slice where a batch is split) shows up.
     ctx = FieldContext(p)
     inv = ctx._inv
     x, y = (v % p for v in swap)
@@ -862,3 +863,48 @@ def test_check_one_pivot_counts_line_collisions_like_set_reference(p, pair):
     collisions = sum(report[3] for report in reports)
     det_mismatches = sum(report[4] for report in reports)
     assert collisions > 0 and det_mismatches > 0
+
+
+@pytest.mark.parametrize("pad", [PAD, 2])
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_corrupted_rows_split_per_pivot_like_set_reference(p, pad, monkeypatch):
+    # A swapped inverse table makes batches differ, so they are split per
+    # pivot.  Whole rows, shuffled and with q2s repeated, must
+    # still give each pivot its own counts, through the lanes and, with the
+    # byte switch moved below every prime, through the integer batches.
+    monkeypatch.setattr(pivot_module, "PAD", pad)
+    ctx = FieldContext(p)
+    inv = ctx._inv
+    inv[2], inv[3] = inv[3], inv[2]
+    rng = random.Random(p)
+    for q1 in range(p):
+        reference = {q2: _check_one_pivot_sets(ctx, (q1, q2)) for q2 in range(p)}
+        shuffled = list(range(p))
+        rng.shuffle(shuffled)
+        for q2s in (shuffled, shuffled[:2] + shuffled + shuffled[:1]):
+            got = _check_pivot_row(ctx, q1, q2s)
+            assert got == [reference[q2] for q2 in q2s], (p, q1, q2s)
+            assert any(report[2] for report in got)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_zeroed_inverse_entries_read_as_no_point_like_batch_reference(p):
+    # An inverse table with nonzero entries set to 0: the line side pulls
+    # such a t2 back to q2, no point, where the set reference would keep a
+    # point, so the kernel, whose entries are shifted by -q2, is held to the
+    # unshifted batch reference, whose no-point marker is q2 itself.  With
+    # every entry 0, the line and u*alpha are 0 in every lane and q2*gamma
+    # is -q2 off the poles: only each pivot's q2*gamma tells its curve from
+    # the line.
+    rng = random.Random(p)
+    for zeros in ([1], [2], [p - 1], range(p)):
+        ctx = FieldContext(p)
+        for t in zeros:
+            ctx._inv[t] = 0
+        for q1 in range(p):
+            shuffled = list(range(p))
+            rng.shuffle(shuffled)
+            q2s = shuffled[:1] + shuffled
+            assert _check_pivot_row(ctx, q1, q2s) == _check_pivot_row_reference(
+                ctx, q1, q2s
+            ), (p, list(zeros), q1)
