@@ -191,6 +191,11 @@ GATES = [
      lambda g: (grid := g.grid(13),
                 g.check(g.listing(13, 3, "both", grid) == 2184, "k = 3 lists not 2184 maps"),
                 g.check(g.listing(13, 13, "pivot", grid) == 156, "k = 13 lists not 156 maps"))),
+    ("Pivot listing above every richness on the full grid of F_13",
+     "At k = 10^9 no map is rich.  No pivot of the grid moves k - 1 points, so the walk "
+     "skips every pivot before it counts, and every row of the group scan needs more points "
+     "than lie off the axis.  rich-enum --method both must print only MATCH, within seconds.",
+     lambda g: g.check(g.listing(13, 10**9, "both", g.grid(13)) == 0, "a map is listed")),
     ("Incidences of the full grid of F_101",
      "All 10201 points against the 10100 affine maps x -> ax + b and the 10100 maps "
      "(x + b)/(x + d), d != b.  Each map has one point per abscissa but its pole, so "

@@ -105,8 +105,9 @@ def _proj_eq(u, v, p):
 def energy_brute(T: TransformSet) -> int:
     """Independent oracle: a literal loop over all quadruples.
 
-    Quotients are raw adjugate products compared projectively, so this path
-    shares neither the canonical form nor the inverse table with energy().
+    Quotients are raw adjugate products of the maps' entries (key_entries)
+    compared projectively, so this path shares neither the canonical form
+    nor the inverse table with energy().
     """
     n = len(T)
     if n == 0:
@@ -114,7 +115,7 @@ def energy_brute(T: TransformSet) -> int:
     if n > ORACLE_CAP:
         raise ValueError(f"|T| = {n} exceeds the oracle cap {ORACLE_CAP}")
     p = T.ctx.p
-    mats = [f.as_tuple() for f in T]
+    mats = [key_entries(key, p) for key in T.keys]
     quotients = []
     for a1, b1, c1, d1 in mats:
         row = []
@@ -160,7 +161,7 @@ def encode_family(
     H: Iterable[HyperbolaTranslate], ctx: FieldContext
 ) -> TransformSet:
     """The maps of the translates, as keys; no map is built."""
-    return TransformSet.from_sorted(sorted({_hyperbola_key(h, ctx) for h in H}), ctx)
+    return TransformSet((_hyperbola_key(h, ctx) for h in H), ctx)
 
 
 def translate_multiplicity(H: Iterable[HyperbolaTranslate]) -> int:

@@ -1,10 +1,12 @@
-"""Arithmetic in F_p, the projective line, and Moebius transformations.
+"""Arithmetic in F_p and the keys of Moebius transformations.
 
 A Moebius transformation x -> (ax + b)/(cx + d) with ad - bc != 0 acts as a
-bijection of the projective line P(F_p) = F_p u {INFINITY}.  Scalar multiples
-of (a, b, c, d) give the same map, so every map is stored in canonical form:
-the first nonzero entry in the order (a, b, c, d) is scaled to 1.  Two maps
-compare equal exactly when they are the same element of PGL(2, p).
+bijection of the projective line F_p u {infinity}.  Scalar multiples of
+(a, b, c, d) give the same map, so every map has one canonical form: the
+first nonzero entry in the order (a, b, c, d) is scaled to 1.  The package
+holds each map as its key, the integer ((a*p + b)*p + c)*p + d of its
+canonical entries: canonical_key builds it, key_entries decodes it, and two
+keys are equal exactly when their maps are the same element of PGL(2, p).
 
 Field elements are plain Python ints reduced mod p; a FieldContext carries
 the modulus and a precomputed inverse table so division is a lookup.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import os
 from multiprocessing import Pipe, Process
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 # Keep p*p products comfortably inside machine-word range and the inverse
@@ -27,29 +29,6 @@ MAX_MODULUS = 1 << 20
 # reduction check's lanes).  From p = 257 on those kernels take their
 # integer paths.
 PAD = 255
-
-
-class _Infinity:
-    """The point at infinity on the projective line (a singleton)."""
-
-    _instance = None
-    __slots__ = ()
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-    def __reduce__(self):
-        return (_Infinity, ())
-
-
-INFINITY = _Infinity()
-
-ProjectivePoint = Union[int, _Infinity]
 
 
 def is_prime(n: int) -> bool:
@@ -181,91 +160,6 @@ def _send_share(conn, fn: Callable, share: Sequence) -> None:
         raise SystemExit(1) from None
 
 
-class MoebiusMap:
-    """An element of PGL(2, p): the class of the matrix (a, b, c, d).
-
-    Instances are immutable by convention and always canonical, so equality
-    and hashing work directly on the four entries.  Calling the map
-    evaluates it on a projective point; ``f * g`` is the composition
-    x -> f(g(x)); ``f.inverse()`` is the group inverse.
-    """
-
-    __slots__ = ("a", "b", "c", "d", "ctx")
-
-    def __new__(cls, a: int, b: int, c: int, d: int, ctx: FieldContext):
-        return cls.from_key(canonical_key(a, b, c, d, ctx), ctx)
-
-    def __getnewargs__(self):
-        """Let pickle and copy rebuild the map through __new__."""
-        return (self.a, self.b, self.c, self.d, self.ctx)
-
-    def __call__(self, x: ProjectivePoint) -> ProjectivePoint:
-        p = self.ctx.p
-        if x is INFINITY:
-            if self.c == 0:
-                return INFINITY
-            return self.a * self.ctx._inv[self.c] % p
-        den = (self.c * x + self.d) % p
-        if den == 0:
-            return INFINITY
-        return (self.a * x + self.b) * self.ctx._inv[den] % p
-
-    def __mul__(self, other):
-        """Composition: (f * g)(x) = f(g(x)), i.e. the matrix product."""
-        if not isinstance(other, MoebiusMap):
-            return NotImplemented
-        ctx = same_context(self.ctx, other.ctx)
-        a = self.a * other.a + self.b * other.c
-        b = self.a * other.b + self.b * other.d
-        c = self.c * other.a + self.d * other.c
-        d = self.c * other.b + self.d * other.d
-        return MoebiusMap(a, b, c, d, ctx)
-
-    def inverse(self) -> "MoebiusMap":
-        """Group inverse (the adjugate matrix, canonicalized)."""
-        return MoebiusMap(self.d, -self.b, -self.c, self.a, self.ctx)
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    def key(self) -> int:
-        """The canonical entries as the integer ((a*p + b)*p + c)*p + d.
-
-        Keys sort in as_tuple order; key_entries and from_key invert them.
-        """
-        p = self.ctx.p
-        return ((self.a * p + self.b) * p + self.c) * p + self.d
-
-    @classmethod
-    def from_key(cls, key: int, ctx: FieldContext) -> "MoebiusMap":
-        """The map of the key of a canonical map: key_entries with no
-        rescaling, unrolled because listings decode every key."""
-        p = ctx.p
-        m = object.__new__(cls)
-        key, m.d = divmod(key, p)
-        key, m.c = divmod(key, p)
-        m.a, m.b = divmod(key, p)
-        m.ctx = ctx
-        return m
-
-    def __eq__(self, other):
-        if not isinstance(other, MoebiusMap):
-            return NotImplemented
-        return (
-            self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-            and self.ctx.p == other.ctx.p
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d, self.ctx.p))
-
-    def __repr__(self):
-        return f"MoebiusMap({self.a},{self.b},{self.c},{self.d}; p={self.ctx.p})"
-
-
 def canonical_key(a: int, b: int, c: int, d: int, ctx: FieldContext) -> int:
     """The key of the map of (a, b, c, d), with no map built: the package's one
     canonicalization rule.  Entries are reduced mod p, a singular matrix is
@@ -282,7 +176,9 @@ def canonical_key(a: int, b: int, c: int, d: int, ctx: FieldContext) -> int:
 
 
 def key_entries(key: int, p: int) -> tuple[int, int, int, int]:
-    """(a, b, c, d) of a map key: the inverse of MoebiusMap.key."""
+    """(a, b, c, d) of a map key ((a*p + b)*p + c)*p + d: the package's one
+    decoder of map keys, and the inverse of canonical_key on canonical
+    entries."""
     key, d = divmod(key, p)
     key, c = divmod(key, p)
     a, b = divmod(key, p)
@@ -292,11 +188,11 @@ def key_entries(key: int, p: int) -> tuple[int, int, int, int]:
 def graph_tables(keys: Iterable[int], ctx: FieldContext) -> Iterator[bytes]:
     """The graph of each map key as a 256-byte bytes.translate table, p < PAD.
 
-    Index x < p holds f(x), index p holds f(INFINITY), INFINITY written as
+    Index x < p holds f(x), index p holds f(infinity), infinity written as
     p, and every index above p holds PAD, which every table maps to PAD.
     A map with c != 0 is t + s/(x + u), u = d/c, t = a/c, s = (bc - ad)/c^2:
     its table is the window x + u of the doubled reciprocal table (0 and
-    INFINITY swapped) sent through "times s" and then "plus t".  A map with
+    infinity swapped) sent through "times s" and then "plus t".  A map with
     c = 0 has a = 1 and is x/d + b/d: the identity sent through "times 1/d"
     and "plus b/d".  "Times s" is every s-th byte of range(p) laid p times,
     "plus t" a window of the doubled range(p); both are built once per s
@@ -309,7 +205,7 @@ def graph_tables(keys: Iterable[int], ctx: FieldContext) -> Iterator[bytes]:
     ring, mul = residues * 2, residues * p
     tail = bytes([p]) + bytes([PAD]) * (PAD - p)
     identity = residues + tail
-    # The reciprocal of x + u, for u and x in range(p), and of INFINITY + u.
+    # The reciprocal of x + u, for u and x in range(p), and of infinity + u.
     recip = bytes([p, *inv[1:]]) * 2
     back = bytes([0]) + tail[1:]
     times, plus = {}, {}
@@ -335,14 +231,13 @@ def group_order(p: int) -> int:
     return p * (p - 1) * (p + 1)
 
 
-def class_from_index(i: int, ctx: FieldContext) -> MoebiusMap:
-    """The i-th element of PGL(2, p) in the package's one fixed order.
+def class_key(i: int, p: int) -> int:
+    """The key of the i-th element of PGL(2, p) in the package's one fixed order.
 
     Canonical forms with a = 1 (b, c free, d != bc), then a = 0, b = 1
     (c nonzero, d free), lexicographic within each block.  Used for seeded
     sampling without replacement from the whole group.
     """
-    p = ctx.p
     order = group_order(p)
     if not 0 <= i < order:
         raise IndexError(f"index {i} outside PGL(2,{p}) of order {order}")
@@ -352,6 +247,5 @@ def class_from_index(i: int, ctx: FieldContext) -> MoebiusMap:
         c, j = divmod(r, p - 1)
         bc = b * c % p
         d = j if j < bc else j + 1
-        return MoebiusMap.from_key(((p + b) * p + c) * p + d, ctx)
-    i -= block
-    return MoebiusMap.from_key(p * p + p + i, ctx)
+        return ((p + b) * p + c) * p + d
+    return p * p + p + i - block

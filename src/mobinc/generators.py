@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .energy import HyperbolaTranslate
-from .field import FieldContext, class_from_index, group_order
+from .field import FieldContext, class_key, group_order
 from .incidence import PointSet, ScalarSet, TransformSet
 from .pivot import refuse_pivot_work, rich_transforms_pivot
 
@@ -140,11 +140,11 @@ def _gp_scalars(rng, n, ctx, start, ratio) -> ScalarSet:
 
 
 def _sample_transforms(rng, n, ctx) -> TransformSet:
-    order = group_order(ctx.p)
+    p = ctx.p
+    order = group_order(p)
     if n > order:
-        raise ValueError(f"PGL(2,{ctx.p}) has only {order} elements")
-    indices = rng.sample(range(order), n)
-    return TransformSet((class_from_index(i, ctx) for i in indices), ctx)
+        raise ValueError(f"PGL(2,{p}) has only {order} elements")
+    return TransformSet([class_key(i, p) for i in rng.sample(range(order), n)], ctx)
 
 
 def _sample_hyperbolas(rng, n, ctx) -> tuple[HyperbolaTranslate, ...]:

@@ -1,7 +1,7 @@
 """Point, scalar and transformation sets, incidence counting and richness.
 
 Incidences are affine-only: a point (x, y) in F_p^2 lies on a map f when
-f(x) = y with x not a pole of f.  A pole maps to INFINITY, which is never an
+f(x) = y with x not a pole of f.  A pole maps to infinity, which is never an
 affine point, so it can never contribute an incidence.
 """
 
@@ -14,8 +14,7 @@ from itertools import chain, combinations, compress, groupby, repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
-from .field import (PAD, FieldContext, MoebiusMap, graph_tables, group_order, key_entries,
-                    same_context)
+from .field import PAD, FieldContext, graph_tables, group_order, key_entries, same_context
 
 
 class SortedSet:
@@ -86,32 +85,35 @@ class ScalarSet(SortedSet):
         super().__init__({v % p for v in values}, ctx)
 
 
+class Entries:
+    """The canonical entries a, b, c, d of one map, as iterating a
+    TransformSet yields them."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+
 class TransformSet(SortedSet):
     """Moebius maps over one field, stored as the sorted tuple of their keys.
 
-    A key is MoebiusMap.key, so the sorted keys are the canonical tuple
-    order, and equality and size work on the keys alone.  Iteration decodes
-    the keys into maps; nothing decoded is kept.
+    A key is a map's canonical entries as the integer ((a*p + b)*p + c)*p + d
+    (field.canonical_key), so the sorted keys are the canonical tuple order,
+    and equality, size and membership work on the keys alone.  Iteration
+    yields each map's Entries, decoded by key_entries; nothing decoded is
+    kept.
     """
 
     __slots__ = ()
     keys = SortedSet._items
 
-    def __init__(self, maps: Iterable[MoebiusMap], ctx: FieldContext):
-        keys = set()
-        for f in maps:
-            if f.ctx.p != ctx.p:
-                raise ValueError(f"map over F_{f.ctx.p} in a set over F_{ctx.p}")
-            keys.add(f.key())
-        super().__init__(keys, ctx)
+    def __init__(self, keys: Iterable[int], ctx: FieldContext):
+        super().__init__(set(keys), ctx)
 
-    def __iter__(self) -> Iterator[MoebiusMap]:
-        ctx, decode = self.ctx, MoebiusMap.from_key
-        return (decode(key, ctx) for key in self._items)
-
-    def __contains__(self, f):
-        return (isinstance(f, MoebiusMap) and f.ctx.p == self.ctx.p
-                and super().__contains__(f.key()))
+    def __iter__(self) -> Iterator[Entries]:
+        p = self.ctx.p
+        for key in self._items:
+            f = Entries()
+            f.a, f.b, f.c, f.d = key_entries(key, p)
+            yield f
 
 
 def columns(points) -> list[tuple[int, frozenset]]:
@@ -120,8 +122,9 @@ def columns(points) -> list[tuple[int, frozenset]]:
 
 
 def incidences_of(key: int, cols, ctx: FieldContext) -> int:
-    """Number of points on the map with this key (MoebiusMap.key), given
-    as columns (x, ordinates): y = (ax + b)/(cx + d) mod p, x not a pole.
+    """Number of points on the map with this key (field.canonical_key),
+    given as columns (x, ordinates): y = (ax + b)/(cx + d) mod p, x not a
+    pole.
 
     The one incidence loop and the one incidence test: count_incidences
     counts through it on points at fewer than CUT abscissae and from

@@ -53,7 +53,7 @@ def parse_transforms(
             keys.add(canonical_key(a, b, c, d, ctx))
         except ValueError as exc:
             raise ValueError(f"{where}, line {lineno}: {exc}") from None
-    return TransformSet.from_sorted(sorted(keys), ctx)
+    return TransformSet(keys, ctx)
 
 
 def parse_hyperbolas(

@@ -183,10 +183,10 @@ def _set_bits(mask: int, keys):
 
 
 def _chart_lines(P: PointSet, k: int, listing: bool):
-    """(q1, q2, lines) per pivot q, from the chart lines through the later
-    points moved to q, the lines of the rows and columns of P dropped, so
-    that every line left through two or more points carries one map (see
-    the module docstring).  With listing, lines are the keys of the lines
+    """(q1, q2, lines) per pivot q that moves at least k - 1 later points,
+    from the chart lines through the points moved to q, the lines of the
+    rows and columns of P dropped, so that every line left through two or
+    more points carries one map (see the module docstring).  With listing, lines are the keys of the lines
     through exactly k - 1 moved points; otherwise a dict m -> the number of
     lines through exactly m >= k - 1 moved points.
 
@@ -209,6 +209,9 @@ def _chart_lines(P: PointSet, k: int, listing: bool):
     for i, (q1, q2) in enumerate(pts):
         moved = [(y * A % p, A) for x, y in pts[i + 1 :] if x != q1 and y != q2
                  for A in [(x - q1) * inv[(y - q2) % p] % p]]
+        if len(moved) < k - 1:
+            # No line carries k - 1 of them.
+            continue
         w = inv[q2]
         if 2 * len(moved) > p:
             if not tables:

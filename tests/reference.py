@@ -1,30 +1,149 @@
 """Pointwise references that the tests check the library against.
 
 No product path calls these; each states one definition a map or a point
-at a time.  Three-point interpolation, the identity, the points of the
-projective line and the whole group as a stream come from field; lies_on
-and richness count through incidence.incidences_of, never through the
-graph tables; hyperbola_to_moebius builds the map of one translate.  The
-pivot vocabulary states the reduction of the pivot module's docstring one
-map at a time: the maps through a pivot, their conjugates and lines, the
-transplant of the points, and the pullback of a line.
+at a time.  The library holds every map as its key; here a map is a
+MoebiusMap, the group algebra of PGL(2, p) on the projective line
+F_p u {INFINITY}: evaluation, composition and inverse, built on the
+library's canonical_key and decoded by its key_entries.  Sets of maps go
+to and from TransformSet through their keys (keyed, maps_of, entries).
+Three-point interpolation, the identity, the points of the projective line
+and the whole group as a stream in field.class_key order are stated on
+maps; lies_on and richness count through incidence.incidences_of, never
+through the graph tables; hyperbola_to_moebius builds the map of one
+translate.  The pivot vocabulary states the reduction of the pivot
+module's docstring one map at a time: the maps through a pivot, their
+conjugates and lines, the transplant of the points, and the pullback of
+a line.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from mobinc.energy import HyperbolaTranslate, _hyperbola_key
-from mobinc.field import (
-    INFINITY,
-    FieldContext,
-    MoebiusMap,
-    ProjectivePoint,
-    class_from_index,
-    group_order,
-)
+from mobinc.field import (FieldContext, canonical_key, class_key, group_order, key_entries,
+                          same_context)
 from mobinc.incidence import PointSet, TransformSet, columns, incidences_of
 from mobinc.pivot import AffineLine, NonVertical, Vertical
+
+
+class _Infinity:
+    """The point at infinity on the projective line (a singleton)."""
+
+    _instance = None
+    __slots__ = ()
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "INFINITY"
+
+    def __reduce__(self):
+        return (_Infinity, ())
+
+
+INFINITY = _Infinity()
+
+ProjectivePoint = Union[int, _Infinity]
+
+
+class MoebiusMap:
+    """An element of PGL(2, p): the class of the matrix (a, b, c, d).
+
+    Instances are immutable by convention and always canonical, so equality
+    and hashing work directly on the four entries.  Calling the map
+    evaluates it on a projective point; ``f * g`` is the composition
+    x -> f(g(x)); ``f.inverse()`` is the group inverse.
+    """
+
+    __slots__ = ("a", "b", "c", "d", "ctx")
+
+    def __new__(cls, a: int, b: int, c: int, d: int, ctx: FieldContext):
+        return cls.from_key(canonical_key(a, b, c, d, ctx), ctx)
+
+    def __getnewargs__(self):
+        """Let pickle and copy rebuild the map through __new__."""
+        return (self.a, self.b, self.c, self.d, self.ctx)
+
+    def __call__(self, x: ProjectivePoint) -> ProjectivePoint:
+        p = self.ctx.p
+        if x is INFINITY:
+            if self.c == 0:
+                return INFINITY
+            return self.a * self.ctx._inv[self.c] % p
+        den = (self.c * x + self.d) % p
+        if den == 0:
+            return INFINITY
+        return (self.a * x + self.b) * self.ctx._inv[den] % p
+
+    def __mul__(self, other):
+        """Composition: (f * g)(x) = f(g(x)), i.e. the matrix product."""
+        if not isinstance(other, MoebiusMap):
+            return NotImplemented
+        ctx = same_context(self.ctx, other.ctx)
+        a = self.a * other.a + self.b * other.c
+        b = self.a * other.b + self.b * other.d
+        c = self.c * other.a + self.d * other.c
+        d = self.c * other.b + self.d * other.d
+        return MoebiusMap(a, b, c, d, ctx)
+
+    def inverse(self) -> "MoebiusMap":
+        """Group inverse (the adjugate matrix, canonicalized)."""
+        return MoebiusMap(self.d, -self.b, -self.c, self.a, self.ctx)
+
+    def as_tuple(self) -> tuple[int, int, int, int]:
+        return (self.a, self.b, self.c, self.d)
+
+    def key(self) -> int:
+        """The canonical entries as the integer ((a*p + b)*p + c)*p + d.
+
+        Keys sort in as_tuple order; key_entries and from_key invert them.
+        """
+        p = self.ctx.p
+        return ((self.a * p + self.b) * p + self.c) * p + self.d
+
+    @classmethod
+    def from_key(cls, key: int, ctx: FieldContext) -> "MoebiusMap":
+        """The map of the key of a canonical map."""
+        m = object.__new__(cls)
+        m.a, m.b, m.c, m.d = key_entries(key, ctx.p)
+        m.ctx = ctx
+        return m
+
+    def __eq__(self, other):
+        if not isinstance(other, MoebiusMap):
+            return NotImplemented
+        return (
+            self.a == other.a
+            and self.b == other.b
+            and self.c == other.c
+            and self.d == other.d
+            and self.ctx.p == other.ctx.p
+        )
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d, self.ctx.p))
+
+    def __repr__(self):
+        return f"MoebiusMap({self.a},{self.b},{self.c},{self.d}; p={self.ctx.p})"
+
+
+def keyed(maps: Iterable[MoebiusMap], ctx: FieldContext) -> TransformSet:
+    """The TransformSet of the maps' keys."""
+    return TransformSet((f.key() for f in maps), ctx)
+
+
+def maps_of(T: TransformSet) -> list[MoebiusMap]:
+    """The members of T as maps, in key order."""
+    return [MoebiusMap.from_key(key, T.ctx) for key in T.keys]
+
+
+def entries(T: TransformSet) -> list[tuple[int, int, int, int]]:
+    """The canonical entries (a, b, c, d) of the members of T, in key order."""
+    return [key_entries(key, T.ctx.p) for key in T.keys]
 
 
 def projective_points(ctx: FieldContext) -> list[ProjectivePoint]:
@@ -86,9 +205,10 @@ def _to_zero_one_inf(triple, ctx):
 
 
 def enumerate_group(ctx: FieldContext) -> Iterator[MoebiusMap]:
-    """Every element of PGL(2, p) exactly once, streamed in class_from_index
+    """Every element of PGL(2, p) exactly once, streamed in field.class_key
     order.  Nothing is kept: each call regenerates the maps."""
-    return (class_from_index(i, ctx) for i in range(group_order(ctx.p)))
+    p = ctx.p
+    return (MoebiusMap.from_key(class_key(i, p), ctx) for i in range(group_order(p)))
 
 
 def lies_on(s: tuple[int, int], f: MoebiusMap) -> bool:
@@ -116,7 +236,7 @@ def transforms_through_pivot(
     p = ctx.p
     q1, q2 = q[0] % p, q[1] % p
     affine, curved = [], []
-    for key, f in zip(T.keys, T):
+    for key, f in zip(T.keys, maps_of(T)):
         if f(q1) == q2:
             (affine if f.c == 0 else curved).append(key)
     return TransformSet.from_sorted(affine, ctx), TransformSet.from_sorted(curved, ctx)

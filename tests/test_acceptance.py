@@ -25,17 +25,20 @@ from mobinc.energy import (
     energy_brute,
     energy_report,
 )
-from mobinc.field import FieldContext, MoebiusMap, group_order
-from mobinc.incidence import PointSet, ScalarSet, TransformSet, rich_transforms_brute
+from mobinc.field import FieldContext, group_order
+from mobinc.incidence import PointSet, ScalarSet, rich_transforms_brute
 from mobinc.io import load_config, load_hyperbolas
 from mobinc.pivot import check_reduction, rich_counts, rich_transforms_pivot
 from mobinc.sweep import SweepConfig, rows_to_csv, rows_to_jsonl, sweep
 
 from reference import (
+    MoebiusMap,
     enumerate_group,
     hyperbola_to_moebius,
     identity,
+    keyed,
     lies_on,
+    maps_of,
     projective_points,
     richness,
 )
@@ -110,7 +113,7 @@ def test_criterion_3_enumeration_oracle_equivalence():
         brute = rich_transforms_brute(P, k)
         if rich_transforms_pivot(P, k) != brute:
             mismatches += 1
-        counts = [richness(f, P) for f in brute]
+        counts = [richness(f, P) for f in maps_of(brute)]
         tails = {r: sum(c >= r for c in counts) for r in range(k, max(counts, default=0) + 1)}
         if rich_counts(P, k) != tails:
             count_mismatches += 1
@@ -162,14 +165,14 @@ def test_criterion_5_energy_oracle():
         p = rng.choice((5, 7, 11, 13))
         ctx = contexts[p]
         n = rng.randint(1, 25)
-        T = TransformSet(rng.sample(pools[p], n), ctx)
+        T = keyed(rng.sample(pools[p], n), ctx)
         e = energy(T)
         if e != energy_brute(T) or not n * n <= e <= n**3:
             failures += 1
             continue
         for _ in range(5):
             g = rng.choice(pools[p])
-            if energy(TransformSet([f * g for f in T], ctx)) != e:
+            if energy(keyed([f * g for f in maps_of(T)], ctx)) != e:
                 failures += 1
                 break
     elapsed = time.perf_counter() - start

@@ -17,10 +17,10 @@ from mobinc.applications import (
     representation_report,
     sumset,
 )
-from mobinc.field import INFINITY, FieldContext, MoebiusMap
+from mobinc.field import FieldContext
 from mobinc.incidence import PointSet, ScalarSet, rich_transforms_brute
 
-from reference import richness, through
+from reference import INFINITY, MoebiusMap, maps_of, richness, through
 
 CTX5 = FieldContext(5)
 CTX7 = FieldContext(7)
@@ -116,7 +116,7 @@ def test_beck_statistics_cross_checked_seeded():
         oracle = rich_transforms_brute(P, 3)
         assert stats["defined_count"] == len(oracle)
         assert stats["max_richness"] == max(
-            (richness(f, P) for f in oracle), default=0
+            (richness(f, P) for f in maps_of(oracle)), default=0
         )
         assert stats["max_richness"] <= n
         assert stats["rich_threshold_lo"] == pytest.approx(2.0 * n ** (3 / 7))

@@ -122,7 +122,7 @@ def test_rich_enum_mismatch_counts_a_map_the_scan_drops(files, capsys, monkeypat
     from mobinc.incidence import TransformSet, rich_transforms_brute
 
     def scan_minus_one(P, k):
-        return TransformSet(list(rich_transforms_brute(P, k))[1:], P.ctx)
+        return TransformSet(rich_transforms_brute(P, k).keys[1:], P.ctx)
 
     monkeypatch.setattr(cli, "rich_transforms_brute", scan_minus_one)
     points = files("p.txt", "0,0\n1,1\n2,2\n3,3\n4,4\n1,2\n2,1\n0,3\n")
@@ -276,8 +276,7 @@ def _energy_unreachable(*args, **kwargs):
 def _energy_family_file(files, flag, n):
     """n distinct maps mod 17, or n distinct hyperbola translates mod 23."""
     if flag == "--transforms":
-        ctx = field.FieldContext(17)
-        lines = ("%d,%d,%d,%d" % field.class_from_index(i, ctx).as_tuple() for i in range(n))
+        lines = ("%d,%d,%d,%d" % field.key_entries(field.class_key(i, 17), 17) for i in range(n))
     else:
         lines = (f"{i // 23 % 23},{i % 23},{1 if i < 529 else -1}" for i in range(n))
     return files("family.txt", "".join(line + "\n" for line in lines))

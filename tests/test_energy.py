@@ -19,10 +19,12 @@ from mobinc.energy import (
     refuse_energy_work,
     translate_multiplicity,
 )
-from mobinc.field import FieldContext, MoebiusMap, class_from_index, group_order
+from mobinc import field
+from mobinc.field import FieldContext, class_key, group_order
 from mobinc.incidence import TransformSet
 
-from reference import enumerate_group, hyperbola_to_moebius, identity, lies_on
+from reference import (MoebiusMap, enumerate_group, hyperbola_to_moebius, identity, keyed, lies_on,
+                       maps_of)
 
 CTX5 = FieldContext(5)
 CTX7 = FieldContext(7)
@@ -31,26 +33,23 @@ CTX7 = FieldContext(7)
 def random_transform_set(ctx, n, seed):
     rng = random.Random(seed)
     indices = rng.sample(range(group_order(ctx.p)), n)
-    return TransformSet((class_from_index(i, ctx) for i in indices), ctx)
+    return TransformSet((class_key(i, ctx.p) for i in indices), ctx)
 
 
 def _quotient_reference(T):
     """The former kernel: one canonical quotient map f * g^{-1} per pair."""
-    inverses = [g.inverse() for g in T]
-    counts = Counter((f * g).as_tuple() for f in T for g in inverses)
+    maps = maps_of(T)
+    inverses = [g.inverse() for g in maps]
+    counts = Counter((f * g).as_tuple() for f in maps for g in inverses)
     return sum(m * m for m in counts.values())
 
 
 def test_energy_examples():
-    single = TransformSet([identity(CTX5)], CTX5)
+    single = keyed([identity(CTX5)], CTX5)
     assert energy(single) == 1
-    shifts = TransformSet(
-        [identity(CTX5), MoebiusMap(1, 1, 0, 1, CTX5)], CTX5
-    )
+    shifts = keyed([identity(CTX5), MoebiusMap(1, 1, 0, 1, CTX5)], CTX5)
     assert energy(shifts) == 6  # quotient multiset {id: 2, +1: 1, -1: 1}
-    scalings = TransformSet(
-        [identity(CTX5), MoebiusMap(2, 0, 0, 1, CTX5)], CTX5
-    )
+    scalings = keyed([identity(CTX5), MoebiusMap(2, 0, 0, 1, CTX5)], CTX5)
     assert energy(scalings) == 6
 
 
@@ -60,7 +59,7 @@ def test_energy_brute_matches_examples():
         [identity(CTX5), MoebiusMap(1, 1, 0, 1, CTX5)],
         [identity(CTX5), MoebiusMap(2, 0, 0, 1, CTX5)],
     ):
-        T = TransformSet(maps, CTX5)
+        T = keyed(maps, CTX5)
         assert energy_brute(T) == energy(T)
 
 
@@ -122,7 +121,7 @@ def test_energy_of_a_subgroup_is_its_order_cubed(p, kind, size):
     # and infinity to all p + 1 points, so at p = 251, the largest prime
     # below the byte kernel's pad index 255, its rows index 252 values.
     ctx = FieldContext(p)
-    H = TransformSet(SUBGROUPS[kind](ctx), ctx)
+    H = keyed(SUBGROUPS[kind](ctx), ctx)
     assert len(H) == size
     assert energy(H) == size**3
 
@@ -133,10 +132,10 @@ def test_energy_with_poles_at_zero_one_and_infinity():
     ctx = FieldContext(13)
     poles = [f for f in enumerate_group(ctx)
              if f.d == 0 or (f.c + f.d) % 13 == 0 or f.c == 0]
-    T = TransformSet(random.Random(13).sample(poles, 90), ctx)
+    T = keyed(random.Random(13).sample(poles, 90), ctx)
     assert {f.d == 0 for f in T} == {f.c == 0 for f in T} == {True, False}
     assert energy(T) == _quotient_reference(T)
-    small = TransformSet(list(T)[::9], ctx)
+    small = TransformSet(T.keys[::9], ctx)
     assert energy(small) == energy_brute(small)
 
 
@@ -145,11 +144,11 @@ def test_energy_builds_no_quotient_map(monkeypatch):
     expected = _quotient_reference(T)
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("a Moebius map was built or combined")
+        raise AssertionError("a quotient was canonicalized")
 
-    # every map is built through from_key, MoebiusMap(...) included
-    for name in ("__mul__", "inverse", "from_key"):
-        monkeypatch.setattr(MoebiusMap, name, unreachable)
+    # a quotient map would need its canonical key
+    for module in (field, energy_module):
+        monkeypatch.setattr(module, "canonical_key", unreachable)
     assert energy(T) == expected
 
 
@@ -168,7 +167,7 @@ def test_energy_right_translation_invariant():
         e = energy(T)
         for _ in range(3):
             g = rng.choice(members)
-            translated = TransformSet([f * g for f in T], CTX7)
+            translated = keyed([f * g for f in maps_of(T)], CTX7)
             assert energy(translated) == e
 
 

@@ -15,18 +15,17 @@ from hypothesis import strategies as st
 
 from mobinc import field
 from mobinc.field import (
-    INFINITY,
     PAD,
     FieldContext,
-    MoebiusMap,
     canonical_key,
-    class_from_index,
+    class_key,
     graph_tables,
     group_order,
     is_prime,
 )
 
-from reference import enumerate_group, identity, projective_points, through
+from reference import (INFINITY, MoebiusMap, enumerate_group, identity, projective_points,
+                       through)
 
 CTX5 = FieldContext(5)
 CTX7 = FieldContext(7)
@@ -139,7 +138,7 @@ def test_enumerate_group_sizes():
 
 def _group_by_nested_loops(ctx):
     """The group order as nested loops over canonical forms: the reference
-    for class_from_index, which enumerate_group streams."""
+    for class_key, which enumerate_group streams."""
     p = ctx.p
     for b in range(p):
         for c in range(p):
@@ -159,7 +158,7 @@ def test_group_order_matches_nested_loops():
         assert [f.as_tuple() for f in enumerate_group(ctx)] == reference
         for i in (-1, group_order(p)):
             with pytest.raises(IndexError):
-                class_from_index(i, ctx)
+                class_key(i, p)
 
 
 def test_eval_examples():
@@ -206,7 +205,7 @@ def test_graph_tables_agree_with_eval_on_the_whole_group(p):
 def test_graph_tables_agree_with_eval_at_p251():
     ctx = FieldContext(251)
     indices = random.Random(251).sample(range(group_order(251)), 2000)
-    maps = [class_from_index(i, ctx) for i in indices]
+    maps = [MoebiusMap.from_key(class_key(i, 251), ctx) for i in indices]
     assert {f.c == 0 for f in maps} == {f.a == 0 for f in maps} == {True, False}
     _assert_graph_tables(maps, ctx)
     with pytest.raises(ValueError, match="p < 255"):

@@ -57,7 +57,6 @@ def test_cli_defines_no_work_limit():
 # Definitions kept although no product path names them, each with its reason.
 _KEPT = {
     "energy_brute": "the quadruple-loop oracle of energy, which the tests run",
-    "inverse": "MoebiusMap's documented group algebra, with __call__ and __mul__",
 }
 
 

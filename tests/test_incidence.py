@@ -10,14 +10,7 @@ import pytest
 from mobinc import energy as energy_module
 from mobinc import field, incidence
 from mobinc.energy import energy, energy_brute
-from mobinc.field import (
-    INFINITY,
-    FieldContext,
-    MoebiusMap,
-    class_from_index,
-    group_order,
-    key_entries,
-)
+from mobinc.field import FieldContext, class_key, group_order, key_entries
 from mobinc.incidence import (
     CUT,
     PointSet,
@@ -32,7 +25,8 @@ from mobinc.incidence import (
 )
 from mobinc.pivot import ReductionReport, check_reduction, rich_transforms_pivot
 
-from reference import enumerate_group, identity, lies_on, richness
+from reference import (INFINITY, MoebiusMap, entries, enumerate_group, identity, keyed, lies_on,
+                       maps_of, richness)
 
 CTX5 = FieldContext(5)
 CTX7 = FieldContext(7)
@@ -57,17 +51,19 @@ def test_pointset_dedup_reduce_order():
     assert (1, 1) in P and (0, 0) not in P
 
 
-# Each set type: its members over F_p, the sorted items that from_sorted
-# takes for the given members, and values of other types.
+# Each set type: its members over F_p, values of other types, and the member
+# that an item of its iteration stands for.
 _SET_TYPES = {
-    PointSet: (lambda ctx: list(product(range(ctx.p), repeat=2)), sorted,
-               lambda ctx: [None, 3, "x", (1,), (1, "x"), (0, 0, 0)]),
-    ScalarSet: (lambda ctx: list(range(ctx.p)), sorted,
-                lambda ctx: [None, "x", (1, 2), 1.5, True, -1, ctx.p]),
-    TransformSet: (lambda ctx: list(enumerate_group(ctx)),
-                   lambda maps: sorted(f.key() for f in maps),
-                   lambda ctx: [None, 1, "x", (1, 0, 0, 1), identity(CTX5),
-                                MoebiusMap(1, 2, 3, 0, FieldContext(11))]),
+    PointSet: (lambda ctx: list(product(range(ctx.p), repeat=2)),
+               lambda ctx: [None, 3, "x", (1,), (1, "x"), (0, 0, 0)],
+               lambda s, p: s),
+    ScalarSet: (lambda ctx: list(range(ctx.p)),
+                lambda ctx: [None, "x", (1, 2), 1.5, True, -1, ctx.p],
+                lambda v, p: v),
+    TransformSet: (lambda ctx: [f.key() for f in enumerate_group(ctx)],
+                   lambda ctx: [None, 1, "x", (1, 0, 0, 1), 1.5, -1, ctx.p**4,
+                                identity(ctx)],
+                   lambda f, p: ((f.a * p + f.b) * p + f.c) * p + f.d),
 }
 
 
@@ -77,7 +73,7 @@ def test_sorted_set_contract(cls, p):
     """Bisect membership matches a frozenset, from_sorted matches the
     sorting constructor, and sets of different types are never equal."""
     ctx = FieldContext(p)
-    universe, sorted_items, foreign = _SET_TYPES[cls]
+    universe, foreign, member = _SET_TYPES[cls]
     universe = universe(ctx)
     rng = random.Random(p)
     members = rng.sample(universe, len(universe) // 3)
@@ -86,9 +82,8 @@ def test_sorted_set_contract(cls, p):
     assert len(S) == len(reference)
     assert [u in S for u in universe] == [u in reference for u in universe]
     assert [v in S for v in foreign(ctx)] == [v in reference for v in foreign(ctx)]
-    assert cls.from_sorted(sorted_items(reference), ctx) == S
-    assert list(cls.from_sorted(sorted_items(reference), ctx)) == sorted(
-        reference, key=MoebiusMap.key if cls is TransformSet else None)
+    assert cls.from_sorted(sorted(reference), ctx) == S
+    assert [member(u, p) for u in cls.from_sorted(sorted(reference), ctx)] == sorted(reference)
     for other in _SET_TYPES:
         if other is not cls:
             assert other.from_sorted(S._items, ctx) != S
@@ -99,11 +94,9 @@ def test_sorted_set_contract(cls, p):
 def test_transformset_dedup_and_order():
     f = MoebiusMap(3, 0, 1, 4, CTX7)
     g = MoebiusMap(6, 0, 2, 8, CTX7)  # same class
-    T = TransformSet([f, g, identity(CTX7)], CTX7)
+    T = TransformSet([f.key(), g.key(), identity(CTX7).key()], CTX7)
     assert len(T) == 2
-    assert [h.as_tuple() for h in T] == [(1, 0, 0, 1), (1, 0, 5, 6)]
-    with pytest.raises(ValueError, match="map over F_5 in a set over F_7"):
-        TransformSet([identity(CTX5)], CTX7)
+    assert [(h.a, h.b, h.c, h.d) for h in T] == entries(T) == [(1, 0, 0, 1), (1, 0, 5, 6)]
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -114,19 +107,19 @@ def test_map_keys_over_the_whole_group(p):
         assert MoebiusMap.from_key(f.key(), ctx) == f
         assert key_entries(f.key(), p) == f.as_tuple()
     assert sorted(group, key=MoebiusMap.key) == sorted(group, key=MoebiusMap.as_tuple)
-    keyed = TransformSet.from_sorted(sorted(f.key() for f in group), ctx)
-    assert keyed == TransformSet(reversed(group), ctx) and len(keyed) == len(group)
-    assert all(f in keyed for f in group)
+    whole = TransformSet.from_sorted(sorted(f.key() for f in group), ctx)
+    assert whole == keyed(reversed(group), ctx) and len(whole) == len(group)
+    assert all(f.key() in whole for f in group)
     rng = random.Random(p)
     for size in (1, 9, 24):
         maps = rng.sample(group, size)
         T = TransformSet.from_sorted(sorted(f.key() for f in maps), ctx)
-        assert T == TransformSet(maps, ctx) and list(T) == sorted(maps, key=MoebiusMap.as_tuple)
-        assert [f in T for f in group] == [f in maps for f in group]
+        assert T == keyed(maps, ctx) and maps_of(T) == sorted(maps, key=MoebiusMap.as_tuple)
+        assert [f.key() in T for f in group] == [f in maps for f in group]
         assert energy(T) == energy_brute(T)
     for n in (1, p, 2 * p):
         P = random_points(ctx, n, n)
-        assert count_incidences(P, keyed) == sum(richness(f, P) for f in group) == n * p * (p - 1)
+        assert count_incidences(P, whole) == sum(richness(f, P) for f in group) == n * p * (p - 1)
 
 
 def test_lies_on_examples():
@@ -138,10 +131,10 @@ def test_lies_on_examples():
 
 
 def test_count_incidences_examples():
-    assert count_incidences(PointSet([], CTX5), TransformSet([identity(CTX5)], CTX5)) == 0
-    assert count_incidences(diagonal(CTX5), TransformSet([identity(CTX5)], CTX5)) == 5
+    assert count_incidences(PointSet([], CTX5), keyed([identity(CTX5)], CTX5)) == 0
+    assert count_incidences(diagonal(CTX5), keyed([identity(CTX5)], CTX5)) == 5
     grid = PointSet(product(range(5), repeat=2), CTX5)
-    recip = TransformSet([MoebiusMap(0, 1, 1, 0, CTX5)], CTX5)
+    recip = keyed([MoebiusMap(0, 1, 1, 0, CTX5)], CTX5)
     assert count_incidences(grid, recip) == 4
     with pytest.raises(ValueError, match="mixed moduli 5 and 7"):
         count_incidences(grid, TransformSet([], CTX7))
@@ -160,8 +153,8 @@ def test_richness_sums_to_incidences():
     members = list(enumerate_group(CTX7))
     for seed in range(5):
         P = random_points(CTX7, 12, seed)
-        T = TransformSet(rng.sample(members, 15), CTX7)
-        assert sum(richness(f, P) for f in T) == count_incidences(P, T)
+        T = keyed(rng.sample(members, 15), CTX7)
+        assert sum(richness(f, P) for f in maps_of(T)) == count_incidences(P, T)
         assert count_incidences(P, T) <= min(len(P) * len(T), 7 * len(T))
     # The shared kernel against an independent per-point predicate, on a
     # set that meets every pole abscissa, over every map (affine ones too).
@@ -178,11 +171,9 @@ def test_richness_sums_to_incidences():
 
 def test_rich_transforms_brute_examples():
     assert len(rich_transforms_brute(PointSet([], CTX5), 3)) == 0
-    out = rich_transforms_brute(diagonal(CTX5), 3)
-    assert [f.as_tuple() for f in out] == [(1, 0, 0, 1)]
+    assert entries(rich_transforms_brute(diagonal(CTX5), 3)) == [(1, 0, 0, 1)]
     P = PointSet([(1, 2), (2, 1), (0, 0)], CTX7)
-    out = rich_transforms_brute(P, 3)
-    assert [f.as_tuple() for f in out] == [(1, 0, 5, 6)]
+    assert entries(rich_transforms_brute(P, 3)) == [(1, 0, 5, 6)]
 
 
 def _scan_reference(P):
@@ -225,7 +216,7 @@ def test_count_incidences_equals_per_point_loop(p):
     ctx = FieldContext(p)
     rng = random.Random(p)
     indices = rng.sample(range(group_order(p)), min(120, group_order(p)))
-    T = TransformSet((class_from_index(i, ctx) for i in indices), ctx)
+    T = TransformSet((class_key(i, p) for i in indices), ctx)
     sets = list(_reference_sets(ctx, T))
     curved = sum(1 for key in T.keys if key_entries(key, p)[2])
     # On the full grid each map has one point per abscissa but its pole.
@@ -233,16 +224,16 @@ def test_count_incidences_equals_per_point_loop(p):
     for P in sets:
         per_point = [_incidences_per_point(key, P.points, p) for key in T.keys]
         assert count_incidences(P, T) == sum(per_point)
-        assert [richness(f, P) for f in T] == per_point
+        assert [richness(f, P) for f in maps_of(T)] == per_point
     on_pole = [(x, 0) for x in range(p)]
-    for f in T:
+    for f in maps_of(T):
         assert [lies_on(s, f) for s in on_pole] == [
             _incidences_per_point(f.key(), [s], p) == 1 for s in on_pole]
 
 
 def _seeded_maps(ctx, n):
     indices = random.Random(ctx.p).sample(range(group_order(ctx.p)), n)
-    return TransformSet((class_from_index(i, ctx) for i in indices), ctx)
+    return TransformSet((class_key(i, ctx.p) for i in indices), ctx)
 
 
 @pytest.mark.parametrize("p", [31, 251])
@@ -263,13 +254,13 @@ def test_count_incidences_on_both_sides_of_the_column_cut(p):
 def test_count_incidences_over_more_maps_than_one_blob():
     # PGL(2, 17) has 4896 maps, more than the 4096 tables of one blob.
     ctx = FieldContext(17)
-    T = TransformSet(enumerate_group(ctx), ctx)
+    T = keyed(enumerate_group(ctx), ctx)
     grid = PointSet(product(range(17), repeat=2), ctx)
     affine = sum(1 for key in T.keys if not key_entries(key, 17)[2])
     assert len(T) == 4896 and affine == 17 * 16
     assert count_incidences(grid, T) == 17 * affine + 16 * (len(T) - affine)
     P = random_points(ctx, 60, 17)
-    assert count_incidences(P, T) == sum(richness(f, P) for f in T) == 60 * 17 * 16
+    assert count_incidences(P, T) == sum(richness(f, P) for f in maps_of(T)) == 60 * 17 * 16
 
 
 def test_count_incidences_switch_reads_the_column_count(monkeypatch):
@@ -295,17 +286,17 @@ def test_oracles_do_not_read_graph_tables(monkeypatch):
 
     ctx13 = FieldContext(13)
     grid = PointSet(product(range(13), repeat=2), ctx13)
-    agl = TransformSet((f for f in enumerate_group(CTX5) if f.c == 0), CTX5)
+    agl = keyed((f for f in enumerate_group(CTX5) if f.c == 0), CTX5)
     for module in (field, incidence, energy_module):
         monkeypatch.setattr(module, "graph_tables", unreachable)
     with pytest.raises(AssertionError, match="graph_tables"):
-        count_incidences(grid, TransformSet([identity(ctx13)], ctx13))
-    assert [f.as_tuple() for f in rich_transforms_brute(diagonal(CTX5), 3)] == [(1, 0, 0, 1)]
+        count_incidences(grid, keyed([identity(ctx13)], ctx13))
+    assert entries(rich_transforms_brute(diagonal(CTX5), 3)) == [(1, 0, 0, 1)]
     rich = rich_transforms_brute(grid, 13)
     assert len(rich) == 13 * 12 and all(f.c == 0 for f in rich)
     assert check_reduction(CTX5) == ReductionReport(5, 25, 400, 6400, 0, 0, 0)
     assert energy_brute(agl) == 20**3
-    assert [richness(f, grid) for f in rich] == [13] * 156
+    assert [richness(f, grid) for f in maps_of(rich)] == [13] * 156
     assert richness(MoebiusMap(0, 1, 1, 0, ctx13), grid) == 12
     assert lies_on((2, 1), MoebiusMap(3, 0, 1, 4, CTX7))
     assert not lies_on((0, 0), MoebiusMap(0, 1, 1, 0, CTX5))
@@ -328,7 +319,7 @@ def test_rich_transforms_brute_equals_literal_scan(p, n):
         reference = _scan_reference(P)
         for k in (1, 2, 3, 4):
             found = rich_transforms_brute(P, k)
-            expected = TransformSet([f for f, r in reference.items() if r >= k], ctx)
+            expected = keyed([f for f, r in reference.items() if r >= k], ctx)
             assert found == expected
 
 
@@ -501,7 +492,7 @@ def test_bit_kernel_equals_tally_reference(p):
 
 def test_rich_transforms_monotone_in_k():
     P = random_points(CTX7, 14, 9)
-    sets = {k: set(rich_transforms_brute(P, k)) for k in (1, 2, 3, 4, 5)}
+    sets = {k: set(rich_transforms_brute(P, k).keys) for k in (1, 2, 3, 4, 5)}
     for k in (1, 2, 3, 4):
         assert sets[k + 1] <= sets[k]
 
@@ -514,11 +505,11 @@ def test_full_group_threshold_error():
 def test_transforms_defined_by_examples():
     # the maps defined by P (through three of its points) are its 3-rich maps
     assert len(rich_transforms_pivot(PointSet([(0, 0), (1, 1)], CTX5), 3)) == 0
-    assert [f.as_tuple() for f in rich_transforms_pivot(diagonal(CTX5), 3)] == [(1, 0, 0, 1)]
+    assert entries(rich_transforms_pivot(diagonal(CTX5), 3)) == [(1, 0, 0, 1)]
     P = PointSet([(0, 0), (1, 1), (2, 2), (3, 5)], CTX7)
     defined = rich_transforms_pivot(P, 3)
     # frozen from an independent full-group scan over the 336 classes
-    assert [f.as_tuple() for f in defined] == [
+    assert entries(defined) == [
         (1, 0, 0, 1), (1, 0, 1, 6), (1, 0, 4, 4), (1, 2, 6, 4),
     ]
     assert defined == rich_transforms_brute(P, 3)

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from mobinc.energy import HyperbolaTranslate
-from mobinc.field import FieldContext, MoebiusMap
-from mobinc.incidence import TransformSet
+from mobinc.field import FieldContext, class_key, group_order, key_entries
+from mobinc.incidence import PointSet, TransformSet
 from mobinc.io import (
     load_points,
     parse_config_text,
@@ -17,8 +17,9 @@ from mobinc.io import (
     parse_transforms,
     write_transforms,
 )
+from mobinc.pivot import rich_transforms_pivot
 
-from reference import enumerate_group
+from reference import MoebiusMap, enumerate_group, keyed
 
 CTX7 = FieldContext(7)
 
@@ -53,10 +54,32 @@ def test_parse_transforms_canonicalizes():
 def test_write_transforms_lists_every_map_across_chunks():
     # PGL(2, 17) has 4896 maps: one full chunk of 4096 lines and a partial one.
     ctx = FieldContext(17)
-    T = TransformSet(enumerate_group(ctx), ctx)
+    T = keyed(enumerate_group(ctx), ctx)
     out = io.StringIO()
     write_transforms(T, out)
-    assert out.getvalue() == "".join("%d,%d,%d,%d\n" % f.as_tuple() for f in T)
+    assert out.getvalue() == "".join(f"{f.a},{f.b},{f.c},{f.d}\n" for f in T)
+
+
+@pytest.mark.parametrize("listing", [True, False], ids=["pivot-listing", "group-p7"])
+def test_iteration_yields_the_entries_that_write_transforms_prints(listing):
+    # Readers of a TransformSet's iteration (the benchmark's listing digest
+    # among them) take each record's a, b, c, d: the key's entries, in key
+    # order, printed as write_transforms prints them.
+    if listing:
+        ctx = FieldContext(31)
+        cells = random.Random(31).sample(range(31 * 31), 60)
+        T = rich_transforms_pivot(PointSet([divmod(v, 31) for v in cells], ctx), 3)
+        assert len(T) > 8000
+    else:
+        ctx = FieldContext(7)
+        T = TransformSet((class_key(i, 7) for i in reversed(range(group_order(7)))), ctx)
+        assert len(T) == group_order(7)
+    assert list(T.keys) == sorted(T.keys)
+    records = list(T)
+    assert [(f.a, f.b, f.c, f.d) for f in records] == [key_entries(key, ctx.p) for key in T.keys]
+    out = io.StringIO()
+    write_transforms(T, out)
+    assert "".join(f"{f.a},{f.b},{f.c},{f.d}\n" for f in records) == out.getvalue()
 
 
 def test_parse_transforms_rejects_singular():
@@ -82,7 +105,7 @@ def test_parse_transforms_keys_match_the_map_path():
         rows.append((lam * a, lam * b, lam * c, lam * d))
     rng.shuffle(rows)
     text = "".join("%d,%d,%d,%d\n" % row for row in rows)
-    expected = TransformSet((MoebiusMap(*row, ctx) for row in rows), ctx)
+    expected = keyed((MoebiusMap(*row, ctx) for row in rows), ctx)
     assert parse_transforms(text, ctx).keys == expected.keys
     assert len(expected) <= 200 < len(rows)
 

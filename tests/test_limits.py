@@ -11,7 +11,7 @@ import pytest
 from mobinc import applications, incidence, pivot
 from mobinc import energy as energy_module
 from mobinc.energy import HyperbolaTranslate
-from mobinc.field import FieldContext, canonical_key, class_from_index
+from mobinc.field import FieldContext, canonical_key, class_key
 from mobinc.incidence import PointSet, ScalarSet, TransformSet
 
 _WALK = ((pivot, "_line_pairs"), (pivot, "_chart_levels"))
@@ -66,8 +66,7 @@ def _translations(ctx, n):
 
 
 def _maps(p, n):
-    ctx = FieldContext(p)
-    return TransformSet([class_from_index(i, ctx) for i in range(n)], ctx)
+    return TransformSet([class_key(i, p) for i in range(n)], FieldContext(p))
 
 
 def _hyperbolas(n):

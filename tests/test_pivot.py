@@ -8,8 +8,8 @@ from operator import add, itemgetter
 import pytest
 
 import mobinc.pivot as pivot_module
-from mobinc.field import INFINITY, PAD, FieldContext, MoebiusMap
-from mobinc.incidence import PointSet, TransformSet, rich_transforms_brute
+from mobinc.field import PAD, FieldContext
+from mobinc.incidence import PointSet, rich_transforms_brute
 from mobinc.pivot import (
     NonVertical,
     Vertical,
@@ -21,13 +21,18 @@ from mobinc.pivot import (
 )
 
 from reference import (
+    INFINITY,
+    MoebiusMap,
     conjugate_through_pivot,
+    entries,
     enumerate_group,
     identity,
+    keyed,
     lies_on,
     line_image,
     line_preimage,
     line_through,
+    maps_of,
     point_on_line,
     richness,
     transforms_through_pivot,
@@ -54,26 +59,24 @@ def random_points(ctx, n, seed):
 
 def test_transforms_through_pivot_examples():
     ident = identity(CTX7)
-    T = TransformSet([ident], CTX7)
+    T = keyed([ident], CTX7)
     lines_part, curved_part = transforms_through_pivot(T, (3, 3))
-    assert list(lines_part) == [ident] and len(curved_part) == 0
+    assert lines_part.keys == (ident.key(),) and len(curved_part) == 0
     lines_part, curved_part = transforms_through_pivot(T, (3, 4))
     assert len(lines_part) == 0 and len(curved_part) == 0
     f = MoebiusMap(3, 0, 1, 4, CTX7)
-    lines_part, curved_part = transforms_through_pivot(
-        TransformSet([f], CTX7), (1, 2)
-    )
-    assert len(lines_part) == 0 and list(curved_part) == [f]
+    lines_part, curved_part = transforms_through_pivot(keyed([f], CTX7), (1, 2))
+    assert len(lines_part) == 0 and curved_part.keys == (f.key(),)
 
 
 def test_transforms_through_pivot_partitions():
     members = list(enumerate_group(CTX5))
-    T = TransformSet(members, CTX5)
+    T = keyed(members, CTX5)
     for q in ((0, 0), (1, 2), (4, 3)):
         lines_part, curved_part = transforms_through_pivot(T, q)
-        through = {f for f in members if f(q[0]) == q[1]}
-        assert set(lines_part) | set(curved_part) == through
-        assert not set(lines_part) & set(curved_part)
+        through = {f.key() for f in members if f(q[0]) == q[1]}
+        assert set(lines_part.keys) | set(curved_part.keys) == through
+        assert not set(lines_part.keys) & set(curved_part.keys)
         assert all(f.c == 0 for f in lines_part)
         assert len(curved_part) == (CTX5.p - 1) ** 2
     # A pivot given outside [0, p) is reduced first.
@@ -219,7 +222,7 @@ def test_line_preimage_roundtrip():
 def test_rich_transforms_pivot_examples():
     assert len(rich_transforms_pivot(PointSet([], CTX5), 3)) == 0
     diag = PointSet([(x, x) for x in range(5)], CTX5)
-    assert [f.as_tuple() for f in rich_transforms_pivot(diag, 3)] == [(1, 0, 0, 1)]
+    assert entries(rich_transforms_pivot(diag, 3)) == [(1, 0, 0, 1)]
     with pytest.raises(ValueError, match="pivot enumeration needs k >= 3"):
         rich_transforms_pivot(diag, 2)
 
@@ -247,7 +250,7 @@ def test_rich_counts_equal_brute_richness_tails():
         P = random_points(ctx, 14, seed)
         for k in (3, 4):
             brute = rich_transforms_brute(P, k)
-            assert rich_counts(P, k) == richness_tails((richness(f, P) for f in brute), k)
+            assert rich_counts(P, k) == richness_tails((richness(f, P) for f in maps_of(brute)), k)
     with pytest.raises(ValueError, match="pivot enumeration needs k >= 3"):
         rich_counts(P, 2)
 
@@ -336,13 +339,20 @@ def test_chart_lines_carry_exactly_the_maps_through_each_pivot(p, monkeypatch):
         rest = [s for s in grid if s != q]
         for later in (rest, rest[:p], rest[: p // 2 + 1]):
             lone = PointSet.from_sorted([q, *later], ctx)
-            dense = 2 * sum(s in later for s in admissible) > p
+            n_moved = sum(s in later for s in admissible)
+            dense = 2 * n_moved > p
             # A line through one moved point carries no map.
             through = {key: m for key, others in expected.items()
                        if (m := sum(s in later for s in others)) >= 2}
             for k in range(3, max(through.values(), default=2) + 3):
-                listed, tally = (_pivot_walk(lone, k, listing, monkeypatch, pivots=1)[0]
-                                 for listing in (True, False))
+                walks = (_pivot_walk(lone, k, listing, monkeypatch, pivots=1)
+                         for listing in (True, False))
+                at_q = [walk[0] for walk in walks if walk and walk[0][:2] == q]
+                if n_moved < k - 1:
+                    # No line carries k - 1 of the moved points: the walk skips q.
+                    assert at_q == []
+                    continue
+                listed, tally = at_q
                 assert listed[:2] == tally[:2] == q and listed[3] == tally[3] == dense
                 assert listed[2] == sorted(key for key, m in through.items() if m == k - 1)
                 assert tally[2] == Counter(m for m in through.values() if m >= k - 1)
@@ -467,22 +477,37 @@ def test_chart_levels_equal_slope_tally(p):
 def test_dense_pivots_list_and_count_as_the_group_scan(p, monkeypatch):
     # A pivot that moves more than p/2 points is counted in masks, one
     # that moves at most p/2 by its point pairs.  Random sets of p//2 + 1
-    # to 4p points sit around that switch, and from 2p on they start dense
-    # and end sparse; the full grid, walked last, adds full rows and
+    # to 4p points sit around that switch, run both branches, and from 2p
+    # on they start dense; the full grid, walked last, adds full rows and
     # columns, dense pivots with q2 = 0 and maps with a = 0.
     ctx = FieldContext(p)
     grid = PointSet(product(range(p), repeat=2), ctx)
+    branches = set()
     for P in (*(random_points(ctx, n, n) for n in (p // 2 + 1, p, p + 2, 2 * p, 4 * p)), grid):
         walk = [(q2, dense) for _, q2, _, dense in _pivot_walk(P, 3, True, monkeypatch)]
+        if P is not grid:
+            branches.update(dense for _, dense in walk)
         if len(P) >= 2 * p:
-            assert walk[0][1] and not walk[-1][1]
+            assert walk[0][1]
         scan = rich_transforms_brute(P, 3)
-        richnesses = [richness(f, P) for f in scan]
+        richnesses = [richness(f, P) for f in maps_of(scan)]
         for k in range(3, max(richnesses, default=2) + 1):
             assert rich_transforms_pivot(P, k) == rich_transforms_brute(P, k)
             assert rich_counts(P, k) == richness_tails(richnesses, k)
-    assert (0, True) in walk
+    assert branches == {True, False} and (0, True) in walk
     assert any(key < p**3 for key in rich_transforms_pivot(grid, 3).keys)
+
+
+def test_walk_skips_pivots_that_move_fewer_than_k_minus_1_points(monkeypatch):
+    # A pivot of the full grid of F_13 moves at most 12^2 = 144 points, so at
+    # k = 200 no line carries k - 1 of them and no mask level is built.
+    def unreachable(*args):
+        raise AssertionError("_chart_levels was called")
+
+    grid = PointSet(product(range(13), repeat=2), FieldContext(13))
+    monkeypatch.setattr(pivot_module, "_chart_levels", unreachable)
+    assert rich_counts(grid, 200) == {}
+    assert len(rich_transforms_pivot(grid, 200)) == 0
 
 
 @pytest.mark.parametrize("p, n", [(7, 16), (11, 30), (13, 40), (31, 60)])
