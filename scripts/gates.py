@@ -26,6 +26,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# python -c program: the CLI on its arguments, with every worker it starts
+# counted on stderr after the CLI's own output.
+COUNTING_CLI = """import sys
+from mobinc import cli, field
+built, Process = [], field.Process
+field.Process = lambda *args, **kwargs: built.append(1) or Process(*args, **kwargs)
+code = cli.main(sys.argv[1:])
+print(len(built), file=sys.stderr)
+sys.exit(code)"""
+
+# The worker processes --jobs 2 starts once the serial budget is spent.
+JOBS2_WORKERS = min(2, os.cpu_count() or 1) - 1
+
+
 class GateFailed(Exception):
     """A check of a gate does not hold."""
 
@@ -52,6 +66,14 @@ class Run:
     def cli(self, *args, **kwargs) -> tuple[str, str]:
         env = dict(os.environ, PYTHONPATH="src")
         return self.run(sys.executable, "-m", "mobinc.cli", *args, env=env, **kwargs)
+
+    def cli_workers(self, *args, **kwargs) -> tuple[str, int]:
+        """The CLI's stdout and the number of worker processes it started,
+        counted by a wrapper around field.Process that prints it last on
+        stderr."""
+        env = dict(os.environ, PYTHONPATH="src")
+        out, err = self.run(sys.executable, "-c", COUNTING_CLI, *args, env=env, **kwargs)
+        return out, int(err.rsplit("\n", 2)[-2])
 
     def file(self, lines) -> Path:
         """A new input file holding one line per item."""
@@ -122,6 +144,8 @@ class Run:
         self.check(not result["failed"], f"{workload} seed {seed}: {result}")
 
 
+CORPUS = sorted(f"corpus/{c.name}" for c in ROOT.glob("corpus/*.cfg"))
+
 WORKLOADS = ("enum_random", "reduction_exhaustive", "sweep_bounds", "apps_cli")
 
 # Name, reason and checks of each gate, in the order CI runs them.
@@ -135,17 +159,31 @@ GATES = [
              "line-collisions=0 det-mismatches=0\nOK"))
          == g.cli("verify-reduction", "-p", 31, "--exhaustive", "--jobs", 1)[0],
          "--jobs 1 and 2 print different bytes")),
+    ("Exhaustive reduction check at p = 17 under the serial budget",
+     "About 3-5 ms of rows, inside parallel_map's serial budget of 6 ms, so --jobs 2 "
+     "mostly runs every row in the caller, and a slow run starts a worker for the rows "
+     "left.  Either way --jobs 2 must print the bytes of --jobs 1.",
+     lambda g: g.check(
+         g.stdout_is("verify-reduction", "-p", 17, "--exhaustive", "--jobs", 2, expected=(
+             "p=17 pivots=289 transforms=73984 triples=18939904 violations=0 "
+             "line-collisions=0 det-mismatches=0\nOK"))
+         == g.cli("verify-reduction", "-p", 17, "--exhaustive", "--jobs", 1)[0],
+         "--jobs 1 and 2 print different bytes")),
     ("Exhaustive reduction check at p = 53",
      "The largest exhaustive check the CLI starts, whose rows are its widest batches, "
-     "53 * 52^2 lanes; about 0.3-0.5 s a run on two cores.  --jobs 1, which starts no "
-     "worker, must print the same bytes as --jobs 2.",
-     lambda g: g.check(
-         g.stdout_is("verify-reduction", "-p", 53, "--exhaustive", "--jobs", 2,
-                     timeout=180, expected=(
+     "53 * 52^2 lanes; about 0.3-0.5 s a run on two cores, far over the serial budget, so "
+     "--jobs 2 starts a worker.  --jobs 1, which starts none, must print the same bytes.",
+     lambda g: (
+         (pooled := g.cli_workers("verify-reduction", "-p", 53, "--exhaustive", "--jobs", 2,
+                                  timeout=180)),
+         g.check(pooled[0].rstrip("\n") == (
              "p=53 pivots=2809 transforms=7595536 triples=20538329344 violations=0 "
-             "line-collisions=0 det-mismatches=0\nOK"))
-         == g.cli("verify-reduction", "-p", 53, "--exhaustive", "--jobs", 1, timeout=180)[0],
-         "--jobs 1 and 2 print different bytes")),
+             "line-collisions=0 det-mismatches=0\nOK"), f"stdout {pooled[0]!r}"),
+         g.check(pooled[1] == JOBS2_WORKERS,
+                 f"--jobs 2 started {pooled[1]} workers, expected {JOBS2_WORKERS}"),
+         g.check(pooled[0] == g.cli("verify-reduction", "-p", 53, "--exhaustive",
+                                    "--jobs", 1, timeout=180)[0],
+                 "--jobs 1 and 2 print different bytes"))),
     ("Sampled reduction check at p = 127",
      "Eight seeded pivots, each with its 126^2 curved maps: the row and per-pivot tables at a "
      "p well above the exhaustive gate's.  The pivots go to the workers in rows, so stdout "
@@ -157,12 +195,17 @@ GATES = [
      "Each must report no fault, and stdout must not depend on --jobs.",
      lambda g: [g.sampled_reduction(p, 4, 4 * (p - 1) ** 2) for p in (251, 257)]),
     ("Corpus sweeps give the same bytes with one and two workers",
-     "--jobs 2 runs half of the cells on a real worker process; stdout must not depend "
-     "on it.",
-     lambda g: [g.check(g.cli("sweep", "--config", config, "--jobs", 1)[0]
-                        == g.cli("sweep", "--config", config, "--jobs", 2)[0],
-                        f"{config}: --jobs 1 and 2 differ")
-                for config in sorted(f"corpus/{c.name}" for c in ROOT.glob("corpus/*.cfg"))]),
+     "The corpus sweeps take about 2-15 ms each, so --jobs 2 runs the shorter ones wholly "
+     "in the caller, inside parallel_map's serial budget.  The added sweep's 8 cells take "
+     "about 9-16 ms each, over the budget, so --jobs 2 must start a worker for the cells "
+     "after the first.  stdout must not depend on --jobs.",
+     lambda g: [(pooled := g.cli_workers("sweep", "--config", config, "--jobs", 2),
+                 g.check(g.cli("sweep", "--config", config, "--jobs", 1)[0] == pooled[0],
+                         f"{config}: --jobs 1 and 2 differ"),
+                 g.check(config in CORPUS or pooled[1] == JOBS2_WORKERS,
+                         f"--jobs 2 started {pooled[1]} workers, expected {JOBS2_WORKERS}"))
+                for config in (*CORPUS, g.cfg("61,67", "thm1-rich", "random-points",
+                                              "sizes = 80,100", "reps = 2", "k = 3"))]),
     ("Pivot equals group scan at p = 61 and p = 1009",
      "120 points at p = 61, and 54 points at p = 1009, which lie inside thm1-rich's hypothesis "
      "(|P| <= p^(15/26)); the p = 1009 scan takes about 0.5 s.  Each listing must end in MATCH, "

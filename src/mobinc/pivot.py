@@ -50,7 +50,7 @@ from itertools import compress, count, repeat
 from operator import add, itemgetter
 from typing import NamedTuple, Optional, Union
 
-from .field import PAD, FieldContext, parallel_map
+from .field import PAD, FieldContext, fork_join, parallel_map
 from .incidence import PointSet, TransformSet
 
 
@@ -305,15 +305,49 @@ def refuse_reduction_work(p: int, pivots: int) -> None:
         )
 
 
-def _check_pivot_row(ctx: FieldContext, q1: int, q2s) -> list[tuple[int, int, int, int, int]]:
+def _reduction_tables(ctx: FieldContext) -> tuple:
+    """The tables of _check_pivot_row that depend on p and the inverse table
+    alone, built once per check_reduction call in O(p^2) interpreted steps:
+    (mul, doubled, the number of distinct lines of a pivot, tables, pulled).
+    Below p = PAD mul and pulled are bytes and tables holds each row of mul
+    laid out to 256 bytes; from p = 257 on tables is None."""
+    p, inv = ctx.p, ctx._inv
+    # Row m of the multiplication table is every m-th entry of range(p) laid
+    # p times, so it and the tables looked up in it hold pointers to the p
+    # int objects of range(p), not to p^2 new ints once p > 256.
+    cycle = list(range(p)) * p
+    mul = [[0] * p] + [cycle[: m * p : m] for m in range(1, p)]
+    doubled = cycle[: 2 * p]
+    del cycle
+    # The lines t2 = m*t1 + i of every pivot, keyed i*p + m: i = -1/u and
+    # m = e/u over all nonzero u and e.
+    lines = set()
+    for u in range(1, p):
+        inv_u = inv[u]
+        lines.update(map(((-inv_u) % p * p).__add__, mul[inv_u][1:]))
+    pulled = ([0] + [-inv[t] % p for t in range(1, p)]) * 2
+    tables = None
+    if p < PAD:
+        fill = bytes(256 - p)
+        mul = [bytes(row) for row in mul]
+        tables = [row + fill for row in mul]
+        pulled = bytes(pulled) + fill
+    return mul, doubled, len(lines), tables, pulled
+
+
+def _check_pivot_row(
+    ctx: FieldContext, q1: int, q2s, shared: tuple
+) -> list[tuple[int, int, int, int, int]]:
     """Exhaustively check the reduction at the pivots (q1, q2), q2 in q2s.
 
     Returns one (transforms, triples, violations, line_collisions,
     det_mismatches) per pivot, in q2s order, duplicates included; q1 and
-    each q2 are reduced mod p here.  Curved maps through q are parametrized
-    directly: c = 1, b forced, (a, d) ranging over a != q2, d != -q1, and
-    are visited by u = a - q2 != 0.  A triple is a map and one of the
-    (p-1)^2 admissible points (s1 != q1, s2 != q2).
+    each q2 are reduced mod p here.  shared holds the p-only tables of
+    _reduction_tables, which check_reduction builds once for all its rows.
+    Curved maps through q are parametrized directly: c = 1, b forced, (a, d)
+    ranging over a != q2, d != -q1, and are visited by u = a - q2 != 0.  A
+    triple is a map and one of the (p-1)^2 admissible points (s1 != q1,
+    s2 != q2).
 
     Each side of the reduction puts at most one admissible point on each
     abscissa s1 != q1, so a map's graph is a sequence of p-1 ordinates.
@@ -336,9 +370,9 @@ def _check_pivot_row(ctx: FieldContext, q1: int, q2s) -> list[tuple[int, int, in
     m = (q1 + d)/u and i = -1/u, pulled back through the transplant
     (t1, t2) = (1/(q1 - s1), 1/(q2 - s2)): s2 - q2 = -1/t2, which is never
     0, or 0 where t2 = 0.  Once per row, the products (q1 + d)*t1 of every
-    (d, s1) are built, and pulled[t] holds the entry pulled back from
-    t2 = t, laid twice.  Neither depends on q2, so the line sequence of
-    every pivot at one u is the same: back[v] = pulled[v + i] is a slice,
+    (d, s1) are built; pulled[t], one of the p-only tables, holds the entry
+    pulled back from t2 = t, laid twice.  Neither depends on q2, so the line
+    sequence of every pivot at one u is the same: back[v] = pulled[v + i] is a slice,
     scale[x] = back[x/u] is back at a row of the multiplication table mul,
     and the line sequence is scale at the products, as m*t1 = (q1 + d)*t1/u.
 
@@ -369,8 +403,9 @@ def _check_pivot_row(ctx: FieldContext, q1: int, q2s) -> list[tuple[int, int, in
     of the symmetric difference of the graphs.  A line collision is a map
     whose line another map through its pivot shares.  With e = q1 + d, the
     line of (a, d) has i = -1/u and m = e/u; at every pivot u and e range
-    over the nonzero residues, so the lines, keyed i*p + m, are collected
-    once per row and every pivot of the row has the same collision count.
+    over the nonzero residues, so the lines, keyed i*p + m, are the same
+    set at every pivot: the p-only tables hold its size, and every pivot has
+    the same collision count.
     A det mismatch is a map whose line's pullback, of determinant m, scaled
     to c = 1 by w = 1/(-i) from the inverse table, has m*w^2 != a*d - b.
     That difference is e*(w^2/u - u), so it vanishes for all the d of one
@@ -387,26 +422,13 @@ def _check_pivot_row(ctx: FieldContext, q1: int, q2s) -> list[tuple[int, int, in
     """
     p = ctx.p
     inv = ctx._inv
+    mul, doubled, lines, tables, pulled = shared
     q1 %= p
     q2s = [q2 % p for q2 in q2s]
     xs = [s1 for s1 in range(p) if s1 != q1]
     ds = [d for d in range(p) if (d + q1) % p]
-    # Row m of the multiplication table is every m-th entry of range(p) laid
-    # p times, so it and the tables looked up in it hold pointers to the p
-    # int objects of range(p), not to p^2 new ints once p > 256.
-    cycle = list(range(p)) * p
-    mul = [[0] * p] + [cycle[: m * p : m] for m in range(1, p)]
-    doubled = cycle[: 2 * p]
-    del cycle
-    # The lines t2 = m*t1 + i of every pivot, keyed i*p + m: i = -1/u and
-    # m = e/u over all nonzero u and e.
-    lines = set()
-    for u in range(1, p):
-        inv_u = inv[u]
-        lines.update(map(((-inv_u) % p * p).__add__, mul[inv_u][1:]))
     transforms = (p - 1) * len(ds)
-    collisions = transforms - len(lines)
-    del lines
+    collisions = transforms - lines
     t1s = [inv[(q1 - s1) % p] for s1 in xs]
     products = [mul[(q1 + d) % p][t1] for d in ds for t1 in t1s]
     alphas, units = [], []
@@ -423,14 +445,10 @@ def _check_pivot_row(ctx: FieldContext, q1: int, q2s) -> list[tuple[int, int, in
     # pole's unit 1 makes it 0 there.
     gammas = list(map(doubled[p - 1 :].__getitem__, units))
     del units
-    pulled = ([0] + [-inv[t] % p for t in range(1, p)]) * 2
     pivots = len(q2s)
-    if lanes := p < PAD:
+    if lanes := tables is not None:
         n = len(products)
         fill = bytes(256 - p)
-        mul = [bytes(row) for row in mul]
-        tables = [row + fill for row in mul]
-        pulled = bytes(pulled) + fill
         lane = bytearray([0, PAD]) * n
 
         def packed(entries):
@@ -489,9 +507,18 @@ def _check_pivot_row(ctx: FieldContext, q1: int, q2s) -> list[tuple[int, int, in
     ]
 
 
-def _check_row(ctx: FieldContext, row: tuple[int, list[int]]) -> list[tuple[int, ...]]:
-    """One unit of check_reduction's parallel_map: a (q1, q2s) row."""
-    return _check_pivot_row(ctx, *row)
+# From this p on a row of one pivot takes longer than parallel_map's serial
+# budget of 6 ms by itself: 5.6-8.9 ms at p = 79, 4.5-6.5 ms at p = 71 and
+# 0.26 s at p = 251 (best of 15 _check_pivot_row calls, 2-core x86-64,
+# CPython 3.11).  There a serial head could only hold back one row's share
+# of the work, a whole pivot at a sampled p = 743, so such rows go straight
+# to fork_join.  An exhaustive check stops at p = 53, below it.
+FORK_ROWS_P = 79
+
+
+def _check_row(ctx: FieldContext, shared: tuple, row: tuple) -> list[tuple[int, ...]]:
+    """One unit of check_reduction's pool: a (q1, q2s) row."""
+    return _check_pivot_row(ctx, *row, shared)
 
 
 def check_reduction(
@@ -509,17 +536,25 @@ def check_reduction(
     inverse table, matches the determinant a*d - b of its map.
 
     The pivots are grouped by q1 mod p, each row keeping its pivots in the
-    given order, duplicates included, and each row is one unit of
-    parallel_map, which spreads the rows over up to jobs processes, the
-    caller being one of them.  A row builds its tables once, in O(p^2)
-    interpreted steps and memory, and then checks all its pivots at once
-    for each u = a - q2, both sides shifted by -q2 so that the line side
-    depends on the row and u alone (see _check_pivot_row).  Below p = PAD
-    each (row, u) costs a few interpreted steps, a few operations on
-    integers of p^2 16-bit lanes and one comparison of p^2 lanes a pivot;
-    from p = 257 on, O(p^2) table lookups into tuples a pivot.  So the
-    exhaustive check costs O(p^5).  Memory stays O(p^2) per row plus O(p^2)
-    per pivot in the row.  The per-pivot counts are summed.
+    given order, duplicates included, and each row is one unit of the pool,
+    which spreads the rows over up to jobs processes, the caller being one
+    of them.  Below p = FORK_ROWS_P the pool is parallel_map, which first
+    runs rows in the caller until they outlast its serial budget, so that a
+    check that short starts no process; from FORK_ROWS_P on a row outlasts
+    the budget by itself, and the rows go straight to fork_join.  The
+    tables that depend on p and the inverse table alone (the multiplication
+    table, the pulled-back line entries and the number of distinct lines,
+    with their byte forms) are built once per call and handed to every row;
+    no cache keeps them past the call.  A row
+    builds its own tables once, in O(p^2) interpreted steps and memory, and
+    then checks all its pivots at once for each u = a - q2, both sides
+    shifted by -q2 so that the line side depends on the row and u alone
+    (see _check_pivot_row).  Below p = PAD each (row, u) costs a few
+    interpreted steps, a few operations on integers of p^2 16-bit lanes and
+    one comparison of p^2 lanes a pivot; from p = 257 on, O(p^2) table
+    lookups into tuples a pivot.  So the exhaustive check costs O(p^5).
+    Memory stays O(p^2) per row plus O(p^2) per pivot in the row.  The
+    per-pivot counts are summed.
     """
     p = ctx.p
     refuse_reduction_work(p, p * p if pivots is None else len(pivots))
@@ -528,6 +563,8 @@ def check_reduction(
     rows: dict[int, list[int]] = {}
     for q1, q2 in pivots:
         rows.setdefault(q1 % p, []).append(q2)
-    counts = parallel_map(partial(_check_row, ctx), list(rows.items()), jobs)
+    pool = parallel_map if p < FORK_ROWS_P else fork_join
+    shared = _reduction_tables(ctx)
+    counts = pool(partial(_check_row, ctx, shared), list(rows.items()), jobs)
     totals = (sum(pivot[i] for row in counts for pivot in row) for i in range(5))
     return ReductionReport(p, len(pivots), *totals)

@@ -335,13 +335,14 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _compute_row(bound, inst, grid, rich, config, ctx, size, rep):
+def _compute_row(bound, inst, grid, shared, config, ctx, size, rep):
     """One row of a cell: the bound's exact left-hand side against its RHS.
 
     The point side is P, or the grid for the bounds over scalars.  The
-    left-hand side is the k-rich map count, shared through the cell's dict
-    rich keyed by the point tuple; the k-rich line count; or one incidence
-    count, beside the energy or the multiplicity.
+    left-hand side is the k-rich map count; the k-rich line count; or one
+    incidence count, beside the energy or the multiplicity.  The rich and
+    incidence counts are shared through the cell's dict shared, keyed by
+    (k, the point tuple) and by (the point tuple, the map keys).
     """
     start = time.perf_counter()
     k = config.k
@@ -357,9 +358,9 @@ def _compute_row(bound, inst, grid, rich, config, ctx, size, rep):
         params = {"P": len(P)}
     row["n_points"] = len(P)
     if bound in (THM1_RICH, THM2_RICH):
-        if P.points not in rich:
-            rich[P.points] = rich_counts(P, k).get(k, 0)
-        lhs = rich[P.points]
+        if (k, P.points) not in shared:
+            shared[k, P.points] = rich_counts(P, k).get(k, 0)
+        lhs = shared[k, P.points]
         _guard_rich(lhs, ctx.p)
         params["k"] = row["k"] = k
     elif bound == COR_KRICH_LINES:
@@ -375,7 +376,9 @@ def _compute_row(bound, inst, grid, rich, config, ctx, size, rep):
         else:
             T = inst.transforms
             params["T"] = row["n_transforms"] = len(T)
-        lhs = count_incidences(P, T)
+        if (P.points, T.keys) not in shared:
+            shared[P.points, T.keys] = count_incidences(P, T)
+        lhs = shared[P.points, T.keys]
         _guard_incidence(lhs, len(P), len(T), ctx.p)
         if bound == THM3_ENERGY:
             e = energy(T)
@@ -418,17 +421,18 @@ def _guard_rich(lhs, p):
 def _sweep_unit(args):
     """The rows of one (p, size, rep) cell, in the config's bound order.
 
-    The instance and grid are built once, and each distinct point set is
-    enumerated for k-rich maps once; a shared quantity is timed in the first
-    row that needs it.  Nothing outlives the cell.  Every ValueError the
+    The instance and grid are built once, each distinct point set is
+    enumerated for k-rich maps once, and each distinct pair of point set and
+    map set is counted for incidences once; a shared quantity is timed in
+    the first row that needs it.  Nothing outlives the cell.  Every ValueError the
     cell raises, a refused size or a failed draw, is re-raised naming the cell.
     """
     config, p, size, rep = args
     ctx = FieldContext(p)
-    rich: dict = {}
+    shared: dict = {}
     try:
         inst, grid = _build_instance(config, ctx, size, rep)
-        return [_compute_row(bound, inst, grid, rich, config, ctx, size, rep)
+        return [_compute_row(bound, inst, grid, shared, config, ctx, size, rep)
                 for bound in config.bounds]
     except ValueError as exc:
         raise ValueError(f"sweep cell p={p} size={size} rep={rep} under generator "

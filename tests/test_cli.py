@@ -436,7 +436,9 @@ def test_verify_reduction_sampled(capsys):
     assert "pivots=4" in out
 
 
-def test_verify_reduction_parallel_matches(capsys):
+def test_verify_reduction_parallel_matches(capsys, monkeypatch):
+    # No serial budget, so that two jobs fork.
+    monkeypatch.setattr(field, "SERIAL_BUDGET_S", 0)
     code, out1, _ = run(capsys, "verify-reduction", "-p", "5", "--exhaustive",
                         "--jobs", "1")
     assert code == 0
@@ -547,8 +549,10 @@ class NoPool:
 
 
 def test_jobs_capped_at_cpu_count(files, capsys, monkeypatch):
-    # With one CPU no pool may start, whatever --jobs asks for.
+    # With one CPU no pool may start, whatever --jobs asks for; with no
+    # serial budget, --jobs 64 would start one were it not capped.
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(field, "SERIAL_BUDGET_S", 0)
     monkeypatch.setattr(field, "Process", NoPool)
     config = files("sweep.cfg", CONFIG)
     for argv in (["sweep", "--config", config],
@@ -560,7 +564,8 @@ def test_jobs_capped_at_cpu_count(files, capsys, monkeypatch):
         assert capped == serial
 
 
-def test_sweep_formats_and_determinism(files, capsys):
+def test_sweep_formats_and_determinism(files, capsys, monkeypatch):
+    monkeypatch.setattr(field, "SERIAL_BUDGET_S", 0)
     config = files("sweep.cfg", CONFIG)
     code, out1, _ = run(capsys, "sweep", "--config", config, "--jobs", "1")
     assert code == 0

@@ -313,7 +313,14 @@ def test_map_hash_and_repr():
     assert repr(INFINITY) == "INFINITY"
 
 
-def test_parallel_map_keeps_unit_order():
+@pytest.fixture
+def forking(monkeypatch):
+    """Two CPUs and no serial budget: parallel_map forks at once."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(field, "SERIAL_BUDGET_S", 0)
+
+
+def test_parallel_map_keeps_unit_order(forking):
     # 83 units over two workers go in two strided shares of 42 and 41
     # units; the results stay in unit order
     units = list(range(-40, 43))
@@ -321,10 +328,51 @@ def test_parallel_map_keeps_unit_order():
     assert field.parallel_map(abs, [], 2) == []
 
 
-def test_parallel_map_raises_the_lowest_failing_unit():
+def test_parallel_map_raises_the_lowest_failing_unit(forking):
     # With two workers, 'x8' is in the caller's share and 'x1' in the
     # worker's; the error is 'x1's, as in a serial run
     units = ["0", "x1", *map(str, range(2, 8)), "x8", "9", "10", "11"]
+    with pytest.raises(ValueError, match="'x1'"):
+        field.parallel_map(int, units, 2)
+
+
+class _Clock:
+    """parallel_map's clock in the caller: it moves only when a unit that
+    runs in the caller ticks it, one second a tick."""
+
+    now = 0.0
+
+    @classmethod
+    def read(cls):
+        return cls.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    monkeypatch.setattr(_Clock, "now", 0.0)
+    monkeypatch.setattr(field, "perf_counter", _Clock.read)
+    return _Clock
+
+
+def _no_process(*args, **kwargs):
+    raise AssertionError("parallel_map started a process")
+
+
+def test_parallel_map_under_the_budget_starts_no_process(clock, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(field, "Process", _no_process)
+    units = list(range(-40, 43))
+    assert field.parallel_map(abs, units, 2) == [abs(u) for u in units]
+    assert field.parallel_map(abs, units[:1], 2) == [40]
+    assert field.parallel_map(abs, [], 2) == []
+
+
+def test_parallel_map_failure_in_the_head_starts_no_process(clock, monkeypatch):
+    # Every unit fits in the budget, so 'x1' fails in the caller's head,
+    # before any worker could take 'x8'
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(field, "Process", _no_process)
+    units = ["0", "x1", *map(str, range(2, 8)), "x8", "9"]
     with pytest.raises(ValueError, match="'x1'"):
         field.parallel_map(int, units, 2)
 
@@ -357,10 +405,11 @@ def _interrupted_in_caller(unit):
 
 @pytest.fixture(params=multiprocessing.get_all_start_methods())
 def started(request, monkeypatch):
-    """The processes parallel_map starts on a two-CPU machine, under each
-    start method in turn, the global one left alone; none may outlive the
-    case."""
+    """The processes parallel_map starts on a two-CPU machine with no serial
+    budget, under each start method in turn, the global one left alone;
+    none may outlive the case."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(field, "SERIAL_BUDGET_S", 0)
     context, processes = multiprocessing.get_context(request.param), []
 
     def record(*args, **kwargs):
@@ -379,6 +428,36 @@ def test_parallel_map_caller_runs_share_zero(started):
     [worker] = started
     assert {pid for _, pid in results[::2]} == {caller}
     assert {pid for _, pid in results[1::2]} == {worker.pid} != {caller}
+
+
+def test_fork_join_splits_at_once(started, monkeypatch):
+    # fork_join has no serial head: even with an hour's budget, two short
+    # units go one to the caller and one to a worker
+    monkeypatch.setattr(field, "SERIAL_BUDGET_S", 3600.0)
+    caller = os.getpid()
+    results = field.fork_join(_pid_of, [(caller, 0), (caller, 1)], 2)
+    [worker] = started
+    assert results == [(0, caller), (1, worker.pid)]
+
+
+def _pid_ticking_in_caller(unit):
+    caller, i = unit
+    if os.getpid() == caller:
+        _Clock.now += 1.0
+    return i, os.getpid()
+
+
+def test_parallel_map_runs_the_head_then_share_zero(started, clock, monkeypatch):
+    # Units 0, 1 and 2 start inside the budget of 2.5 ticks; the 8 units
+    # left are split as before, 3, 5, 7, 9 to the caller and the others to
+    # the one worker
+    monkeypatch.setattr(field, "SERIAL_BUDGET_S", 2.5)
+    caller = os.getpid()
+    results = field.parallel_map(_pid_ticking_in_caller, [(caller, i) for i in range(11)], 2)
+    assert [i for i, _ in results] == list(range(11))
+    [worker] = started
+    assert {pid for _, pid in results[:3] + results[3::2]} == {caller}
+    assert {pid for _, pid in results[4::2]} == {worker.pid} != {caller}
 
 
 def test_parallel_map_names_a_dead_workers_exit_code(started):

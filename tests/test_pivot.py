@@ -1,5 +1,6 @@
 """The pivot reduction: conjugation to lines, point transplant, enumeration."""
 
+import os
 import random
 from collections import Counter
 from itertools import chain, islice, product
@@ -8,12 +9,14 @@ from operator import add, itemgetter
 import pytest
 
 import mobinc.pivot as pivot_module
+from mobinc import field
 from mobinc.field import PAD, FieldContext
 from mobinc.incidence import PointSet, rich_transforms_brute
 from mobinc.pivot import (
     NonVertical,
     Vertical,
     _check_pivot_row,
+    _reduction_tables,
     check_reduction,
     rich_counts,
     rich_lines,
@@ -529,8 +532,9 @@ def test_check_reduction_counts():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_check_reduction_reduces_its_pivots(jobs):
+def test_check_reduction_reduces_its_pivots(jobs, monkeypatch):
     # each pivot is reduced mod p where it is checked, in or out of a worker
+    monkeypatch.setattr(field, "SERIAL_BUDGET_S", 0)
     reduced = check_reduction(CTX5, pivots=[(2, 4), (2, 3)], jobs=1)
     assert check_reduction(CTX5, pivots=[(7, -1), (12, 3)], jobs=jobs) == reduced
     assert reduced.ok and reduced.transforms == 2 * 16
@@ -555,7 +559,7 @@ def test_check_reduction_parametrization_matches_group_filter():
 
 def _check_one_pivot(ctx, q):
     """The row kernel on the one-pivot row of q."""
-    return _check_pivot_row(ctx, q[0], [q[1]])[0]
+    return _check_pivot_row(ctx, q[0], [q[1]], _reduction_tables(ctx))[0]
 
 
 def _check_one_pivot_pointwise(ctx, q1, q2):
@@ -686,7 +690,7 @@ def _rows_match_set_reference(ctx):
     p = ctx.p
     reports = []
     for q1 in range(p):
-        row = _check_pivot_row(ctx, q1, range(p))
+        row = _check_pivot_row(ctx, q1, range(p), _reduction_tables(ctx))
         assert row == [_check_one_pivot_sets(ctx, (q1, q2)) for q2 in range(p)], q1
         reports += row
     return reports
@@ -704,19 +708,67 @@ def test_check_pivot_row_matches_set_reference(p):
         rng.shuffle(shuffled)
         repeated = shuffled[:1] + shuffled + shuffled[:1]
         for q2s in (range(p), shuffled, repeated):
-            got = _check_pivot_row(ctx, q1, q2s)
+            got = _check_pivot_row(ctx, q1, q2s, _reduction_tables(ctx))
             assert got == [reference[q2] for q2 in q2s], (p, q1, q2s)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_check_reduction_groups_pivots_by_row(jobs):
-    # Pivots of several rows, interleaved, one repeated, some unreduced.
+def test_check_reduction_groups_pivots_by_row(jobs, monkeypatch):
+    # Pivots of several rows, interleaved, one repeated, some unreduced,
+    # with no serial budget, so that two jobs fork.
+    monkeypatch.setattr(field, "SERIAL_BUDGET_S", 0)
     pivots = [(3, 1), (0, 0), (10, 8), (3, 1), (-4, 2), (6, 5), (0, 4)]
     report = check_reduction(CTX7, pivots=pivots, jobs=jobs)
     totals = [sum(col) for col in zip(*(_check_one_pivot_sets(CTX7, q) for q in pivots))]
     assert report == (CTX7.p, len(pivots), *totals)
     # (3, 1) stands for three of the seven pivots, and each is checked.
     assert report.pivots == 7 and report.transforms == 7 * 36
+
+
+@pytest.mark.parametrize("pad", [PAD, 2])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_check_reduction_builds_the_p_only_tables_once(jobs, pad, monkeypatch):
+    # However many rows a call has, and whether or not a worker checks some
+    # of them, the tables that depend on p alone are built once, in the
+    # caller, and every row reads them: the reports equal the set
+    # reference, through the lanes and, with the byte switch moved below
+    # every prime, through the integer batches.
+    monkeypatch.setattr(pivot_module, "PAD", pad)
+    monkeypatch.setattr(field, "SERIAL_BUDGET_S", 0)
+    caller, built, build = os.getpid(), [], pivot_module._reduction_tables
+
+    def spy(ctx):
+        assert os.getpid() == caller, "a worker built the p-only tables"
+        built.append(ctx.p)
+        return build(ctx)
+
+    monkeypatch.setattr(pivot_module, "_reduction_tables", spy)
+    for p, pivots in ((5, None), (7, [(3, 1)]), (7, [(3, 1), (0, 0), (10, 8), (-4, 2), (6, 5)])):
+        ctx = FieldContext(p)
+        built.clear()
+        report = check_reduction(ctx, pivots=pivots, jobs=jobs)
+        assert built == [p], (p, pivots)
+        pivots = pivots or list(product(range(p), repeat=2))
+        totals = [sum(col) for col in zip(*(_check_one_pivot_sets(ctx, q) for q in pivots))]
+        assert report == (p, len(pivots), *totals)
+
+
+@pytest.mark.parametrize("p, pool", [(73, "parallel_map"), (79, "fork_join")])
+def test_check_reduction_sends_rows_that_outlast_the_budget_to_fork_join(p, pool, monkeypatch):
+    # From FORK_ROWS_P on a row of one pivot outlasts parallel_map's serial
+    # budget, so the rows skip its head; below, a short check starts no
+    # process.  The report is the same either way.
+    assert 73 < pivot_module.FORK_ROWS_P <= 79
+    called = []
+    for name in ("parallel_map", "fork_join"):
+        def spy(fn, units, jobs, name=name, real=getattr(pivot_module, name)):
+            called.append(name)
+            return real(fn, units, jobs)
+
+        monkeypatch.setattr(pivot_module, name, spy)
+    report = check_reduction(FieldContext(p), pivots=[(1, 2), (3, 4)], jobs=1)
+    assert called == [pool]
+    assert report == (p, 2, 2 * (p - 1) ** 2, 2 * (p - 1) ** 4, 0, 0, 0)
 
 
 def _check_pivot_row_reference(ctx, q1, q2s):
@@ -802,8 +854,9 @@ def _check_pivot_row_reference(ctx, q1, q2s):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_lane_rows_equal_batch_reference(p):
     ctx = FieldContext(p)
+    shared = _reduction_tables(ctx)
     for q1 in range(p):
-        assert _check_pivot_row(ctx, q1, range(p)) == _check_pivot_row_reference(
+        assert _check_pivot_row(ctx, q1, range(p), shared) == _check_pivot_row_reference(
             ctx, q1, range(p)
         ), (p, q1)
 
@@ -813,9 +866,10 @@ def test_lane_rows_equal_batch_reference_sampled(p):
     # Single-pivot rows up to the last prime below the byte switch, where a
     # lane of s = a*alpha + beta reaches 2*250.
     ctx = FieldContext(p)
+    shared = _reduction_tables(ctx)
     rng = random.Random(p)
     for q1, q2 in [(0, 0), (rng.randrange(p), rng.randrange(p))]:
-        assert _check_pivot_row(ctx, q1, [q2]) == _check_pivot_row_reference(
+        assert _check_pivot_row(ctx, q1, [q2], shared) == _check_pivot_row_reference(
             ctx, q1, [q2]
         ), (p, q1, q2)
 
@@ -823,7 +877,8 @@ def test_lane_rows_equal_batch_reference_sampled(p):
 def test_integer_batches_give_the_closed_form_above_the_switch():
     p = 257
     q1, q2 = random.Random(p).sample(range(p), 2)
-    assert _check_pivot_row(FieldContext(p), q1, [q2]) == [
+    ctx = FieldContext(p)
+    assert _check_pivot_row(ctx, q1, [q2], _reduction_tables(ctx)) == [
         ((p - 1) ** 2, (p - 1) ** 4, 0, 0, 0)
     ]
 
@@ -834,8 +889,9 @@ def test_integer_batches_equal_batch_reference(p, monkeypatch):
     # moving the byte switch below every prime.
     monkeypatch.setattr(pivot_module, "PAD", 2)
     ctx = FieldContext(p)
+    shared = _reduction_tables(ctx)
     for q1 in range(p):
-        assert _check_pivot_row(ctx, q1, range(p)) == _check_pivot_row_reference(
+        assert _check_pivot_row(ctx, q1, range(p), shared) == _check_pivot_row_reference(
             ctx, q1, range(p)
         ), (p, q1)
 
@@ -907,7 +963,7 @@ def test_corrupted_rows_split_per_pivot_like_set_reference(p, pad, monkeypatch):
         shuffled = list(range(p))
         rng.shuffle(shuffled)
         for q2s in (shuffled, shuffled[:2] + shuffled + shuffled[:1]):
-            got = _check_pivot_row(ctx, q1, q2s)
+            got = _check_pivot_row(ctx, q1, q2s, _reduction_tables(ctx))
             assert got == [reference[q2] for q2 in q2s], (p, q1, q2s)
             assert any(report[2] for report in got)
 
@@ -926,10 +982,11 @@ def test_zeroed_inverse_entries_read_as_no_point_like_batch_reference(p):
         ctx = FieldContext(p)
         for t in zeros:
             ctx._inv[t] = 0
+        shared = _reduction_tables(ctx)
         for q1 in range(p):
             shuffled = list(range(p))
             rng.shuffle(shuffled)
             q2s = shuffled[:1] + shuffled
-            assert _check_pivot_row(ctx, q1, q2s) == _check_pivot_row_reference(
+            assert _check_pivot_row(ctx, q1, q2s, shared) == _check_pivot_row_reference(
                 ctx, q1, q2s
             ), (p, list(zeros), q1)

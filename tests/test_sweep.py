@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from mobinc import cli, generators
+from mobinc import cli, field, generators
 from mobinc import sweep as sweep_module
 from mobinc.bounds import BOUND_IDS, dyadic_threshold
 from mobinc.field import FieldContext
@@ -104,7 +104,9 @@ def test_sweep_demo_config_rows():
                                      (row["rhs_term1"], row["rhs_term2"]) if t)
 
 
-def test_sweep_determinism_and_parallel_merge():
+def test_sweep_determinism_and_parallel_merge(monkeypatch):
+    # No serial budget, so that two jobs fork.
+    monkeypatch.setattr(field, "SERIAL_BUDGET_S", 0)
     config = config_from(DEMO_CONFIG)
     first = rows_to_jsonl(sweep(config))
     second = rows_to_jsonl(sweep(config))
@@ -686,6 +688,37 @@ def test_one_rich_enumeration_per_point_set(monkeypatch):
     # Under random-points the two rows count different sets.
     calls.clear()
     sweep(config_from(text + "generator = random-points\n" + both))
+    assert len(calls) == 2 * cells
+
+
+def test_one_incidence_count_per_point_and_map_set(monkeypatch):
+    calls = []
+    original = sweep_module.count_incidences
+
+    def counted(P, T):
+        calls.append((P.points, T.keys))
+        return original(P, T)
+
+    monkeypatch.setattr(sweep_module, "count_incidences", counted)
+    text = "primes = 11,13\nsizes = 3,4\nreps = 2\nk = 3\nseed = 3\nnt = 40\n"
+    cells = 2 * 2 * 2
+    three = "bounds = thm1-incidence,thm2-incidence,thm3-energy\n"
+
+    # Under ap all three rows count the grid against the same maps: one
+    # count per cell, and each row's lhs as when it runs alone.
+    ap = text + "generator = ap\n"
+    rows = sweep(config_from(ap + three))
+    assert len(calls) == cells
+    for bound in ("thm1-incidence", "thm2-incidence", "thm3-energy"):
+        alone = sweep(config_from(ap + f"bounds = {bound}\n"))
+        assert [r["lhs"] for r in rows if r["bound"] == bound] == [
+            r["lhs"] for r in alone
+        ]
+
+    # Under random-points thm1-incidence counts the drawn points, the other
+    # two rows the grid of random scalars.
+    calls.clear()
+    sweep(config_from(text + "generator = random-points\n" + three))
     assert len(calls) == 2 * cells
 
 
