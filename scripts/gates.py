@@ -36,6 +36,17 @@ code = cli.main(sys.argv[1:])
 print(len(built), file=sys.stderr)
 sys.exit(code)"""
 
+# python -c program: the CLI on its arguments, with 1/2 and 1/3 swapped in
+# the inverse table of every FieldContext it builds.
+SWAPPED_CLI = """import sys
+from mobinc import cli, field
+init = field.FieldContext.__init__
+def swapped(self, p):
+    init(self, p)
+    self._inv[2], self._inv[3] = self._inv[3], self._inv[2]
+field.FieldContext.__init__ = swapped
+sys.exit(cli.main(sys.argv[1:]))"""
+
 # The worker processes --jobs 2 starts once the serial budget is spent.
 JOBS2_WORKERS = min(2, os.cpu_count() or 1) - 1
 
@@ -74,6 +85,11 @@ class Run:
         env = dict(os.environ, PYTHONPATH="src")
         out, err = self.run(sys.executable, "-c", COUNTING_CLI, *args, env=env, **kwargs)
         return out, int(err.rsplit("\n", 2)[-2])
+
+    def cli_swapped(self, *args, **kwargs) -> str:
+        """The CLI's stdout under the swapped inverse table of SWAPPED_CLI."""
+        env = dict(os.environ, PYTHONPATH="src")
+        return self.run(sys.executable, "-c", SWAPPED_CLI, *args, env=env, **kwargs)[0]
 
     def file(self, lines) -> Path:
         """A new input file holding one line per item."""
@@ -160,7 +176,7 @@ GATES = [
          == g.cli("verify-reduction", "-p", 31, "--exhaustive", "--jobs", 1)[0],
          "--jobs 1 and 2 print different bytes")),
     ("Exhaustive reduction check at p = 17 under the serial budget",
-     "About 3-5 ms of rows, inside parallel_map's serial budget of 6 ms, so --jobs 2 "
+     "About 1.5-2.5 ms of rows, inside parallel_map's serial budget of 6 ms, so --jobs 2 "
      "mostly runs every row in the caller, and a slow run starts a worker for the rows "
      "left.  Either way --jobs 2 must print the bytes of --jobs 1.",
      lambda g: g.check(
@@ -171,8 +187,9 @@ GATES = [
          "--jobs 1 and 2 print different bytes")),
     ("Exhaustive reduction check at p = 53",
      "The largest exhaustive check the CLI starts, whose rows are its widest batches, "
-     "53 * 52^2 lanes; about 0.3-0.5 s a run on two cores, far over the serial budget, so "
-     "--jobs 2 starts a worker.  --jobs 1, which starts none, must print the same bytes.",
+     "52^2 lanes compared once per u; about 0.25-0.4 s a run on two cores, interpreter start "
+     "included, and about 0.1 s of rows, far over the serial budget, so --jobs 2 starts a "
+     "worker.  --jobs 1, which starts none, must print the same bytes.",
      lambda g: (
          (pooled := g.cli_workers("verify-reduction", "-p", 53, "--exhaustive", "--jobs", 2,
                                   timeout=180)),
@@ -184,6 +201,18 @@ GATES = [
          g.check(pooled[0] == g.cli("verify-reduction", "-p", 53, "--exhaustive",
                                     "--jobs", 1, timeout=180)[0],
                  "--jobs 1 and 2 print different bytes"))),
+    ("Exhaustive reduction check at p = 17 under a corrupted inverse table",
+     "With 1/2 and 1/3 swapped in the inverse table the reduction fails, and no row's pivots "
+     "agree on q2*gamma, so every batch is split per pivot and recounted entry by entry; at "
+     "p = 17 that takes well under a second.  Both runs must exit 1 and report the same "
+     "violations, those of the set reference, with --jobs 1 and with --jobs 2.",
+     lambda g: (argv := ("verify-reduction", "-p", 17, "--exhaustive", "--jobs"),
+                out := g.cli_swapped(*argv, 1, code=1),
+                g.check(out.rstrip("\n") == (
+                    "p=17 pivots=289 transforms=73984 triples=18939904 violations=874888 "
+                    "line-collisions=0 det-mismatches=18496"), f"stdout {out!r}"),
+                g.check(g.cli_swapped(*argv, 2, code=1) == out,
+                        "--jobs 1 and 2 print different bytes"))),
     ("Sampled reduction check at p = 127",
      "Eight seeded pivots, each with its 126^2 curved maps: the row and per-pivot tables at a "
      "p well above the exhaustive gate's.  The pivots go to the workers in rows, so stdout "

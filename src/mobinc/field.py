@@ -95,8 +95,8 @@ def same_context(a: FieldContext, b: FieldContext) -> FieldContext:
 # interpreter and 3.4-3.6 ms with the whole package imported (median of 41
 # parallel_map(abs, [1, 2], 2) calls, 2-core x86-64, CPython 3.11, fork).
 # So work that a worker could not shorten by more than it costs never
-# starts one: an exhaustive reduction check at p = 17, about 3-5 ms, runs
-# in the caller, while one at p = 53, about 0.3 s, still forks.
+# starts one: an exhaustive reduction check at p = 17, about 1.5-2.5 ms,
+# runs in the caller, while one at p = 53, about 0.1 s, still forks.
 SERIAL_BUDGET_S = 0.006
 
 

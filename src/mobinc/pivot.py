@@ -46,8 +46,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import partial
-from itertools import compress, count, repeat
-from operator import add, itemgetter
+from itertools import chain, compress, count, repeat
+from operator import add, getitem, itemgetter
 from typing import NamedTuple, Optional, Union
 
 from .field import PAD, FieldContext, fork_join, parallel_map
@@ -284,7 +284,7 @@ class ReductionReport(NamedTuple):
 
 
 # The exhaustive check at p = 53, the largest run the CLI starts, takes about
-# 0.3-0.5 s with --jobs 1 or 2, interpreter start included (Python 3.11,
+# 0.25-0.4 s with --jobs 1 or 2, interpreter start included (Python 3.11,
 # shared 2-core machine); it took 7 s when the limit was set.  743 is the
 # largest prime p with p^3 <= 53^5, so one pivot fits up to p = 743, where
 # its tuple batches take about 22 s.
@@ -305,12 +305,19 @@ def refuse_reduction_work(p: int, pivots: int) -> None:
         )
 
 
+def _joined(parts: list, as_bytes) -> Union[bytes, list]:
+    """parts laid end to end, as bytes or as one list."""
+    return b"".join(parts) if as_bytes else list(chain.from_iterable(parts))
+
+
 def _reduction_tables(ctx: FieldContext) -> tuple:
     """The tables of _check_pivot_row that depend on p and the inverse table
-    alone, built once per check_reduction call in O(p^2) interpreted steps:
-    (mul, doubled, the number of distinct lines of a pivot, tables, pulled).
-    Below p = PAD mul and pulled are bytes and tables holds each row of mul
-    laid out to 256 bytes; from p = 257 on tables is None."""
+    alone, built once per check_reduction call in O(p^2) work, O(p) of it
+    interpreted: (mul, doubled, lines, det_fails, alpha, gamma, scales,
+    lanes).  alpha[e][t] = (t - e)*inv[t] and gamma[t] = t*inv[t] - 1 are 0
+    at t = 0 and laid out twice.  Below p = PAD the tables are bytes, the
+    rows of mul and scales 256 long, and lanes holds p, 2^15 - p and 2^15
+    in each lane of a row; from p = 257 on they are lists, lanes None."""
     p, inv = ctx.p, ctx._inv
     # Row m of the multiplication table is every m-th entry of range(p) laid
     # p times, so it and the tables looked up in it hold pointers to the p
@@ -319,20 +326,55 @@ def _reduction_tables(ctx: FieldContext) -> tuple:
     mul = [[0] * p] + [cycle[: m * p : m] for m in range(1, p)]
     doubled = cycle[: 2 * p]
     del cycle
-    # The lines t2 = m*t1 + i of every pivot, keyed i*p + m: i = -1/u and
-    # m = e/u over all nonzero u and e.
-    lines = set()
+    # The line of the map at u, e is keyed i*p + m, i = -1/u and m = e/u;
+    # its entry at t1 is pulled[m*t1 + i], so scales[u][x] = pulled[x/u + i].
+    pulled = ([0] + [-inv[t] % p for t in range(1, p)]) * 2
+    if small := p < PAD:
+        fill = bytes(256 - p)
+        mul, pulled = [bytes(row) for row in mul], bytes(pulled) + fill
+    lines, scales, det_fails = set(), [None], 0
     for u in range(1, p):
         inv_u = inv[u]
-        lines.update(map(((-inv_u) % p * p).__add__, mul[inv_u][1:]))
-    pulled = ([0] + [-inv[t] % p for t in range(1, p)]) * 2
-    tables = None
-    if p < PAD:
-        fill = bytes(256 - p)
-        mul = [bytes(row) for row in mul]
-        tables = [row + fill for row in mul]
-        pulled = bytes(pulled) + fill
-    return mul, doubled, len(lines), tables, pulled
+        i = -inv_u % p
+        lines.update(map((i * p).__add__, mul[inv_u][1:]))
+        scales.append(mul[inv_u].translate(pulled[i : i + 256]) + fill if small
+                      else list(map(pulled[i : i + p].__getitem__, mul[inv_u])))
+        # With e = q1 + d, m*w^2 - (a*d - b) is e*(w^2/u - u), as m = e/u
+        # and a*d - b = u*e: one test for every d of this u at every pivot.
+        det_fails += (inv_u * inv[-i % p] ** 2 - u) % p != 0
+    # Column t of alpha, row inv[t] of mul read back from t, laid end to end.
+    columns = _joined(mul[:1] + [(mul[inv[t]] * 2)[t + p : t : -1] for t in range(1, p)], small)
+    alpha = [columns[e::p] * 2 for e in range(p)]
+    del columns
+    # doubled[p - 1 + v] is v - 1 mod p.
+    gamma = list(map(doubled[p - 1 :].__getitem__, map(getitem, mul, inv)))
+    gamma[0] = 0
+    gamma *= 2
+    lanes = None
+    if small:
+        n = (p - 1) ** 2
+        mul, gamma = [row + fill for row in mul], bytes(gamma)
+        lanes = [int.from_bytes(v.to_bytes(2, "little") * n, "little")
+                 for v in (p, 2**15 - p, 2**15)]
+    return mul, doubled, len(lines), det_fails, alpha, gamma, scales, lanes
+
+
+def _row_sequences(ctx: FieldContext, q1: int, shared: tuple) -> tuple:
+    """The products (q1 + d)*t1, alpha and gamma of row q1, 0 <= q1 < p, one
+    entry per (d, s1), d != -q1 and s1 != q1 in order: for each d, one
+    lookup of the row's t1 = 1/(q1 - s1) in row q1 + d of mul and two
+    slices of each p-only table, around the entry t = e of s1 = q1."""
+    p, inv = ctx.p, ctx._inv
+    mul, _, _, _, alpha, gamma, _, lanes = shared
+    t1s = [inv[(q1 - s1) % p] for s1 in range(p) if s1 != q1]
+    at_t1s = bytes(t1s).translate if lanes else itemgetter(*t1s)
+    products, alphas, gammas = [], [], []
+    for d in range(p):
+        if e := (q1 + d) % p:
+            products.append(at_t1s(mul[e]))
+            alphas += alpha[e][d : d + q1], alpha[e][d + q1 + 1 : d + p]
+            gammas += gamma[d : d + q1], gamma[d + q1 + 1 : d + p]
+    return tuple(_joined(parts, lanes) for parts in (products, alphas, gammas))
 
 
 def _check_pivot_row(
@@ -362,93 +404,64 @@ def _check_pivot_row(
     = (s1 - q1)*w and gamma = (s1 + d)*w - 1, which is 0 for a correct
     inverse table.  This regroups only the arithmetic around the inverse
     lookup (gamma is alpha + (q1 + d)*w - 1), so it equals the literal
-    (a*s1 + b)*w - q2 for any inverse table.  Once per row, alpha and gamma of every (d, s1) are built, the
-    pole s1 = -d getting alpha = gamma = 0, so that its entry is 0, no
-    point.
+    (a*s1 + b)*w - q2 for any inverse table.  The row slices alpha and
+    gamma from the p-only tables (_row_sequences), the pole s1 = -d holding
+    0 in both, so that its entry is 0, no point.
 
     Line side: the map (a, d) conjugates to the line t2 = m*t1 + i, with
     m = (q1 + d)/u and i = -1/u, pulled back through the transplant
     (t1, t2) = (1/(q1 - s1), 1/(q2 - s2)): s2 - q2 = -1/t2, which is never
-    0, or 0 where t2 = 0.  Once per row, the products (q1 + d)*t1 of every
-    (d, s1) are built; pulled[t], one of the p-only tables, holds the entry
-    pulled back from t2 = t, laid twice.  Neither depends on q2, so the line
-    sequence of every pivot at one u is the same: back[v] = pulled[v + i] is a slice,
-    scale[x] = back[x/u] is back at a row of the multiplication table mul,
-    and the line sequence is scale at the products, as m*t1 = (q1 + d)*t1/u.
+    0, or 0 where t2 = 0.  The line sequence is the p-only table scales[u]
+    at the row's products (q1 + d)*t1; it does not depend on q2.
 
     Below p = PAD each sequence is a byte string of 16-bit little-endian
     lanes, one (d, s1) entry a lane: the entry's byte and then the byte
     PAD, which every translate table maps to 0, so that translated strings
-    read as integers add lane by lane.  Once per row, G lays every
-    pivot's q2*gamma end to end, one bytes.translate of the row's gamma
-    bytes through row q2 of mul a pivot.  Once per u, A holds u*alpha, one
-    translate of the row's alpha bytes through row u of mul, and the line
-    sequence is one translate of the products through scale.  Every lane
-    holds a residue, so a pivot's curve equals the line exactly where its
-    q2*gamma equals (line - A) mod p.  Each lane of line + p - A is below
-    2p, so adding 2^15 - p sets the lane's top bit exactly where it is
-    >= p, and subtracting p there reduces every lane at once, without a
-    carry into the next.  The difference, repeated once a pivot, is
-    compared with G once; only where they differ is the batch split per
-    pivot, each pivot's curve being A plus its q2*gamma, reduced the same
-    way.  From p = 257 on each sequence is a tuple gathered by itemgetter:
-    the line once per u, and the curve once per (pivot, u) from
-    aff[alpha*p + g] = (u*alpha + g) mod p, laid out once per u from
-    slices of range(p) doubled, at keys alpha*p + q2*gamma built once per
-    pivot.
+    read as integers add lane by lane.  Once per row, each pivot's block,
+    its q2*gamma, is one translate of the row's gamma through row q2 of mul,
+    and the blocks are compared with each other.  Once per u, A holds
+    u*alpha and the line is one translate of the products through
+    scales[u].  A pivot's curve equals the line exactly where its block
+    equals (line - A) mod p.  Each lane of line + p - A is below 2p, so
+    adding 2^15 - p sets the lane's top bit exactly where it is >= p, and
+    subtracting p there reduces every lane at once, without a carry into
+    the next.  When all the blocks are equal, that difference is compared
+    with the one block, and only where they differ is the batch recounted,
+    once for every pivot, from A plus the block, reduced the same way.
+    When they are not, no difference equals them all, and every batch is
+    recounted per pivot.  From p = 257 on each sequence is a list and each
+    batch a tuple gathered by itemgetter: the line once per u, and the
+    curve once per distinct block and u from aff[alpha*p + g] = (u*alpha +
+    g) mod p, laid out once per u, at keys alpha*p + q2*gamma.
 
-    A point violates the reduction when it lies on one side only.  Where
-    the curve and line sequences of a (pivot, u) differ, an entry that
-    differs adds 2 when both sides hold a point and 1 otherwise: the size
-    of the symmetric difference of the graphs.  A line collision is a map
-    whose line another map through its pivot shares.  With e = q1 + d, the
-    line of (a, d) has i = -1/u and m = e/u; at every pivot u and e range
-    over the nonzero residues, so the lines, keyed i*p + m, are the same
-    set at every pivot: the p-only tables hold its size, and every pivot has
-    the same collision count.
+    A point violates the reduction when it lies on one side only: an entry
+    where the curve and line of a (pivot, u) differ adds 2 when both sides
+    hold a point and 1 otherwise, the size of the symmetric difference of
+    the graphs.  A line collision is a map whose line another map through
+    its pivot shares.  With e = q1 + d the line of (a, d) is keyed i*p + m,
+    i = -1/u and m = e/u; u and e range over the nonzero residues at every
+    pivot, so every pivot has the same lines, counted in the p-only tables.
     A det mismatch is a map whose line's pullback, of determinant m, scaled
     to c = 1 by w = 1/(-i) from the inverse table, has m*w^2 != a*d - b.
     That difference is e*(w^2/u - u), so it vanishes for all the d of one
-    u or for none, whatever the inverse table holds; the test runs once
-    per (row, u) and counts for every pivot.  Nothing comes from the
-    enumeration path.
+    u or for none, whatever the inverse table holds: the p-only tables
+    count the u where it does not.  Nothing comes from the enumeration path.
 
-    A row costs O(p^2) interpreted steps and memory for its tables, O(1)
-    more per pivot and O(p) more per u.  Below p = PAD each (row, u) costs a
-    few interpreted steps, a few operations on integers of p^2 lanes and
-    one comparison of p^2 lanes a pivot; from p = 257 on, O(p^2) table
-    lookups a pivot.  So an exhaustive check costs O(p^5) work in C.
-    Memory stays O(p^2) per row plus O(p^2) per pivot in the row.
+    A row costs O(p) interpreted steps and O(p^2) work in C and memory for
+    its sequences, plus O(p^2) a pivot for its block.  Each u then costs a
+    few interpreted steps, a few operations on integers of p^2 lanes and,
+    when the blocks are equal and the batch holds, one comparison of p^2
+    lanes; from p = 257 on, O(p^2) table lookups a distinct block.  So an
+    exhaustive check costs O(p^4) work in C.
     """
     p = ctx.p
-    inv = ctx._inv
-    mul, doubled, lines, tables, pulled = shared
-    q1 %= p
+    mul, doubled, lines, det_fails, _, _, scales, lanes = shared
     q2s = [q2 % p for q2 in q2s]
-    xs = [s1 for s1 in range(p) if s1 != q1]
-    ds = [d for d in range(p) if (d + q1) % p]
-    transforms = (p - 1) * len(ds)
-    collisions = transforms - lines
-    t1s = [inv[(q1 - s1) % p] for s1 in xs]
-    products = [mul[(q1 + d) % p][t1] for d in ds for t1 in t1s]
-    alphas, units = [], []
-    for d in ds:
-        for s1 in xs:
-            if den := (s1 + d) % p:
-                w = inv[den]
-                alphas.append(mul[(s1 - q1) % p][w])
-                units.append(mul[den][w])
-            else:
-                alphas.append(0)
-                units.append(1)
-    # gamma = (s1 + d)*w - 1, doubled[p - 1 + v] being v - 1 mod p; the
-    # pole's unit 1 makes it 0 there.
-    gammas = list(map(doubled[p - 1 :].__getitem__, units))
-    del units
+    products, alphas, gammas = _row_sequences(ctx, q1 % p, shared)
     pivots = len(q2s)
-    if lanes := tables is not None:
+    if lanes:
+        ps, bias, high = lanes
         n = len(products)
-        fill = bytes(256 - p)
         lane = bytearray([0, PAD]) * n
 
         def packed(entries):
@@ -456,64 +469,62 @@ def _check_pivot_row(
             return bytes(lane)
 
         products, alphas, gammas = map(packed, (products, alphas, gammas))
-        G = b"".join(gammas.translate(tables[q2]) for q2 in q2s)
-        ps = int.from_bytes(p.to_bytes(2, "little") * n, "little")
-        bias = int.from_bytes((2**15 - p).to_bytes(2, "little") * n, "little")
-        high = int.from_bytes(b"\0\x80" * n, "little")
+        blocks = [gammas.translate(mul[q2]) for q2 in q2s]
 
         def reduced(s):
             return (s - (((s + bias) & high) >> 15) * p).to_bytes(2 * n, "little")
 
     else:
         at_products = itemgetter(*products)
-        alpha_p = [alpha * p for alpha in alphas]
+        alpha_p = itemgetter(*alphas)(range(0, p * p, p))
         at_gamma = itemgetter(*gammas)
-        curve_ats = [itemgetter(*map(add, alpha_p, at_gamma(mul[q2]))) for q2 in q2s]
-    violations = [0] * pivots
-    det_fails = 0
+        blocks = [list(map(add, alpha_p, at_gamma(mul[q2]))) for q2 in q2s]
+    # One block stands for every pivot when all are equal.
+    if same := blocks[:1] * pivots == blocks:
+        blocks = blocks[:1]
+    if not lanes:
+        # The curve of a block is its keys gathered from aff.
+        blocks = [itemgetter(*block) for block in blocks]
+    violations = [0] * len(blocks)
     for u in range(1, p):
-        inv_u = inv[u]
-        i = (-inv_u) % p
-        # With e = q1 + d, m*w^2 - (a*d - b) is e*(w^2/u - u), as m = e/u
-        # and a*d - b = u*e: one test for every d of this u at every pivot.
-        if (inv_u * inv[(-i) % p] ** 2 - u) % p:
-            det_fails += 1
         if lanes:
-            line = products.translate(mul[inv_u].translate(pulled[i : i + 256]) + fill)
-            A = int.from_bytes(alphas.translate(tables[u]), "little")
-            if reduced(int.from_bytes(line, "little") + ps - A) * pivots == G:
+            line = products.translate(scales[u])
+            A = int.from_bytes(alphas.translate(mul[u]), "little")
+            if same and reduced(int.from_bytes(line, "little") + ps - A) == blocks[0]:
                 continue
             line = line[::2]
-            curves = (reduced(A + int.from_bytes(G[k : k + 2 * n], "little"))[::2]
-                      for k in range(0, len(G), 2 * n))
+            curves = (reduced(A + int.from_bytes(block, "little"))[::2] for block in blocks)
         else:
-            back = pulled[i : i + p]
-            line = at_products(list(map(back.__getitem__, mul[inv_u])))
+            line = at_products(scales[u])
             aff = []
-            for alpha in range(p):
-                r = u * alpha % p
+            for v in range(p):
+                r = u * v % p
                 aff += doubled[r : r + p]
-            curves = (curve_at(aff) for curve_at in curve_ats)
+            curves = (curve_at(aff) for curve_at in blocks)
         for j, curve in enumerate(curves):
             if curve != line:
                 violations[j] += sum(
                     1 + (c != 0 and l != 0) for c, l in zip(curve, line) if c != l
                 )
+    if same:
+        violations *= pivots
+    transforms = (p - 1) ** 2  # the p - 1 values of u and of d != -q1
     triples = transforms * (p - 1) ** 2
-    det_mismatches = det_fails * len(ds)
+    collisions = transforms - lines
+    det_mismatches = det_fails * (p - 1)
     return [
         (transforms, triples, violation, collisions, det_mismatches)
         for violation in violations
     ]
 
 
-# From this p on a row of one pivot takes longer than parallel_map's serial
-# budget of 6 ms by itself: 5.6-8.9 ms at p = 79, 4.5-6.5 ms at p = 71 and
-# 0.26 s at p = 251 (best of 15 _check_pivot_row calls, 2-core x86-64,
-# CPython 3.11).  There a serial head could only hold back one row's share
+# From this p on a row of one pivot takes about parallel_map's serial budget
+# of 6 ms or longer by itself: 5.7-6.6 ms at p = 89 against 4.7-5.3 ms at
+# p = 83, 7.3-8.7 ms at p = 97 and 0.13 s at p = 251 (best of 15
+# _check_pivot_row calls, 2-core x86-64, CPython 3.11).  There a serial head could only hold back one row's share
 # of the work, a whole pivot at a sampled p = 743, so such rows go straight
 # to fork_join.  An exhaustive check stops at p = 53, below it.
-FORK_ROWS_P = 79
+FORK_ROWS_P = 89
 
 
 def _check_row(ctx: FieldContext, shared: tuple, row: tuple) -> list[tuple[int, ...]]:
@@ -543,18 +554,16 @@ def check_reduction(
     check that short starts no process; from FORK_ROWS_P on a row outlasts
     the budget by itself, and the rows go straight to fork_join.  The
     tables that depend on p and the inverse table alone (the multiplication
-    table, the pulled-back line entries and the number of distinct lines,
-    with their byte forms) are built once per call and handed to every row;
-    no cache keeps them past the call.  A row
-    builds its own tables once, in O(p^2) interpreted steps and memory, and
-    then checks all its pivots at once for each u = a - q2, both sides
-    shifted by -q2 so that the line side depends on the row and u alone
-    (see _check_pivot_row).  Below p = PAD each (row, u) costs a few
-    interpreted steps, a few operations on integers of p^2 16-bit lanes and
-    one comparison of p^2 lanes a pivot; from p = 257 on, O(p^2) table
-    lookups into tuples a pivot.  So the exhaustive check costs O(p^5).
-    Memory stays O(p^2) per row plus O(p^2) per pivot in the row.  The
-    per-pivot counts are summed.
+    table, the curve side's alpha and gamma, the line side's table at each
+    u, the number of distinct lines and the det test, with their byte
+    forms) are built once per call and handed to every row; no cache keeps
+    them past the call.  A row slices its own tables from them in O(p)
+    interpreted steps, and then checks all its pivots at once for each
+    u = a - q2 (see _check_pivot_row): below p = PAD, when its pivots agree
+    on q2*gamma, as for a correct inverse table, in one comparison of p^2
+    16-bit lanes.  So the exhaustive check costs O(p^4).  Memory stays
+    O(p^2) per row plus O(p^2) per pivot in the row.  The per-pivot counts
+    are summed.
     """
     p = ctx.p
     refuse_reduction_work(p, p * p if pivots is None else len(pivots))

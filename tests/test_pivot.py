@@ -17,6 +17,7 @@ from mobinc.pivot import (
     Vertical,
     _check_pivot_row,
     _reduction_tables,
+    _row_sequences,
     check_reduction,
     rich_counts,
     rich_lines,
@@ -753,12 +754,12 @@ def test_check_reduction_builds_the_p_only_tables_once(jobs, pad, monkeypatch):
         assert report == (p, len(pivots), *totals)
 
 
-@pytest.mark.parametrize("p, pool", [(73, "parallel_map"), (79, "fork_join")])
+@pytest.mark.parametrize("p, pool", [(83, "parallel_map"), (89, "fork_join")])
 def test_check_reduction_sends_rows_that_outlast_the_budget_to_fork_join(p, pool, monkeypatch):
     # From FORK_ROWS_P on a row of one pivot outlasts parallel_map's serial
     # budget, so the rows skip its head; below, a short check starts no
     # process.  The report is the same either way.
-    assert 73 < pivot_module.FORK_ROWS_P <= 79
+    assert 83 < pivot_module.FORK_ROWS_P <= 89
     called = []
     for name in ("parallel_map", "fork_join"):
         def spy(fn, units, jobs, name=name, real=getattr(pivot_module, name)):
@@ -990,3 +991,102 @@ def test_zeroed_inverse_entries_read_as_no_point_like_batch_reference(p):
             assert _check_pivot_row(ctx, q1, q2s, shared) == _check_pivot_row_reference(
                 ctx, q1, q2s
             ), (p, list(zeros), q1)
+
+
+def _assert_tables_are_literal(ctx, q1s):
+    """Every (q1, d, s1) entry of the row sequences _row_sequences slices
+    from the p-only tables, and every p-only line table, equals its literal
+    formula read from ctx's inverse table."""
+    p, inv = ctx.p, ctx._inv
+    shared = _reduction_tables(ctx)
+    scales, lanes = shared[6], shared[7]
+    for q1 in q1s:
+        keys = [(d, s1) for d in range(p) if (q1 + d) % p for s1 in range(p) if s1 != q1]
+        products, alphas, gammas = map(list, _row_sequences(ctx, q1, shared))
+        assert products == [(q1 + d) * inv[(q1 - s1) % p] % p for d, s1 in keys], q1
+        # the pole s1 + d = 0 holds 0, no point, in alpha and in gamma
+        assert alphas == [(s1 - q1) * inv[t] % p if (t := (s1 + d) % p) else 0
+                          for d, s1 in keys], q1
+        assert gammas == [(t * inv[t] - 1) % p if (t := (s1 + d) % p) else 0
+                          for d, s1 in keys], q1
+    for u in range(1, p):
+        # the entry -1/t2 pulled back from t2 = m*t1 + i, m*t1 = x/u, i = -1/u
+        assert list(scales[u][:p]) == [-inv[t2] % p if (t2 := (x - 1) * inv[u] % p) else 0
+                                       for x in range(p)], u
+        assert not lanes or scales[u][p:] == bytes(256 - p)
+
+
+@pytest.mark.parametrize("pad", [PAD, 2])
+@pytest.mark.parametrize("corrupt", ["permuted", "zeroed"])
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_row_sequences_are_the_literal_formulas(p, corrupt, pad, monkeypatch):
+    # Every row, in bytes and, with the byte switch moved below every
+    # prime, in lists, under an inverse table whose nonzero entries are
+    # permuted or partly set to 0: the tables assume nothing of it.
+    monkeypatch.setattr(pivot_module, "PAD", pad)
+    ctx = FieldContext(p)
+    rng = random.Random(p)
+    if corrupt == "permuted":
+        ctx._inv[1:] = rng.sample(ctx._inv[1:], p - 1)
+    else:
+        for t in rng.sample(range(1, p), 3):
+            ctx._inv[t] = 0
+    _assert_tables_are_literal(ctx, range(p))
+
+
+@pytest.mark.parametrize("p", [251, 257])
+def test_row_sequences_are_the_literal_formulas_around_the_byte_switch(p):
+    # The last prime of the byte tables and the first of the lists, with
+    # two entries of the inverse table swapped and one set to 0.
+    ctx = FieldContext(p)
+    inv = ctx._inv
+    inv[2], inv[5] = inv[5], inv[2]
+    inv[p - 3] = 0
+    _assert_tables_are_literal(ctx, [0, random.Random(p).randrange(1, p)])
+
+
+@pytest.mark.parametrize("pad", [PAD, 2])
+@pytest.mark.parametrize("corrupt", ["swapped", "zeroed"])
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_rows_whose_pivots_differ_in_q2_gamma_split_per_pivot(p, corrupt, pad, monkeypatch):
+    # Under a corrupted inverse table gamma is not 0, so the pivots q2 = 0
+    # and q2 != 0 of a row differ in q2*gamma and no batch can hold for
+    # both: every u is recounted per pivot.  With every entry 0 the pivot
+    # q2 = 0 holds at every u (its curve and line are 0 in every lane)
+    # while q2 != 0 fails, so a kernel that compared the difference with
+    # the first pivot's q2*gamma alone would miss the second pivot's
+    # violations.  The set reference keeps a point where a 0 entry pulls
+    # back (see the zeroed-entries test), so it checks the swapped table.
+    monkeypatch.setattr(pivot_module, "PAD", pad)
+    ctx = FieldContext(p)
+    inv = ctx._inv
+    if corrupt == "swapped":
+        inv[2], inv[3] = inv[3], inv[2]
+    else:
+        inv[:] = [0] * p
+    shared = _reduction_tables(ctx)
+    for q1 in range(p):
+        for q2s in ([0, 1], [0, p - 1, 0], [0, 0]):
+            got = _check_pivot_row(ctx, q1, q2s, shared)
+            assert got == _check_pivot_row_reference(ctx, q1, q2s), (q1, q2s)
+            if corrupt == "swapped":
+                assert got == [_check_one_pivot_sets(ctx, (q1, q2)) for q2 in q2s], (q1, q2s)
+            elif 1 in q2s:
+                assert got[0][2] == 0 < got[1][2], (q1, q2s)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_check_reduction_counts_det_mismatches_in_every_row(jobs, monkeypatch):
+    # The det test runs once per call, in the p-only tables, and every row
+    # counts its failures: over pivots of several rows, interleaved and one
+    # repeated, under a swapped inverse table, the report equals the set
+    # reference's sum, det mismatches included.
+    monkeypatch.setattr(field, "SERIAL_BUDGET_S", 0)
+    ctx = FieldContext(7)
+    inv = ctx._inv
+    inv[2], inv[3] = inv[3], inv[2]
+    pivots = [(3, 1), (0, 0), (10, 8), (3, 1), (-4, 2), (6, 5), (0, 4)]
+    report = check_reduction(ctx, pivots=pivots, jobs=jobs)
+    totals = [sum(col) for col in zip(*(_check_one_pivot_sets(ctx, q) for q in pivots))]
+    assert report == (7, len(pivots), *totals)
+    assert report.violations > 0 and report.det_mismatches > 0
