@@ -292,9 +292,20 @@ GATES = [
                 for p in (251, 257)]),
     ("Equivalence count at the 60-element cap",
      "PGL(2, p) is sharply 3-transitive, so every ordered target triple of 60 elements keeps "
-     "a 3-element pattern: 60*59*58 maps and C(60, 3) image sets, in about half a second.",
-     lambda g: g.stdout_is("equiv-count", "-p", 9973, "--a", g.seq(59), "--s", g.seq(2),
-                           expected="map_count=205320 subset_count=34220", timeout=10)),
+     "a 3-element pattern: 60*59*58 maps and C(60, 3) image sets.  The patterns 0..3 and "
+     "0..4 in 0..59 run the pair walk at p = 251, the last prime whose count reads the "
+     "pairs' byte graph tables, and at p = 257, the first that filters each pair in a "
+     "comprehension; 0..3 has a stabilizer of order 4 and 0..4 one of order 2 at both "
+     "primes.  Each run takes a fraction of a second.",
+     lambda g: [g.stdout_is("equiv-count", "-p", 9973, "--a", g.seq(59), "--s", g.seq(2),
+                            expected="map_count=205320 subset_count=34220", timeout=10),
+                *(g.stdout_is("equiv-count", "-p", p, "--a", g.seq(59), "--s", g.seq(last),
+                              expected=expected, timeout=10)
+                  for p, last, expected in (
+                      (251, 3, "map_count=48668 subset_count=12167"),
+                      (257, 3, "map_count=46136 subset_count=11534"),
+                      (251, 4, "map_count=11604 subset_count=5802"),
+                      (257, 4, "map_count=10148 subset_count=5074")))]),
     ("Expander rational on both sides of a full value set",
      "The rational value set lies in F_p, and the loop stops once it is all of F_p.  At "
      "p = 1009, 30 values miss two residues and 40 fill the field; each run takes well under "

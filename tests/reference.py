@@ -10,20 +10,22 @@ Three-point interpolation, the identity, the points of the projective line
 and the whole group as a stream in field.class_key order are stated on
 maps; lies_on and richness count through incidence.incidences_of, never
 through the graph tables; hyperbola_to_moebius builds the map of one
-translate.  The pivot vocabulary states the reduction of the pivot
-module's docstring one map at a time: the maps through a pivot, their
-conjugates and lines, the transplant of the points, and the pullback of
-a line.
+translate.  equivalence_by_targets counts a pattern's embeddings one
+target triple at a time.  The pivot vocabulary states the reduction of
+the pivot module's docstring one map at a time: the maps through a pivot,
+their conjugates and lines, the transplant of the points, and the
+pullback of a line.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterable, Iterator, Optional, Union
 
 from mobinc.energy import HyperbolaTranslate, _hyperbola_key
 from mobinc.field import (FieldContext, canonical_key, class_key, group_order, key_entries,
                           same_context)
-from mobinc.incidence import PointSet, TransformSet, columns, incidences_of
+from mobinc.incidence import PointSet, ScalarSet, TransformSet, columns, incidences_of
 from mobinc.pivot import AffineLine, NonVertical, Vertical
 
 
@@ -202,6 +204,42 @@ def _to_zero_one_inf(triple, ctx):
     u = (p2 - p3) % p
     v = (p2 - p1) % p
     return (u, (-p1 * u) % p, v, (-p3 * v) % p)
+
+
+def equivalence_by_targets(A: ScalarSet, S: ScalarSet) -> dict:
+    """projective_equivalence_count one ordered target triple at a time.
+
+    Every ordered triple t = (t1, t2, t3) of distinct elements of A is the
+    target of the reference triple S[:3]; each later s, with cross-ratio
+    lam = (s - r1)(r2 - r3)/((s - r3)(r2 - r1)), goes to
+    z = (t1 u - lam v t3)/(u - lam v), u = t2 - t3 and v = t2 - t1, or to
+    infinity when u = lam v.  A target is kept when every z lies in A, and
+    its image set is gathered into a set.
+    """
+    p, inv = A.ctx.p, A.ctx._inv
+    r1, r2, r3 = S.values[:3]
+    scale = (r2 - r3) * inv[(r2 - r1) % p]
+    lams = [(s - r1) * scale * inv[(s - r3) % p] % p for s in S.values[3:]]
+    members = set(A.values)
+    map_count = 0
+    images = set()
+    for target in permutations(A.values, 3):
+        t1, t2, t3 = target
+        u, v = t2 - t3, t2 - t1
+        image = list(target)
+        for lam in lams:
+            lv = lam * v
+            den = (u - lv) % p
+            if not den:
+                break
+            z = (t1 * u - lv * t3) * inv[den] % p
+            if z not in members:
+                break
+            image.append(z)
+        else:
+            map_count += 1
+            images.add(frozenset(image))
+    return {"map_count": map_count, "subset_count": len(images)}
 
 
 def enumerate_group(ctx: FieldContext) -> Iterator[MoebiusMap]:

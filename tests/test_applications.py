@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from mobinc.applications import (
+    _stabilizer_pairs,
     beck_statistics,
     cartesian_points,
     expander_rational,
@@ -20,7 +21,7 @@ from mobinc.applications import (
 from mobinc.field import FieldContext
 from mobinc.incidence import PointSet, ScalarSet, rich_transforms_brute
 
-from reference import INFINITY, MoebiusMap, maps_of, richness, through
+from reference import INFINITY, MoebiusMap, equivalence_by_targets, maps_of, richness, through
 
 CTX5 = FieldContext(5)
 CTX7 = FieldContext(7)
@@ -283,6 +284,78 @@ def test_equivalence_matches_map_set_on_long_patterns():
                     any(through(ref, t, ctx)(s) is INFINITY for s in pattern)
                     for t in permutations(ground.values, 3))
     assert sent_to_infinity > 0
+
+
+def test_equivalence_matches_the_target_loop():
+    # Both sides of the graph tables (PAD), grounds of |S| elements and of
+    # 14 (all of F_7 and F_11), patterns drawn from the ground, so that long
+    # ones still embed, and from the whole field.
+    rng = random.Random(40)
+    kept = 0
+    for p in (7, 11, 13, 101, 251, 257, 1009):
+        ctx = FieldContext(p)
+        for size in range(3, 8):
+            grounds = [S(rng.sample(range(p), size), ctx),
+                       S(rng.sample(range(p), min(p, 14)), ctx)]
+            patterns = [S(rng.sample(grounds[1].values, size), ctx),
+                        S(rng.sample(range(p), size), ctx)]
+            for ground, pattern in product(grounds, patterns):
+                result = projective_equivalence_count(ground, pattern)
+                assert result == equivalence_by_targets(ground, pattern)
+                if p < 100:
+                    assert result == _equivalence_by_map_set(ground, pattern)
+                kept += result["map_count"]
+                if len(ground) == p and size > 3:
+                    # The first later element goes to infinity on some target.
+                    ref, later = pattern.values[:3], pattern.values[3]
+                    assert any(through(ref, t, ctx)(later) is INFINITY
+                               for t in permutations(ground.values, 3))
+    assert kept > 0
+
+
+# Patterns that maps other than the identity permute, with the order of
+# that stabilizer.  (1, 2, 4, 11) mod 13 and (1, 3, 4, 7) mod 101 are
+# harmonic (cross-ratio -1): the map of each pair (t1, t3) is also the map
+# of (t3, t1).
+STABILIZED = [(13, (1, 2, 4, 11), 8), (101, (1, 3, 4, 7), 8), (7, (0, 1, 2, 3), 8),
+              (101, (0, 1, 2, 3), 4), (257, (0, 1, 2, 3), 4), (101, range(5), 2),
+              (1009, range(5), 2)]
+
+
+@pytest.mark.parametrize("p, pattern, order", STABILIZED)
+def test_equivalence_divides_by_the_pattern_stabilizer(p, pattern, order):
+    ctx = FieldContext(p)
+    pattern = S(pattern, ctx)
+    alone = {"map_count": order, "subset_count": 1}
+    assert projective_equivalence_count(pattern, pattern) == alone
+    assert equivalence_by_targets(pattern, pattern) == alone
+    rng = random.Random(p)
+    for ground in (range(min(p, 20)), {*rng.sample(range(p), min(p // 2, 14)), *pattern.values}):
+        ground = S(ground, ctx)
+        result = projective_equivalence_count(ground, pattern)
+        assert result == equivalence_by_targets(ground, pattern)
+        assert result["map_count"] == order * result["subset_count"] >= order
+
+
+def test_stabilizer_pairs_admit_every_map_permuting_the_pattern():
+    # Each map g with g(S) = S, found by trying every target in S, has its
+    # pair (g(r1), g(r3)) admitted; seeded patterns and F_13 and F_11 less
+    # a point have stabilizers with many multipliers kappa != 1.
+    rng = random.Random(9)
+    cases = [(p, pattern) for p, pattern, _ in STABILIZED] + [(13, range(12)), (11, range(10))]
+    cases += [(p, rng.sample(range(p), min(k, p - 1)))
+              for p in (7, 11, 13, 31, 101) for k in (3, 5, 8)]
+    moved = 0
+    for p, pattern in cases:
+        ctx = FieldContext(p)
+        values = S(pattern, ctx).values
+        admitted = _stabilizer_pairs(values, ctx)
+        for t in permutations(values, 3):
+            g = through(values[:3], t, ctx)
+            if all(g(s) in values for s in values):
+                assert (t[0], t[2]) in admitted
+                moved += t != values[:3]
+    assert moved > 0
 
 
 def test_equivalence_kept_maps_are_pattern_rich():

@@ -28,7 +28,7 @@ INNER_WORK = {
     "energy": _QUOTIENTS,
     "energy_report": _QUOTIENTS,
     "check_reduction": ((pivot, "_check_pivot_row"),),
-    "projective_equivalence_count": ((applications, "permutations"),),
+    "projective_equivalence_count": ((applications, "_kept_targets"),),
     "expander_report": (),
 }
 
