@@ -9,8 +9,8 @@ left-hand sides against the dominant term and track the ratio over time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 
@@ -69,46 +69,28 @@ _TERMS: dict[str, tuple[tuple[tuple[str, Fraction], ...], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class BoundSpec:
-    """A bound identifier plus the sizes it is evaluated at."""
-
-    identifier: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.identifier not in _TERMS:
-            raise ValueError(f"unknown bound identifier {self.identifier!r}")
-
-    def required_params(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for term in _TERMS[self.identifier]:
-            for name, _ in term:
-                if name not in names:
-                    names.append(name)
-        return tuple(names)
-
-
 class RhsValue(NamedTuple):
     terms: tuple[float, ...]
     max_term: float
     total: float
 
 
-def bound_rhs(spec: BoundSpec) -> RhsValue:
-    """Evaluate each additive term of the bound at the given sizes."""
+def bound_rhs(identifier: str, params: dict) -> RhsValue:
+    """Evaluate each additive term of the bound at the sizes in params."""
+    if identifier not in _TERMS:
+        raise ValueError(f"unknown bound identifier {identifier!r}")
     values = {}
-    for name in spec.required_params():
-        if name not in spec.params:
-            raise ValueError(
-                f"{spec.identifier} needs parameter {name!r}"
-            )
-        v = spec.params[name]
+    for name, _ in chain.from_iterable(_TERMS[identifier]):
+        if name in values:
+            continue
+        if name not in params:
+            raise ValueError(f"{identifier} needs parameter {name!r}")
+        v = params[name]
         if v <= 0:
             raise ValueError(f"parameter {name}={v} must be positive")
         values[name] = float(v)
     terms = []
-    for term in _TERMS[spec.identifier]:
+    for term in _TERMS[identifier]:
         log_term = sum(float(e) * math.log(values[name]) for name, e in term)
         terms.append(math.exp(log_term))
     terms = tuple(terms)
@@ -125,7 +107,7 @@ class HypothesisReport(NamedTuple):
 
 
 def hypothesis_check(
-    spec: BoundSpec, p: int, constant: float = 1.0
+    identifier: str, params: dict, p: int, constant: float = 1.0
 ) -> HypothesisReport:
     """Side-condition flags for the identifier at modulus p.
 
@@ -133,20 +115,19 @@ def hypothesis_check(
     inequalities scaled by the user constant (default 1) and are listed in
     constant_dependent.  Missing sizes count as zero, which passes.
     """
-    g = lambda name: float(spec.params.get(name, 0))
-    ident = spec.identifier
+    g = lambda name: float(params.get(name, 0))
     flags: dict[str, bool] = {}
     soft: list[str] = []
-    if ident in (THM1_INCIDENCE, COR_KRICH_LINES):
+    if identifier in (THM1_INCIDENCE, COR_KRICH_LINES):
         flags["points_le_p_15_13"] = g("P") <= p ** (15 / 13)
-    elif ident == THM1_RICH:
+    elif identifier == THM1_RICH:
         flags["points_le_p_15_26"] = g("P") <= p ** (15 / 26)
-    elif ident == THM2_INCIDENCE:
+    elif identifier == THM2_INCIDENCE:
         flags["at_le_p_squared"] = g("A") * g("T") <= constant * p**2
         soft.append("at_le_p_squared")
-    elif ident == THM2_RICH:
+    elif identifier == THM2_RICH:
         flags["a3b2_le_p_squared"] = g("A") ** 3 * g("B") ** 2 <= p**2
-    elif ident in (THM3_ENERGY, THM4_HYPERBOLA):
+    elif identifier in (THM3_ENERGY, THM4_HYPERBOLA):
         flags["b_le_sqrt_p"] = g("B") <= p**0.5
     return HypothesisReport(flags, tuple(soft))
 

@@ -14,8 +14,10 @@ the modulus and a precomputed inverse table so division is a lookup.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from multiprocessing import Pipe, Process
+import sys
+from multiprocessing import Pipe
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -98,6 +100,15 @@ def same_context(a: FieldContext, b: FieldContext) -> FieldContext:
 # starts one: an exhaustive reduction check at p = 17, about 1.5-2.5 ms,
 # runs in the caller, while one at p = 53, about 0.1 s, still forks.
 SERIAL_BUDGET_S = 0.006
+
+# The pool's workers fork on Linux whatever the default start method, which
+# Python 3.14 makes forkserver there: a parallel_map(abs, [1, 2], 2) call with
+# the whole package imported took a median 74 ms under forkserver against
+# 2.8 ms under fork (20 calls, 2-core x86-64, CPython 3.11), so the budget
+# above holds only for fork.  Elsewhere fork is unsafe or missing, and the
+# default context stays.
+Process = (multiprocessing.get_context("fork").Process if sys.platform == "linux"
+           else multiprocessing.Process)
 
 
 def parallel_map(fn: Callable, units: Sequence, jobs: int = 1) -> list:

@@ -54,18 +54,6 @@ from .field import PAD, FieldContext, fork_join, parallel_map
 from .incidence import PointSet, TransformSet
 
 
-class NonVertical(NamedTuple):
-    slope: int
-    intercept: int
-
-
-class Vertical(NamedTuple):
-    x: int
-
-
-AffineLine = Union[NonVertical, Vertical]
-
-
 def _line_pairs(points, ctx: FieldContext) -> dict[int, int]:
     """Point pairs per line: m(m-1)/2 on a line through m of the points.
 
@@ -85,7 +73,7 @@ def _line_pairs(points, ctx: FieldContext) -> dict[int, int]:
     return pairs
 
 
-# rich_lines counts the pairs on each line in time and memory growing as n^2: at
+# rich_line_count counts the pairs on each line in time and memory growing as n^2: at
 # p = 9973, 2000 random points take 2.1 s and 184 MB, 3000 take 5.1 s and 347 MB.
 MAX_LINE_PAIRS = math.comb(2000, 2)
 
@@ -99,16 +87,13 @@ def refuse_line_work(n: int) -> None:
         )
 
 
-def rich_lines(P: PointSet, j: int) -> tuple[AffineLine, ...]:
-    """Lines with at least j >= 2 points of P, by (slope, intercept), verticals last."""
+def rich_line_count(P: PointSet, j: int) -> int:
+    """The number of lines with at least j >= 2 points of P."""
     if j < 2:
         raise ValueError(f"rich lines need a threshold >= 2, got {j}")
     refuse_line_work(len(P))
-    p, least = P.ctx.p, j * (j - 1) // 2
-    keys = sorted(key for key, c in _line_pairs(P.points, P.ctx).items() if c >= least)
-    return tuple(
-        NonVertical(*divmod(key, p)) if key < p * p else Vertical(key - p * p) for key in keys
-    )
+    least = j * (j - 1) // 2
+    return sum(c >= least for c in _line_pairs(P.points, P.ctx).values())
 
 
 # The pivot enumeration of 200 points: a pivot that moves m points costs
@@ -311,13 +296,14 @@ def _joined(parts: list, as_bytes) -> Union[bytes, list]:
 
 
 def _reduction_tables(ctx: FieldContext) -> tuple:
-    """The tables of _check_pivot_row that depend on p and the inverse table
-    alone, built once per check_reduction call in O(p^2) work, O(p) of it
-    interpreted: (mul, doubled, lines, det_fails, alpha, gamma, scales,
-    lanes).  alpha[e][t] = (t - e)*inv[t] and gamma[t] = t*inv[t] - 1 are 0
-    at t = 0 and laid out twice.  Below p = PAD the tables are bytes, the
-    rows of mul and scales 256 long, and lanes holds p, 2^15 - p and 2^15
-    in each lane of a row; from p = 257 on they are lists, lanes None."""
+    """The tables of check_reduction that depend on p and the inverse table
+    alone, built once per call in O(p^2) work, O(p) of it interpreted:
+    (mul, doubled, lines, det_fails, alpha, gamma, scales, lanes), lines
+    and det_fails as check_reduction reads them.  alpha[e][t] = (t -
+    e)*inv[t] and gamma[t] = t*inv[t] - 1 are 0 at t = 0 and laid out
+    twice.  Below p = PAD the tables are bytes, the rows of mul and scales
+    256 long, and lanes holds p, 2^15 - p and 2^15 in each lane of a row;
+    from p = 257 on they are lists, lanes None."""
     p, inv = ctx.p, ctx._inv
     # Row m of the multiplication table is every m-th entry of range(p) laid
     # p times, so it and the tables looked up in it hold pointers to the p
@@ -377,19 +363,17 @@ def _row_sequences(ctx: FieldContext, q1: int, shared: tuple) -> tuple:
     return tuple(_joined(parts, lanes) for parts in (products, alphas, gammas))
 
 
-def _check_pivot_row(
-    ctx: FieldContext, q1: int, q2s, shared: tuple
-) -> list[tuple[int, int, int, int, int]]:
-    """Exhaustively check the reduction at the pivots (q1, q2), q2 in q2s.
+def _check_pivot_row(ctx: FieldContext, shared: tuple, row: tuple) -> list[int]:
+    """Exhaustively check the reduction at the pivots (q1, q2), q2 in q2s,
+    of the row (q1, q2s): one unit of check_reduction's pool.
 
-    Returns one (transforms, triples, violations, line_collisions,
-    det_mismatches) per pivot, in q2s order, duplicates included; q1 and
-    each q2 are reduced mod p here.  shared holds the p-only tables of
-    _reduction_tables, which check_reduction builds once for all its rows.
+    Returns the violations of each pivot, in q2s order, duplicates
+    included; q1 and each q2 are reduced mod p here.  shared holds the
+    p-only tables of _reduction_tables, which check_reduction builds once
+    for all its rows.
     Curved maps through q are parametrized directly: c = 1, b forced, (a, d)
-    ranging over a != q2, d != -q1, and are visited by u = a - q2 != 0.  A
-    triple is a map and one of the (p-1)^2 admissible points (s1 != q1,
-    s2 != q2).
+    ranging over a != q2, d != -q1, and are visited by u = a - q2 != 0.  The
+    admissible points are the (p-1)^2 points with s1 != q1 and s2 != q2.
 
     Each side of the reduction puts at most one admissible point on each
     abscissa s1 != q1, so a map's graph is a sequence of p-1 ordinates.
@@ -437,15 +421,7 @@ def _check_pivot_row(
     A point violates the reduction when it lies on one side only: an entry
     where the curve and line of a (pivot, u) differ adds 2 when both sides
     hold a point and 1 otherwise, the size of the symmetric difference of
-    the graphs.  A line collision is a map whose line another map through
-    its pivot shares.  With e = q1 + d the line of (a, d) is keyed i*p + m,
-    i = -1/u and m = e/u; u and e range over the nonzero residues at every
-    pivot, so every pivot has the same lines, counted in the p-only tables.
-    A det mismatch is a map whose line's pullback, of determinant m, scaled
-    to c = 1 by w = 1/(-i) from the inverse table, has m*w^2 != a*d - b.
-    That difference is e*(w^2/u - u), so it vanishes for all the d of one
-    u or for none, whatever the inverse table holds: the p-only tables
-    count the u where it does not.  Nothing comes from the enumeration path.
+    the graphs.  Nothing comes from the enumeration path.
 
     A row costs O(p) interpreted steps and O(p^2) work in C and memory for
     its sequences, plus O(p^2) a pivot for its block.  Each u then costs a
@@ -455,7 +431,8 @@ def _check_pivot_row(
     exhaustive check costs O(p^4) work in C.
     """
     p = ctx.p
-    mul, doubled, lines, det_fails, _, _, scales, lanes = shared
+    mul, doubled, _, _, _, _, scales, lanes = shared
+    q1, q2s = row
     q2s = [q2 % p for q2 in q2s]
     products, alphas, gammas = _row_sequences(ctx, q1 % p, shared)
     pivots = len(q2s)
@@ -506,16 +483,7 @@ def _check_pivot_row(
                 violations[j] += sum(
                     1 + (c != 0 and l != 0) for c, l in zip(curve, line) if c != l
                 )
-    if same:
-        violations *= pivots
-    transforms = (p - 1) ** 2  # the p - 1 values of u and of d != -q1
-    triples = transforms * (p - 1) ** 2
-    collisions = transforms - lines
-    det_mismatches = det_fails * (p - 1)
-    return [
-        (transforms, triples, violation, collisions, det_mismatches)
-        for violation in violations
-    ]
+    return violations * pivots if same else violations
 
 
 # From this p on a row of one pivot takes about parallel_map's serial budget
@@ -525,11 +493,6 @@ def _check_pivot_row(
 # of the work, a whole pivot at a sampled p = 743, so such rows go straight
 # to fork_join.  An exhaustive check stops at p = 53, below it.
 FORK_ROWS_P = 89
-
-
-def _check_row(ctx: FieldContext, shared: tuple, row: tuple) -> list[tuple[int, ...]]:
-    """One unit of check_reduction's pool: a (q1, q2s) row."""
-    return _check_pivot_row(ctx, *row, shared)
 
 
 def check_reduction(
@@ -546,34 +509,52 @@ def check_reduction(
     determinant of each line's pullback, scaled to c = 1 through the
     inverse table, matches the determinant a*d - b of its map.
 
+    Every pivot has the same (p-1)^2 curved maps, one for each u = a - q2
+    and e = q1 + d, both nonzero, and a triple is a map and one of the
+    (p-1)^2 admissible points (s1 != q1, s2 != q2).  The line of (a, d) is
+    keyed i*p + m, i = -1/u and m = e/u, so every pivot has the same lines,
+    and its line collisions, the maps whose line another map through the
+    pivot shares, are the maps less the distinct lines the p-only tables
+    count.  A det mismatch is a map whose line's pullback, of determinant
+    m, scaled to c = 1 by w = 1/(-i) from the inverse table, has m*w^2 !=
+    a*d - b.  That difference is e*(w^2/u - u), so it vanishes for all the
+    p - 1 values of e at one u or for none, whatever the inverse table
+    holds: the p-only tables count the u where it does not.  Only the
+    violations depend on the pivot, and the rows return them.
+
     The pivots are grouped by q1 mod p, each row keeping its pivots in the
-    given order, duplicates included, and each row is one unit of the pool,
-    which spreads the rows over up to jobs processes, the caller being one
-    of them.  Below p = FORK_ROWS_P the pool is parallel_map, which first
-    runs rows in the caller until they outlast its serial budget, so that a
-    check that short starts no process; from FORK_ROWS_P on a row outlasts
-    the budget by itself, and the rows go straight to fork_join.  The
-    tables that depend on p and the inverse table alone (the multiplication
-    table, the curve side's alpha and gamma, the line side's table at each
-    u, the number of distinct lines and the det test, with their byte
-    forms) are built once per call and handed to every row; no cache keeps
-    them past the call.  A row slices its own tables from them in O(p)
-    interpreted steps, and then checks all its pivots at once for each
-    u = a - q2 (see _check_pivot_row): below p = PAD, when its pivots agree
-    on q2*gamma, as for a correct inverse table, in one comparison of p^2
-    16-bit lanes.  So the exhaustive check costs O(p^4).  Memory stays
-    O(p^2) per row plus O(p^2) per pivot in the row.  The per-pivot counts
-    are summed.
+    given order, duplicates included; the exhaustive rows are (q1,
+    range(p)).  Each row is one unit of the pool, which spreads the rows
+    over up to jobs processes, the caller being one of them.  Below p =
+    FORK_ROWS_P the pool is parallel_map, which first runs rows in the
+    caller until they outlast its serial budget, so that a check that short
+    starts no process; from FORK_ROWS_P on a row outlasts the budget by
+    itself, and the rows go straight to fork_join.  The tables that depend
+    on p and the inverse table alone (the multiplication table, the curve
+    side's alpha and gamma, the line side's table at each u, the number of
+    distinct lines and the det test, with their byte forms) are built once
+    per call and handed to every row; no cache keeps them past the call.  A
+    row slices its own tables from them in O(p) interpreted steps, and then
+    checks all its pivots at once for each u (see _check_pivot_row): below
+    p = PAD, when its pivots agree on q2*gamma, as for a correct inverse
+    table, in one comparison of p^2 16-bit lanes.  So the exhaustive check
+    costs O(p^4).  Memory stays O(p^2) per row plus O(p^2) per pivot in the
+    row.
     """
     p = ctx.p
-    refuse_reduction_work(p, p * p if pivots is None else len(pivots))
+    n = p * p if pivots is None else len(pivots)
+    refuse_reduction_work(p, n)
     if pivots is None:
-        pivots = [(q1, q2) for q1 in range(p) for q2 in range(p)]
-    rows: dict[int, list[int]] = {}
-    for q1, q2 in pivots:
-        rows.setdefault(q1 % p, []).append(q2)
+        rows = [(q1, range(p)) for q1 in range(p)]
+    else:
+        grouped: dict[int, list[int]] = {}
+        for q1, q2 in pivots:
+            grouped.setdefault(q1 % p, []).append(q2)
+        rows = list(grouped.items())
     pool = parallel_map if p < FORK_ROWS_P else fork_join
     shared = _reduction_tables(ctx)
-    counts = pool(partial(_check_row, ctx, shared), list(rows.items()), jobs)
-    totals = (sum(pivot[i] for row in counts for pivot in row) for i in range(5))
-    return ReductionReport(p, len(pivots), *totals)
+    _, _, lines, det_fails, *_ = shared
+    violations = sum(map(sum, pool(partial(_check_pivot_row, ctx, shared), rows, jobs)))
+    transforms = (p - 1) ** 2
+    return ReductionReport(p, n, n * transforms, n * transforms**2, violations,
+                           n * (transforms - lines), n * det_fails * (p - 1))

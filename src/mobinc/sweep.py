@@ -21,7 +21,6 @@ from typing import Iterable, Optional
 from .applications import cartesian_points
 from .bounds import (
     BOUND_IDS,
-    BoundSpec,
     COR_KRICH_LINES,
     THM1_INCIDENCE,
     THM1_RICH,
@@ -51,7 +50,7 @@ from .generators import (
     generate_instance,
 )
 from .incidence import count_incidences, refuse_incidence_work
-from .pivot import refuse_line_work, refuse_pivot_work, rich_counts, rich_lines
+from .pivot import refuse_line_work, refuse_pivot_work, rich_counts, rich_line_count
 
 ROW_FIELDS = (
     "bound",
@@ -364,7 +363,7 @@ def _compute_row(bound, inst, grid, shared, config, ctx, size, rep):
         _guard_rich(lhs, ctx.p)
         params["k"] = row["k"] = k
     elif bound == COR_KRICH_LINES:
-        lhs = len(rich_lines(P, k))
+        lhs = rich_line_count(P, k)
         params["k"] = row["k"] = k
     else:
         if bound == THM4_HYPERBOLA:
@@ -391,9 +390,8 @@ def _compute_row(bound, inst, grid, shared, config, ctx, size, rep):
         row["delta"] = _round12(
             dyadic_threshold(len(P), params.get("T", max(1, lhs)))
         )
-    spec = BoundSpec(bound, params)
-    rhs = bound_rhs(spec)
-    hyp = hypothesis_check(spec, ctx.p, config.constant)
+    rhs = bound_rhs(bound, params)
+    hyp = hypothesis_check(bound, params, ctx.p, config.constant)
     for i, term in enumerate(rhs.terms, 1):
         row[f"rhs_term{i}"] = _round12(term)
     row["rhs_max"] = _round12(rhs.max_term)

@@ -14,19 +14,19 @@ translate.  equivalence_by_targets counts a pattern's embeddings one
 target triple at a time.  The pivot vocabulary states the reduction of
 the pivot module's docstring one map at a time: the maps through a pivot,
 their conjugates and lines, the transplant of the points, and the
-pullback of a line.
+pullback of a line, each line a NonVertical (slope, intercept) or a
+Vertical (x).
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from mobinc.energy import HyperbolaTranslate, _hyperbola_key
 from mobinc.field import (FieldContext, canonical_key, class_key, group_order, key_entries,
                           same_context)
 from mobinc.incidence import PointSet, ScalarSet, TransformSet, columns, incidences_of
-from mobinc.pivot import AffineLine, NonVertical, Vertical
 
 
 class _Infinity:
@@ -301,6 +301,18 @@ def conjugate_through_pivot(
     d = f.d * s % p
     # a = q2 would force det = 0, so the bottom-right entry is nonzero.
     return ((q1 + d) % p, p - 1, 0, (a - q2) % p)
+
+
+class NonVertical(NamedTuple):
+    slope: int
+    intercept: int
+
+
+class Vertical(NamedTuple):
+    x: int
+
+
+AffineLine = Union[NonVertical, Vertical]
 
 
 def line_image(f: MoebiusMap, q: tuple[int, int]) -> NonVertical:

@@ -7,6 +7,7 @@ import os
 import pickle
 import random
 import signal
+import sys
 import time
 
 import pytest
@@ -334,6 +335,13 @@ def test_parallel_map_raises_the_lowest_failing_unit(forking):
     units = ["0", "x1", *map(str, range(2, 8)), "x8", "9", "10", "11"]
     with pytest.raises(ValueError, match="'x1'"):
         field.parallel_map(int, units, 2)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
+def test_parallel_map_forks_on_linux_whatever_the_default_start_method():
+    # Python 3.14 makes forkserver the default on Linux, where a worker then
+    # costs many times the serial budget; the pool's workers fork.
+    assert field.Process is multiprocessing.get_context("fork").Process
 
 
 class _Clock:

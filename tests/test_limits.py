@@ -24,7 +24,7 @@ INNER_WORK = {
     "rich_counts": _WALK,
     "rich_transforms_pivot": _WALK,
     "beck_statistics": _WALK,
-    "rich_lines": _WALK,
+    "rich_line_count": _WALK,
     "energy": _QUOTIENTS,
     "energy_report": _QUOTIENTS,
     "check_reduction": ((pivot, "_check_pivot_row"),),
@@ -88,9 +88,10 @@ CASES = {
         "rich_transforms_pivot", lambda n: pivot.rich_transforms_pivot(_rows(17, n), 3), 200,
         "the pivot enumeration of 201 points needs about 201^3 = 8120601 steps, "
         "over the limit 200^3 = 8000000; give at most 200 points"),
-    "rich_lines": ("rich_lines", lambda n: pivot.rich_lines(_rows(53, n, range(53)), 2), 2000,
-                   "the rich lines of 2001 points need 2001000 point pairs, over the limit "
-                   "C(2000, 2) = 1999000; give at most 2000 points"),
+    "rich_line_count": (
+        "rich_line_count", lambda n: pivot.rich_line_count(_rows(53, n, range(53)), 2), 2000,
+        "the rich lines of 2001 points need 2001000 point pairs, over the limit "
+        "C(2000, 2) = 1999000; give at most 2000 points"),
     "count_incidences": (
         "count_incidences",
         lambda n: incidence.count_incidences(_columns(2003, n), _translations(P2003, 2000)), 2000,

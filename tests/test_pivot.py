@@ -13,20 +13,21 @@ from mobinc import field
 from mobinc.field import PAD, FieldContext
 from mobinc.incidence import PointSet, rich_transforms_brute
 from mobinc.pivot import (
-    NonVertical,
-    Vertical,
     _check_pivot_row,
+    _line_pairs,
     _reduction_tables,
     _row_sequences,
     check_reduction,
     rich_counts,
-    rich_lines,
+    rich_line_count,
     rich_transforms_pivot,
 )
 
 from reference import (
     INFINITY,
     MoebiusMap,
+    NonVertical,
+    Vertical,
     conjugate_through_pivot,
     entries,
     enumerate_group,
@@ -179,14 +180,14 @@ def test_line_through_and_rich_lines():
         line_through((2, 2), (2, 2), CTX5)
 
     collinear = PointSet([(0, 0), (1, 1), (2, 2)], CTX7)
-    assert rich_lines(collinear, 3) == (NonVertical(1, 0),)
-    assert rich_lines(collinear, 4) == ()  # 3 pairs, but 4 points need 6
+    assert _rich_lines_from_pairs(collinear, 3) == (NonVertical(1, 0),)
+    assert rich_line_count(collinear, 3) == 1
+    assert rich_line_count(collinear, 4) == 0  # 3 pairs, but 4 points need 6
     grid = PointSet(product(range(5), repeat=2), CTX5)
-    lines = rich_lines(grid, 5)
-    assert len(lines) == 30  # 25 non-vertical plus 5 vertical
-    assert rich_lines(PointSet([(1, 1)], CTX5), 2) == ()
+    assert rich_line_count(grid, 5) == 30  # 25 non-vertical plus 5 vertical
+    assert rich_line_count(PointSet([(1, 1)], CTX5), 2) == 0
     with pytest.raises(ValueError, match="rich lines need a threshold >= 2"):
-        rich_lines(grid, 1)
+        rich_line_count(grid, 1)
 
 
 def test_line_preimage_examples():
@@ -369,7 +370,8 @@ def _paper_chart_listing(P, k):
     keys = []
     for i, q in enumerate(P.points):
         later = transplant_points(PointSet(P.points[i + 1 :], P.ctx), q)[0]
-        for line in set(rich_lines(later, k - 1)) - set(rich_lines(later, k)):
+        lines = set(_rich_lines_pairwise(later, k - 1)) - set(_rich_lines_pairwise(later, k))
+        for line in lines:
             f = line_preimage(line, q, P.ctx)
             if f is not None:
                 keys.append(f.key())
@@ -394,7 +396,7 @@ def _pivot_multiplicities_every_pivot(P, k):
     once towards its multiplicity, which is then the map's richness."""
     multiplicity = {}
     for q in P.points:
-        for line in rich_lines(transplant_points(P, q)[0], k - 1):
+        for line in _rich_lines_pairwise(transplant_points(P, q)[0], k - 1):
             f = line_preimage(line, q, P.ctx)
             if f is not None:
                 multiplicity[f] = multiplicity.get(f, 0) + 1
@@ -402,7 +404,8 @@ def _pivot_multiplicities_every_pivot(P, k):
 
 
 def _rich_lines_pairwise(P, j):
-    """Reference for rich_lines: every pair counted under its AffineLine."""
+    """The lines through at least j >= 2 points of P, by (slope, intercept),
+    verticals last: every pair counted under its AffineLine."""
     pairs = {}
     for i, s in enumerate(P.points):
         for t in P.points[i + 1 :]:
@@ -410,6 +413,15 @@ def _rich_lines_pairwise(P, j):
             pairs[line] = pairs.get(line, 0) + 1
     rich = [line for line, count in pairs.items() if count >= j * (j - 1) // 2]
     return tuple(sorted(rich, key=lambda line: (isinstance(line, Vertical), *line)))
+
+
+def _rich_lines_from_pairs(P, j):
+    """The lines that _line_pairs finds at least C(j, 2) pairs of P on,
+    decoded from their keys: y = sx + i keyed s*p + i, x = c keyed p*p + c."""
+    p, least = P.ctx.p, j * (j - 1) // 2
+    keys = sorted(key for key, c in _line_pairs(P.points, P.ctx).items() if c >= least)
+    return tuple(NonVertical(*divmod(key, p)) if key < p * p else Vertical(key - p * p)
+                 for key in keys)
 
 
 def axis_lines_and_random(ctx, n, seed):
@@ -519,7 +531,9 @@ def test_rich_lines_equal_pairwise_reference(p, n):
     ctx = FieldContext(p)
     for P in (random_points(ctx, n, p), axis_lines_and_random(ctx, n // 2, p)):
         for j in (2, 3, 4):
-            assert rich_lines(P, j) == _rich_lines_pairwise(P, j)
+            reference = _rich_lines_pairwise(P, j)
+            assert _rich_lines_from_pairs(P, j) == reference
+            assert rich_line_count(P, j) == len(reference)
 
 
 def test_check_reduction_counts():
@@ -559,8 +573,19 @@ def test_check_reduction_parametrization_matches_group_filter():
 
 
 def _check_one_pivot(ctx, q):
-    """The row kernel on the one-pivot row of q."""
-    return _check_pivot_row(ctx, q[0], [q[1]], _reduction_tables(ctx))[0]
+    """The five counts of check_reduction's report on the pivot q alone."""
+    return tuple(check_reduction(ctx, [q])[2:])
+
+
+def _assert_row_reports(ctx, shared, q1, q2s, reports):
+    """The row (q1, q2s) has the violations of the per-pivot 5-tuples
+    reports, in order, and check_reduction over its pivots reports their
+    sums; return the row's violations."""
+    got = _check_pivot_row(ctx, shared, (q1, q2s))
+    assert got == [report[2] for report in reports], (ctx.p, q1, q2s)
+    pivots = [(q1, q2) for q2 in q2s]
+    assert check_reduction(ctx, pivots) == (ctx.p, len(pivots), *map(sum, zip(*reports)))
+    return got
 
 
 def _check_one_pivot_pointwise(ctx, q1, q2):
@@ -687,14 +712,18 @@ def test_check_one_pivot_matches_set_reference_at_the_cap():
 
 
 def _rows_match_set_reference(ctx):
-    """Check every whole row of ctx against the set reference; return its reports."""
+    """Check every whole row of ctx against the set reference's violations,
+    and the exhaustive report against its sums; return the report."""
     p = ctx.p
+    shared = _reduction_tables(ctx)
     reports = []
     for q1 in range(p):
-        row = _check_pivot_row(ctx, q1, range(p), _reduction_tables(ctx))
-        assert row == [_check_one_pivot_sets(ctx, (q1, q2)) for q2 in range(p)], q1
+        row = [_check_one_pivot_sets(ctx, (q1, q2)) for q2 in range(p)]
+        assert _check_pivot_row(ctx, shared, (q1, range(p))) == [r[2] for r in row], q1
         reports += row
-    return reports
+    report = check_reduction(ctx)
+    assert report == (p, p * p, *map(sum, zip(*reports)))
+    return report
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -709,8 +738,8 @@ def test_check_pivot_row_matches_set_reference(p):
         rng.shuffle(shuffled)
         repeated = shuffled[:1] + shuffled + shuffled[:1]
         for q2s in (range(p), shuffled, repeated):
-            got = _check_pivot_row(ctx, q1, q2s, _reduction_tables(ctx))
-            assert got == [reference[q2] for q2 in q2s], (p, q1, q2s)
+            got = _check_pivot_row(ctx, _reduction_tables(ctx), (q1, q2s))
+            assert got == [reference[q2][2] for q2 in q2s], (p, q1, q2s)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -857,9 +886,8 @@ def test_lane_rows_equal_batch_reference(p):
     ctx = FieldContext(p)
     shared = _reduction_tables(ctx)
     for q1 in range(p):
-        assert _check_pivot_row(ctx, q1, range(p), shared) == _check_pivot_row_reference(
-            ctx, q1, range(p)
-        ), (p, q1)
+        reference = _check_pivot_row_reference(ctx, q1, range(p))
+        _assert_row_reports(ctx, shared, q1, range(p), reference)
 
 
 @pytest.mark.parametrize("p", [127, 131, 251])
@@ -870,18 +898,15 @@ def test_lane_rows_equal_batch_reference_sampled(p):
     shared = _reduction_tables(ctx)
     rng = random.Random(p)
     for q1, q2 in [(0, 0), (rng.randrange(p), rng.randrange(p))]:
-        assert _check_pivot_row(ctx, q1, [q2], shared) == _check_pivot_row_reference(
-            ctx, q1, [q2]
-        ), (p, q1, q2)
+        _assert_row_reports(ctx, shared, q1, [q2], _check_pivot_row_reference(ctx, q1, [q2]))
 
 
 def test_integer_batches_give_the_closed_form_above_the_switch():
     p = 257
     q1, q2 = random.Random(p).sample(range(p), 2)
     ctx = FieldContext(p)
-    assert _check_pivot_row(ctx, q1, [q2], _reduction_tables(ctx)) == [
-        ((p - 1) ** 2, (p - 1) ** 4, 0, 0, 0)
-    ]
+    closed_form = ((p - 1) ** 2, (p - 1) ** 4, 0, 0, 0)
+    _assert_row_reports(ctx, _reduction_tables(ctx), q1, [q2], [closed_form])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -892,9 +917,8 @@ def test_integer_batches_equal_batch_reference(p, monkeypatch):
     ctx = FieldContext(p)
     shared = _reduction_tables(ctx)
     for q1 in range(p):
-        assert _check_pivot_row(ctx, q1, range(p), shared) == _check_pivot_row_reference(
-            ctx, q1, range(p)
-        ), (p, q1)
+        reference = _check_pivot_row_reference(ctx, q1, range(p))
+        _assert_row_reports(ctx, shared, q1, range(p), reference)
 
 
 def test_integer_batches_count_corrupted_tables_like_set_reference(monkeypatch):
@@ -904,11 +928,11 @@ def test_integer_batches_count_corrupted_tables_like_set_reference(monkeypatch):
     ctx = FieldContext(7)
     inv = ctx._inv
     inv[2], inv[3] = inv[3], inv[2]
-    reports = _rows_match_set_reference(ctx)
-    assert (sum(r[2] for r in reports), sum(r[4] for r in reports)) == (13048, 1176)
+    report = _rows_match_set_reference(ctx)
+    assert (report.violations, report.det_mismatches) == (13048, 1176)
     ctx = FieldContext(7)
     ctx._inv[2] = ctx._inv[3]
-    assert sum(report[3] for report in _rows_match_set_reference(ctx)) > 0
+    assert _rows_match_set_reference(ctx).line_collisions > 0
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])
@@ -923,12 +947,10 @@ def test_check_one_pivot_counts_violations_like_set_reference(p, swap):
     inv = ctx._inv
     x, y = (v % p for v in swap)
     inv[x], inv[y] = inv[y], inv[x]
-    reports = _rows_match_set_reference(ctx)
-    violations = sum(report[2] for report in reports)
-    det_mismatches = sum(report[4] for report in reports)
-    assert violations > 0 and det_mismatches > 0
+    report = _rows_match_set_reference(ctx)
+    assert report.violations > 0 and report.det_mismatches > 0
     if (p, swap) == (7, (2, 3)):
-        assert (violations, det_mismatches) == (13048, 1176)
+        assert (report.violations, report.det_mismatches) == (13048, 1176)
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -941,10 +963,8 @@ def test_check_one_pivot_counts_line_collisions_like_set_reference(p, pair):
     inv = ctx._inv
     x, y = (v % p for v in pair)
     inv[x] = inv[y]
-    reports = _rows_match_set_reference(ctx)
-    collisions = sum(report[3] for report in reports)
-    det_mismatches = sum(report[4] for report in reports)
-    assert collisions > 0 and det_mismatches > 0
+    report = _rows_match_set_reference(ctx)
+    assert report.line_collisions > 0 and report.det_mismatches > 0
 
 
 @pytest.mark.parametrize("pad", [PAD, 2])
@@ -964,9 +984,9 @@ def test_corrupted_rows_split_per_pivot_like_set_reference(p, pad, monkeypatch):
         shuffled = list(range(p))
         rng.shuffle(shuffled)
         for q2s in (shuffled, shuffled[:2] + shuffled + shuffled[:1]):
-            got = _check_pivot_row(ctx, q1, q2s, _reduction_tables(ctx))
-            assert got == [reference[q2] for q2 in q2s], (p, q1, q2s)
-            assert any(report[2] for report in got)
+            got = _check_pivot_row(ctx, _reduction_tables(ctx), (q1, q2s))
+            assert got == [reference[q2][2] for q2 in q2s], (p, q1, q2s)
+            assert any(got)
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -988,9 +1008,7 @@ def test_zeroed_inverse_entries_read_as_no_point_like_batch_reference(p):
             shuffled = list(range(p))
             rng.shuffle(shuffled)
             q2s = shuffled[:1] + shuffled
-            assert _check_pivot_row(ctx, q1, q2s, shared) == _check_pivot_row_reference(
-                ctx, q1, q2s
-            ), (p, list(zeros), q1)
+            _assert_row_reports(ctx, shared, q1, q2s, _check_pivot_row_reference(ctx, q1, q2s))
 
 
 def _assert_tables_are_literal(ctx, q1s):
@@ -1067,26 +1085,35 @@ def test_rows_whose_pivots_differ_in_q2_gamma_split_per_pivot(p, corrupt, pad, m
     shared = _reduction_tables(ctx)
     for q1 in range(p):
         for q2s in ([0, 1], [0, p - 1, 0], [0, 0]):
-            got = _check_pivot_row(ctx, q1, q2s, shared)
-            assert got == _check_pivot_row_reference(ctx, q1, q2s), (q1, q2s)
+            reference = _check_pivot_row_reference(ctx, q1, q2s)
+            got = _assert_row_reports(ctx, shared, q1, q2s, reference)
             if corrupt == "swapped":
-                assert got == [_check_one_pivot_sets(ctx, (q1, q2)) for q2 in q2s], (q1, q2s)
+                assert got == [_check_one_pivot_sets(ctx, (q1, q2))[2] for q2 in q2s], (q1, q2s)
             elif 1 in q2s:
-                assert got[0][2] == 0 < got[1][2], (q1, q2s)
+                assert got[0] == 0 < got[1], (q1, q2s)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_check_reduction_counts_det_mismatches_in_every_row(jobs, monkeypatch):
-    # The det test runs once per call, in the p-only tables, and every row
-    # counts its failures: over pivots of several rows, interleaved and one
-    # repeated, under a swapped inverse table, the report equals the set
-    # reference's sum, det mismatches included.
+    # The det test and the distinct lines are counted once per call, in the
+    # p-only tables, and the rows return only their violations: over
+    # pivots of several rows, interleaved and one repeated, under a swapped
+    # and a non-injective inverse table, through the lanes and, with the
+    # byte switch moved below every prime, through the integer batches,
+    # the report equals the set reference's sum, line collisions and det
+    # mismatches included.
     monkeypatch.setattr(field, "SERIAL_BUDGET_S", 0)
-    ctx = FieldContext(7)
-    inv = ctx._inv
-    inv[2], inv[3] = inv[3], inv[2]
     pivots = [(3, 1), (0, 0), (10, 8), (3, 1), (-4, 2), (6, 5), (0, 4)]
-    report = check_reduction(ctx, pivots=pivots, jobs=jobs)
-    totals = [sum(col) for col in zip(*(_check_one_pivot_sets(ctx, q) for q in pivots))]
-    assert report == (7, len(pivots), *totals)
-    assert report.violations > 0 and report.det_mismatches > 0
+    for pad, swapped in product((PAD, 2), (True, False)):
+        monkeypatch.setattr(pivot_module, "PAD", pad)
+        ctx = FieldContext(7)
+        inv = ctx._inv
+        if swapped:
+            inv[2], inv[3] = inv[3], inv[2]
+        else:
+            inv[2] = inv[3]
+        report = check_reduction(ctx, pivots=pivots, jobs=jobs)
+        totals = [sum(col) for col in zip(*(_check_one_pivot_sets(ctx, q) for q in pivots))]
+        assert report == (7, len(pivots), *totals), (pad, swapped)
+        assert report.violations > 0 and report.det_mismatches > 0
+        assert (report.line_collisions > 0) != swapped
